@@ -13,8 +13,8 @@ import sys
 from . import equivariant, fixedpoint, lattice
 from .errors import ExprSyntaxError, SwcalcError
 from .expressions import (Builtin, Catalog, ConnSum, Multiple, eval_expr,
-                          expression_factors, parse, render)
-from .manifold import homeo_type
+                          parse, render)
+from .manifold import BUILTIN_NAMES, homeo_type
 from .surgery import dissolve
 
 SCHEMA = "swcalc/1"
@@ -67,8 +67,8 @@ def _cmd_eval(args) -> dict:
         except SwcalcError as err:
             payload["homeo_type"] = {"error": str(err)}
         if isinstance(tree, (ConnSum, Multiple)):
-            factors = expression_factors(tree, catalog)
-            payload["dissolution"] = dissolve(factors).to_json_dict()
+            # dissolve expands the sum into the summands its lineage records
+            payload["dissolution"] = dissolve([descriptor]).to_json_dict()
     return payload
 
 
@@ -190,8 +190,7 @@ def _cmd_bf(args) -> dict:
 def _cmd_catalog(args) -> dict:
     catalog = _load_catalog(args.catalog)
     return {
-        "builtins": ["S4", "CP2", "CP2bar", "S2xS2", "K3", "S1xS3", "E(n)",
-                     "hat(l)"],
+        "builtins": [*BUILTIN_NAMES, "E(n)", "hat(l)"],
         "knots": {name: catalog.knots[name].render()
                   for name in catalog.knot_names()},
         "manifolds": catalog.manifold_sources,

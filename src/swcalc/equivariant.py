@@ -194,12 +194,13 @@ def _certify_max_square(z: ManifoldDescriptor, depth: int = 2) -> None:
             requirement="negative definite form")
     n_tracked = len(inter.tracked_basis)
     size = n_tracked + inter.minus_count
+    gram = inter.gram
     rows = []
     for i in range(size):
         row = []
         for j in range(size):
             if i < n_tracked and j < n_tracked:
-                row.append(inter.gram[i][j])
+                row.append(gram[i][j])
             elif i == j:
                 row.append(-1)
             else:

@@ -10,7 +10,8 @@ standard manifolds and transformed by the surgery module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple
+from operator import mul
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import GuardViolation
 from .groupring import FgAbelianGroup, GroupElement, GroupRingElement
@@ -52,30 +53,36 @@ class SWInfo:
         return self.status == SW_ZERO
 
 
+Block = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class IntersectionData:
     """Free part of the intersection form, split for bookkeeping.
 
     ``tracked_basis`` names the generators that may appear as exponents
-    of Seiberg-Witten monomials, with their Gram matrix.  The remaining
+    of Seiberg-Witten monomials.  Their Gram matrix is block diagonal:
+    ``blocks`` holds its square symmetric diagonal blocks in basis order,
+    and ``gram`` builds the dense matrix on demand.  The remaining
     dimensions are counted as standard summands (hyperbolic planes and
     diagonal (+1)/(-1) entries) that no monomial references.
     """
 
     tracked_basis: tuple[str, ...] = ()
-    gram: tuple[tuple[int, ...], ...] = ()
+    blocks: tuple[Block, ...] = ()
     h_count: int = 0
     plus_count: int = 0
     minus_count: int = 0
 
     def __post_init__(self):
-        n = len(self.tracked_basis)
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
-            raise ValueError("gram matrix shape must match the tracked basis")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        if sum(map(len, self.blocks)) != len(self.tracked_basis):
+            raise ValueError("gram blocks must cover the tracked basis")
+        for block in self.blocks:
+            n = len(block)
+            if any(len(row) != n for row in block):
+                raise ValueError("gram block must be square")
+            if any(block[i][j] != block[j][i] for i in range(n) for j in range(i)):
+                raise ValueError("gram matrix must be symmetric")
         if min(self.h_count, self.plus_count, self.minus_count, 0) < 0:
             raise ValueError("summand counts must be nonnegative")
 
@@ -83,6 +90,17 @@ class IntersectionData:
     def dimension(self) -> int:
         return (len(self.tracked_basis) + 2 * self.h_count
                 + self.plus_count + self.minus_count)
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The dense tracked Gram matrix, built anew on each call."""
+        n = len(self.tracked_basis)
+        rows = []
+        for block in self.blocks:
+            left = (0,) * len(rows)
+            right = (0,) * (n - len(rows) - len(block))
+            rows.extend(left + tuple(row) + right for row in block)
+        return tuple(rows)
 
     def square(self, exponents: Mapping[str, int]) -> int:
         """Self-intersection of an integer combination of tracked classes."""
@@ -93,8 +111,80 @@ class IntersectionData:
                 raise GuardViolation(f"class {name!r} is not a tracked generator",
                                      requirement="gram data available for the class")
             vec[idx[name]] = e
-        return sum(vec[i] * self.gram[i][j] * vec[j]
-                   for i in range(len(vec)) for j in range(len(vec)))
+        return self.vector_square(vec)
+
+    def vector_square(self, vec: Sequence[int]) -> int:
+        """Self-intersection of a coefficient vector in basis order."""
+        total = 0
+        start = 0
+        for block in self.blocks:
+            end = start + len(block)
+            v = vec[start:end]
+            for x, row in zip(v, block):
+                if x:
+                    total += x * sum(map(mul, row, v))
+            start = end
+        return total
+
+    def direct_sum(self, other: "IntersectionData") -> "IntersectionData":
+        """Orthogonal sum, renaming the classes of ``other`` that clash.
+
+        A clashing name x becomes the first free one of x_2, x_3, ...  Both
+        forms were checked when they were made, and a block sum of checked
+        blocks is checked, so the sum is assembled without a further
+        check.  Names are looked up in a table that a chain of sums shares,
+        so a sum costs the two concatenations plus O(1) amortized per class
+        of ``other``.
+        """
+        table = self.__dict__.get("_names")
+        if table is None:
+            table = self.__dict__.setdefault("_names", _NameTable(self.tracked_basis))
+        if not table.claim(len(self.tracked_basis)):
+            table = _NameTable(self.tracked_basis)
+        out = object.__new__(IntersectionData)
+        out.__dict__.update(
+            tracked_basis=self.tracked_basis + table.add(other.tracked_basis),
+            blocks=self.blocks + other.blocks,
+            h_count=self.h_count + other.h_count,
+            plus_count=self.plus_count + other.plus_count,
+            minus_count=self.minus_count + other.minus_count,
+            _names=table,
+        )
+        return out
+
+
+class _NameTable:
+    """The tracked names along one chain of direct sums.
+
+    Every form of the chain holds the table, but only its last form may
+    read or extend it: the first sum taken from a given rank claims that
+    rank, and a later sum from the same rank starts a table of its own.
+    The claim is one ``dict.setdefault``, which is atomic.
+    """
+
+    def __init__(self, names: tuple[str, ...]):
+        self.taken = set(names)
+        self.next_suffix: dict[str, int] = {}  # name -> i with name_2..name_{i-1} taken
+        self.claims: dict[int, object] = {}
+
+    def claim(self, rank: int) -> bool:
+        token = object()
+        return self.claims.setdefault(rank, token) is token
+
+    def add(self, names: tuple[str, ...]) -> tuple[str, ...]:
+        out = []
+        for name in names:
+            candidate = name
+            if candidate in self.taken:
+                i = self.next_suffix.get(name, 2)
+                candidate = f"{name}_{i}"
+                while candidate in self.taken:
+                    i += 1
+                    candidate = f"{name}_{i}"
+                self.next_suffix[name] = i + 1
+            self.taken.add(candidate)
+            out.append(candidate)
+        return tuple(out)
 
 
 class Fingerprint(NamedTuple):
@@ -138,7 +228,7 @@ class ManifoldDescriptor:
     torus_class: str | None = None
     elliptic_class: bool = False
     derived_from: tuple[str, tuple["ManifoldDescriptor", ...], str] | None = \
-        field(default=None, repr=False)
+        field(default=None, repr=False, compare=False)
     provenance: tuple[str, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
@@ -164,8 +254,7 @@ class ManifoldDescriptor:
                             f"2*chi + 3*sigma = {target}")
 
     def _element_square(self, elem: GroupElement) -> int:
-        exps = dict(zip(self.intersection.tracked_basis, elem.free))
-        return self.intersection.square(exps)
+        return self.intersection.vector_square(elem.free)
 
     # ----- derived numbers -----
 
@@ -258,7 +347,7 @@ def _elliptic_surface(n: int, label: str | None = None) -> ManifoldDescriptor:
         torsion_h1=(),
         spin=(n % 2 == 0),
         sw=SWInfo.known(sw_poly),
-        intersection=IntersectionData(("T",), ((0,),),
+        intersection=IntersectionData(("T",), (((0,),),),
                                       h_count=6 * n - 2, minus_count=1),
         simple_type=True,
         admits_psc=False,
@@ -381,7 +470,8 @@ def reverse_orientation(m: ManifoldDescriptor) -> ManifoldDescriptor:
     inter = m.intersection
     reversed_inter = IntersectionData(
         inter.tracked_basis,
-        tuple(tuple(-x for x in row) for row in inter.gram),
+        tuple(tuple(tuple(-x for x in row) for row in block)
+              for block in inter.blocks),
         h_count=inter.h_count,
         plus_count=inter.minus_count,
         minus_count=inter.plus_count,

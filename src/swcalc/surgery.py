@@ -19,29 +19,6 @@ from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
 
 # ----- connected sum -----
 
-def _rename_tracked(names: tuple[str, ...], taken: set[str]) -> tuple[str, ...]:
-    out = []
-    for name in names:
-        candidate = name
-        i = 2
-        while candidate in taken:
-            candidate = f"{name}_{i}"
-            i += 1
-        taken.add(candidate)
-        out.append(candidate)
-    return tuple(out)
-
-
-def _block_gram(a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]):
-    na, nb = len(a), len(b)
-    rows = []
-    for i in range(na):
-        rows.append(tuple(a[i]) + (0,) * nb)
-    for j in range(nb):
-        rows.append((0,) * na + tuple(b[j]))
-    return tuple(rows)
-
-
 def _is_standard_s4(d: ManifoldDescriptor) -> bool:
     return d.fingerprint == (True, 0, 0, "even")
 
@@ -62,35 +39,28 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
     Euler characteristic drops by 2.  The polynomial is known only in
     three situations: a trivial summand, a summand of CP2bar pieces
     absorbed by the blowup formula, and the vanishing rule when both
-    sides have positive b2+.
+    sides have positive b2+.  Every result, absorbed or not, records the
+    summands of both sides as one flat lineage.
     """
+    lineage = ("connected_sum", _sum_leaves(a) + _sum_leaves(b), "")
+    label = f"{a.label} # {b.label}"
     if _is_standard_s4(a):
-        return replace(b, label=f"{a.label} # {b.label}",
+        return replace(b, label=label, derived_from=lineage,
                        provenance=b.provenance +
                        ("connected_sum: summand with trivial fingerprint absorbed",))
     if _is_standard_s4(b):
-        return replace(a, label=f"{a.label} # {b.label}",
+        return replace(a, label=label, derived_from=lineage,
                        provenance=a.provenance +
                        ("connected_sum: summand with trivial fingerprint absorbed",))
 
     m = _pure_antiblowup_count(b)
     if m and a.sw.is_known and a.simple_type:
-        out = blowup(a, m)
-        return replace(out, label=f"{a.label} # {b.label}")
+        return replace(blowup(a, m), label=label, derived_from=lineage)
     m = _pure_antiblowup_count(a)
     if m and b.sw.is_known and b.simple_type:
-        out = blowup(b, m)
-        return replace(out, label=f"{a.label} # {b.label}")
+        return replace(blowup(b, m), label=label, derived_from=lineage)
 
-    taken = set(a.intersection.tracked_basis)
-    renamed_b = _rename_tracked(b.intersection.tracked_basis, taken)
-    inter = IntersectionData(
-        a.intersection.tracked_basis + renamed_b,
-        _block_gram(a.intersection.gram, b.intersection.gram),
-        h_count=a.intersection.h_count + b.intersection.h_count,
-        plus_count=a.intersection.plus_count + b.intersection.plus_count,
-        minus_count=a.intersection.minus_count + b.intersection.minus_count,
-    )
+    inter = a.intersection.direct_sum(b.intersection)
     if a.b2_plus > 0 and b.b2_plus > 0:
         sw = SWInfo.zero()
         note = "connected_sum: both summands have b2+ > 0, polynomial vanishes"
@@ -100,10 +70,11 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
 
     torus = a.torus_class
     if torus is None and b.torus_class is not None:
+        renamed_b = inter.tracked_basis[len(a.intersection.tracked_basis):]
         torus = renamed_b[b.intersection.tracked_basis.index(b.torus_class)]
 
     return ManifoldDescriptor(
-        label=f"{a.label} # {b.label}",
+        label=label,
         simply_connected=a.simply_connected and b.simply_connected,
         b1=a.b1 + b.b1,
         b2_plus=a.b2_plus + b.b2_plus,
@@ -116,7 +87,7 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
         admits_psc=a.admits_psc and b.admits_psc,
         torus_class=torus,
         elliptic_class=False,
-        derived_from=("connected_sum", (a, b), ""),
+        derived_from=lineage,
         provenance=(note,),
     )
 
@@ -154,11 +125,8 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
     new_names = tuple(new_names)
 
     n_old = len(tracked)
-    gram_rows = [tuple(row) + (0,) * m for row in a.intersection.gram]
-    for j in range(m):
-        gram_rows.append((0,) * (n_old + j) + (-1,) + (0,) * (m - j - 1))
     inter = IntersectionData(
-        tracked + new_names, tuple(gram_rows),
+        tracked + new_names, a.intersection.blocks + (((-1,),),) * m,
         h_count=a.intersection.h_count,
         plus_count=a.intersection.plus_count,
         minus_count=a.intersection.minus_count,
@@ -410,14 +378,11 @@ def _sum_fingerprint(factors: Sequence[ManifoldDescriptor]) -> Fingerprint:
     )
 
 
-def _sum_leaves(d: ManifoldDescriptor) -> list[ManifoldDescriptor]:
-    """Expand a descriptor built as a connected sum into its summands."""
+def _sum_leaves(d: ManifoldDescriptor) -> tuple[ManifoldDescriptor, ...]:
+    """The summands of a descriptor built as a connected sum, else d alone."""
     if d.derived_from is not None and d.derived_from[0] == "connected_sum":
-        out: list[ManifoldDescriptor] = []
-        for parent in d.derived_from[1]:
-            out.extend(_sum_leaves(parent))
-        return out
-    return [d]
+        return d.derived_from[1]
+    return (d,)
 
 
 def dissolve(factors: Sequence[ManifoldDescriptor]) -> DissolutionVerdict:

@@ -212,3 +212,19 @@ def test_criterion_9_property_suites():
             tree = parse(text)
             assert parse(render(tree)) == tree
         assert eval_expr(parse("S4")).chi == 2
+
+
+def test_sum_scale_400_fold():
+    with timed("sum-scale", 0.5, "400*E(2) # S2xS2 evaluates in linear time "
+                                 "per connected sum"):
+        m = eval_expr(parse("400*E(2) # S2xS2"))
+        assert len(m.intersection.tracked_basis) == 400
+        assert m.intersection.tracked_basis[-1] == "T_400"
+
+
+def test_sum_scale_10000_fold_dissolves():
+    with timed("sum-scale", 10.0, "10000*E(2) # S2xS2 evaluates and dissolves "
+                                  "to 1*(S2xS2) # 10000*K3"):
+        m = eval_expr(parse("10000*E(2) # S2xS2"))
+        verdict = dissolve([m])
+        assert verdict.canonical_counts == ("even", 1, 10000, 1)

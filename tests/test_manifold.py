@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swcalc.errors import GuardViolation
 from swcalc.groupring import FgAbelianGroup, GroupRingElement
 from swcalc.manifold import (IntersectionData, ManifoldDescriptor, SWInfo,
                              builtin, expected_sw_dimension, homeo_type,
                              mod2_basic_class_count, reverse_orientation)
-from swcalc.surgery import connected_sum
+from swcalc.surgery import connected_sum, connected_sum_all
 
 
 def test_e2_characteristic_numbers():
@@ -157,7 +159,7 @@ def test_simple_type_square_enforced():
     with pytest.raises(ValueError):
         ManifoldDescriptor(
             "X", True, 0, 3, 19, (), True, SWInfo.known(bad_poly),
-            IntersectionData(("T",), ((1,),), h_count=10, minus_count=1),
+            IntersectionData(("T",), (((1,),),), h_count=10, minus_count=1),
             simple_type=True)
 
 
@@ -173,3 +175,77 @@ def test_json_shape():
     assert d["mod2_basic_classes"] == 1
     assert d["sw"]["status"] == "known"
     assert d["fingerprint"]["parity"] == "even"
+
+
+def test_equality_of_long_sums_ignores_lineage():
+    left = connected_sum_all([builtin("E", 2)] * 300)
+    right = connected_sum_all([builtin("E", 2)] * 300)
+    assert left == right
+    assert hash(left) == hash(right)
+
+
+# ----- block-diagonal tracked form -----
+
+@st.composite
+def symmetric_blocks(draw):
+    k = draw(st.integers(1, 3))
+    entries = {(i, j): draw(st.integers(-3, 3)) for i in range(k) for j in range(i + 1)}
+    return tuple(tuple(entries[max(i, j), min(i, j)] for j in range(k))
+                 for i in range(k))
+
+
+def _greedy_names(pieces):
+    taken, out = set(), []
+    for names in pieces:
+        for name in names:
+            candidate, i = name, 2
+            while candidate in taken:
+                candidate, i = f"{name}_{i}", i + 1
+            taken.add(candidate)
+            out.append(candidate)
+    return tuple(out)
+
+
+@settings(max_examples=100)
+@given(st.lists(symmetric_blocks(), max_size=6), st.data())
+def test_block_sum_matches_dense_form(blocks, data):
+    pieces = [tuple(data.draw(st.sampled_from(["T", "T_2", "E1"]))
+                    + ("" if j == 0 else f"_{j + 1}") for j in range(len(b)))
+              for b in blocks]
+    forms = [IntersectionData(names, (b,)) for names, b in zip(pieces, blocks)]
+    total = IntersectionData()
+    for form in forms:
+        total = total.direct_sum(form)
+    n = sum(len(b) for b in blocks)
+    dense = [[0] * n for _ in range(n)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            dense[start + i][start:start + len(b)] = row
+        start += len(b)
+    assert total.gram == tuple(map(tuple, dense))
+    assert total.tracked_basis == _greedy_names(pieces)
+    vec = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    expected = sum(vec[i] * dense[i][j] * vec[j] for i in range(n) for j in range(n))
+    assert total.square(dict(zip(total.tracked_basis, vec))) == expected
+    assert total.vector_square(vec) == expected
+
+
+def test_block_must_be_symmetric():
+    with pytest.raises(ValueError):
+        IntersectionData(("a", "b"), (((0, 1), (2, 0)),))
+
+
+def test_blocks_must_cover_the_basis():
+    with pytest.raises(ValueError):
+        IntersectionData(("a", "b"), (((0,),),))
+
+
+def test_reused_summand_gets_its_own_names():
+    form = IntersectionData(("T",), (((0,),),))
+    first = form.direct_sum(form).direct_sum(form)
+    again = form.direct_sum(form)
+    assert first.tracked_basis == ("T", "T_2", "T_3")
+    assert again.tracked_basis == ("T", "T_2")
+    assert again.direct_sum(IntersectionData(("T_3",), (((1,),),))).tracked_basis \
+        == ("T", "T_2", "T_3")
