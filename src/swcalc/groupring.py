@@ -10,7 +10,9 @@ so equality of elements is structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import chain
+from operator import add, mod
+from typing import Iterable, Iterator, Mapping
 
 from .errors import AmbientMismatchError, UnsupportedOperation
 
@@ -52,12 +54,6 @@ class FgAbelianGroup:
         tors_t = tuple(e % o for e, o in zip(tors_t, self.torsion_orders))
         return GroupElement(free_t, tors_t)
 
-    def compose(self, a: "GroupElement", b: "GroupElement") -> "GroupElement":
-        free = tuple(x + y for x, y in zip(a.free, b.free))
-        tors = tuple((x + y) % o for x, y, o in
-                     zip(a.torsion, b.torsion, self.torsion_orders))
-        return GroupElement(free, tors)
-
 
 @dataclass(frozen=True, order=True)
 class GroupElement:
@@ -71,28 +67,46 @@ class GroupElement:
     torsion: tuple[int, ...] = ()
 
 
+def _accumulate(out: dict, items) -> dict:
+    """Add (key, coeff) pairs into ``out``, dropping keys that reach zero."""
+    for key, coeff in items:
+        new = out.get(key, 0) + coeff
+        if new:
+            out[key] = new
+        else:
+            out.pop(key, None)
+    return out
+
+
 class GroupRingElement:
-    """Immutable element of Z[A] for a finitely generated abelian A."""
+    """Immutable element of Z[A] for a finitely generated abelian A.
+
+    Terms map flat exponent tuples (free exponents, then torsion residues)
+    to nonzero ints; the free rank is fixed per ambient group, so they sort
+    as ``GroupElement`` does.  Only the public constructors check input.
+    """
 
     __slots__ = ("ambient", "_terms", "_hash")
 
     def __init__(self, ambient: FgAbelianGroup,
                  terms: Mapping[GroupElement, int] | Iterable[tuple[GroupElement, int]] = ()):
-        canonical: dict[GroupElement, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for elem, coeff in items:
-            coeff = int(coeff)
-            if coeff == 0:
-                continue
-            elem = ambient.element(elem.free, elem.torsion)
-            new = canonical.get(elem, 0) + coeff
-            if new == 0:
-                canonical.pop(elem, None)
-            else:
-                canonical[elem] = new
+        canonical: dict[tuple[int, ...], int] = {}
+        for elem, coeff in (terms.items() if isinstance(terms, Mapping) else terms):
+            if coeff := int(coeff):
+                elem = ambient.element(elem.free, elem.torsion)
+                _accumulate(canonical, ((elem.free + elem.torsion, coeff),))
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "_terms", canonical)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _wrap(cls, ambient: FgAbelianGroup, terms: dict) -> "GroupRingElement":
+        """Trusted constructor: ``terms`` already has canonical keys and no zeros."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ambient", ambient)
+        object.__setattr__(obj, "_terms", terms)
+        object.__setattr__(obj, "_hash", None)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElement is immutable")
@@ -114,13 +128,17 @@ class GroupRingElement:
 
     # ----- basic queries -----
 
+    def _element(self, key: tuple[int, ...]) -> GroupElement:
+        r = self.ambient.free_rank
+        return GroupElement(key[:r], key[r:])
+
     @property
     def terms(self) -> dict[GroupElement, int]:
-        return dict(self._terms)
+        return {self._element(key): c for key, c in self._terms.items()}
 
     def coefficient(self, elem: GroupElement) -> int:
-        key = self.ambient.element(elem.free, elem.torsion)
-        return self._terms.get(key, 0)
+        elem = self.ambient.element(elem.free, elem.torsion)
+        return self._terms.get(elem.free + elem.torsion, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -134,7 +152,12 @@ class GroupRingElement:
         return sum(self._terms.values())
 
     def support(self) -> list[GroupElement]:
-        return sorted(self._terms)
+        return [self._element(key) for key in sorted(self._terms)]
+
+    def free_exponents(self) -> Iterator[tuple[int, ...]]:
+        """Free exponent vector of every stored monomial, in storage order."""
+        r = self.ambient.free_rank
+        return (key[:r] for key in self._terms)
 
     # ----- ring operations -----
 
@@ -145,29 +168,19 @@ class GroupRingElement:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = GroupRingElement.monomial(self.ambient, coeff=other) if other else \
-                GroupRingElement.zero(self.ambient)
+            other = GroupRingElement(self.ambient, {self.ambient.identity(): other})
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check_ambient(other)
-        merged = dict(self._terms)
-        for elem, coeff in other._terms.items():
-            new = merged.get(elem, 0) + coeff
-            if new == 0:
-                merged.pop(elem, None)
-            else:
-                merged[elem] = new
-        return GroupRingElement(self.ambient, merged)
+        return self._wrap(self.ambient, _accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupRingElement(self.ambient, {e: -c for e, c in self._terms.items()})
+        return self._wrap(self.ambient, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            return self + (-other)
-        if not isinstance(other, GroupRingElement):
+        if not isinstance(other, (int, GroupRingElement)):
             return NotImplemented
         return self + (-other)
 
@@ -176,29 +189,32 @@ class GroupRingElement:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GroupRingElement(self.ambient,
-                                    {e: c * other for e, c in self._terms.items()})
+            return self._wrap(self.ambient,
+                              {k: c * other for k, c in self._terms.items()} if other else {})
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check_ambient(other)
-        out: dict[GroupElement, int] = {}
-        compose = self.ambient.compose
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                key = compose(ea, eb)
+        r, orders = self.ambient.free_rank, self.ambient.torsion_orders
+        out: dict[tuple[int, ...], int] = {}
+        for ka, ca in self._terms.items():
+            for kb, cb in other._terms.items():
+                key = tuple(map(add, ka, kb))
+                if orders:
+                    key = key[:r] + tuple(map(mod, key[r:], orders))
                 new = out.get(key, 0) + ca * cb
-                if new == 0:
-                    out.pop(key, None)
-                else:
+                if new:
                     out[key] = new
-        return GroupRingElement(self.ambient, out)
+                else:
+                    out.pop(key, None)
+        return self._wrap(self.ambient, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise UnsupportedOperation("negative ring powers are not defined")
-        result = GroupRingElement.one(self.ambient)
+        g = self.ambient
+        result = self._wrap(g, {(0,) * (g.free_rank + g.torsion_rank): 1})
         base = self
         while n:
             if n & 1:
@@ -211,8 +227,7 @@ class GroupRingElement:
 
     def mod2(self) -> "GroupRingElement":
         """Reduce every coefficient to {0,1}; monomials with even coefficient drop out."""
-        return GroupRingElement(self.ambient,
-                                {e: c % 2 for e, c in self._terms.items()})
+        return self._wrap(self.ambient, {k: 1 for k, c in self._terms.items() if c & 1})
 
     def substitute_power(self, s: int) -> "GroupRingElement":
         """Replace the single free generator t by t^s.
@@ -224,8 +239,7 @@ class GroupRingElement:
         if g.free_rank != 1 or g.torsion_orders:
             raise UnsupportedOperation(
                 "substitute_power needs a rank-1 torsion-free ambient group")
-        return GroupRingElement(g, [(GroupElement((s * e.free[0],)), c)
-                                    for e, c in self._terms.items()])
+        return self._wrap(g, _accumulate({}, (((s * e,), c) for (e,), c in self._terms.items())))
 
     def embed(self, target: FgAbelianGroup,
               free_map: tuple[int, ...] | None = None,
@@ -237,12 +251,8 @@ class GroupRingElement:
         agree.  Defaults map generator i to target generator i.
         """
         src = self.ambient
-        if free_map is None:
-            free_map = tuple(range(src.free_rank))
-        if torsion_map is None:
-            torsion_map = tuple(range(src.torsion_rank))
-        free_map = tuple(free_map)
-        torsion_map = tuple(torsion_map)
+        free_map = tuple(range(src.free_rank) if free_map is None else free_map)
+        torsion_map = tuple(range(src.torsion_rank) if torsion_map is None else torsion_map)
         if len(free_map) != src.free_rank or len(torsion_map) != src.torsion_rank:
             raise AmbientMismatchError("injection must cover every source generator")
         if len(set(free_map)) != len(free_map) or len(set(torsion_map)) != len(torsion_map):
@@ -256,16 +266,14 @@ class GroupRingElement:
                 raise AmbientMismatchError(
                     f"torsion generator of order {src.torsion_orders[i]} cannot map to "
                     f"one of order {target.torsion_orders[j]}")
-        out: dict[GroupElement, int] = {}
-        for elem, coeff in self._terms.items():
-            free = [0] * target.free_rank
-            for i, j in enumerate(free_map):
-                free[j] = elem.free[i]
-            tors = [0] * target.torsion_rank
-            for i, j in enumerate(torsion_map):
-                tors[j] = elem.torsion[i]
-            out[target.element(free, tors)] = coeff
-        return GroupRingElement(target, out)
+        # source slot feeding each target slot; -1 reads the 0 appended below
+        slots = [-1] * (target.free_rank + target.torsion_rank)
+        for i, j in enumerate(free_map):
+            slots[j] = i
+        for i, j in enumerate(torsion_map):
+            slots[target.free_rank + j] = src.free_rank + i
+        return self._wrap(target, {tuple(map((key + (0,)).__getitem__, slots)): c
+                                   for key, c in self._terms.items()})
 
     # ----- comparison, hashing, rendering -----
 
@@ -296,34 +304,22 @@ class GroupRingElement:
                 f"a{i + 1}" for i in range(g.torsion_rank))
         if not self._terms:
             return "0"
-        pieces = []
-        for elem in self.support():
-            coeff = self._terms[elem]
-            factors = []
-            for name, e in zip(free_names, elem.free):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            for name, e in zip(torsion_names, elem.torsion):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors) if factors else "1"
-            if mono == "1":
+        r = g.free_rank
+        out = []
+        for key in sorted(self._terms):
+            coeff = self._terms[key]
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in
+                       chain(zip(free_names, key[:r]), zip(torsion_names, key[r:])) if e]
+            if not factors:
                 body = str(abs(coeff))
             elif abs(coeff) == 1:
-                body = mono
+                body = "*".join(factors)
             else:
-                body = f"{abs(coeff)}*{mono}"
-            pieces.append((coeff < 0, body))
-        out = []
-        for i, (neg, body) in enumerate(pieces):
-            if i == 0:
-                out.append(f"-{body}" if neg else body)
+                body = f"{abs(coeff)}*{'*'.join(factors)}"
+            if out:
+                out.append(f" - {body}" if coeff < 0 else f" + {body}")
             else:
-                out.append(f" - {body}" if neg else f" + {body}")
+                out.append(f"-{body}" if coeff < 0 else body)
         return "".join(out)
 
     def __str__(self):
@@ -340,7 +336,8 @@ def laurent(coeffs: Mapping[int, int], ambient: FgAbelianGroup = RANK1) -> Group
     """Single-variable Laurent polynomial from an exponent -> coefficient map."""
     if ambient.free_rank != 1 or ambient.torsion_orders:
         raise UnsupportedOperation("laurent() needs a rank-1 torsion-free group")
-    return GroupRingElement(ambient, {GroupElement((e,)): c for e, c in coeffs.items()})
+    return GroupRingElement._wrap(ambient, _accumulate(
+        {}, (((int(e),), int(c)) for e, c in coeffs.items())))
 
 
 def laurent_coeffs(p: GroupRingElement) -> dict[int, int]:
@@ -348,4 +345,4 @@ def laurent_coeffs(p: GroupRingElement) -> dict[int, int]:
     g = p.ambient
     if g.free_rank != 1 or g.torsion_orders:
         raise UnsupportedOperation("element is not a single-variable Laurent polynomial")
-    return {e.free[0]: c for e, c in p.terms.items()}
+    return {e: c for (e,), c in p._terms.items()}

@@ -20,6 +20,9 @@ SW_KNOWN = "known"
 SW_ZERO = "zero"
 SW_UNKNOWN = "unknown"
 
+# largest tracked basis whose dense Gram matrix a JSON report will print
+JSON_MAX_TRACKED = 1000
+
 
 @dataclass(frozen=True)
 class SWInfo:
@@ -247,14 +250,11 @@ class ManifoldDescriptor:
                 raise ValueError("SW polynomial must live over the tracked basis")
             if self.simple_type:
                 target = 2 * self.chi + 3 * self.sigma
-                for elem in self.sw.poly.support():
-                    if self._element_square(elem) != target:
-                        raise ValueError(
-                            "simple type requires every monomial square to equal "
-                            f"2*chi + 3*sigma = {target}")
-
-    def _element_square(self, elem: GroupElement) -> int:
-        return self.intersection.vector_square(elem.free)
+                square = self.intersection.vector_square
+                if any(square(vec) != target for vec in self.sw.poly.free_exponents()):
+                    raise ValueError(
+                        "simple type requires every monomial square to equal "
+                        f"2*chi + 3*sigma = {target}")
 
     # ----- derived numbers -----
 
@@ -294,6 +294,12 @@ class ManifoldDescriptor:
         return self.sw.poly.render(self.intersection.tracked_basis or None)
 
     def to_json_dict(self) -> dict:
+        n = len(self.intersection.tracked_basis)
+        if n > JSON_MAX_TRACKED:
+            raise GuardViolation(
+                f"the report would print a dense {n}x{n} intersection form; "
+                f"JSON reports allow at most {JSON_MAX_TRACKED} tracked classes",
+                requirement=f"at most {JSON_MAX_TRACKED} tracked classes")
         return {
             "label": self.label,
             "simply_connected": self.simply_connected,

@@ -214,6 +214,14 @@ def test_criterion_9_property_suites():
         assert eval_expr(parse("S4")).chi == 2
 
 
+def test_family_scale_200_members():
+    with timed("family-scale", 2.0, "k3_knot family of 200 members has "
+                                    "(4d+1)*2 transferred classes, d = 1..200"):
+        report = exotic_family("k3_knot", k=2, l=2, size=200)
+        assert [mb.monomials for mb in report.members] == \
+            [(4 * d + 1) * 2 for d in range(1, 201)]
+
+
 def test_sum_scale_400_fold():
     with timed("sum-scale", 0.5, "400*E(2) # S2xS2 evaluates in linear time "
                                  "per connected sum"):

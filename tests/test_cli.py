@@ -3,6 +3,7 @@ import json
 import pytest
 
 from swcalc.cli import run_command
+from swcalc.expressions import eval_expr, parse
 
 
 def run_json(capsys, argv):
@@ -43,6 +44,14 @@ def test_eval_guard_violation_exit_code(capsys):
     assert code == 1
     assert data["error"]["type"] == "guard"
     assert data["error"]["requirement"] == "b2+ > 1"
+
+
+def test_eval_dense_gram_bound(capsys):
+    at_bound = eval_expr(parse("1000*E(2) # S2xS2")).to_json_dict()
+    assert len(at_bound["intersection"]["gram"]) == 1000
+    code, data = run_json(capsys, ["eval", "1001*E(2) # S2xS2"])
+    assert code == 1
+    assert data["error"]["requirement"] == "at most 1000 tracked classes"
 
 
 def test_eval_syntax_error_exit_code(capsys):

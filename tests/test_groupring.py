@@ -82,6 +82,26 @@ def test_add_torsion_coefficients():
     assert total.coefficient(Z_MOD2.element((), (1,))) == 2
 
 
+@pytest.mark.parametrize("group", [FgAbelianGroup(2), Z_MOD2, FgAbelianGroup(1, (2, 3))])
+def test_integer_addition(group):
+    one = GroupRingElement.one(group)
+    p = GroupRingElement.monomial(group, (1,) * group.free_rank,
+                                  (1,) * group.torsion_rank) + one
+    assert p + 1 == 1 + p == p + one
+    assert p - 1 == GroupRingElement.monomial(group, (1,) * group.free_rank,
+                                              (1,) * group.torsion_rank)
+    assert 1 - p == -p + one
+    assert (p + 0).terms == p.terms
+    assert (one - 1).is_zero()
+
+
+def test_integer_addition_laurent():
+    p = laurent({1: 1, -1: 1})
+    assert laurent_coeffs(p + 1) == laurent_coeffs(1 + p) == {1: 1, 0: 1, -1: 1}
+    assert laurent_coeffs(p - 1) == {1: 1, 0: -1, -1: 1}
+    assert laurent_coeffs(1 - p) == {1: -1, 0: 1, -1: -1}
+
+
 def test_add_ambient_mismatch():
     with pytest.raises(AmbientMismatchError):
         laurent({0: 1}) + GroupRingElement.one(Z_MOD2)
@@ -266,3 +286,48 @@ def test_substitute_power_preserves_coefficient_multiset(p, s):
 def test_embed_preserves_monomial_count_property(p):
     target = FgAbelianGroup(2, (2,))
     assert p.embed(target, free_map=(1,)).monomial_count() == p.monomial_count()
+
+
+# ----- every operation returns a canonical element -----
+
+def assert_canonical(p):
+    """``p`` is exactly what the checked constructor makes of its terms."""
+    rebuilt = GroupRingElement(p.ambient, p.terms)
+    assert rebuilt == p
+    assert rebuilt.terms == p.terms
+    assert p.support() == sorted(p.terms)
+    assert 0 not in p.terms.values()
+    g = p.ambient
+    for elem in p.terms:
+        assert len(elem.free) == g.free_rank
+        assert len(elem.torsion) == g.torsion_rank
+        assert all(0 <= e < o for e, o in zip(elem.torsion, g.torsion_orders))
+
+
+@settings(max_examples=100)
+@given(element_triples(), st.integers(-3, 3), st.integers(0, 3))
+def test_ring_operations_stay_canonical(triple, n, power):
+    a, b, _ = triple
+    for result in (a + b, a - b, -a, a * b, a * n, n * a, a ** power,
+                   a + n, n + a, a - n, n - a, a.mod2()):
+        assert_canonical(result)
+    assert a + n == a + n * GroupRingElement.one(a.ambient)
+    assert n - a == n * GroupRingElement.one(a.ambient) - a
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_embed_stays_canonical(data):
+    p = data.draw(ring_elements())
+    g = p.ambient
+    target = FgAbelianGroup(g.free_rank + 1, g.torsion_orders + (7,))
+    free_map = tuple(data.draw(st.permutations(range(target.free_rank))))[:g.free_rank]
+    q = p.embed(target, free_map=free_map)
+    assert_canonical(q)
+    assert q.monomial_count() == p.monomial_count()
+
+
+@settings(max_examples=100)
+@given(ring_elements(group=Z), st.integers(-3, 3))
+def test_substitute_power_stays_canonical(p, s):
+    assert_canonical(p.substitute_power(s))
