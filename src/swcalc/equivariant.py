@@ -663,28 +663,22 @@ def exotic_family(construction: str, k: int, l: int, size: int,
     torsion_count = math.prod(sf.h1_orders)
 
     members: list[FamilyMember] = []
-    if construction == "k3_knot":
-        if n < 1:
-            raise GuardViolation("the elliptic index parameter must be at least 1",
-                                 requirement="n >= 1")
-        base = builtin("E", 2 * n)
+    if construction in ("k3_knot", "cp2_knot"):
+        if construction == "k3_knot":
+            if n < 1:
+                raise GuardViolation("the elliptic index parameter must be at least 1",
+                                     requirement="n >= 1")
+            base, spacing = builtin("E", 2 * n), 2 * n
+        else:
+            if n_prime < 2:
+                raise GuardViolation("the elliptic index must be at least 2",
+                                     requirement="n' >= 2")
+            if m_prime < 1:
+                raise GuardViolation("at least one blowup is required",
+                                     requirement="m' >= 1")
+            base, spacing = blowup(builtin("E", n_prime), m_prime), n_prime
         for d in range(1, size + 1):
-            member = knot_surgery(base, alexander_family(d, 2 * n))
-            poly = gmonopole_polynomial(member, hat, k)
-            members.append(FamilyMember(
-                member.label, poly.monomial_count(), "exact",
-                member.fingerprint,
-                poly.render(member.intersection.tracked_basis or None)))
-    elif construction == "cp2_knot":
-        if n_prime < 2:
-            raise GuardViolation("the elliptic index must be at least 2",
-                                 requirement="n' >= 2")
-        if m_prime < 1:
-            raise GuardViolation("at least one blowup is required",
-                                 requirement="m' >= 1")
-        base = blowup(builtin("E", n_prime), m_prime)
-        for d in range(1, size + 1):
-            member = knot_surgery(base, alexander_family(d, n_prime))
+            member = knot_surgery(base, alexander_family(d, spacing))
             poly = gmonopole_polynomial(member, hat, k)
             members.append(FamilyMember(
                 member.label, poly.monomial_count(), "exact",

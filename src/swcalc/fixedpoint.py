@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .errors import GuardViolation
@@ -100,7 +101,9 @@ class TorusAutomorphism:
     order: int
 
     def __post_init__(self):
-        matrix = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        matrix = tuple(tuple(row) for row in self.matrix)
+        if any(type(x) is not int for row in matrix for x in row):
+            raise ValueError("matrix entries must be integers")
         object.__setattr__(self, "matrix", matrix)
         n = len(matrix)
         if any(len(row) != n for row in matrix):
@@ -145,38 +148,60 @@ class FixedSubtorus:
     basis: tuple[tuple[int, ...], ...]
 
 
+def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q of a square matrix, with its pivot
+    columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(m)):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
 def fixed_subtorus(aut: TorusAutomorphism) -> FixedSubtorus:
     """Rational fixed subtorus of a finite-order torus automorphism.
 
-    Computes ker(D - I) over Q with a primitive integer basis and checks
-    that the averaging projector P = (1/k) sum D^i is idempotent with
-    image equal to that kernel, which is the algebraic content of
-    averaging solutions onto the invariant locus.
+    Computes ker(D - I) over Q, one vector per free column of its reduced
+    row echelon form, with a primitive integer basis, and checks that the
+    averaging projector P = S/m, S = sum_{i<m} D^i over the least period m,
+    is idempotent with image equal to that kernel, which is the algebraic
+    content of averaging solutions onto the invariant locus.
     """
-    from sympy import Matrix, Rational, eye, zeros
-
     n = aut.dimension
-    d = Matrix(aut.matrix)
+    d = aut.matrix
     if n == 0:
         return FixedSubtorus(0, ())
-    kernel = (d - eye(n)).nullspace()
+    rref, pivots = _rref([[x - (i == j) for j, x in enumerate(row)]
+                          for i, row in enumerate(d)])
+    free = [c for c in range(n) if c not in pivots]
 
-    p = zeros(n, n)
-    power = eye(n)
-    for _ in range(aut.order):
-        p += power
-        power = power * d
-    p = p * Rational(1, aut.order)
-    if p * p != p:
+    s, power, period = _identity(n), d, 1
+    while power != _identity(n):
+        s = tuple(tuple(map(add, a, b)) for a, b in zip(s, power))
+        power = _mat_mul(power, d)
+        period += 1
+    if _mat_mul(s, s) != tuple(tuple(period * x for x in row) for row in s):
         raise AssertionError("averaging operator is not idempotent")
-    if (d - eye(n)) * p != zeros(n, n):
+    if _mat_mul(d, s) != s:
         raise AssertionError("averaging operator does not land in the fixed space")
-    if p.rank() != len(kernel):
+    if len(_rref(s)[1]) != len(free):
         raise AssertionError("averaging image does not match the fixed space")
 
     basis = []
-    for vec in kernel:
-        lcm = math.lcm(*(int(x.q) for x in vec))
+    for col in free:
+        vec = [int(c == col) for c in range(n)]
+        for row, pivot in zip(rref, pivots):
+            vec[pivot] = -row[col]
+        lcm = math.lcm(*(x.denominator for x in vec))
         ints = [int(x * lcm) for x in vec]
         g = math.gcd(*(abs(x) for x in ints))
         if g > 1:
@@ -185,4 +210,4 @@ def fixed_subtorus(aut: TorusAutomorphism) -> FixedSubtorus:
         if first < 0:
             ints = [-x for x in ints]
         basis.append(tuple(ints))
-    return FixedSubtorus(len(kernel), tuple(basis))
+    return FixedSubtorus(len(free), tuple(basis))

@@ -6,41 +6,43 @@ desk-scale search for an orthogonal basis of square -1 vectors.  The
 even rank-8 form ships as a fixture: it has no square -1 vectors and its
 characteristic maximum is 0 rather than -8, which is exactly the pattern
 that cannot occur as the intersection form of a smooth manifold of this
-kind.
+kind.  All arithmetic is exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .errors import GuardViolation
 
+# Refuse a characteristic enumeration when count * rank^2, the number of
+# multiplications in evaluating every square, exceeds this.
+MAX_ENUMERATION_WORK = 6_000_000
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+
+def _ldl(gram) -> tuple[list[list[Fraction]], bool]:
+    """Gaussian elimination over Q on -gram, swapping rows only at a zero
+    pivot; returns the eliminated rows, pivots d_j on the diagonal (a
+    singular form stops at a zero one), and whether a swap happened."""
+    n = len(gram)
+    rows = [[Fraction(-x) for x in row] for row in gram]
+    swapped = False
+    for k in range(n):
+        if rows[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            if pivot is None:
+                break
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            swapped = True
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            if rows[i][k]:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return rows, swapped
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,9 @@ class QuadraticForm:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        gram = tuple(tuple(row) for row in self.gram)
+        if any(type(x) is not int for row in gram for x in row):
+            raise ValueError("gram entries must be integers")
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
@@ -63,21 +67,19 @@ class QuadraticForm:
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        rows = [list(r) for r in gram]
-        if abs(_int_det(rows)) != 1:
+        rows, swapped = _ldl(gram)
+        pivots = [rows[k][k] for k in range(n)]
+        if abs(math.prod(pivots)) != 1:
             raise ValueError("form must be unimodular")
-        for k in range(1, n + 1):
-            minor = _int_det([row[:k] for row in rows[:k]])
-            if minor * (-1) ** k <= 0:
-                raise ValueError("form must be negative definite")
+        if swapped or any(d <= 0 for d in pivots):
+            raise ValueError("form must be negative definite")
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     def evaluate(self, v: Sequence[int]) -> int:
-        return sum(v[i] * self.gram[i][j] * v[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return sum(x * sum(map(mul, row, v)) for x, row in zip(v, self.gram))
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> int:
         return sum(v[i] * self.gram[i][j] * w[j]
@@ -101,34 +103,34 @@ def e8_form() -> QuadraticForm:
     return QuadraticForm(tuple(tuple(r) for r in gram))
 
 
-def _box(rank: int, bound: int) -> np.ndarray:
-    """All integer vectors with coordinates in [-bound, bound], in
-    descending lexicographic order."""
-    if (2 * bound + 1) ** rank > 5_000_000:
+def _characteristic_class(q: QuadraticForm, bound: int):
+    """The characteristic vectors in [-bound, bound]^rank, descending
+    lexicographically.  A unimodular form is invertible mod 2, so they are
+    one parity class w + 2Z^n: gram.w = diag(gram) mod 2 is solved over
+    GF(2), one bitmask per equation with the right-hand side in bit n."""
+    if bound < 1:
+        raise GuardViolation("search bound must be at least 1", requirement="bound >= 1")
+    n = q.rank
+    eqs = [sum((x & 1) << j for j, x in enumerate(row)) | (row[i] & 1) << n
+           for i, row in enumerate(q.gram)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if eqs[r] >> col & 1)
+        eqs[col], eqs[pivot] = eqs[pivot], eqs[col]
+        for r in range(n):
+            if r != col and eqs[r] >> col & 1:
+                eqs[r] ^= eqs[col]
+    axes = [range(bound - (bound - (eq >> n & 1)) % 2, -bound - 1, -2) for eq in eqs]
+    count = math.prod(map(len, axes))
+    if count * n * n > MAX_ENUMERATION_WORK:
         raise GuardViolation(
-            f"search box (2*{bound}+1)^{rank} exceeds the desk-scale limit",
+            f"{count} characteristic vectors of rank {n} exceed the desk-scale limit",
             requirement="desk-scale enumeration")
-    axis = np.arange(bound, -bound - 1, -1, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * rank), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, rank)
-
-
-def _characteristic_mask(q: QuadraticForm, vectors: np.ndarray) -> np.ndarray:
-    g = np.array(q.gram, dtype=np.int64)
-    diag = g.diagonal()
-    prods = vectors @ g
-    return ((prods - diag) % 2 == 0).all(axis=1)
+    return product(*axes)
 
 
 def characteristic_vectors(q: QuadraticForm, bound: int) -> list[tuple[int, ...]]:
     """All c in the box with c.x = x.x mod 2 for every basis vector x."""
-    if bound < 1:
-        raise GuardViolation("search bound must be at least 1", requirement="bound >= 1")
-    if q.rank == 0:
-        return [()]
-    vectors = _box(q.rank, bound)
-    mask = _characteristic_mask(q, vectors)
-    return [tuple(int(x) for x in row) for row in vectors[mask]]
+    return list(_characteristic_class(q, bound))
 
 
 @dataclass(frozen=True)
@@ -141,25 +143,43 @@ class MaxSquareResult:
 def max_characteristic_square(q: QuadraticForm, bound: int) -> MaxSquareResult:
     """Maximum of c.c over characteristic vectors in the box.
 
+    The achiever is the first maximum in descending lexicographic order.
     ``bound_limited`` is set when the diagonal certificate -rank is not
     attained, signalling either a too-small box or a form with no
     orthogonal square -1 basis.
     """
-    if bound < 1:
-        raise GuardViolation("search bound must be at least 1", requirement="bound >= 1")
-    if q.rank == 0:
-        return MaxSquareResult(0, (), False)
-    vectors = _box(q.rank, bound)
-    mask = _characteristic_mask(q, vectors)
-    chars = vectors[mask]
-    if len(chars) == 0:
-        raise GuardViolation("no characteristic vectors inside the box",
-                             requirement="bound large enough")
-    g = np.array(q.gram, dtype=np.int64)
-    squares = np.einsum("ij,jk,ik->i", chars, g, chars)
-    best = int(squares.max())
-    achiever = tuple(int(x) for x in chars[int(np.argmax(squares))])
+    achiever = max(_characteristic_class(q, bound), key=q.evaluate)
+    best = q.evaluate(achiever)
     return MaxSquareResult(best, achiever, best != -q.rank)
+
+
+def _square_minus_one(q: QuadraticForm, depth: int) -> list[tuple[int, ...]]:
+    """All v with v.v = -1 and every |v_i| <= depth, descending
+    lexicographically.  Fincke-Pohst: -v.v = sum_j d_j (v_j + c_j)^2 with
+    c_j = sum_{i>j} rows[j][i] v_i / d_j, so coordinates are chosen last to
+    first and a branch is cut once its partial sum exceeds 1."""
+    rows, _ = _ldl(q.gram)
+    n = q.rank
+    v = [0] * n
+    found = []
+
+    def extend(j: int, used: Fraction):
+        if j < 0:
+            if used == 1:
+                found.append(tuple(v))
+            return
+        d = rows[j][j]
+        c = sum(rows[j][i] * v[i] for i in range(j + 1, n)) / d
+        s = math.isqrt(math.floor((1 - used) / d))
+        for x in range(max(math.floor(-c) - s, -depth),
+                       min(math.ceil(-c) + s, depth) + 1):
+            part = used + d * (x + c) ** 2
+            if part <= 1:
+                v[j] = x
+                extend(j - 1, part)
+
+    extend(n - 1, Fraction(0))
+    return sorted(found, reverse=True)
 
 
 def diagonalize(q: QuadraticForm, depth: int) -> tuple[tuple[int, ...], ...] | None:
@@ -177,13 +197,10 @@ def diagonalize(q: QuadraticForm, depth: int) -> tuple[tuple[int, ...], ...] | N
         raise GuardViolation("search depth must be at least 1", requirement="depth >= 1")
     if q.rank == 0:
         return ()
-    vectors = _box(q.rank, depth)
-    g = np.array(q.gram, dtype=np.int64)
-    squares = np.einsum("ij,jk,ik->i", vectors, g, vectors)
-    candidates = vectors[squares == -1]
+    candidates = _square_minus_one(q, depth)
     if len(candidates) == 0:
         return None
-    pair = candidates @ g @ candidates.T
+    pair = [[q.pairing(a, b) for b in candidates] for a in candidates]
 
     chosen: list[int] = []
 
@@ -200,7 +217,7 @@ def diagonalize(q: QuadraticForm, depth: int) -> tuple[tuple[int, ...], ...] | N
 
     if not extend(0):
         return None
-    basis = tuple(tuple(int(x) for x in candidates[i]) for i in chosen)
+    basis = tuple(candidates[i] for i in chosen)
     for i, v in enumerate(basis):
         for j, w in enumerate(basis):
             expected = -1 if i == j else 0

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from swcalc.cli import run_command
 from swcalc.expressions import eval_expr, parse
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_json(capsys, argv):
@@ -123,6 +129,33 @@ def test_lattice_e8_fixture(capsys):
 def test_lattice_bad_gram(capsys):
     code, data = run_json(capsys, ["lattice", "--gram", "[[-2]]"])
     assert code == 2
+
+
+@pytest.mark.parametrize("gram", ['[[-1.5]]', '[["-1"]]', '[[-1,0],[0,-1.9]]', '[[true]]'])
+def test_lattice_non_integer_gram_rejected(capsys, gram):
+    code, data = run_json(capsys, ["lattice", "--gram", gram])
+    assert code == 2
+    assert "integers" in data["error"]["message"]
+
+
+def test_no_runtime_dependencies_loaded():
+    """Importing the CLI and running the lattice and fixed-subtorus code
+    loads neither numpy nor sympy."""
+    script = (
+        "import sys, io, contextlib\n"
+        "import swcalc.cli\n"
+        "from swcalc.fixedpoint import TorusAutomorphism, fixed_subtorus\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert swcalc.cli.run_command(['lattice', '--fixture', 'e8', '--bound', '1']) == 0\n"
+        "fixed_subtorus(TorusAutomorphism(((0, 1), (1, 0)), 2))\n"
+        "print(sorted({'numpy', 'sympy'} & set(sys.modules)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_bf_subcommand(capsys):

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -144,6 +146,66 @@ def test_block_mix():
 def test_wrong_order_rejected():
     with pytest.raises(GuardViolation):
         TorusAutomorphism(((0, 1), (1, 0)), 3)
+
+
+@pytest.mark.parametrize("matrix", [((1.0,),), ((True,),), (("1",),),
+                                    ((1, 0), (0, 1.5))])
+def test_non_integer_matrix_rejected(matrix):
+    with pytest.raises(ValueError):
+        TorusAutomorphism(matrix, 1)
+
+
+def test_averages_over_least_period():
+    start = time.perf_counter()
+    out = fixed_subtorus(TorusAutomorphism(((1,),), 10 ** 7))
+    assert (out.dimension, out.basis) == (1, ((1,),))
+    assert time.perf_counter() - start < 2.0
+
+
+def sympy_fixed_subtorus(matrix):
+    """Independent kernel of D - I by sympy, normalized as the library does:
+    primitive integer vectors whose first nonzero entry is positive."""
+    import sympy
+
+    n = len(matrix)
+    basis = []
+    for vec in (sympy.Matrix(matrix) - sympy.eye(n)).nullspace():
+        lcm = math.lcm(*(int(x.q) for x in vec))
+        ints = [int(x * lcm) for x in vec]
+        g = math.gcd(*ints)
+        ints = [x // g for x in ints]
+        if next(x for x in ints if x) < 0:
+            ints = [-x for x in ints]
+        basis.append(tuple(ints))
+    return len(basis), tuple(basis)
+
+
+# Finite-order blocks with their orders: +-1, rotations of order 4, 3 and
+# 6, and the swap of two coordinates.
+BLOCKS = [(((1,),), 1), (((-1,),), 2), (((0, -1), (1, 0)), 4),
+          (((0, -1), (1, -1)), 3), (((1, -1), (1, 0)), 6), (((0, 1), (1, 0)), 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=4), st.data())
+def test_fixed_subtorus_matches_sympy(blocks, data):
+    n = sum(len(b) for b, _ in blocks)
+    block = [[0] * n for _ in range(n)]
+    offset = 0
+    for b, _ in blocks:
+        for i, row in enumerate(b):
+            block[offset + i][offset:offset + len(b)] = row
+        offset += len(b)
+    # conjugate by a signed permutation P: D = P B P^-1, P e_j = s_j e_perm[j]
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            matrix[perm[i]][perm[j]] = signs[i] * signs[j] * block[i][j]
+    order = math.lcm(*(o for _, o in blocks))
+    out = fixed_subtorus(TorusAutomorphism(tuple(map(tuple, matrix)), order))
+    assert (out.dimension, out.basis) == sympy_fixed_subtorus(matrix)
 
 
 def test_angle_tuple_normal_form_enforced():

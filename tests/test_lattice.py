@@ -1,5 +1,12 @@
-import pytest
+import itertools
+import json
+import time
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swcalc.cli import run_command
 from swcalc.errors import GuardViolation
 from swcalc.lattice import (QuadraticForm, characteristic_vectors,
                             diagonal_form, diagonalize, e8_form,
@@ -25,6 +32,17 @@ def test_form_validation():
     with pytest.raises(ValueError):
         QuadraticForm(((-1, 1), (0, -1)))  # not symmetric
     assert QuadraticForm(()).rank == 0
+
+
+def test_form_validation_messages():
+    cases = [(((0, -1, 0), (-1, 0, 0), (0, 0, -1)), "negative definite"),  # row swap
+             (((-1, 0), (0, 1)), "negative definite"),
+             (((-1, -1), (-1, -1)), "unimodular"),  # singular
+             (((0, 1), (1, 0)), "negative definite"),
+             (((-1.0,),), "integers"), (((False,),), "integers")]
+    for gram, message in cases:
+        with pytest.raises(ValueError, match=message):
+            QuadraticForm(gram)
 
 
 def test_e8_fixture_is_even_unimodular_definite():
@@ -153,3 +171,145 @@ def test_spinc_nontrivial_form_is_characteristic():
 
 def test_spinc_e8_not_found():
     assert spinc_with_max_square(e8_form(), 2) is None
+
+
+# ----- equivalence with brute force over the full box -----
+
+def square(gram, v):
+    n = len(v)
+    return sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+def full_box(rank, bound):
+    """Every vector of [-bound, bound]^rank, descending lexicographically."""
+    return itertools.product(range(bound, -bound - 1, -1), repeat=rank)
+
+
+def brute_characteristic(gram, bound):
+    n = len(gram)
+    return [c for c in full_box(n, bound)
+            if all((sum(gram[i][j] * c[j] for j in range(n)) - gram[i][i]) % 2 == 0
+                   for i in range(n))]
+
+
+def brute_diagonalize(gram, depth):
+    """The first-fit depth-first search over the box's square -1 vectors."""
+    n = len(gram)
+    cands = [v for v in full_box(n, depth) if square(gram, v) == -1]
+    chosen = []
+
+    def pair(a, b):
+        return sum(a[i] * gram[i][j] * b[j] for i in range(n) for j in range(n))
+
+    def extend(start):
+        if len(chosen) == n:
+            return True
+        for idx in range(start, len(cands)):
+            if all(pair(cands[idx], cands[c]) == 0 for c in chosen):
+                chosen.append(idx)
+                if extend(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return tuple(cands[i] for i in chosen) if extend(0) else None
+
+
+@st.composite
+def minus_u_ut(draw, max_rank):
+    """-U U^T for a random unimodular U: elementary row operations, then
+    a random row order and signs."""
+    n = draw(st.integers(1, max_rank))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        ops = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1),
+                                      st.sampled_from((-1, 1))), max_size=2 * n))
+        for i, shift, c in ops:
+            j = (i + shift) % n
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    u = draw(st.permutations(u))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    u = [[s * a for a in row] for s, row in zip(signs, u)]
+    return tuple(tuple(-sum(u[i][t] * u[j][t] for t in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def e8_plus_diag(k):
+    e8 = e8_form().gram
+    n = 8 + k
+    return tuple(tuple(e8[i][j] if i < 8 and j < 8 else -(i == j) for j in range(n))
+                 for i in range(n))
+
+
+def assert_matches_brute_force(gram, bound):
+    q = QuadraticForm(gram)
+    expected = brute_characteristic(gram, bound)
+    assert characteristic_vectors(q, bound) == expected
+    best = max(square(gram, c) for c in expected)
+    first = next(c for c in expected if square(gram, c) == best)
+    r = max_characteristic_square(q, bound)
+    assert (r.value, r.achiever, r.bound_limited) == (best, first, best != -q.rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(minus_u_ut(5), st.integers(1, 3))
+def test_characteristic_enumeration_matches_full_box(gram, bound):
+    assert_matches_brute_force(gram, bound)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_e8_plus_diag_matches_full_box(k):
+    assert_matches_brute_force(e8_plus_diag(k), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(minus_u_ut(4), st.integers(1, 2))
+def test_diagonalize_matches_box_search(gram, depth):
+    assert diagonalize(QuadraticForm(gram), depth) == brute_diagonalize(gram, depth)
+
+
+# ----- command line: golden answers and the work guard -----
+
+def run_lattice(capsys, *args):
+    start = time.perf_counter()
+    code = run_command(["lattice", *args])
+    elapsed = time.perf_counter() - start
+    return code, json.loads(capsys.readouterr().out), elapsed
+
+
+def test_cli_e8_default_bound(capsys):
+    code, data, _ = run_lattice(capsys, "--fixture", "e8")
+    assert code == 0
+    assert data["characteristic_vectors"]["count"] == 6561
+    assert data["max_characteristic_square"]["value"] == 0
+    assert data["max_characteristic_square"]["bound_limited"] is True
+
+
+def test_cli_diag8_default_bound(capsys):
+    code, data, _ = run_lattice(capsys, "--fixture", "diag:8")
+    assert code == 0
+    assert data["characteristic_vectors"]["count"] == 65536
+    assert data["max_characteristic_square"]["value"] == -8
+
+
+@pytest.mark.parametrize("args", [("--fixture", "diag:11"),
+                                  ("--fixture", "diag:16", "--bound", "1")])
+def test_cli_work_guard_refuses_fast(capsys, args):
+    code, data, elapsed = run_lattice(capsys, *args)
+    assert code == 1
+    assert data["error"]["requirement"] == "desk-scale enumeration"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("args", [("--fixture", "diag:14", "--bound", "1"),
+                                  ("--fixture", "diag:7", "--bound", "4")])
+def test_cli_work_guard_accepts(capsys, args):
+    code, _, _ = run_lattice(capsys, *args)
+    assert code == 0
+
+
+def test_cli_huge_depth_is_fast(capsys):
+    code, data, elapsed = run_lattice(capsys, "--fixture", "diag:2", "--depth", "1000000")
+    assert code == 0
+    assert data["diagonalize"]["basis"] == [[1, 0], [0, 1]]
+    assert elapsed < 1.0
