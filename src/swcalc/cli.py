@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 when a construction hypothesis is violated,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -116,10 +117,11 @@ def _cmd_lattice(args) -> dict:
             raise ExprSyntaxError(f"--gram is not an admissible form: {err}") from err
     payload: dict = {"rank": form.rank, "gram": [list(r) for r in form.gram],
                      "bound": args.bound}
-    chars = lattice.characteristic_vectors(form, args.bound)
+    count = lattice.characteristic_count(form, args.bound)
     payload["characteristic_vectors"] = {
-        "count": len(chars),
-        "vectors": [list(v) for v in chars] if len(chars) <= args.list_limit else None,
+        "count": count,
+        "vectors": ([list(v) for v in lattice.characteristic_vectors(form, args.bound)]
+                    if count <= args.list_limit else None),
     }
     best = lattice.max_characteristic_square(form, args.bound)
     payload["max_characteristic_square"] = {
@@ -133,7 +135,7 @@ def _cmd_lattice(args) -> dict:
             "found": basis is not None,
             "basis": [list(v) for v in basis] if basis else None,
         }
-        spinc = lattice.spinc_with_max_square(form, args.depth)
+        spinc = lattice.spinc_from_basis(form, basis)
         payload["spinc_with_max_square"] = None if spinc is None else {
             "vector": list(spinc.vector), "square": spinc.square}
     else:
@@ -200,6 +202,7 @@ def _cmd_catalog(args) -> dict:
     }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swcalc",

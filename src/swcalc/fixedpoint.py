@@ -57,18 +57,17 @@ def solve_fixed_points(k: int) -> list[tuple[Fraction, AngleTuple]]:
     """
     if k < 1:
         raise GuardViolation("the cyclic order must be at least 1", requirement="k >= 1")
-    out = []
-    for j in range(k):
-        theta = Fraction(j, k)
-        tup = AngleTuple(tuple(((k - 1 - i) * theta) % 1 for i in range(k)))
-        out.append((theta, tup))
-    return out
+    points = [Fraction(m, k) for m in range(k)]
+    return [(points[j], AngleTuple(tuple(points[(k - 1 - i) * j % k] for i in range(k))))
+            for j in range(k)]
 
 
 def invariant_locus(k: int) -> list[tuple[Fraction, AngleTuple]]:
     """The subset of fixed tuples whose gauge orbit contains invariant
     representatives, i.e. exactly the theta = 0 component."""
-    return [(theta, tup) for theta, tup in solve_fixed_points(k) if theta == 0]
+    if k < 1:
+        raise GuardViolation("the cyclic order must be at least 1", requirement="k >= 1")
+    return [(Fraction(0), AngleTuple((0,) * k))]
 
 
 def apply_generator(t: AngleTuple, gauge: Fraction | int,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from operator import mul
 from typing import Sequence
@@ -24,13 +23,14 @@ from .errors import GuardViolation
 MAX_ENUMERATION_WORK = 6_000_000
 
 
-def _ldl(gram) -> tuple[list[list[Fraction]], bool]:
-    """Gaussian elimination over Q on -gram, swapping rows only at a zero
-    pivot; returns the eliminated rows, pivots d_j on the diagonal (a
-    singular form stops at a zero one), and whether a swap happened."""
+def _bareiss(gram) -> tuple[list[list[int]], bool]:
+    """Fraction-free (Bareiss) elimination of -gram, swapping rows only at a
+    zero pivot; returns the rows, leading principal minors p_j on the diagonal
+    (a singular form stops at a zero one), and whether a swap happened."""
     n = len(gram)
-    rows = [[Fraction(-x) for x in row] for row in gram]
+    rows = [[-x for x in row] for row in gram]
     swapped = False
+    prev = 1
     for k in range(n):
         if rows[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
@@ -38,10 +38,11 @@ def _ldl(gram) -> tuple[list[list[Fraction]], bool]:
                 break
             rows[k], rows[pivot] = rows[pivot], rows[k]
             swapped = True
-        for i in range(k + 1, n):
-            if rows[i][k]:
-                f = rows[i][k] / rows[k][k]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+        p, top = rows[k][k], rows[k][k + 1:]
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(a * p - f * b) // prev for a, b in zip(row[k + 1:], top)]
+        prev = p
     return rows, swapped
 
 
@@ -67,11 +68,11 @@ class QuadraticForm:
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        rows, swapped = _ldl(gram)
-        pivots = [rows[k][k] for k in range(n)]
-        if abs(math.prod(pivots)) != 1:
+        rows, swapped = _bareiss(gram)
+        minors = [rows[k][k] for k in range(n)]
+        if 0 in minors or n and abs(minors[-1]) != 1:
             raise ValueError("form must be unimodular")
-        if swapped or any(d <= 0 for d in pivots):
+        if swapped or any(p <= 0 for p in minors):
             raise ValueError("form must be negative definite")
 
     @property
@@ -82,8 +83,7 @@ class QuadraticForm:
         return sum(x * sum(map(mul, row, v)) for x, row in zip(v, self.gram))
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> int:
-        return sum(v[i] * self.gram[i][j] * w[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return sum(x * sum(map(mul, row, w)) for x, row in zip(v, self.gram))
 
 
 def diagonal_form(rank: int) -> QuadraticForm:
@@ -103,11 +103,11 @@ def e8_form() -> QuadraticForm:
     return QuadraticForm(tuple(tuple(r) for r in gram))
 
 
-def _characteristic_class(q: QuadraticForm, bound: int):
-    """The characteristic vectors in [-bound, bound]^rank, descending
-    lexicographically.  A unimodular form is invertible mod 2, so they are
-    one parity class w + 2Z^n: gram.w = diag(gram) mod 2 is solved over
-    GF(2), one bitmask per equation with the right-hand side in bit n."""
+def _parity_axes(q: QuadraticForm, bound: int) -> list[range]:
+    """Per-axis ranges of the characteristic vectors in [-bound, bound]^rank,
+    each descending.  A unimodular form is invertible mod 2, so they are one
+    parity class w + 2Z^n: gram.w = diag(gram) mod 2 is solved over GF(2),
+    one bitmask per equation with the right-hand side in bit n."""
     if bound < 1:
         raise GuardViolation("search bound must be at least 1", requirement="bound >= 1")
     n = q.rank
@@ -125,12 +125,17 @@ def _characteristic_class(q: QuadraticForm, bound: int):
         raise GuardViolation(
             f"{count} characteristic vectors of rank {n} exceed the desk-scale limit",
             requirement="desk-scale enumeration")
-    return product(*axes)
+    return axes
+
+
+def characteristic_count(q: QuadraticForm, bound: int) -> int:
+    """The number of characteristic vectors in the box, without listing them."""
+    return math.prod(map(len, _parity_axes(q, bound)))
 
 
 def characteristic_vectors(q: QuadraticForm, bound: int) -> list[tuple[int, ...]]:
     """All c in the box with c.x = x.x mod 2 for every basis vector x."""
-    return list(_characteristic_class(q, bound))
+    return list(product(*_parity_axes(q, bound)))
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,17 @@ class MaxSquareResult:
     bound_limited: bool
 
 
+def _completed_squares(q: QuadraticForm) -> tuple[int, list]:
+    """(W, [(w_j, p_j, m_j)]): -v.v * W = sum_j w_j (p_j v_j + s_j)^2 with
+    s_j = m_j.v[j+1:], w_j = W / (p_{j-1} p_j), p_{-1} = 1, W their lcm."""
+    rows, _ = _bareiss(q.gram)
+    minors = [rows[j][j] for j in range(q.rank)]
+    pairs = [a * b for a, b in zip([1] + minors, minors)]
+    scale = math.lcm(*pairs)
+    return scale, [(scale // pair, rows[j][j], rows[j][j + 1:])
+                   for j, pair in enumerate(pairs)]
+
+
 def max_characteristic_square(q: QuadraticForm, bound: int) -> MaxSquareResult:
     """Maximum of c.c over characteristic vectors in the box.
 
@@ -147,38 +163,57 @@ def max_characteristic_square(q: QuadraticForm, bound: int) -> MaxSquareResult:
     ``bound_limited`` is set when the diagonal certificate -rank is not
     attained, signalling either a too-small box or a form with no
     orthogonal square -1 basis.
+
+    Schnorr-Euchner: -c.c * W is minimized coordinate by coordinate, last to
+    first, trying each axis by |p_j x + s_j| and cutting a branch once it
+    exceeds the best complete sum; ties are explored.
     """
-    achiever = max(_characteristic_class(q, bound), key=q.evaluate)
-    best = q.evaluate(achiever)
-    return MaxSquareResult(best, achiever, best != -q.rank)
+    axes = _parity_axes(q, bound)
+    _, terms = _completed_squares(q)
+    v = [0] * q.rank
+    best = [math.inf, ()]
+
+    def extend(j: int, used: int):
+        if j < 0:
+            # reaching a leaf means used <= best[0]
+            if used < best[0] or tuple(v) > best[1]:
+                best[:] = used, tuple(v)
+            return
+        w, p, m = terms[j]
+        s = sum(map(mul, m, v[j + 1:]))
+        for x in sorted(axes[j], key=lambda x: abs(p * x + s)):
+            part = used + w * (p * x + s) ** 2
+            if part > best[0]:
+                break
+            v[j] = x
+            extend(j - 1, part)
+
+    extend(q.rank - 1, 0)
+    value = q.evaluate(best[1])
+    return MaxSquareResult(value, best[1], value != -q.rank)
 
 
 def _square_minus_one(q: QuadraticForm, depth: int) -> list[tuple[int, ...]]:
     """All v with v.v = -1 and every |v_i| <= depth, descending
-    lexicographically.  Fincke-Pohst: -v.v = sum_j d_j (v_j + c_j)^2 with
-    c_j = sum_{i>j} rows[j][i] v_i / d_j, so coordinates are chosen last to
-    first and a branch is cut once its partial sum exceeds 1."""
-    rows, _ = _ldl(q.gram)
-    n = q.rank
-    v = [0] * n
+    lexicographically.  Fincke-Pohst on the completed squares, last
+    coordinate first: each term w_j (p_j v_j + s_j)^2 must fit in W - used."""
+    scale, terms = _completed_squares(q)
+    v = [0] * q.rank
     found = []
 
-    def extend(j: int, used: Fraction):
+    def extend(j: int, used: int):
         if j < 0:
-            if used == 1:
+            if used == scale:
                 found.append(tuple(v))
             return
-        d = rows[j][j]
-        c = sum(rows[j][i] * v[i] for i in range(j + 1, n)) / d
-        s = math.isqrt(math.floor((1 - used) / d))
-        for x in range(max(math.floor(-c) - s, -depth),
-                       min(math.ceil(-c) + s, depth) + 1):
-            part = used + d * (x + c) ** 2
-            if part <= 1:
-                v[j] = x
-                extend(j - 1, part)
+        w, p, m = terms[j]
+        s = sum(map(mul, m, v[j + 1:]))
+        t = math.isqrt((scale - used) // w)
+        for x in range(max(-((s + t) // p), -depth), min((t - s) // p, depth) + 1):
+            v[j] = x
+            extend(j - 1, used + w * (p * x + s) ** 2)
 
-    extend(n - 1, Fraction(0))
+    extend(q.rank - 1, 0)
     return sorted(found, reverse=True)
 
 
@@ -232,14 +267,11 @@ class SpincResult:
     square: int
 
 
-def spinc_with_max_square(q: QuadraticForm, bound: int) -> SpincResult | None:
-    """Characteristic vector of square -rank via a diagonalizing basis.
-
-    Returns the sum of the basis vectors (the all-ones vector in the new
-    basis), certified characteristic; None when no diagonalizing basis is
-    found inside the box.
-    """
-    basis = diagonalize(q, bound)
+def spinc_from_basis(q: QuadraticForm,
+                     basis: tuple[tuple[int, ...], ...] | None) -> SpincResult | None:
+    """Characteristic vector of square -rank from a diagonalizing basis: the
+    sum of the basis vectors (the all-ones vector in the new basis), certified
+    characteristic; None when there is no basis."""
     if basis is None:
         return None
     vector = tuple(sum(v[i] for v in basis) for i in range(q.rank))
@@ -251,3 +283,8 @@ def spinc_with_max_square(q: QuadraticForm, bound: int) -> SpincResult | None:
         if (q.pairing(vector, basis_vec) - q.evaluate(basis_vec)) % 2 != 0:
             raise AssertionError("constructed vector is not characteristic")
     return SpincResult(vector, square)
+
+
+def spinc_with_max_square(q: QuadraticForm, bound: int) -> SpincResult | None:
+    """spinc_from_basis on the diagonalizing basis found inside the box."""
+    return spinc_from_basis(q, diagonalize(q, bound))

@@ -191,3 +191,22 @@ def test_text_format(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "chi: 2" in out
+
+
+def test_parser_reused_across_commands_matches_fresh_processes(capsys):
+    """One process runs an invalid argv, then lattice, fixedpoints and eval
+    on the one parser it builds; each answer equals a fresh process's."""
+    argvs = [["lattice", "--bound", "x"],
+             ["lattice", "--fixture", "diag:3", "--bound", "1"],
+             ["fixedpoints", "--k", "4"],
+             ["eval", "2*E(2) # S2xS2"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    for argv in argvs:
+        code = run_command(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "swcalc.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and out

@@ -213,3 +213,18 @@ def test_angle_tuple_normal_form_enforced():
         AngleTuple((Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(ValueError):
         AngleTuple((Fraction(3, 2), Fraction(0)))
+
+
+def test_solutions_match_closed_form_and_locus_is_theta_zero():
+    for k in range(1, 61):
+        sols = solve_fixed_points(k)
+        assert [theta for theta, _ in sols] == [Fraction(j, k) for j in range(k)]
+        assert [tup.angles for _, tup in sols] == [
+            tuple(Fraction((k - 1 - i) * j, k) % 1 for i in range(k)) for j in range(k)]
+        assert invariant_locus(k) == sols[:1]
+
+
+def test_invariant_locus_guard():
+    for k in (0, -2):
+        with pytest.raises(GuardViolation):
+            invariant_locus(k)

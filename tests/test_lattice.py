@@ -1,6 +1,8 @@
 import itertools
 import json
+import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 
 from swcalc.cli import run_command
 from swcalc.errors import GuardViolation
-from swcalc.lattice import (QuadraticForm, characteristic_vectors,
+from swcalc.lattice import (QuadraticForm, _square_minus_one,
+                            characteristic_count, characteristic_vectors,
                             diagonal_form, diagonalize, e8_form,
-                            max_characteristic_square, spinc_with_max_square)
+                            max_characteristic_square, spinc_from_basis,
+                            spinc_with_max_square)
 
 
 def is_characteristic(q, c):
@@ -268,6 +272,92 @@ def test_diagonalize_matches_box_search(gram, depth):
     assert diagonalize(QuadraticForm(gram), depth) == brute_diagonalize(gram, depth)
 
 
+def fraction_verdict(gram):
+    """Gaussian elimination over Q on -gram, swapping rows only at a zero
+    pivot: the validation message a form should get, None if admissible."""
+    n = len(gram)
+    rows = [[Fraction(-x) for x in row] for row in gram]
+    swapped = False
+    for k in range(n):
+        if rows[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
+            if pivot is None:
+                return "form must be unimodular"
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            swapped = True
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    pivots = [rows[k][k] for k in range(n)]
+    prod = 1
+    for d in pivots:
+        prod *= d
+    if abs(prod) != 1:
+        return "form must be unimodular"
+    if swapped or any(d <= 0 for d in pivots):
+        return "form must be negative definite"
+    return None
+
+
+@st.composite
+def symmetric_matrices(draw, max_rank):
+    """Small symmetric integer matrices; zero diagonal entries are common,
+    so many need a row swap."""
+    n = draw(st.integers(1, max_rank))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-2, 1))
+    return tuple(map(tuple, gram))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(symmetric_matrices(6), minus_u_ut(6)))
+def test_validation_matches_fraction_elimination(gram):
+    expected = fraction_verdict(gram)
+    if expected is None:
+        assert QuadraticForm(gram).gram == gram
+    else:
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            QuadraticForm(gram)
+
+
+def seeded_minus_u_ut(seed, n):
+    rng = random.Random(seed)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        (i, j), c = rng.sample(range(n), 2), rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return tuple(tuple(-sum(u[i][t] * u[j][t] for t in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("q", [diagonal_form(8), e8_form(),
+                               QuadraticForm(seeded_minus_u_ut(1, 8)),
+                               QuadraticForm(seeded_minus_u_ut(2, 8))],
+                         ids=["diag8", "e8", "unimodular1", "unimodular2"])
+def test_max_square_matches_enumeration_at_default_bound(q):
+    chars = characteristic_vectors(q, 3)
+    assert characteristic_count(q, 3) == len(chars)
+    first = max(chars, key=q.evaluate)
+    r = max_characteristic_square(q, 3)
+    assert (r.value, r.achiever) == (q.evaluate(first), first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(minus_u_ut(5), st.integers(1, 3))
+def test_square_minus_one_matches_box_filter(gram, depth):
+    expected = [v for v in full_box(len(gram), depth) if square(gram, v) == -1]
+    assert _square_minus_one(QuadraticForm(gram), depth) == expected
+
+
+def test_spinc_from_basis_matches_spinc_with_max_square():
+    q = QuadraticForm(((-2, 1), (1, -1)))
+    assert spinc_from_basis(q, diagonalize(q, 3)) == spinc_with_max_square(q, 3)
+    assert spinc_from_basis(e8_form(), None) is None
+
+
 # ----- command line: golden answers and the work guard -----
 
 def run_lattice(capsys, *args):
@@ -313,3 +403,22 @@ def test_cli_huge_depth_is_fast(capsys):
     assert code == 0
     assert data["diagonalize"]["basis"] == [[1, 0], [0, 1]]
     assert elapsed < 1.0
+
+
+def test_cli_diag8_is_fast(capsys):
+    start = time.perf_counter()
+    for _ in range(10):
+        assert run_command(["lattice", "--fixture", "diag:8"]) == 0
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("limit,listed", [(8, True), (7, False)])
+def test_cli_lists_vectors_up_to_the_limit(capsys, limit, listed):
+    code, data, _ = run_lattice(capsys, "--fixture", "diag:3", "--bound", "1",
+                                "--list-limit", str(limit))
+    assert code == 0
+    chars = data["characteristic_vectors"]
+    assert chars["count"] == 8
+    assert (chars["vectors"] == [list(v) for v in itertools.product((1, -1), repeat=3)]
+            if listed else chars["vectors"] is None)

@@ -1,4 +1,5 @@
-"""Smoke runs of the demo scripts: each exits 0 and prints something."""
+"""Smoke runs of the scripts: each exits 0 and prints something."""
+import json
 import os
 import subprocess
 import sys
@@ -19,3 +20,13 @@ def test_script_runs(script):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_output_digest_smoke():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digest.py"), "--smoke",
+         "--seeds", "1"], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["jobs"] > 0
+    assert len(result["sha256"]) == 64
