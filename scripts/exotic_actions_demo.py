@@ -20,7 +20,8 @@ def show(report, as_json):
     print(f"== {report.construction}  (k={report.k}, l={report.l}, "
           f"H={report.space_form})")
     print(f"   target: {report.target_expression}")
-    print(f"   dissolves to: {report.target_dissolution.display()}")
+    form = report.target_dissolution.form
+    print(f"   dissolves to: {form.display() if form else 'unknown'}")
     print(f"   covering check: {report.covering_consistent}")
     for member in report.members:
         marker = "" if member.count_basis == "exact" else " (lower bound)"

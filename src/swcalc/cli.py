@@ -61,10 +61,7 @@ def _cmd_eval(args) -> dict:
     payload["expression"] = render(tree)
     if descriptor.simply_connected:
         try:
-            ht = homeo_type(descriptor)
-            payload["homeo_type"] = {
-                "parity": ht.parity, "n": ht.n, "m": ht.m,
-                "orientation": ht.orientation, "display": ht.display()}
+            payload["homeo_type"] = homeo_type(descriptor).to_json_dict()
         except SwcalcError as err:
             payload["homeo_type"] = {"error": str(err)}
         if isinstance(tree, (ConnSum, Multiple)):

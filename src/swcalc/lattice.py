@@ -218,13 +218,19 @@ def _square_minus_one(q: QuadraticForm, depth: int) -> list[tuple[int, ...]]:
 
 
 def diagonalize(q: QuadraticForm, depth: int) -> tuple[tuple[int, ...], ...] | None:
-    """Search for a pairwise orthogonal basis of square -1 vectors.
+    """Find a basis in which the form is exactly diag(-1, ..., -1).
 
-    Vectors are drawn from the coordinate box of the given depth and
-    extended depth-first; the result, when found, is a basis in which
-    the form is exactly diag(-1, ..., -1).  None means the search failed,
-    which is conclusive only for small ranks.
+    In a definite lattice two square -1 vectors v, w have |v.w| <= 1, with
+    equality only for w = +-v, so the square -1 vectors are +-e_1, ..., +-e_k
+    for pairwise orthogonal e_i, and the form is diagonal iff k = rank.
+    Vectors are drawn from the coordinate box of the given depth; when it
+    holds 2*rank of them, the first rank in descending order are the e_i
+    with positive leading coordinate.  None means the form is not diagonal
+    or not every square -1 vector lies in the box.
     """
+    # Rank > 8 stays refused: the square -1 search below visits up to
+    # (2*depth+1)^rank nodes with no node budget, and lifting the guard
+    # would turn the CLI's "skipped" answers into searches.
     if q.rank > 8:
         raise GuardViolation("diagonalization search is limited to rank <= 8",
                              requirement="rank <= 8")
@@ -233,26 +239,9 @@ def diagonalize(q: QuadraticForm, depth: int) -> tuple[tuple[int, ...], ...] | N
     if q.rank == 0:
         return ()
     candidates = _square_minus_one(q, depth)
-    if len(candidates) == 0:
+    if len(candidates) != 2 * q.rank:
         return None
-    pair = [[q.pairing(a, b) for b in candidates] for a in candidates]
-
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        if len(chosen) == q.rank:
-            return True
-        for idx in range(start, len(candidates)):
-            if all(pair[idx][c] == 0 for c in chosen):
-                chosen.append(idx)
-                if extend(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not extend(0):
-        return None
-    basis = tuple(candidates[i] for i in chosen)
+    basis = tuple(candidates[:q.rank])
     for i, v in enumerate(basis):
         for j, w in enumerate(basis):
             expected = -1 if i == j else 0

@@ -201,7 +201,11 @@ class Fingerprint(NamedTuple):
 
 @dataclass(frozen=True)
 class HomeoType:
-    """Canonical dissolved form of a simply connected manifold."""
+    """Canonical dissolved form of a simply connected manifold.
+
+    Odd forms are n*CP2 # m*CP2bar; even forms are n*(S2xS2) # m*K3,
+    orientation-reversed when the signature is positive.
+    """
 
     parity: str  # "odd" or "even"
     n: int
@@ -213,6 +217,19 @@ class HomeoType:
             return f"{self.n}*CP2 # {self.m}*CP2bar"
         body = f"{self.n}*(S2xS2) # {self.m}*K3"
         return body if self.orientation > 0 else f"-({body})"
+
+    @property
+    def fingerprint(self) -> Fingerprint:
+        if self.parity == "odd":
+            return Fingerprint(True, self.n, self.m, "odd")
+        plus, minus = self.n + 3 * self.m, self.n + 19 * self.m
+        if self.orientation < 0:
+            plus, minus = minus, plus
+        return Fingerprint(True, plus, minus, "even")
+
+    def to_json_dict(self) -> dict:
+        return {"parity": self.parity, "n": self.n, "m": self.m,
+                "orientation": self.orientation, "display": self.display()}
 
 
 @dataclass(frozen=True)
@@ -412,35 +429,36 @@ BUILTIN_NAMES = ("S4", "CP2", "CP2bar", "S2xS2", "K3", "S1xS3")
 
 # ----- derived operations -----
 
-def homeo_type(m: ManifoldDescriptor) -> HomeoType:
+def homeo_type(m: ManifoldDescriptor | Fingerprint) -> HomeoType:
     """Canonical dissolved form classifying the homeomorphism type.
 
     Odd forms split as b2+ copies of CP2 plus b2- copies of CP2bar.  Even
     forms split into S2xS2 and K3 pieces, reversing orientation when the
-    signature is positive.
+    signature is positive.  Accepts a descriptor or its fingerprint.
     """
-    if not m.simply_connected:
+    fp = m if isinstance(m, Fingerprint) else m.fingerprint
+    if not fp.simply_connected:
         raise GuardViolation("homeomorphism classification needs a simply "
                              "connected manifold",
                              requirement="simply connected")
-    if not m.spin:
-        return HomeoType("odd", m.b2_plus, m.b2_minus)
-    sigma = m.sigma
+    if fp.parity == "odd":
+        return HomeoType("odd", fp.b2_plus, fp.b2_minus)
+    sigma = fp.b2_plus - fp.b2_minus
     if sigma % 16 != 0:
         raise GuardViolation(
             f"spin form with signature {sigma} is not representable in dissolved form",
             requirement="sigma divisible by 16 for spin forms")
     if sigma <= 0:
         k3 = -sigma // 16
-        s2 = m.b2_plus - 3 * k3
+        s2 = fp.b2_plus - 3 * k3
         orientation = 1
     else:
         k3 = sigma // 16
-        s2 = m.b2_minus - 3 * k3
+        s2 = fp.b2_minus - 3 * k3
         orientation = -1
     if s2 < 0:
         raise GuardViolation(
-            f"{m.label} is not representable in dissolved form",
+            f"{getattr(m, 'label', fp)} is not representable in dissolved form",
             requirement="nonnegative S2xS2 count")
     return HomeoType("even", s2, k3, orientation)
 

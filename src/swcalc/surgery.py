@@ -7,14 +7,15 @@ pieces into standard summands.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import astuple, dataclass, replace
 from typing import Sequence
 
 from .errors import GuardViolation
 from .groupring import FgAbelianGroup, GroupRingElement
 from .knot import AlexanderPoly
-from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
-                       SWInfo, builtin)
+from .manifold import (Fingerprint, HomeoType, IntersectionData,
+                       ManifoldDescriptor, SWInfo, builtin, homeo_type)
 
 
 # ----- connected sum -----
@@ -290,37 +291,26 @@ def stabilization_equivalence(a_k: ManifoldDescriptor,
 
 @dataclass(frozen=True)
 class DissolutionVerdict:
-    """Result of rewriting a connected sum into standard pieces."""
+    """Result of rewriting a connected sum into standard pieces: the
+    dissolved form, or None when no rule fits."""
 
-    status: str  # "dissolved" or "unknown"
-    parity: str | None
-    n: int | None
-    m: int | None
-    orientation: int
+    form: HomeoType | None
     rule_trace: tuple[str, ...]
 
     @property
-    def canonical_counts(self):
-        return (self.parity, self.n, self.m, self.orientation)
+    def status(self) -> str:
+        return "unknown" if self.form is None else "dissolved"
 
-    def display(self) -> str:
-        if self.status != "dissolved":
-            return "unknown"
-        if self.parity == "odd":
-            return f"{self.n}*CP2 # {self.m}*CP2bar"
-        body = f"{self.n}*(S2xS2) # {self.m}*K3"
-        return body if self.orientation > 0 else f"-({body})"
+    @property
+    def canonical_counts(self):
+        return astuple(self.form) if self.form else (None, None, None, 1)
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "display": self.display() if self.status == "dissolved" else None,
-            "parity": self.parity,
-            "n": self.n,
-            "m": self.m,
-            "orientation": self.orientation,
-            "rule_trace": list(self.rule_trace),
-        }
+        form = self.form.to_json_dict() if self.form else \
+            {"parity": None, "n": None, "m": None, "orientation": 1, "display": None}
+        # swcalc/1 field order: status and display first, rule_trace last
+        return {"status": self.status, "display": form["display"], **form,
+                "rule_trace": list(self.rule_trace)}
 
 
 _STANDARD_FPS = {
@@ -355,20 +345,6 @@ def _knot_derived(d: ManifoldDescriptor) -> bool:
     return False
 
 
-def _pieces_of(fp: Fingerprint) -> dict[str, int] | None:
-    """Standard-piece counts of the dissolved form of a fingerprint."""
-    if fp.parity == "odd":
-        return {"CP2": fp.b2_plus, "CP2bar": fp.b2_minus}
-    sigma = fp.b2_plus - fp.b2_minus
-    if sigma % 16 != 0 or sigma > 0:
-        return None
-    k3 = -sigma // 16
-    s2 = fp.b2_plus - 3 * k3
-    if s2 < 0:
-        return None
-    return {"S2xS2": s2, "K3": k3}
-
-
 def _sum_fingerprint(factors: Sequence[ManifoldDescriptor]) -> Fingerprint:
     return Fingerprint(
         all(f.simply_connected for f in factors),
@@ -388,14 +364,16 @@ def _sum_leaves(d: ManifoldDescriptor) -> tuple[ManifoldDescriptor, ...]:
 def dissolve(factors: Sequence[ManifoldDescriptor]) -> DissolutionVerdict:
     """Normalize a connected sum of descriptors into standard pieces.
 
-    Three rewrite rules are applied left to right until only standard
-    pieces remain: an elliptic-type factor absorbs one S2xS2 summand and
-    splits into the dissolved pieces of the stabilized sum; an
-    elliptic-type factor that is not knot-derived does the same with a
-    CP2 summand; and one S2xS2 trades for CP2 # CP2bar whenever the rest
-    of the sum is odd.  Each rule strictly reduces the number of
-    non-standard factors, so the system terminates; if no rule applies
-    the verdict is unknown rather than guessed.
+    Three rewrite rules are applied until only standard pieces remain:
+    an elliptic-type factor absorbs one S2xS2 summand and splits into the
+    dissolved pieces of the stabilized sum; an elliptic-type factor that
+    is not knot-derived does the same with a CP2 summand; and one S2xS2
+    trades for CP2 # CP2bar whenever the rest of the sum is odd.  Each
+    step rewrites the first pending factor that some rule fits, so the
+    verdict does not depend on the order of the factors.  Each rule
+    strictly reduces the number of non-standard factors, so the system
+    terminates; if no rule fits any factor the verdict is unknown rather
+    than guessed.
     """
     expanded: list[ManifoldDescriptor] = []
     for f in factors:
@@ -406,12 +384,10 @@ def dissolve(factors: Sequence[ManifoldDescriptor]) -> DissolutionVerdict:
             raise GuardViolation(
                 f"dissolution needs simply connected factors, got {f.label}",
                 requirement="simply connected factors")
-    input_fp = _sum_fingerprint(factors) if factors else \
-        Fingerprint(True, 0, 0, "even")
 
     trace: list[str] = []
     std: dict[str, int] = {"CP2": 0, "CP2bar": 0, "S2xS2": 0, "K3": 0}
-    pending: list[ManifoldDescriptor] = []
+    pending: deque[ManifoldDescriptor] = deque()
     for f in factors:
         kind = _standard_kind(f)
         if kind == "S4":
@@ -421,47 +397,36 @@ def dissolve(factors: Sequence[ManifoldDescriptor]) -> DissolutionVerdict:
         else:
             pending.append(f)
 
-    def absorb(counts: dict[str, int]):
-        for key, val in counts.items():
-            std[key] += val
-
-    unknown = DissolutionVerdict("unknown", None, None, None, 1, tuple(trace))
-
     while pending:
-        f = pending[0]
-        if not f.elliptic_class:
-            trace.append(f"stuck: {f.label} is not covered by the dissolution rules")
-            return DissolutionVerdict("unknown", None, None, None, 1, tuple(trace))
-        if std["S2xS2"] >= 1:
-            pending.pop(0)
-            std["S2xS2"] -= 1
-            pieces = _pieces_of(_sum_fingerprint([f, builtin("S2xS2")]))
-            if pieces is None:
-                return unknown
-            absorb(pieces)
-            trace.append(f"elliptic_stabilization: {f.label} # S2xS2 rewritten "
-                         f"to standard pieces")
-        elif std["CP2"] >= 1 and not _knot_derived(f):
-            pending.pop(0)
-            std["CP2"] -= 1
-            pieces = _pieces_of(_sum_fingerprint([f, builtin("CP2")]))
-            if pieces is None:
-                return unknown
-            absorb(pieces)
-            trace.append(f"cp2_dissolution: {f.label} # CP2 rewritten to "
-                         f"standard pieces")
-        elif std["CP2"] >= 1 and std["CP2bar"] >= 1 and (
-                not f.spin or std["CP2"] >= 2 or std["CP2bar"] >= 2 or
-                any(not g.spin for g in pending[1:])):
-            # the swap needs an odd factor in the complement of the pair;
-            # it always enables the stabilization rule on the next pass
+        s2, cp2, cp2bar = std["S2xS2"], std["CP2"], std["CP2bar"]
+        # the swap needs an odd factor in the complement of the pair
+        swap = not s2 and cp2 and cp2bar and (
+            cp2 >= 2 or cp2bar >= 2 or any(not g.spin for g in pending))
+        i = next((i for i, f in enumerate(pending) if f.elliptic_class and (
+            s2 or swap or cp2 and not _knot_derived(f))), None)
+        if i is None:
+            f = pending[0]
+            trace.append(f"stuck: no stabilizing summand available for {f.label}"
+                         if f.elliptic_class else
+                         f"stuck: {f.label} is not covered by the dissolution rules")
+            return DissolutionVerdict(None, tuple(trace))
+        f = pending[i]
+        summand = "S2xS2" if s2 else "CP2" if cp2 and not _knot_derived(f) else None
+        if summand is None:
+            # enables the stabilization rule for f on the next step
             std["CP2"] -= 1
             std["CP2bar"] -= 1
             std["S2xS2"] += 1
             trace.append("parity_swap: CP2 # CP2bar rewritten to S2xS2")
-        else:
-            trace.append(f"stuck: no stabilizing summand available for {f.label}")
-            return DissolutionVerdict("unknown", None, None, None, 1, tuple(trace))
+            continue
+        del pending[i]
+        std[summand] -= 1
+        form = homeo_type(_sum_fingerprint([f, builtin(summand)]))
+        pieces = ("CP2", "CP2bar") if form.parity == "odd" else ("S2xS2", "K3")
+        std[pieces[0]] += form.n
+        std[pieces[1]] += form.m
+        rule = "elliptic_stabilization" if s2 else "cp2_dissolution"
+        trace.append(f"{rule}: {f.label} # {summand} rewritten to standard pieces")
 
     # only standard pieces remain; normalize mixed parities
     if (std["CP2"] or std["CP2bar"]) and (std["S2xS2"] or std["K3"]):
@@ -477,23 +442,14 @@ def dissolve(factors: Sequence[ManifoldDescriptor]) -> DissolutionVerdict:
             trace.append("cp2_dissolution: K3 # CP2 rewritten to 4*CP2 # 19*CP2bar")
         if std["K3"]:
             trace.append("stuck: K3 summand with no CP2 available")
-            return DissolutionVerdict("unknown", None, None, None, 1, tuple(trace))
+            return DissolutionVerdict(None, tuple(trace))
 
     if std["CP2"] or std["CP2bar"]:
-        verdict = DissolutionVerdict("dissolved", "odd", std["CP2"],
-                                     std["CP2bar"], 1, tuple(trace))
+        form = HomeoType("odd", std["CP2"], std["CP2bar"])
     else:
-        verdict = DissolutionVerdict("dissolved", "even", std["S2xS2"],
-                                     std["K3"], 1, tuple(trace))
-
-    out_fp = _verdict_fingerprint(verdict)
-    if tuple(out_fp) != tuple(input_fp):
+        form = HomeoType("even", std["S2xS2"], std["K3"])
+    expected = homeo_type(_sum_fingerprint(factors))
+    if form != expected:
         raise AssertionError(
-            f"dissolution changed the fingerprint: {input_fp} -> {out_fp}")
-    return verdict
-
-
-def _verdict_fingerprint(v: DissolutionVerdict) -> Fingerprint:
-    if v.parity == "odd":
-        return Fingerprint(True, v.n, v.m, "odd")
-    return Fingerprint(True, v.n + 3 * v.m, v.n + 19 * v.m, "even")
+            f"dissolution changed the homeomorphism type: {expected} -> {form}")
+    return DissolutionVerdict(form, tuple(trace))

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swcalc.cli import run_command
@@ -238,6 +238,17 @@ def minus_u_ut(draw, max_rank):
                  for i in range(n))
 
 
+def seeded_minus_u_ut(seed, n):
+    rng = random.Random(seed)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        (i, j), c = rng.sample(range(n), 2), rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return tuple(tuple(-sum(u[i][t] * u[j][t] for t in range(n)) for j in range(n))
+                 for i in range(n))
+
+
 def e8_plus_diag(k):
     e8 = e8_form().gram
     n = 8 + k
@@ -268,6 +279,13 @@ def test_e8_plus_diag_matches_full_box(k):
 
 @settings(max_examples=60, deadline=None)
 @given(minus_u_ut(4), st.integers(1, 2))
+@example(e8_plus_diag(0), 1)
+@example(diagonal_form(8).gram, 1)
+@example(seeded_minus_u_ut(1, 5), 2)
+@example(seeded_minus_u_ut(2, 6), 2)
+@example(seeded_minus_u_ut(2, 7), 2)
+@example(seeded_minus_u_ut(3, 7), 2)
+@example(seeded_minus_u_ut(1, 8), 1)
 def test_diagonalize_matches_box_search(gram, depth):
     assert diagonalize(QuadraticForm(gram), depth) == brute_diagonalize(gram, depth)
 
@@ -320,17 +338,6 @@ def test_validation_matches_fraction_elimination(gram):
     else:
         with pytest.raises(ValueError, match=f"^{expected}$"):
             QuadraticForm(gram)
-
-
-def seeded_minus_u_ut(seed, n):
-    rng = random.Random(seed)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        (i, j), c = rng.sample(range(n), 2), rng.choice((-1, 1))
-        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
-    rng.shuffle(u)
-    return tuple(tuple(-sum(u[i][t] * u[j][t] for t in range(n)) for j in range(n))
-                 for i in range(n))
 
 
 @pytest.mark.parametrize("q", [diagonal_form(8), e8_form(),

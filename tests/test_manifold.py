@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from swcalc.errors import GuardViolation
 from swcalc.groupring import FgAbelianGroup, GroupRingElement
-from swcalc.manifold import (IntersectionData, ManifoldDescriptor, SWInfo,
-                             builtin, expected_sw_dimension, homeo_type,
+from swcalc.manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
+                             SWInfo, builtin, expected_sw_dimension, homeo_type,
                              mod2_basic_class_count, reverse_orientation)
 from swcalc.surgery import connected_sum, connected_sum_all
 
@@ -119,6 +119,24 @@ def test_homeo_spin_bad_signature_rejected():
         IntersectionData(h_count=1, minus_count=8))
     with pytest.raises(GuardViolation):
         homeo_type(bad)
+
+
+@st.composite
+def dissolvable_fingerprints(draw):
+    """Fingerprints of n*CP2 # m*CP2bar and of +-(n*(S2xS2) # m*K3)."""
+    n, m = draw(st.integers(0, 60)), draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        return Fingerprint(True, n, m, "odd")
+    plus, minus = n + 3 * m, n + 19 * m
+    if draw(st.booleans()):
+        plus, minus = minus, plus
+    return Fingerprint(True, plus, minus, "even")
+
+
+@settings(max_examples=200, deadline=None)
+@given(dissolvable_fingerprints())
+def test_homeo_type_fingerprint_round_trip(fp):
+    assert homeo_type(fp).fingerprint == fp
 
 
 # ----- expected dimension -----

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from swcalc.errors import GuardViolation
 from swcalc.groupring import laurent_coeffs
 from swcalc.knot import alexander_family, torus_knot, unknot
-from swcalc.manifold import builtin, mod2_basic_class_count
+from swcalc.manifold import builtin, homeo_type, mod2_basic_class_count
 from swcalc.surgery import (blowup, connected_sum, connected_sum_all, dissolve,
                             knot_surgery, log_transform,
                             stabilization_equivalence)
@@ -287,6 +289,46 @@ def test_dissolve_preserves_fingerprint_data():
     factors = [builtin("E", 3), builtin("S2xS2"), builtin("CP2bar")]
     v = dissolve(factors)
     assert v.status == "dissolved"
-    assert v.parity == "odd"
-    assert v.n == sum(f.b2_plus for f in factors)
-    assert v.m == sum(f.b2_minus for f in factors)
+    assert v.form.parity == "odd"
+    assert v.form.n == sum(f.b2_plus for f in factors)
+    assert v.form.m == sum(f.b2_minus for f in factors)
+
+
+# ----- order independence -----
+
+TREFOIL = torus_knot(2, 3)
+POOL = (builtin("E", 2), builtin("E", 3), builtin("K3"),
+        knot_surgery(builtin("E", 2), TREFOIL), knot_surgery(builtin("E", 3), TREFOIL),
+        blowup(builtin("E", 2), 1), builtin("CP2"), builtin("CP2bar"),
+        builtin("S2xS2"))
+pool_sums = st.lists(st.sampled_from(POOL), min_size=2, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_sums, st.data())
+def test_dissolve_verdict_ignores_factor_order(factors, data):
+    permuted = data.draw(st.permutations(factors))
+    v, w = dissolve(factors), dissolve(permuted)
+    assert (v.status, v.canonical_counts) == (w.status, w.canonical_counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_sums)
+def test_dissolved_form_is_homeo_type_of_sum(factors):
+    v = dissolve(factors)
+    if v.status == "dissolved":
+        assert v.form == homeo_type(connected_sum_all(factors))
+
+
+def test_dissolve_uses_later_factor_first():
+    ks = knot_surgery(builtin("E", 2), TREFOIL)
+    v = dissolve([ks, builtin("E", 3), builtin("CP2")])
+    assert v.status == "dissolved"
+    assert v.form.display() == "9*CP2 # 48*CP2bar"
+
+
+def test_dissolve_pool_count():
+    multisets = [m for n in range(2, 6)
+                 for m in itertools.combinations_with_replacement(POOL, n)]
+    assert len(multisets) == 1992
+    assert sum(dissolve(m).status == "dissolved" for m in multisets) == 1129
