@@ -291,10 +291,10 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry,
                          k: int) -> GroupRingElement:
     """Mod-2 equivariant polynomial of k copies of M glued to N.
 
-    The polynomial of M reduces mod 2, is reindexed into the group ring
-    of H_2(M) plus the torsion classes of N, and is multiplied by the sum
-    of all torsion classes.  The monomial count is therefore the mod-2
-    count of M times the order of the torsion group.
+    This is the mod-2 polynomial of M, in the group ring of H_2(M) plus the
+    torsion classes of N, times the sum of all torsion classes.  M's
+    polynomial is torsion-free, so its mod-2 keys are distinct with
+    coefficient 1 and the product is each key followed by each residue.
     """
     _transfer_guards(m, n_entry, k)
     if n_entry.eq.b1_invariant != 0:
@@ -308,12 +308,9 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry,
         return GroupRingElement.zero(FgAbelianGroup(free_rank, torsion))
     base = m.sw.poly.mod2()
     target = FgAbelianGroup(base.ambient.free_rank, torsion)
-    embedded = base.embed(target)
-    zeros = (0,) * target.free_rank
-    total = GroupRingElement(target, [
-        (target.element(zeros, combo), 1)
-        for combo in itertools.product(*(range(o) for o in target.torsion_orders))])
-    return (embedded * total).mod2()
+    residues = list(itertools.product(*map(range, target.torsion_orders)))
+    return GroupRingElement._wrap(target, {free + residue: 1 for free in base.free_exponents()
+                                           for residue in residues})
 
 
 def _transfer_guards(m: ManifoldDescriptor, n_entry: NCatalogEntry, k: int):

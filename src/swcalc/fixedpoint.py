@@ -33,6 +33,13 @@ class AngleTuple:
             raise ValueError("normal form requires the last angle to be 0")
         object.__setattr__(self, "angles", angles)
 
+    @classmethod
+    def _wrap(cls, angles: tuple[Fraction, ...]) -> "AngleTuple":
+        """Trusted constructor: ``angles`` are ``Fraction``s already in normal form."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "angles", angles)
+        return obj
+
     @property
     def k(self) -> int:
         return len(self.angles)
@@ -58,7 +65,7 @@ def solve_fixed_points(k: int) -> list[tuple[Fraction, AngleTuple]]:
     if k < 1:
         raise GuardViolation("the cyclic order must be at least 1", requirement="k >= 1")
     points = [Fraction(m, k) for m in range(k)]
-    return [(points[j], AngleTuple(tuple(points[(k - 1 - i) * j % k] for i in range(k))))
+    return [(points[j], AngleTuple._wrap(tuple(points[(k - 1 - i) * j % k] for i in range(k))))
             for j in range(k)]
 
 
@@ -67,7 +74,7 @@ def invariant_locus(k: int) -> list[tuple[Fraction, AngleTuple]]:
     representatives, i.e. exactly the theta = 0 component."""
     if k < 1:
         raise GuardViolation("the cyclic order must be at least 1", requirement="k >= 1")
-    return [(Fraction(0), AngleTuple((0,) * k))]
+    return [(Fraction(0), AngleTuple._wrap((Fraction(0),) * k))]
 
 
 def apply_generator(t: AngleTuple, gauge: Fraction | int,

@@ -10,7 +10,6 @@ so equality of elements is structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from operator import add, mod
 from typing import Iterable, Iterator, Mapping
 
@@ -76,6 +75,10 @@ def _accumulate(out: dict, items) -> dict:
         else:
             out.pop(key, None)
     return out
+
+
+def _factors_text(names: tuple[str, ...], exponents: tuple[int, ...]) -> str:
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e)
 
 
 class GroupRingElement:
@@ -305,17 +308,24 @@ class GroupRingElement:
         if not self._terms:
             return "0"
         r = g.free_rank
+        # a free part repeats once per residue and a residue once per free part;
+        # zip leaves exponents past a short names tuple unrendered
+        free_text, torsion_text = {}, {}
         out = []
         for key in sorted(self._terms):
             coeff = self._terms[key]
-            factors = [name if e == 1 else f"{name}^{e}" for name, e in
-                       chain(zip(free_names, key[:r]), zip(torsion_names, key[r:])) if e]
+            head, tail = key[:r], key[r:]
+            if (left := free_text.get(head)) is None:
+                left = free_text[head] = _factors_text(free_names, head)
+            if (right := torsion_text.get(tail)) is None:
+                right = torsion_text[tail] = _factors_text(torsion_names, tail)
+            factors = f"{left}*{right}" if left and right else left or right
             if not factors:
                 body = str(abs(coeff))
             elif abs(coeff) == 1:
-                body = "*".join(factors)
+                body = factors
             else:
-                body = f"{abs(coeff)}*{'*'.join(factors)}"
+                body = f"{abs(coeff)}*{factors}"
             if out:
                 out.append(f" - {body}" if coeff < 0 else f" + {body}")
             else:

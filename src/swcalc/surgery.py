@@ -12,7 +12,7 @@ from dataclasses import astuple, dataclass, replace
 from typing import Sequence
 
 from .errors import GuardViolation
-from .groupring import FgAbelianGroup, GroupRingElement
+from .groupring import FgAbelianGroup, GroupRingElement, laurent
 from .knot import AlexanderPoly
 from .manifold import (Fingerprint, HomeoType, IntersectionData,
                        ManifoldDescriptor, SWInfo, builtin, homeo_type)
@@ -217,14 +217,8 @@ def log_transform(two_n: int, r: int) -> ManifoldDescriptor:
     if r < 1:
         raise GuardViolation("multiplicity must be at least 1", requirement="r >= 1")
     base = builtin("E", two_n)
-    g = FgAbelianGroup(1)
-    t_r = GroupRingElement.monomial(g, (r,))
-    t_mr = GroupRingElement.monomial(g, (-r,))
-    poly = (t_r - t_mr) ** (two_n - 2)
-    comb = GroupRingElement.zero(g)
-    for j in range(r):
-        comb = comb + GroupRingElement.monomial(g, (r - 1 - 2 * j,))
-    poly = poly * comb
+    comb = laurent(dict.fromkeys(range(r - 1, -r, -2), 1))
+    poly = laurent({r: 1, -r: -1}) ** (two_n - 2) * comb
     return replace(
         base,
         label=f"logtx({two_n},{r})",
@@ -322,12 +316,14 @@ _STANDARD_FPS = {
 
 
 def _standard_kind(d: ManifoldDescriptor) -> str | None:
-    kind = _STANDARD_FPS.get(tuple(d.fingerprint))
-    if kind is not None:
+    fp = d.fingerprint
+    if (kind := _STANDARD_FPS.get(fp)) is not None:
         return kind
-    if tuple(d.fingerprint) == (True, 3, 19, "even") and d.sw.is_known \
+    # the polynomial is torsion-free, so its one free vector is the whole key
+    if fp == (True, 3, 19, "even") and d.sw.is_known \
             and d.sw.poly.monomial_count() == 1 \
-            and abs(d.sw.poly.coefficient(d.sw.poly.ambient.identity())) == 1:
+            and not any(next(d.sw.poly.free_exponents())) \
+            and abs(d.sw.poly.evaluate_at_one()) == 1:
         return "K3"
     return None
 

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swcalc.equivariant import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL,
                                 BINARY_TETRAHEDRAL, UNDETERMINED, BFAtom,
@@ -12,6 +14,7 @@ from swcalc.equivariant import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL,
                                 gmonopole_polynomial, hat_s1_l, match_space_form,
                                 n_catalog, quaternionic_space_form)
 from swcalc.errors import GuardViolation
+from swcalc.groupring import FgAbelianGroup, GroupRingElement
 from swcalc.knot import alexander_family, torus_knot
 from swcalc.manifold import builtin, mod2_basic_class_count
 from swcalc.surgery import blowup, connected_sum, knot_surgery
@@ -152,6 +155,49 @@ def test_gmonopole_count_factorization():
         poly = gmonopole_polynomial(m, entry, 2)
         assert poly.monomial_count() == \
             mod2_basic_class_count(m) * entry.spinc_count
+
+
+def convolution_transfer(m, entry):
+    """The transfer as the generic product of the embedded mod-2 polynomial
+    with the sum of all torsion classes, reduced mod 2 again."""
+    base = m.sw.poly.mod2()
+    target = FgAbelianGroup(base.ambient.free_rank, entry.descriptor.torsion_h1)
+    zeros = (0,) * target.free_rank
+    total = GroupRingElement(target, [
+        (target.element(zeros, combo), 1)
+        for combo in itertools.product(*(range(o) for o in target.torsion_orders))])
+    return (base.embed(target) * total).mod2()
+
+
+TRANSFER_ENTRIES = {
+    (): n_catalog("S4", k=2),
+    (2,): hat_s1_l([2], 2, k=2),
+    (3,): hat_s1_l([3], 3, k=2),
+    (4,): hat_s1_l([4], 4, k=2),
+    (2, 2): hat_s1_l([2, 2], 8, k=2),
+    (2, 4): hat_s1_l([4, 2], 8, k=2, strict=False),
+}
+TRANSFER_BASES = [builtin("E", 2), builtin("E", 3), builtin("E", 4),
+                  blowup(builtin("E", 2), 1), blowup(builtin("E", 3), 2)]
+
+
+@st.composite
+def knot_surgered_members(draw):
+    m = draw(st.sampled_from(TRANSFER_BASES))
+    for _ in range(draw(st.integers(1, 2))):
+        knot = draw(st.one_of(
+            st.builds(alexander_family, st.integers(1, 6), st.integers(1, 4)),
+            st.builds(torus_knot, st.just(2), st.sampled_from([3, 5, 7]))))
+        m = knot_surgery(m, knot)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(knot_surgered_members(), st.sampled_from(sorted(TRANSFER_ENTRIES)))
+def test_gmonopole_matches_convolution_transfer(m, orders):
+    entry = TRANSFER_ENTRIES[orders]
+    assert entry.descriptor.torsion_h1 == orders
+    assert gmonopole_polynomial(m, entry, 2) == convolution_transfer(m, entry)
 
 
 # ----- single evaluations -----

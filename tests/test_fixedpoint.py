@@ -228,3 +228,20 @@ def test_invariant_locus_guard():
     for k in (0, -2):
         with pytest.raises(GuardViolation):
             invariant_locus(k)
+
+
+def test_fixed_tuples_equal_checked_construction():
+    for k in range(1, 61):
+        for _, tup in solve_fixed_points(k) + invariant_locus(k):
+            assert all(type(a) is Fraction for a in tup.angles)
+            assert AngleTuple(tup.angles) == tup
+
+
+def test_angle_tuple_public_constructor_still_checks():
+    with pytest.raises(ValueError):
+        AngleTuple(())
+    with pytest.raises(ValueError):
+        AngleTuple((Fraction(-1, 3), Fraction(0)))
+    with pytest.raises(ValueError):
+        AngleTuple((Fraction(1), Fraction(0)))
+    assert AngleTuple((0.5, 0)).angles == (Fraction(1, 2), Fraction(0))

@@ -331,3 +331,62 @@ def test_embed_stays_canonical(data):
 @given(ring_elements(group=Z), st.integers(-3, 3))
 def test_substitute_power_stays_canonical(p, s):
     assert_canonical(p.substitute_power(s))
+
+
+# ----- rendering against the per-monomial renderer -----
+
+def reference_render(p, free_names=None, torsion_names=None):
+    """The renderer that builds every factor string for every monomial."""
+    g = p.ambient
+    if free_names is None:
+        free_names = ("T",) if g.free_rank == 1 else tuple(
+            f"T{i + 1}" for i in range(g.free_rank))
+    if torsion_names is None:
+        torsion_names = ("a",) if g.torsion_rank == 1 else tuple(
+            f"a{i + 1}" for i in range(g.torsion_rank))
+    terms = p.terms
+    if not terms:
+        return "0"
+    out = []
+    for elem in sorted(terms):
+        coeff = terms[elem]
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in
+                   list(zip(free_names, elem.free)) + list(zip(torsion_names, elem.torsion))
+                   if e]
+        if not factors:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = "*".join(factors)
+        else:
+            body = f"{abs(coeff)}*{'*'.join(factors)}"
+        if out:
+            out.append(f" - {body}" if coeff < 0 else f" + {body}")
+        else:
+            out.append(f"-{body}" if coeff < 0 else body)
+    return "".join(out)
+
+
+@st.composite
+def render_cases(draw):
+    g = FgAbelianGroup(draw(st.integers(0, 3)),
+                       tuple(draw(st.lists(st.integers(2, 5), max_size=2))))
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        free = tuple(draw(st.integers(-2, 2)) for _ in range(g.free_rank))
+        tors = tuple(draw(st.integers(0, o - 1)) for o in g.torsion_orders)
+        terms[g.element(free, tors)] = draw(st.integers(-5, 5).filter(bool))
+    # None is the default; a short tuple leaves trailing generators unnamed
+    free_names = draw(st.sampled_from(
+        [None, tuple(f"x{i}" for i in range(g.free_rank)),
+         tuple(f"x{i}" for i in range(max(g.free_rank - 1, 0)))]))
+    torsion_names = draw(st.sampled_from(
+        [None, tuple(f"g{i}" for i in range(g.torsion_rank)), ("g",)[:g.torsion_rank - 1]]))
+    return GroupRingElement(g, terms), free_names, torsion_names
+
+
+@settings(max_examples=300)
+@given(render_cases())
+def test_render_matches_per_monomial_renderer(case):
+    p, free_names, torsion_names = case
+    assert p.render(free_names, torsion_names) == \
+        reference_render(p, free_names, torsion_names)

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from swcalc.errors import GuardViolation
-from swcalc.groupring import laurent_coeffs
+from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent, laurent_coeffs
 from swcalc.knot import alexander_family, torus_knot, unknot
-from swcalc.manifold import builtin, homeo_type, mod2_basic_class_count
-from swcalc.surgery import (blowup, connected_sum, connected_sum_all, dissolve,
-                            knot_surgery, log_transform,
+from swcalc.manifold import SWInfo, builtin, homeo_type, mod2_basic_class_count
+from swcalc.surgery import (_standard_kind, blowup, connected_sum, connected_sum_all,
+                            dissolve, knot_surgery, log_transform,
                             stabilization_equivalence)
 
 
@@ -179,6 +181,19 @@ def test_log_transform_fingerprint():
     assert m.torus_class == "T"
 
 
+def test_log_transform_matches_summed_comb():
+    g = FgAbelianGroup(1)
+    for two_n in (2, 4, 6):
+        for r in range(1, 61):
+            t_r = GroupRingElement.monomial(g, (r,))
+            t_mr = GroupRingElement.monomial(g, (-r,))
+            comb = GroupRingElement.zero(g)
+            for j in range(r):
+                comb = comb + GroupRingElement.monomial(g, (r - 1 - 2 * j,))
+            expected = (t_r - t_mr) ** (two_n - 2) * comb
+            assert log_transform(two_n, r).sw.poly == expected
+
+
 def test_log_transform_guards():
     with pytest.raises(GuardViolation):
         log_transform(3, 2)
@@ -217,6 +232,22 @@ def test_stabilization_missing_lineage():
 
 
 # ----- dissolution -----
+
+def test_standard_kind_of_each_piece():
+    k3 = builtin("E", 2)
+    assert _standard_kind(builtin("K3")) == _standard_kind(k3) == "K3"
+    assert _standard_kind(replace(k3, sw=SWInfo.known(-k3.sw.poly))) == "K3"
+    surgered = knot_surgery(k3, torus_knot(2, 3))
+    assert surgered.fingerprint == k3.fingerprint
+    assert _standard_kind(surgered) is None
+    # one monomial away from the identity is not the K3 polynomial
+    assert _standard_kind(replace(k3, sw=SWInfo.known(laurent({2: 1})))) is None
+    assert _standard_kind(log_transform(2, 3)) is None
+    for name in ("S4", "CP2", "CP2bar", "S2xS2"):
+        assert _standard_kind(builtin(name)) == name
+    for d in (builtin("E", 3), blowup(k3, 1), builtin("S1xS3")):
+        assert _standard_kind(d) is None
+
 
 def test_dissolve_elliptic_stabilization():
     v = dissolve([builtin("E", 2), builtin("S2xS2")])
