@@ -13,8 +13,8 @@ import sys
 
 from . import equivariant, fixedpoint, lattice
 from .errors import ExprSyntaxError, SwcalcError
-from .expressions import (Builtin, Catalog, ConnSum, Multiple, eval_expr,
-                          parse, render)
+from .expressions import (PARAM_BUILTINS, Builtin, Catalog, ConnSum, Multiple,
+                          eval_expr, parse, render)
 from .manifold import BUILTIN_NAMES, homeo_type
 from .surgery import dissolve
 
@@ -78,15 +78,15 @@ def _cmd_family(args) -> dict:
     return report.to_json_dict()
 
 
+def _angle_rows(pairs) -> list[dict]:
+    return [{"theta": str(theta), "tuple": tup.as_strings()} for theta, tup in pairs]
+
+
 def _cmd_fixedpoints(args) -> dict:
-    solutions = fixedpoint.solve_fixed_points(args.k)
-    locus = fixedpoint.invariant_locus(args.k)
     return {
         "k": args.k,
-        "solutions": [{"theta": str(theta), "tuple": tup.as_strings()}
-                      for theta, tup in solutions],
-        "invariant_locus": [{"theta": str(theta), "tuple": tup.as_strings()}
-                            for theta, tup in locus],
+        "solutions": _angle_rows(fixedpoint.solve_fixed_points(args.k)),
+        "invariant_locus": _angle_rows(fixedpoint.invariant_locus(args.k)),
     }
 
 
@@ -126,7 +126,7 @@ def _cmd_lattice(args) -> dict:
         "achiever": list(best.achiever),
         "bound_limited": best.bound_limited,
     }
-    if form.rank <= 8:
+    if form.rank <= lattice.DIAGONALIZE_MAX_RANK:
         basis = lattice.diagonalize(form, args.depth)
         payload["diagonalize"] = {
             "found": basis is not None,
@@ -189,7 +189,8 @@ def _cmd_bf(args) -> dict:
 def _cmd_catalog(args) -> dict:
     catalog = _load_catalog(args.catalog)
     return {
-        "builtins": [*BUILTIN_NAMES, "E(n)", "hat(l)"],
+        "builtins": [*BUILTIN_NAMES, *(f"{name}({','.join(params)})"
+                                       for name, params in PARAM_BUILTINS.items())],
         "knots": {name: catalog.knots[name].render()
                   for name in catalog.knot_names()},
         "manifolds": catalog.manifold_sources,
@@ -211,10 +212,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", default=None, help="path to a catalog JSON file")
 
     p_eval = sub.add_parser("eval", help="evaluate a manifold expression")
+    p_eval.set_defaults(handler=_cmd_eval)
     p_eval.add_argument("expression")
     add_common(p_eval)
 
     p_family = sub.add_parser("family", help="generate an exotic action family")
+    p_family.set_defaults(handler=_cmd_family)
     p_family.add_argument("--construction", choices=("k3", "cp2", "s2xs2"),
                           required=True)
     p_family.add_argument("--k", type=int, required=True)
@@ -227,10 +230,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_family)
 
     p_fixed = sub.add_parser("fixedpoints", help="fixed tuples of the cyclic shift")
+    p_fixed.set_defaults(handler=_cmd_fixedpoints)
     p_fixed.add_argument("--k", type=int, required=True)
     add_common(p_fixed)
 
     p_lattice = sub.add_parser("lattice", help="definite unimodular form checks")
+    p_lattice.set_defaults(handler=_cmd_lattice)
     p_lattice.add_argument("--gram", default=None,
                            help="gram matrix as a JSON array of rows")
     p_lattice.add_argument("--fixture", default=None, help="e8 or diag:N")
@@ -240,24 +245,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_lattice)
 
     p_bf = sub.add_parser("bf", help="normalize an equivariant stable class")
+    p_bf.set_defaults(handler=_cmd_bf)
     p_bf.add_argument("expression", help="k*M # N with N one of hat(l), S4, CP2bar")
     p_bf.add_argument("--k", type=int, required=True)
     add_common(p_bf)
 
     p_cat = sub.add_parser("catalog", help="list builtins, knots and summand kinds")
+    p_cat.set_defaults(handler=_cmd_catalog)
     add_common(p_cat)
 
     return parser
-
-
-_DISPATCH = {
-    "eval": _cmd_eval,
-    "family": _cmd_family,
-    "fixedpoints": _cmd_fixedpoints,
-    "lattice": _cmd_lattice,
-    "bf": _cmd_bf,
-    "catalog": _cmd_catalog,
-}
 
 
 def run_command(argv: list[str]) -> int:
@@ -266,9 +263,9 @@ def run_command(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    fmt = getattr(args, "format", "json")
+    fmt = args.format
     try:
-        payload = _DISPATCH[args.command](args)
+        payload = args.handler(args)
     except ExprSyntaxError as err:
         _emit({"error": {"type": "syntax", "message": str(err),
                          "position": err.position,

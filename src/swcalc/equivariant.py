@@ -184,7 +184,13 @@ def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2,
 
 
 def _certify_max_square(z: ManifoldDescriptor, depth: int = 2) -> None:
-    """Check that z admits a Spin-c class of square -b2 on its free form."""
+    """Check that z admits a Spin-c class of square -b2 on its free form.
+
+    The form is the tracked block T plus diag(-1)^minus_count, and only T is
+    searched: the square -1 vectors of T + I_m in a box are those of T and
+    the +-e_i, so T + I_m is diagonal in the box exactly when T is, and a
+    class of square -rank T on T plus (1, ..., 1) on I_m has square -b2.
+    """
     inter = z.intersection
     if z.b2_plus != 0:
         raise GuardViolation(f"{z.label} has b2+ > 0", requirement="b2+(Z) = 0")
@@ -192,22 +198,8 @@ def _certify_max_square(z: ManifoldDescriptor, depth: int = 2) -> None:
         raise GuardViolation(
             f"{z.label} stores indefinite or positive summands",
             requirement="negative definite form")
-    n_tracked = len(inter.tracked_basis)
-    size = n_tracked + inter.minus_count
-    gram = inter.gram
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i < n_tracked and j < n_tracked:
-                row.append(gram[i][j])
-            elif i == j:
-                row.append(-1)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
     try:
-        form = QuadraticForm(tuple(rows))
+        form = QuadraticForm(inter.gram)
     except ValueError as err:
         raise GuardViolation(
             f"the form of {z.label} is not negative definite unimodular: {err}",
@@ -273,14 +265,8 @@ def n_catalog(kind: str, k: int = 2, **params) -> NCatalogEntry:
                                  "scalar curvature", requirement="psc piece")
         _certify_max_square(z)
         descriptor = connected_sum_all([base.descriptor] + [z] * (k * l))
-        eq = EquivariantData(
-            k=k, h_order=base.eq.h_order, h_label=base.eq.h_label,
-            b1_invariant=base.eq.b1_invariant,
-            b2_plus_invariant=base.eq.b2_plus_invariant,
-            has_free_orbit=base.eq.has_free_orbit,
-            psc_invariant=base.eq.psc_invariant and z.admits_psc,
-            spinc_max_c1sq=base.eq.spinc_max_c1sq)
-        return NCatalogEntry(descriptor, eq, "Extended",
+        # z carries psc and the orders match, so the hypotheses are the base's
+        return NCatalogEntry(descriptor, base.eq, "Extended",
                              base.notes + (f"extended by {k * l} copies of {z.label}",))
     raise GuardViolation(f"unknown catalog kind {kind!r}")
 
@@ -313,22 +299,22 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry,
                                            for residue in residues})
 
 
-def _transfer_guards(m: ManifoldDescriptor, n_entry: NCatalogEntry, k: int):
-    if k < 2:
-        raise GuardViolation("the cyclic order must be at least 2",
-                             requirement="k >= 2")
+def _check_entry_order(n_entry: NCatalogEntry, k: int):
     if n_entry.eq.k != k:
         raise GuardViolation(
             f"catalog entry was instantiated for k = {n_entry.eq.k}, not {k}",
             requirement="matching cyclic order")
+
+
+def _transfer_guards(m: ManifoldDescriptor, n_entry: NCatalogEntry, k: int):
+    if k < 2:
+        raise GuardViolation("the cyclic order must be at least 2",
+                             requirement="k >= 2")
+    _check_entry_order(n_entry, k)
     if m.b2_plus <= 1:
         raise GuardViolation(
             f"{m.label} has b2+ = {m.b2_plus}; the transfer needs b2+ > 1",
             requirement="b2+(M) > 1")
-    if not n_entry.eligible:
-        raise GuardViolation(
-            f"{n_entry.descriptor.label} is not an eligible summand",
-            requirement="summand hypotheses")
     if m.sw.status == "unknown":
         raise GuardViolation(
             f"the polynomial of {m.label} is unknown; nothing to transfer",
@@ -463,10 +449,7 @@ def bfg_connected_sum(m: ManifoldDescriptor, count: int,
             f"the equivariant class needs exactly k = {k} copies of the "
             f"summand, got {count}",
             requirement="k summands of M")
-    if n_entry.eq.k != k:
-        raise GuardViolation(
-            f"catalog entry was instantiated for k = {n_entry.eq.k}, not {k}",
-            requirement="matching cyclic order")
+    _check_entry_order(n_entry, k)
     return BFGAtom(n_entry, k, m, count)
 
 
@@ -503,7 +486,7 @@ def _rewrite(node, trace: list[str]):
                 f"^ BFG({node.n.descriptor.label}, k={node.k})")
             rest = BFGAtom(node.n, node.k)
             return _rewrite(Smash((bf_atom(node.summand), rest)), trace)
-        if node.n.eligible and node.n.eq.b1_invariant == 0:
+        if node.n.eq.b1_invariant == 0:
             trace.append(
                 f"identity_class: BFG({node.n.descriptor.label}, k={node.k}) -> Id")
             return IdAtom()

@@ -153,9 +153,16 @@ def _tokenize(text: str) -> list[_Token]:
 
 # ----- knot catalog -----
 
-_PARAM_BUILTINS = {"E": 1, "hat": 1}
+# parameterised builtins and the names of their parameters
+PARAM_BUILTINS = {"E": ("n",), "hat": ("l",)}
 _KEYWORDS = ("knot_surgery", "logtx", "blowup")
-_KNOT_CONSTRUCTORS = {"torus": 2, "family": 2, "unknot": 0}
+# inline knot constructors: name -> (arity, constructor); the lambdas look the
+# functions up when called, so wrappers later bound to those names see the calls
+_KNOT_CONSTRUCTORS = {
+    "torus": (2, lambda p, q: torus_knot(p, q)),
+    "family": (2, lambda d, n: alexander_family(d, n)),
+    "unknot": (0, lambda: unknot()),
+}
 
 
 class Catalog:
@@ -213,12 +220,8 @@ def _parse_knotref_text(text: str) -> KnotRef:
 
 
 def _resolve_knot_constructor(ref: KnotRef, catalog: Catalog | None) -> AlexanderPoly:
-    if ref.name == "torus":
-        return torus_knot(*ref.args)
-    if ref.name == "family":
-        return alexander_family(*ref.args)
-    if ref.name == "unknot":
-        return unknot()
+    if ref.name in _KNOT_CONSTRUCTORS:
+        return _KNOT_CONSTRUCTORS[ref.name][1](*ref.args)
     if catalog is not None and ref.name in catalog.knots:
         if ref.args:
             raise GuardViolation(f"named knot {ref.name!r} takes no arguments")
@@ -256,6 +259,18 @@ class _Parser:
 
     def _int(self) -> int:
         return int(self._expect("INT").text)
+
+    def _args(self) -> tuple[int, ...]:
+        """An optional argument list '(' INT (',' INT)* ')'."""
+        if self._peek().kind != "(":
+            return ()
+        self._next()
+        vals = [self._int()]
+        while self._peek().kind == ",":
+            self._next()
+            vals.append(self._int())
+        self._expect(")")
+        return tuple(vals)
 
     def expr(self) -> Expr:
         factors = [self.term()]
@@ -310,23 +325,15 @@ class _Parser:
             m = self._int()
             self._expect(")")
             return Blowup(inner, m)
-        args: tuple[int, ...] = ()
-        if self._peek().kind == "(":
-            self._next()
-            vals = [self._int()]
-            while self._peek().kind == ",":
-                self._next()
-                vals.append(self._int())
-            self._expect(")")
-            args = tuple(vals)
+        args = self._args()
         self._check_manifold_name(name, args, name_tok.pos)
         return Builtin(name, args[0] if args else None)
 
     def _check_manifold_name(self, name: str, args: tuple[int, ...], pos: int):
-        if name in _PARAM_BUILTINS:
-            if len(args) != _PARAM_BUILTINS[name]:
-                raise ExprSyntaxError(
-                    f"{name} takes {_PARAM_BUILTINS[name]} argument(s)", position=pos)
+        if name in PARAM_BUILTINS:
+            arity = len(PARAM_BUILTINS[name])
+            if len(args) != arity:
+                raise ExprSyntaxError(f"{name} takes {arity} argument(s)", position=pos)
             return
         if name in BUILTIN_NAMES:
             if args:
@@ -337,7 +344,7 @@ class _Parser:
                 raise ExprSyntaxError(f"catalog entry {name} takes no arguments",
                                       position=pos)
             return
-        universe = list(BUILTIN_NAMES) + list(_PARAM_BUILTINS) + list(_KEYWORDS)
+        universe = list(BUILTIN_NAMES) + list(PARAM_BUILTINS) + list(_KEYWORDS)
         if self.catalog is not None:
             universe += self.catalog.manifold_names()
         hints = difflib.get_close_matches(name, universe, n=3)
@@ -348,20 +355,12 @@ class _Parser:
 
     def _knotref(self) -> KnotRef:
         tok = self._expect("NAME")
-        args: tuple[int, ...] = ()
-        if self._peek().kind == "(":
-            self._next()
-            vals = [self._int()]
-            while self._peek().kind == ",":
-                self._next()
-                vals.append(self._int())
-            self._expect(")")
-            args = tuple(vals)
-        if tok.text in _KNOT_CONSTRUCTORS and \
-                len(args) != _KNOT_CONSTRUCTORS[tok.text]:
-            raise ExprSyntaxError(
-                f"{tok.text} takes {_KNOT_CONSTRUCTORS[tok.text]} argument(s)",
-                position=tok.pos)
+        args = self._args()
+        if tok.text in _KNOT_CONSTRUCTORS:
+            arity = _KNOT_CONSTRUCTORS[tok.text][0]
+            if len(args) != arity:
+                raise ExprSyntaxError(f"{tok.text} takes {arity} argument(s)",
+                                      position=tok.pos)
         return KnotRef(tok.text, args)
 
 

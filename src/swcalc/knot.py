@@ -58,48 +58,13 @@ def unknot() -> AlexanderPoly:
     return AlexanderPoly(laurent({0: 1}), name="unknot")
 
 
-def _divide_exact(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
-    """Long division of Laurent polynomials known to divide exactly."""
-    num = dict(num)
-    quot: dict[int, int] = {}
-    den_deg = max(den)
-    den_lead = den[den_deg]
-    while num:
-        deg = max(num)
-        lead = num[deg]
-        if lead % den_lead != 0:
-            raise ArithmeticError("division is not exact")
-        q = lead // den_lead
-        shift = deg - den_deg
-        quot[shift] = quot.get(shift, 0) + q
-        for e, c in den.items():
-            e2 = e + shift
-            new = num.get(e2, 0) - q * c
-            if new == 0:
-                num.pop(e2, None)
-            else:
-                num[e2] = new
-    return quot
-
-
-def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            new = out.get(e, 0) + ca * cb
-            if new == 0:
-                out.pop(e, None)
-            else:
-                out[e] = new
-    return out
-
-
 def torus_knot(p: int, q: int) -> AlexanderPoly:
-    """Alexander polynomial of the (p,q) torus knot.
+    """Alexander polynomial of the (p,q) torus knot, from its semigroup.
 
-    Computed by exact division of (t^{pq}-1)(t-1) by (t^p-1)(t^q-1),
-    then centered so the lowest exponent is -(p-1)(q-1)/2.
+    Every s in S = <p, q> is a*p + b*q with 0 <= b < p in exactly one way,
+    so sum_{s in S} t^s = (1 - t^{pq}) / ((1 - t^p)(1 - t^q)), and (1 - t)
+    times it is Delta.  Every s >= c = (p-1)(q-1) lies in S, so
+    Delta = t^c + (1 - t) * sum_{s in S, s < c} t^s, centered by c/2.
     """
     if p < 2 or q < 2:
         raise GuardViolation("torus knot parameters must both be at least 2",
@@ -107,12 +72,14 @@ def torus_knot(p: int, q: int) -> AlexanderPoly:
     if math.gcd(p, q) != 1:
         raise GuardViolation(f"torus knot parameters must be coprime, got ({p},{q})",
                              requirement="gcd(p,q) = 1")
-    num = _poly_mul({p * q: 1, 0: -1}, {1: 1, 0: -1})
-    den = _poly_mul({p: 1, 0: -1}, {q: 1, 0: -1})
-    quot = _divide_exact(num, den)
-    genus2 = (p - 1) * (q - 1)
-    centered = {e - genus2 // 2: c for e, c in quot.items()}
-    return AlexanderPoly(laurent(centered), name=f"torus({p},{q})")
+    c = (p - 1) * (q - 1)
+    delta = {c: 1}
+    for b in range(p):
+        for s in range(b * q, c, p):
+            delta[s] = delta.get(s, 0) + 1
+            delta[s + 1] = delta.get(s + 1, 0) - 1
+    return AlexanderPoly(laurent({e - c // 2: x for e, x in delta.items()}),
+                         name=f"torus({p},{q})")
 
 
 def alexander_family(d: int, n: int) -> AlexanderPoly:

@@ -22,6 +22,10 @@ from .errors import GuardViolation
 # multiplications in evaluating every square, exceeds this.
 MAX_ENUMERATION_WORK = 6_000_000
 
+# Largest rank that ``diagonalize`` searches: the square -1 search visits up
+# to (2*depth+1)^rank nodes with no node budget.
+DIAGONALIZE_MAX_RANK = 8
+
 
 def _bareiss(gram) -> tuple[list[list[int]], bool]:
     """Fraction-free (Bareiss) elimination of -gram, swapping rows only at a
@@ -170,27 +174,27 @@ def max_characteristic_square(q: QuadraticForm, bound: int) -> MaxSquareResult:
     """
     axes = _parity_axes(q, bound)
     _, terms = _completed_squares(q)
-    v = [0] * q.rank
     best = [math.inf, ()]
-
-    def extend(j: int, used: int):
-        if j < 0:
-            # reaching a leaf means used <= best[0]
-            if used < best[0] or tuple(v) > best[1]:
-                best[:] = used, tuple(v)
-            return
-        w, p, m = terms[j]
-        s = sum(map(mul, m, v[j + 1:]))
-        for x in sorted(axes[j], key=lambda x: abs(p * x + s)):
-            part = used + w * (p * x + s) ** 2
-            if part > best[0]:
-                break
-            v[j] = x
-            extend(j - 1, part)
-
-    extend(q.rank - 1, 0)
+    _closest_step(terms, axes, [0] * q.rank, q.rank - 1, 0, best)
     value = q.evaluate(best[1])
     return MaxSquareResult(value, best[1], value != -q.rank)
+
+
+def _closest_step(terms, axes, v: list[int], j: int, used: int, best: list) -> None:
+    """Search coordinates j..0 given v[j+1:] and its partial sum ``used``."""
+    if j < 0:
+        # reaching a leaf means used <= best[0]
+        if used < best[0] or tuple(v) > best[1]:
+            best[:] = used, tuple(v)
+        return
+    w, p, m = terms[j]
+    s = sum(map(mul, m, v[j + 1:]))
+    for x in sorted(axes[j], key=lambda x: abs(p * x + s)):
+        part = used + w * (p * x + s) ** 2
+        if part > best[0]:
+            break
+        v[j] = x
+        _closest_step(terms, axes, v, j - 1, part, best)
 
 
 def _square_minus_one(q: QuadraticForm, depth: int) -> list[tuple[int, ...]]:
@@ -198,23 +202,25 @@ def _square_minus_one(q: QuadraticForm, depth: int) -> list[tuple[int, ...]]:
     lexicographically.  Fincke-Pohst on the completed squares, last
     coordinate first: each term w_j (p_j v_j + s_j)^2 must fit in W - used."""
     scale, terms = _completed_squares(q)
-    v = [0] * q.rank
     found = []
-
-    def extend(j: int, used: int):
-        if j < 0:
-            if used == scale:
-                found.append(tuple(v))
-            return
-        w, p, m = terms[j]
-        s = sum(map(mul, m, v[j + 1:]))
-        t = math.isqrt((scale - used) // w)
-        for x in range(max(-((s + t) // p), -depth), min((t - s) // p, depth) + 1):
-            v[j] = x
-            extend(j - 1, used + w * (p * x + s) ** 2)
-
-    extend(q.rank - 1, 0)
+    _fincke_pohst_step(terms, scale, depth, [0] * q.rank, q.rank - 1, 0, found)
     return sorted(found, reverse=True)
+
+
+def _fincke_pohst_step(terms, scale: int, depth: int, v: list[int], j: int,
+                       used: int, found: list) -> None:
+    """Search coordinates j..0 given v[j+1:] and its partial sum ``used``."""
+    if j < 0:
+        if used == scale:
+            found.append(tuple(v))
+        return
+    w, p, m = terms[j]
+    s = sum(map(mul, m, v[j + 1:]))
+    t = math.isqrt((scale - used) // w)
+    for x in range(max(-((s + t) // p), -depth), min((t - s) // p, depth) + 1):
+        v[j] = x
+        _fincke_pohst_step(terms, scale, depth, v, j - 1,
+                           used + w * (p * x + s) ** 2, found)
 
 
 def diagonalize(q: QuadraticForm, depth: int) -> tuple[tuple[int, ...], ...] | None:
@@ -228,12 +234,11 @@ def diagonalize(q: QuadraticForm, depth: int) -> tuple[tuple[int, ...], ...] | N
     with positive leading coordinate.  None means the form is not diagonal
     or not every square -1 vector lies in the box.
     """
-    # Rank > 8 stays refused: the square -1 search below visits up to
-    # (2*depth+1)^rank nodes with no node budget, and lifting the guard
-    # would turn the CLI's "skipped" answers into searches.
-    if q.rank > 8:
-        raise GuardViolation("diagonalization search is limited to rank <= 8",
-                             requirement="rank <= 8")
+    # Lifting the rank guard would turn the CLI's "skipped" answers into searches.
+    if q.rank > DIAGONALIZE_MAX_RANK:
+        raise GuardViolation(
+            f"diagonalization search is limited to rank <= {DIAGONALIZE_MAX_RANK}",
+            requirement=f"rank <= {DIAGONALIZE_MAX_RANK}")
     if depth < 1:
         raise GuardViolation("search depth must be at least 1", requirement="depth >= 1")
     if q.rank == 0:

@@ -338,12 +338,7 @@ class ManifoldDescriptor:
                 "plus_ones": self.intersection.plus_count,
                 "minus_ones": self.intersection.minus_count,
             },
-            "fingerprint": {
-                "simply_connected": self.simply_connected,
-                "b2_plus": self.b2_plus,
-                "b2_minus": self.b2_minus,
-                "parity": self.parity,
-            },
+            "fingerprint": self.fingerprint._asdict(),
             "provenance": list(self.provenance),
         }
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import astuple, dataclass, replace
+from itertools import product
 from typing import Sequence
 
 from .errors import GuardViolation
@@ -125,7 +126,6 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
         i += 1
     new_names = tuple(new_names)
 
-    n_old = len(tracked)
     inter = IntersectionData(
         tracked + new_names, a.intersection.blocks + (((-1,),),) * m,
         h_count=a.intersection.h_count,
@@ -134,15 +134,11 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
     )
 
     if a.sw.is_known and a.simple_type:
-        g = FgAbelianGroup(n_old + m)
-        poly = a.sw.poly.embed(g, free_map=tuple(range(n_old)))
-        for j in range(m):
-            e_pos = GroupRingElement.monomial(
-                g, tuple(1 if t == n_old + j else 0 for t in range(n_old + m)))
-            e_neg = GroupRingElement.monomial(
-                g, tuple(-1 if t == n_old + j else 0 for t in range(n_old + m)))
-            poly = poly * (e_pos + e_neg)
-        sw = SWInfo.known(poly)
+        # the E_i are new generators, so the product is every key followed
+        # by every sign vector, each keeping its coefficient
+        signs = list(product((1, -1), repeat=m))
+        sw = SWInfo.known(GroupRingElement._wrap(FgAbelianGroup(len(tracked) + m), {
+            key + sign: c for key, c in a.sw.poly._terms.items() for sign in signs}))
         simple_type = True
     elif a.sw.is_zero:
         sw = SWInfo.zero()

@@ -12,12 +12,15 @@ from swcalc.equivariant import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL,
                                 covering_consistency, cyclic_space_form,
                                 exotic_family, gmono_eval,
                                 gmonopole_polynomial, hat_s1_l, match_space_form,
-                                n_catalog, quaternionic_space_form)
+                                n_catalog, quaternionic_space_form,
+                                _certify_max_square)
 from swcalc.errors import GuardViolation
 from swcalc.groupring import FgAbelianGroup, GroupRingElement
 from swcalc.knot import alexander_family, torus_knot
-from swcalc.manifold import builtin, mod2_basic_class_count
-from swcalc.surgery import blowup, connected_sum, knot_surgery
+from swcalc.lattice import QuadraticForm, e8_form, spinc_with_max_square
+from swcalc.manifold import (IntersectionData, ManifoldDescriptor, SWInfo, builtin,
+                             mod2_basic_class_count)
+from swcalc.surgery import blowup, connected_sum, connected_sum_all, knot_surgery
 
 
 # ----- space forms and hat entries -----
@@ -101,6 +104,59 @@ def test_catalog_extended_rejects_positive_b2plus():
     base = hat_s1_l([2], 2, k=2)
     with pytest.raises(GuardViolation):
         n_catalog("Extended", k=2, base=base, z=builtin("S2xS2"), l=1)
+
+
+def test_catalog_extended_accepts_long_antiblowup_sums():
+    base = n_catalog("S4")
+    for copies in (9, 20):
+        z = connected_sum_all([builtin("CP2bar")] * copies)
+        entry = n_catalog("Extended", base=base, z=z, l=1)
+        assert entry.descriptor.b2_minus == 2 * copies
+        assert entry.eq == base.eq
+
+
+def test_catalog_extended_refuses_tracked_rank_above_search_limit():
+    with pytest.raises(GuardViolation) as err:
+        n_catalog("Extended", base=n_catalog("S4"), z=blowup(builtin("S4"), 9), l=1)
+    assert err.value.requirement == "rank <= 8"
+
+
+def full_form_certified(z, depth):
+    """The maximal-square search on the whole form, tracked Gram plus
+    diag(-1)^minus_count, assembled densely."""
+    inter = z.intersection
+    n = len(inter.tracked_basis)
+    size = n + inter.minus_count
+    rows = tuple(tuple(inter.gram[i][j] if i < n and j < n else -1 if i == j else 0
+                       for j in range(size)) for i in range(size))
+    return spinc_with_max_square(QuadraticForm(rows), depth) is not None
+
+
+def tracked_block_certified(z, depth):
+    try:
+        _certify_max_square(z, depth)
+    except GuardViolation:
+        return False
+    return True
+
+
+def test_certify_max_square_matches_full_form():
+    e8_piece = ManifoldDescriptor(
+        "Z_E8", True, 0, 0, 8, (), True, SWInfo.unknown(),
+        IntersectionData(tuple(f"x{i}" for i in range(8)), (e8_form().gram,)),
+        admits_psc=True)
+    pool = [e8_piece]
+    for r in range(9):
+        for s in range(9 - r):
+            pieces = ([blowup(builtin("S4"), r)] if r else []) + [builtin("CP2bar")] * s
+            pool.append(connected_sum_all(pieces))
+    verdicts = set()
+    for z in pool:
+        for depth in (1, 2):
+            verdict = tracked_block_certified(z, depth)
+            assert verdict == full_form_certified(z, depth), z.label
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ----- transfer polynomial -----

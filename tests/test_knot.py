@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,3 +124,15 @@ def test_product_of_knots_is_a_knot():
     assert prod.poly.evaluate_at_one() == 1
     coeffs = prod.coeffs()
     assert all(coeffs[-e] == c for e, c in coeffs.items())
+
+
+def test_torus_knot_times_denominator_is_numerator():
+    """Delta (t^p - 1)(t^q - 1) = (t^pq - 1)(t - 1), shifted by the centring,
+    by group-ring multiplication."""
+    for p in range(2, 31):
+        for q in range(p + 1, 31):
+            if math.gcd(p, q) != 1:
+                continue
+            shift = laurent({-((p - 1) * (q - 1) // 2): 1})
+            lhs = torus_knot(p, q).poly * laurent({p: 1, 0: -1}) * laurent({q: 1, 0: -1})
+            assert lhs == shift * laurent({p * q: 1, 0: -1}) * laurent({1: 1, 0: -1})

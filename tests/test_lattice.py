@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -146,6 +147,17 @@ def test_diagonalize_rank_guard():
     big = diagonal_form(9)
     with pytest.raises(GuardViolation):
         diagonalize(big, 1)
+
+
+@pytest.mark.parametrize("search", [
+    lambda q: max_characteristic_square(q, 3),
+    lambda q: _square_minus_one(q, 2),
+], ids=["max_characteristic_square", "square_minus_one"])
+@pytest.mark.parametrize("q", [e8_form(), diagonal_form(5)], ids=["e8", "diag5"])
+def test_searches_leave_no_reference_cycles(search, q):
+    gc.collect()
+    search(q)
+    assert gc.collect() == 0
 
 
 # ----- maximal-square class -----

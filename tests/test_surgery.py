@@ -106,6 +106,27 @@ def test_iterated_blowup_names_fresh():
     assert m.intersection.tracked_basis == ("T", "E1", "E2")
 
 
+def embed_and_multiply_blowup(a, m):
+    """The polynomial of blowup(a, m) as a's polynomial embedded into the
+    larger group and multiplied by each E_j + E_j^-1 in turn."""
+    n_old = a.sw.poly.ambient.free_rank
+    g = FgAbelianGroup(n_old + m)
+    poly = a.sw.poly.embed(g, free_map=tuple(range(n_old)))
+    for j in range(m):
+        unit = tuple(1 if t == n_old + j else 0 for t in range(n_old + m))
+        poly = poly * (GroupRingElement.monomial(g, unit)
+                       + GroupRingElement.monomial(g, tuple(-x for x in unit)))
+    return poly
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_blowup_matches_embed_and_multiply(m):
+    pool = [builtin("E", 2), builtin("E", 3), builtin("E", 4),
+            knot_surgery(builtin("E", 3), torus_knot(2, 5)), blowup(builtin("E", 3), 2)]
+    for a in pool:
+        assert blowup(a, m).sw.poly == embed_and_multiply_blowup(a, m)
+
+
 # ----- knot surgery -----
 
 def test_knot_surgery_trefoil():
