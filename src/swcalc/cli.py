@@ -3,6 +3,7 @@
 Exit codes: 0 on success, 1 when a construction hypothesis is violated,
 2 on syntax or usage errors.  Every report carries the schema tag
 ``swcalc/1`` and all numbers are exact (rationals serialized as strings).
+JSON reports are the bytes of ``json.dumps(payload, indent=2)``.
 """
 from __future__ import annotations
 
@@ -21,10 +22,46 @@ from .surgery import dissolve
 SCHEMA = "swcalc/1"
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _to_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` with one join per container.
+
+    With an indent, ``json`` skips its C encoder and yields piece by piece;
+    the reports are mostly integer rows, printed here by ``map(repr, row)``.
+    """
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_escape(key) + ": " + _to_json(val, inner) for key, val in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(repr, obj)
+        else:
+            items = [_to_json(val, inner) for val in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, fmt: str):
     payload = {"schema": SCHEMA, **payload}
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_to_json(payload))
     else:
         for line in _text_lines(payload, indent=0):
             print(line)
@@ -94,7 +131,10 @@ def _parse_fixture(text: str) -> lattice.QuadraticForm:
     if text == "e8":
         return lattice.e8_form()
     if text.startswith("diag:"):
-        return lattice.diagonal_form(int(text.split(":", 1)[1]))
+        rank = text[len("diag:"):]
+        if not (rank.isascii() and rank.isdigit()):
+            raise ExprSyntaxError(f"fixture diag:N needs a rank N >= 0, not {rank!r}")
+        return lattice.diagonal_form(int(rank))
     raise ExprSyntaxError(f"unknown fixture {text!r}; use e8 or diag:N")
 
 

@@ -1,12 +1,16 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swcalc.cli import run_command
+from swcalc.cli import _to_json, run_command
 from swcalc.expressions import eval_expr, parse
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,6 +135,20 @@ def test_lattice_bad_gram(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fixture", ["diag:x", "diag:", "diag:1.5", "diag:-1"])
+def test_lattice_bad_diag_fixture(capsys, fixture):
+    code, data = run_json(capsys, ["lattice", "--fixture", fixture])
+    assert code == 2
+    assert data["error"]["type"] == "syntax"
+    assert "diag:N" in data["error"]["message"]
+
+
+def test_lattice_diag0_fixture(capsys):
+    code, data = run_json(capsys, ["lattice", "--fixture", "diag:0"])
+    assert code == 0
+    assert data["rank"] == 0 and data["gram"] == []
+
+
 @pytest.mark.parametrize("gram", ['[[-1.5]]', '[["-1"]]', '[[-1,0],[0,-1.9]]', '[[true]]'])
 def test_lattice_non_integer_gram_rejected(capsys, gram):
     code, data = run_json(capsys, ["lattice", "--gram", gram])
@@ -210,3 +228,53 @@ def test_parser_reused_across_commands_matches_fresh_processes(capsys):
                                capture_output=True, text=True, timeout=60)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert code == 0 and out
+
+
+# ----- the JSON emitter -----
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                          st.characters()))
+_INTS = st.one_of(st.integers(), st.integers(min_value=2**64, max_value=2**200),
+                  st.integers(max_value=-1))
+
+
+def _json_trees(depth: int):
+    leaves = st.one_of(_TEXT, _INTS, st.booleans(), st.none(), st.lists(_INTS),
+                       st.lists(st.one_of(_INTS, st.sampled_from([True, False, None]))))
+    if depth == 0:
+        return leaves
+    sub = _json_trees(depth - 1)
+    return st.one_of(leaves, st.lists(sub, max_size=3), st.dictionaries(_TEXT, sub, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees(6))
+def test_emitter_matches_json_dumps(tree):
+    assert _to_json(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), object(), 1.5, (1, 2), {1: 2}])
+def test_emitter_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _to_json({"rows": [[1, 2], [value]]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "3*E(2) # S2xS2"],
+    ["lattice", "--fixture", "e8", "--bound", "1"],
+    ["fixedpoints", "--k", "5"],
+    ["family", "--construction", "cp2", "--k", "2", "--l", "3", "--size", "2"],
+    ["bf", "2*E(2) # hat(3)", "--k", "2"],
+    ["catalog"],
+    ["eval", "E(2) #"],
+], ids=["eval", "lattice", "fixedpoints", "family", "bf", "catalog", "syntax_error"])
+def test_cli_jobs_leave_no_reference_cycles(capsys, argv):
+    """A repeated job frees everything it made by reference counting alone."""
+    run_command(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        run_command(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,8 +1,10 @@
-"""Outputs that no benchmark workload covers, pinned byte for byte.
+"""CLI outputs pinned byte for byte.
 
 The files under ``golden/`` were captured from the CLI before the builtin
 names, the subcommand table and the catalog-order guard each moved to one
-place; regenerate them only for an intended change of output.
+place, and (the reports of each subcommand, errors and ``--format text``)
+while reports were still printed by ``json.dumps(payload, indent=2)``;
+regenerate them only for an intended change of output.
 """
 from pathlib import Path
 
@@ -19,6 +21,22 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_catalog_output(capsys):
     assert run_command(["catalog"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "catalog.json").read_text()
+
+
+@pytest.mark.parametrize("name, argv, exit_code", [
+    ("eval_3E2_S2xS2.json", ["eval", "3*E(2) # S2xS2"], 0),
+    ("lattice_e8_bound1.json", ["lattice", "--fixture", "e8", "--bound", "1"], 0),
+    ("fixedpoints_k5.json", ["fixedpoints", "--k", "5"], 0),
+    ("bf_2E2_hat3_k2.json", ["bf", "2*E(2) # hat(3)", "--k", "2"], 0),
+    ("family_cp2_k2_l3_size2.json",
+     ["family", "--construction", "cp2", "--k", "2", "--l", "3", "--size", "2"], 0),
+    ("eval_syntax_error.json", ["eval", "E(2) #"], 2),
+    ("eval_guard_error.json", ["eval", "E(0)"], 1),
+    ("eval_S2xS2_text.txt", ["eval", "S2xS2", "--format", "text"], 0),
+])
+def test_report_output(capsys, name, argv, exit_code):
+    assert run_command(argv) == exit_code
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
 @pytest.mark.parametrize("command", ["", "eval", "family", "fixedpoints", "lattice",
