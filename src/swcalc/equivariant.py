@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import GuardViolation
 from .groupring import FgAbelianGroup, GroupRingElement
-from .knot import AlexanderPoly, alexander_family
+from .knot import alexander_family
 from .lattice import QuadraticForm, spinc_with_max_square
 from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
                        SWInfo, builtin, expected_sw_dimension,
@@ -100,9 +100,7 @@ class EquivariantData:
 
     k: int
     h_order: int = 1
-    h_label: str = "trivial"
     b1_invariant: int = 0          # nu, dimension of invariant 1-forms
-    b2_plus_invariant: int = 0
     has_free_orbit: bool = False
     psc_invariant: bool = False
     spinc_max_c1sq: bool = False
@@ -174,10 +172,8 @@ def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2,
         intersection=IntersectionData(),
         admits_psc=True,
     )
-    eq = EquivariantData(
-        k=k, h_order=sf.order, h_label=sf.label,
-        b1_invariant=0, b2_plus_invariant=0,
-        has_free_orbit=True, psc_invariant=True, spinc_max_c1sq=True)
+    eq = EquivariantData(k=k, h_order=sf.order, has_free_orbit=True,
+                         psc_invariant=True, spinc_max_c1sq=True)
     notes = (f"universal cover: {sf.order - 1}*(S2xS2)",
              f"torsion Spin-c structures: {math.prod(sf.h1_orders)}")
     return NCatalogEntry(descriptor, eq, "HatS1L", notes)
@@ -609,8 +605,7 @@ class FamilyReport:
 
 def exotic_family(construction: str, k: int, l: int, size: int,
                   n: int = 1, n_prime: int = 2, m_prime: int = 1,
-                  m: int = 1, space_form: SpaceForm | None = None,
-                  multiplicities: Sequence[int] | None = None) -> FamilyReport:
+                  m: int = 1, space_form: SpaceForm | None = None) -> FamilyReport:
     """Generate a family of group actions separated by monomial counts.
 
     Members are exotic smooth structures on a common base M; the actions
@@ -640,7 +635,6 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         raise GuardViolation(f"space form {sf.label} has order {sf.order}, not {l}",
                              requirement="matching order")
     hat = hat_s1_l(sf.h1_orders, sf.order, k=k)
-    torsion_count = math.prod(sf.h1_orders)
 
     members: list[FamilyMember] = []
     if construction in ("k3_knot", "cp2_knot"):
@@ -672,14 +666,9 @@ def exotic_family(construction: str, k: int, l: int, size: int,
             raise GuardViolation("the elliptic index parameter must be at least 1",
                                  requirement="n >= 1")
         base = connected_sum_all([builtin("S2xS2")] * m)
-        rs = list(multiplicities) if multiplicities is not None else \
-            list(range(1, size + 1))
-        if len(rs) != size or len(set(rs)) != size:
-            raise GuardViolation("multiplicities must be distinct, one per member",
-                                 requirement="distinct multiplicities")
-        for r in rs:
+        for r in range(1, size + 1):
             sample = log_transform(2 * n, r)
-            count = mod2_basic_class_count(sample) * torsion_count
+            count = mod2_basic_class_count(sample) * hat.spinc_count
             members.append(FamilyMember(
                 f"fiber-sum carrying {sample.label}", count, "lower_bound",
                 base.fingerprint, None))

@@ -28,7 +28,7 @@ from .errors import ExprSyntaxError, GuardViolation
 from .groupring import laurent
 from .knot import AlexanderPoly, alexander_family, torus_knot, unknot, validate
 from .manifold import BUILTIN_NAMES, ManifoldDescriptor, builtin, reverse_orientation
-from .surgery import blowup, connected_sum, knot_surgery, log_transform
+from .surgery import blowup, connected_sum_all, knot_surgery, log_transform
 
 # ----- AST -----
 
@@ -132,9 +132,9 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token(c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(_Token("INT", text[i:j], i))
             i = j
@@ -155,7 +155,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 # parameterised builtins and the names of their parameters
 PARAM_BUILTINS = {"E": ("n",), "hat": ("l",)}
-_KEYWORDS = ("knot_surgery", "logtx", "blowup")
 # inline knot constructors: name -> (arity, constructor); the lambdas look the
 # functions up when called, so wrappers later bound to those names see the calls
 _KNOT_CONSTRUCTORS = {
@@ -185,19 +184,29 @@ class Catalog:
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":
         cat = cls()
-        data = json.loads(Path(path).read_text())
-        for name, entry in data.get("knots", {}).items():
+        try:
+            data = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as err:
+            raise ExprSyntaxError(f"catalog file is not readable JSON: {err}") from err
+        knots, manifolds = (data.get(key, {}) if isinstance(data, dict) else None
+                            for key in ("knots", "manifolds"))
+        if not (isinstance(knots, dict) and isinstance(manifolds, dict)):
+            raise GuardViolation("a catalog must be a JSON object whose knots and "
+                                 "manifolds are objects")
+        for name, entry in knots.items():
             if isinstance(entry, str):
-                ref = _parse_knotref_text(entry)
+                ref = _parse_all(entry, None, _Parser._knotref)
                 cat.knots[name] = _resolve_knot_constructor(ref, cat)
-            elif isinstance(entry, dict) and "coeffs" in entry:
-                coeffs = {int(e): int(c) for e, c in entry["coeffs"].items()}
+            elif isinstance(entry, dict) and isinstance(entry.get("coeffs"), dict) and all(
+                    e.removeprefix("-").isdecimal() and type(c) is int
+                    for e, c in entry["coeffs"].items()):
+                coeffs = {int(e): c for e, c in entry["coeffs"].items()}
                 cat.knots[name] = validate(laurent(coeffs), name=name)
             else:
                 raise GuardViolation(
                     f"knot entry {name!r} must be a constructor string or a "
-                    "coeffs object")
-        for name, source in data.get("manifolds", {}).items():
+                    "coeffs object of integers")
+        for name, source in manifolds.items():
             if not isinstance(source, str):
                 raise GuardViolation(f"manifold entry {name!r} must be an "
                                      "expression string")
@@ -209,14 +218,6 @@ class Catalog:
 
     def manifold_names(self) -> list[str]:
         return sorted(self.manifold_sources)
-
-
-def _parse_knotref_text(text: str) -> KnotRef:
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, catalog=None)
-    ref = parser._knotref()
-    parser._expect("EOF")
-    return ref
 
 
 def _resolve_knot_constructor(ref: KnotRef, catalog: Catalog | None) -> AlexanderPoly:
@@ -304,27 +305,14 @@ class _Parser:
                 position=tok.pos)
         name_tok = self._next()
         name = name_tok.text
-        if name == "knot_surgery":
+        if name in _KEYWORDS:
+            node, first, second = _KEYWORDS[name]
             self._expect("(")
-            inner = self.expr()
+            a = first(self)
             self._expect(",")
-            ref = self._knotref()
+            b = second(self)
             self._expect(")")
-            return KnotSurgery(inner, ref)
-        if name == "logtx":
-            self._expect("(")
-            two_n = self._int()
-            self._expect(",")
-            r = self._int()
-            self._expect(")")
-            return LogTransform(two_n, r)
-        if name == "blowup":
-            self._expect("(")
-            inner = self.expr()
-            self._expect(",")
-            m = self._int()
-            self._expect(")")
-            return Blowup(inner, m)
+            return node(a, b)
         args = self._args()
         self._check_manifold_name(name, args, name_tok.pos)
         return Builtin(name, args[0] if args else None)
@@ -364,11 +352,23 @@ class _Parser:
         return KnotRef(tok.text, args)
 
 
+# keyword -> (node, parser of its first argument, parser of its second)
+_KEYWORDS = {
+    "knot_surgery": (KnotSurgery, _Parser.expr, _Parser._knotref),
+    "logtx": (LogTransform, _Parser._int, _Parser._int),
+    "blowup": (Blowup, _Parser.expr, _Parser._int),
+}
+
+
 def parse(text: str, catalog: Catalog | None = None) -> Expr:
     """Parse an expression, validating names against the catalog."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, catalog)
-    tree = parser.expr()
+    return _parse_all(text, catalog, _Parser.expr)
+
+
+def _parse_all(text: str, catalog: Catalog | None, rule) -> Expr | KnotRef:
+    """Parse the whole text with one grammar rule."""
+    parser = _Parser(_tokenize(text), catalog)
+    tree = rule(parser)
     parser._expect("EOF")
     return tree
 
@@ -404,16 +404,9 @@ def eval_expr(e: Expr, catalog: Catalog | None = None,
             return eval_expr(sub, catalog, _stack + (e.name,))
         raise GuardViolation(f"unknown manifold {e.name!r}")
     if isinstance(e, ConnSum):
-        out = eval_expr(e.factors[0], catalog, _stack)
-        for f in e.factors[1:]:
-            out = connected_sum(out, eval_expr(f, catalog, _stack))
-        return out
+        return connected_sum_all([eval_expr(f, catalog, _stack) for f in e.factors])
     if isinstance(e, Multiple):
-        piece = eval_expr(e.expr, catalog, _stack)
-        out = piece
-        for _ in range(e.count - 1):
-            out = connected_sum(out, piece)
-        return out
+        return connected_sum_all([eval_expr(e.expr, catalog, _stack)] * e.count)
     if isinstance(e, KnotSurgery):
         base = eval_expr(e.expr, catalog, _stack)
         return knot_surgery(base, _resolve_knot_constructor(e.knot, catalog))

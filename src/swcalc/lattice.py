@@ -11,7 +11,7 @@ kind.  All arithmetic is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from operator import mul
 from typing import Sequence
@@ -59,6 +59,11 @@ class QuadraticForm:
     """
 
     gram: tuple[tuple[int, ...], ...]
+    # Kept from validation: (W, [(w_j, p_j, m_j)]) with -v.v * W = sum_j w_j
+    # (p_j v_j + s_j)^2, s_j = m_j.v[j+1:], w_j = W / (p_{j-1} p_j), p_{-1} = 1,
+    # W their lcm; and the parity of each coordinate of a characteristic vector.
+    _squares: tuple = field(init=False, compare=False, repr=False)
+    _parity: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gram = tuple(tuple(row) for row in self.gram)
@@ -68,23 +73,37 @@ class QuadraticForm:
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("gram matrix must be symmetric")
         rows, swapped = _bareiss(gram)
         minors = [rows[k][k] for k in range(n)]
         if 0 in minors or n and abs(minors[-1]) != 1:
             raise ValueError("form must be unimodular")
         if swapped or any(p <= 0 for p in minors):
             raise ValueError("form must be negative definite")
+        pairs = [a * b for a, b in zip([1] + minors, minors)]
+        scale = math.lcm(*pairs)
+        object.__setattr__(self, "_squares", (scale, [
+            (scale // pair, rows[j][j], rows[j][j + 1:]) for j, pair in enumerate(pairs)]))
+        # A unimodular form is invertible mod 2, so the characteristic vectors
+        # are one parity class w + 2Z^n: gram.w = diag(gram) mod 2 is solved
+        # over GF(2), one bitmask per equation with the right-hand side in bit n.
+        eqs = [sum((x & 1) << j for j, x in enumerate(row)) | (row[i] & 1) << n
+               for i, row in enumerate(gram)]
+        for col in range(n):
+            pivot = next(r for r in range(col, n) if eqs[r] >> col & 1)
+            eqs[col], eqs[pivot] = eqs[pivot], eqs[col]
+            for r in range(n):
+                if r != col and eqs[r] >> col & 1:
+                    eqs[r] ^= eqs[col]
+        object.__setattr__(self, "_parity", tuple(eq >> n & 1 for eq in eqs))
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     def evaluate(self, v: Sequence[int]) -> int:
-        return sum(x * sum(map(mul, row, v)) for x, row in zip(v, self.gram))
+        return self.pairing(v, v)
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> int:
         return sum(x * sum(map(mul, row, w)) for x, row in zip(v, self.gram))
@@ -109,21 +128,11 @@ def e8_form() -> QuadraticForm:
 
 def _parity_axes(q: QuadraticForm, bound: int) -> list[range]:
     """Per-axis ranges of the characteristic vectors in [-bound, bound]^rank,
-    each descending.  A unimodular form is invertible mod 2, so they are one
-    parity class w + 2Z^n: gram.w = diag(gram) mod 2 is solved over GF(2),
-    one bitmask per equation with the right-hand side in bit n."""
+    each descending."""
     if bound < 1:
         raise GuardViolation("search bound must be at least 1", requirement="bound >= 1")
     n = q.rank
-    eqs = [sum((x & 1) << j for j, x in enumerate(row)) | (row[i] & 1) << n
-           for i, row in enumerate(q.gram)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if eqs[r] >> col & 1)
-        eqs[col], eqs[pivot] = eqs[pivot], eqs[col]
-        for r in range(n):
-            if r != col and eqs[r] >> col & 1:
-                eqs[r] ^= eqs[col]
-    axes = [range(bound - (bound - (eq >> n & 1)) % 2, -bound - 1, -2) for eq in eqs]
+    axes = [range(bound - (bound - w) % 2, -bound - 1, -2) for w in q._parity]
     count = math.prod(map(len, axes))
     if count * n * n > MAX_ENUMERATION_WORK:
         raise GuardViolation(
@@ -149,17 +158,6 @@ class MaxSquareResult:
     bound_limited: bool
 
 
-def _completed_squares(q: QuadraticForm) -> tuple[int, list]:
-    """(W, [(w_j, p_j, m_j)]): -v.v * W = sum_j w_j (p_j v_j + s_j)^2 with
-    s_j = m_j.v[j+1:], w_j = W / (p_{j-1} p_j), p_{-1} = 1, W their lcm."""
-    rows, _ = _bareiss(q.gram)
-    minors = [rows[j][j] for j in range(q.rank)]
-    pairs = [a * b for a, b in zip([1] + minors, minors)]
-    scale = math.lcm(*pairs)
-    return scale, [(scale // pair, rows[j][j], rows[j][j + 1:])
-                   for j, pair in enumerate(pairs)]
-
-
 def max_characteristic_square(q: QuadraticForm, bound: int) -> MaxSquareResult:
     """Maximum of c.c over characteristic vectors in the box.
 
@@ -173,7 +171,7 @@ def max_characteristic_square(q: QuadraticForm, bound: int) -> MaxSquareResult:
     exceeds the best complete sum; ties are explored.
     """
     axes = _parity_axes(q, bound)
-    _, terms = _completed_squares(q)
+    _, terms = q._squares
     best = [math.inf, ()]
     _closest_step(terms, axes, [0] * q.rank, q.rank - 1, 0, best)
     value = q.evaluate(best[1])
@@ -201,7 +199,7 @@ def _square_minus_one(q: QuadraticForm, depth: int) -> list[tuple[int, ...]]:
     """All v with v.v = -1 and every |v_i| <= depth, descending
     lexicographically.  Fincke-Pohst on the completed squares, last
     coordinate first: each term w_j (p_j v_j + s_j)^2 must fit in W - used."""
-    scale, terms = _completed_squares(q)
+    scale, terms = q._squares
     found = []
     _fincke_pohst_step(terms, scale, depth, [0] * q.rank, q.rank - 1, 0, found)
     return sorted(found, reverse=True)

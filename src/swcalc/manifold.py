@@ -345,11 +345,6 @@ class ManifoldDescriptor:
 
 # ----- standard manifolds -----
 
-def _sw_one(tracked: tuple[str, ...]) -> SWInfo:
-    g = FgAbelianGroup(len(tracked))
-    return SWInfo.known(GroupRingElement.one(g))
-
-
 def _elliptic_surface(n: int, label: str | None = None) -> ManifoldDescriptor:
     # b2+ = 2n-1, b2- = 10n-1, sigma = -8n, chi = 12n; fiber class T has square 0
     g = FgAbelianGroup(1)

@@ -7,7 +7,6 @@ pieces into standard summands.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import astuple, dataclass, replace
 from itertools import product
 from typing import Sequence
@@ -46,21 +45,15 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
     """
     lineage = ("connected_sum", _sum_leaves(a) + _sum_leaves(b), "")
     label = f"{a.label} # {b.label}"
-    if _is_standard_s4(a):
-        return replace(b, label=label, derived_from=lineage,
-                       provenance=b.provenance +
-                       ("connected_sum: summand with trivial fingerprint absorbed",))
-    if _is_standard_s4(b):
-        return replace(a, label=label, derived_from=lineage,
-                       provenance=a.provenance +
-                       ("connected_sum: summand with trivial fingerprint absorbed",))
-
-    m = _pure_antiblowup_count(b)
-    if m and a.sw.is_known and a.simple_type:
-        return replace(blowup(a, m), label=label, derived_from=lineage)
-    m = _pure_antiblowup_count(a)
-    if m and b.sw.is_known and b.simple_type:
-        return replace(blowup(b, m), label=label, derived_from=lineage)
+    for x, y in ((a, b), (b, a)):
+        if _is_standard_s4(x):
+            return replace(y, label=label, derived_from=lineage,
+                           provenance=y.provenance +
+                           ("connected_sum: summand with trivial fingerprint absorbed",))
+    for x, y in ((b, a), (a, b)):
+        m = _pure_antiblowup_count(x)
+        if m and y.sw.is_known and y.simple_type:
+            return replace(blowup(y, m), label=label, derived_from=lineage)
 
     inter = a.intersection.direct_sum(b.intersection)
     if a.b2_plus > 0 and b.b2_plus > 0:
@@ -367,10 +360,7 @@ def dissolve(factors: Sequence[ManifoldDescriptor]) -> DissolutionVerdict:
     terminates; if no rule fits any factor the verdict is unknown rather
     than guessed.
     """
-    expanded: list[ManifoldDescriptor] = []
-    for f in factors:
-        expanded.extend(_sum_leaves(f))
-    factors = expanded
+    factors = [leaf for f in factors for leaf in _sum_leaves(f)]
     for f in factors:
         if not f.simply_connected:
             raise GuardViolation(
@@ -379,7 +369,7 @@ def dissolve(factors: Sequence[ManifoldDescriptor]) -> DissolutionVerdict:
 
     trace: list[str] = []
     std: dict[str, int] = {"CP2": 0, "CP2bar": 0, "S2xS2": 0, "K3": 0}
-    pending: deque[ManifoldDescriptor] = deque()
+    pending: list[ManifoldDescriptor] = []
     for f in factors:
         kind = _standard_kind(f)
         if kind == "S4":

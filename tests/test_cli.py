@@ -278,3 +278,37 @@ def test_cli_jobs_leave_no_reference_cycles(capsys, argv):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("expression, position", [
+    ("²*E(2)", 0), ("E(²)", 2), ("knot_surgery(E(2), torus(2,³))", 27)])
+def test_superscript_digit_is_a_syntax_error(capsys, expression, position):
+    code, data = run_json(capsys, ["eval", expression])
+    assert code == 2
+    assert data["error"]["message"].startswith("unexpected character")
+    assert data["error"]["position"] == position
+
+
+def test_unicode_decimal_digit_is_an_integer(capsys):
+    code, data = run_json(capsys, ["eval", "E(٣)"])
+    assert code == 0
+    assert data["label"] == "E(3)"
+
+
+@pytest.mark.parametrize("content, code", [
+    (None, 2),
+    ("nope", 2),
+    ("[1]", 1),
+    ('{"knots": [1]}', 1),
+    ('{"manifolds": "X"}', 1),
+    ('{"knots": {"x": {"coeffs": {"a": 1}}}}', 1),
+    ('{"knots": {"x": {"coeffs": {"0": 1.5}}}}', 1),
+], ids=["missing", "invalid_json", "top_level_list", "knots_list", "manifolds_string",
+        "exponent_not_integer", "coefficient_not_integer"])
+def test_bad_catalog_file_refused(tmp_path, capsys, content, code):
+    path = tmp_path / "cat.json"
+    if content is not None:
+        path.write_text(content)
+    exit_code, data = run_json(capsys, ["eval", "S4", "--catalog", str(path)])
+    assert exit_code == code
+    assert data["error"]["type"] == ("syntax" if code == 2 else "guard")

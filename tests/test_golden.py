@@ -3,7 +3,9 @@
 The files under ``golden/`` were captured from the CLI before the builtin
 names, the subcommand table and the catalog-order guard each moved to one
 place, and (the reports of each subcommand, errors and ``--format text``)
-while reports were still printed by ``json.dumps(payload, indent=2)``;
+while reports were still printed by ``json.dumps(payload, indent=2)``, and
+(the absorption rules of a sum, the keyword forms and their syntax errors)
+while the sum fold and the keyword parsing each had a second copy;
 regenerate them only for an intended change of output.
 """
 from pathlib import Path
@@ -33,6 +35,16 @@ def test_catalog_output(capsys):
     ("eval_syntax_error.json", ["eval", "E(2) #"], 2),
     ("eval_guard_error.json", ["eval", "E(0)"], 1),
     ("eval_S2xS2_text.txt", ["eval", "S2xS2", "--format", "text"], 0),
+    ("bf_2E2_S4_k2.json", ["bf", "2*E(2) # S4", "--k", "2"], 0),
+    ("bf_2E2_CP2bar_k2.json", ["bf", "2*E(2) # CP2bar", "--k", "2"], 0),
+    ("eval_logtx43_CP2.json", ["eval", "logtx(4,3) # ~CP2"], 0),
+    ("eval_blowup_knot_E3_CP2bar.json",
+     ["eval", "blowup(knot_surgery(E(3), torus(2,5)), 2) # CP2bar"], 0),
+    ("eval_CP2bar_E2.json", ["eval", "CP2bar # E(2)"], 0),
+    ("eval_S4_K3.json", ["eval", "S4 # K3"], 0),
+    ("eval_logtx_syntax_error.json", ["eval", "logtx(4,)"], 2),
+    ("eval_blowup_syntax_error.json", ["eval", "blowup(E(2) 3)"], 2),
+    ("eval_knot_surgery_syntax_error.json", ["eval", "knot_surgery(E(2), )"], 2),
 ])
 def test_report_output(capsys, name, argv, exit_code):
     assert run_command(argv) == exit_code

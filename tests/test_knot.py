@@ -93,6 +93,18 @@ def test_validate_rejects_asymmetric():
         validate(laurent({1: 1, 0: 1}))
 
 
+@pytest.mark.parametrize("coeffs, message, requirement", [
+    ({2: 1, 0: -1, -1: 1}, "must be symmetric", "symmetrized Alexander polynomial"),
+    ({2: -1, 0: 1, -1: -1}, "must be symmetric", "symmetrized Alexander polynomial"),
+    ({1: 1, 0: 1}, "evaluates to 2 at t = 1", "Delta(1) = +-1"),
+])
+def test_validate_messages(coeffs, message, requirement):
+    """Delta(1) = +-1 is checked first; symmetry is AlexanderPoly's check."""
+    with pytest.raises(GuardViolation, match=message) as err:
+        validate(laurent(coeffs))
+    assert err.value.requirement == requirement
+
+
 def test_validate_normalizes_sign():
     out = validate(laurent({1: -1, 0: 1, -1: -1}))
     assert out.poly.evaluate_at_one() == 1

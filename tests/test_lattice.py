@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swcalc import lattice
 from swcalc.cli import run_command
 from swcalc.errors import GuardViolation
 from swcalc.lattice import (QuadraticForm, _square_minus_one,
@@ -48,6 +49,23 @@ def test_form_validation_messages():
     for gram, message in cases:
         with pytest.raises(ValueError, match=message):
             QuadraticForm(gram)
+
+
+def test_lattice_job_eliminates_once(monkeypatch, capsys):
+    """Validation, the characteristic search and the diagonalization of a
+    form share one Bareiss elimination."""
+    calls = []
+    real = lattice._bareiss
+    monkeypatch.setattr(lattice, "_bareiss", lambda gram: calls.append(gram) or real(gram))
+    assert run_command(["lattice", "--fixture", "e8", "--bound", "1"]) == 0
+    assert len(calls) == 1
+
+
+def test_form_equality_hash_and_repr_see_only_the_gram():
+    q, r = e8_form(), e8_form()
+    assert q == r and hash(q) == hash(r)
+    assert repr(q) == f"QuadraticForm(gram={q.gram!r})"
+    assert q != diagonal_form(8)
 
 
 def test_e8_fixture_is_even_unimodular_definite():
