@@ -1,23 +1,23 @@
 """Command line interface: parse expressions, run the calculators, emit JSON.
 
 Exit codes: 0 on success, 1 when a construction hypothesis is violated,
-2 on syntax or usage errors.  Every report carries the schema tag
-``swcalc/1`` and all numbers are exact (rationals serialized as strings).
-JSON reports are the bytes of ``json.dumps(payload, indent=2)``.
+2 on syntax or usage errors, 141 when the reader closes stdout early.
+Every report carries the schema tag ``swcalc/1`` and all numbers are
+exact (rationals serialized as strings).  JSON reports are the bytes of
+``json.dumps(payload, indent=2)``.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
 
-from . import equivariant, fixedpoint, lattice
+# Each handler imports what it uses, so a cold start compiles only that;
+# perfbench/harness.py reads sys.modules["swcalc.fixedpoint"] after importing cli.
+from . import fixedpoint, lattice
 from .errors import ExprSyntaxError, SwcalcError
-from .expressions import (PARAM_BUILTINS, Builtin, Catalog, ConnSum, Multiple,
-                          eval_expr, parse, render)
-from .manifold import BUILTIN_NAMES, homeo_type
-from .surgery import dissolve
 
 SCHEMA = "swcalc/1"
 
@@ -86,11 +86,15 @@ def _text_lines(obj, indent: int):
         yield f"{pad}{obj}"
 
 
-def _load_catalog(path: str | None) -> Catalog:
+def _load_catalog(path: str | None):
+    from .expressions import Catalog
     return Catalog.load(path) if path else Catalog()
 
 
 def _cmd_eval(args) -> dict:
+    from .expressions import ConnSum, Multiple, eval_expr, parse, render
+    from .manifold import homeo_type
+    from .surgery import dissolve
     catalog = _load_catalog(args.catalog)
     tree = parse(args.expression, catalog)
     descriptor = eval_expr(tree, catalog)
@@ -108,6 +112,7 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_family(args) -> dict:
+    from . import equivariant
     name = {"k3": "k3_knot", "cp2": "cp2_knot", "s2xs2": "s2xs2_hkw"}[args.construction]
     report = equivariant.exotic_family(
         name, k=args.k, l=args.l, size=args.size, n=args.n,
@@ -182,6 +187,8 @@ def _cmd_lattice(args) -> dict:
 
 
 def _cmd_bf(args) -> dict:
+    from . import equivariant
+    from .expressions import Builtin, ConnSum, Multiple, eval_expr, parse
     catalog = _load_catalog(args.catalog)
     tree = parse(args.expression, catalog)
     factors = tree.factors if isinstance(tree, ConnSum) else (tree,)
@@ -227,6 +234,8 @@ def _cmd_bf(args) -> dict:
 
 
 def _cmd_catalog(args) -> dict:
+    from .expressions import PARAM_BUILTINS
+    from .manifold import BUILTIN_NAMES
     catalog = _load_catalog(args.catalog)
     return {
         "builtins": [*BUILTIN_NAMES, *(f"{name}({','.join(params)})"
@@ -320,7 +329,14 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: drop the rest, exit as SIGPIPE would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .equivariant import hat_s1_l
 from .errors import ExprSyntaxError, GuardViolation
 from .groupring import laurent
 from .knot import AlexanderPoly, alexander_family, torus_knot, unknot, validate
@@ -392,8 +391,8 @@ def eval_expr(e: Expr, catalog: Catalog | None = None,
         catalog = default_catalog()
     if isinstance(e, Builtin):
         if e.name == "hat":
-            entry = hat_s1_l([e.arg], e.arg)
-            return entry.descriptor
+            from .equivariant import hat_s1_l  # only hat(l) needs the transfer stack
+            return hat_s1_l([e.arg], e.arg).descriptor
         if e.name in BUILTIN_NAMES or e.name == "E":
             return builtin(e.name, e.arg)
         if catalog is not None and e.name in catalog.manifold_sources:

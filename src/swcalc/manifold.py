@@ -14,7 +14,7 @@ from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import GuardViolation
-from .groupring import FgAbelianGroup, GroupElement, GroupRingElement
+from .groupring import GroupElement, GroupRingElement, laurent
 
 SW_KNOWN = "known"
 SW_ZERO = "zero"
@@ -345,12 +345,17 @@ class ManifoldDescriptor:
 
 # ----- standard manifolds -----
 
+def _signed_binomial(m: int, step: int) -> GroupRingElement:
+    """(T^step - T^-step)^m, written as its row: (-1)^j C(m, j) T^(step(m-2j))."""
+    row, c = {}, 1
+    for j in range(m + 1):
+        row[step * (m - 2 * j)] = -c if j & 1 else c
+        c = c * (m - j) // (j + 1)
+    return laurent(row)
+
+
 def _elliptic_surface(n: int, label: str | None = None) -> ManifoldDescriptor:
     # b2+ = 2n-1, b2- = 10n-1, sigma = -8n, chi = 12n; fiber class T has square 0
-    g = FgAbelianGroup(1)
-    t = GroupRingElement.monomial(g, (1,))
-    t_inv = GroupRingElement.monomial(g, (-1,))
-    sw_poly = (t - t_inv) ** (n - 2)
     return ManifoldDescriptor(
         label=label or f"E({n})",
         simply_connected=True,
@@ -359,7 +364,7 @@ def _elliptic_surface(n: int, label: str | None = None) -> ManifoldDescriptor:
         b2_minus=10 * n - 1,
         torsion_h1=(),
         spin=(n % 2 == 0),
-        sw=SWInfo.known(sw_poly),
+        sw=SWInfo.known(_signed_binomial(n - 2, 1)),
         intersection=IntersectionData(("T",), (((0,),),),
                                       h_count=6 * n - 2, minus_count=1),
         simple_type=True,

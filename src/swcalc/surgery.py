@@ -15,7 +15,7 @@ from .errors import GuardViolation
 from .groupring import FgAbelianGroup, GroupRingElement, laurent
 from .knot import AlexanderPoly
 from .manifold import (Fingerprint, HomeoType, IntersectionData,
-                       ManifoldDescriptor, SWInfo, builtin, homeo_type)
+                       ManifoldDescriptor, SWInfo, _signed_binomial, builtin, homeo_type)
 
 
 # ----- connected sum -----
@@ -207,7 +207,7 @@ def log_transform(two_n: int, r: int) -> ManifoldDescriptor:
         raise GuardViolation("multiplicity must be at least 1", requirement="r >= 1")
     base = builtin("E", two_n)
     comb = laurent(dict.fromkeys(range(r - 1, -r, -2), 1))
-    poly = laurent({r: 1, -r: -1}) ** (two_n - 2) * comb
+    poly = _signed_binomial(two_n - 2, r) * comb
     return replace(
         base,
         label=f"logtx({two_n},{r})",

@@ -16,6 +16,14 @@ from swcalc.expressions import eval_expr, parse
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_json(capsys, argv):
     code = run_command(argv)
     out = capsys.readouterr().out
@@ -167,13 +175,25 @@ def test_no_runtime_dependencies_loaded():
         "    assert swcalc.cli.run_command(['lattice', '--fixture', 'e8', '--bound', '1']) == 0\n"
         "fixed_subtorus(TorusAutomorphism(((0, 1), (1, 0)), 2))\n"
         "print(sorted({'numpy', 'sympy'} & set(sys.modules)))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = _src_env()
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_closed_pipe_exits_quietly():
+    """A reader that closes stdout early gets no traceback, and the exit
+    status is that of a process killed by SIGPIPE, not a guard's 1."""
+    # about 220 KB, more than a pipe holds
+    with subprocess.Popen([sys.executable, "-m", "swcalc.cli", "eval", "E(1000)"],
+                          env=_src_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert stderr == b""
 
 
 def test_bf_subcommand(capsys):
@@ -218,9 +238,7 @@ def test_parser_reused_across_commands_matches_fresh_processes(capsys):
              ["lattice", "--fixture", "diag:3", "--bound", "1"],
              ["fixedpoints", "--k", "4"],
              ["eval", "2*E(2) # S2xS2"]]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = _src_env()
     for argv in argvs:
         code = run_command(argv)
         out, err = capsys.readouterr()

@@ -3,10 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swcalc.errors import GuardViolation
-from swcalc.groupring import FgAbelianGroup, GroupRingElement
+from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent
 from swcalc.manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
-                             SWInfo, builtin, expected_sw_dimension, homeo_type,
-                             mod2_basic_class_count, reverse_orientation)
+                             SWInfo, _signed_binomial, builtin, expected_sw_dimension,
+                             homeo_type, mod2_basic_class_count, reverse_orientation)
 from swcalc.surgery import connected_sum, connected_sum_all
 
 
@@ -193,6 +193,13 @@ def test_json_shape():
     assert d["mod2_basic_classes"] == 1
     assert d["sw"]["status"] == "known"
     assert d["fingerprint"]["parity"] == "even"
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_signed_binomial_is_the_power(step):
+    base = laurent({step: 1, -step: -1})
+    for m in range(41):
+        assert _signed_binomial(m, step) == base ** m
 
 
 def test_equality_of_long_sums_ignores_lineage():

@@ -1,5 +1,7 @@
 """Structural checks on the package itself."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +72,46 @@ def test_private_names_have_readers():
                        for other in trees.values() for node in ast.walk(other)):
                 unread.append(f"{module}:{name}")
     assert unread == []
+
+
+def _fresh(script: str) -> str:
+    """Stdout of ``script`` run in a new interpreter on this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+_LOADED = "print(sorted(m for m in sys.modules if m.startswith('swcalc')))"
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh(f"import sys, swcalc\n{_LOADED}") == "['swcalc']"
+
+
+def test_cli_import_loads_only_what_every_command_shares():
+    # fixedpoint stays: perfbench/harness.py reads sys.modules["swcalc.fixedpoint"]
+    # after importing swcalc.cli
+    assert _fresh(f"import sys, swcalc.cli\n{_LOADED}") == str(
+        ["swcalc", "swcalc.cli", "swcalc.errors", "swcalc.fixedpoint",
+         "swcalc.lattice"])
+
+
+def test_eval_without_hat_skips_the_transfer_stack():
+    script = ("import sys, io, contextlib\n"
+              "import swcalc.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert swcalc.cli.run_command(['eval', 'E(2) # CP2']) == 0\n"
+              "print('swcalc.equivariant' in sys.modules)")
+    assert _fresh(script) == "False"
+
+
+def test_star_import_binds_all():
+    script = ("import swcalc\n"
+              "names = {}\n"
+              "exec('from swcalc import *', names)\n"
+              "print([n for n in swcalc.__all__ if n not in names])")
+    assert _fresh(script) == "[]"

@@ -288,6 +288,13 @@ def test_dissolve_four_e2():
     assert v.canonical_counts == ("even", 1, 4, 1)
 
 
+def test_dissolve_long_sum_without_recursion():
+    # a 1200-fold sum once raised RecursionError after half a minute
+    v = dissolve([connected_sum_all([builtin("E", 2)] * 1200)])
+    assert v.status == "dissolved"
+    assert v.canonical_counts == ("even", 0, 1200, 1)
+
+
 def test_dissolve_knot_surgered_factors():
     m = knot_surgery(builtin("E", 2), alexander_family(1, 1))
     v = dissolve([m] * 4 + [builtin("S2xS2")])
