@@ -35,3 +35,7 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(import_module(f".{_OWNER[name]}", __name__), name)
     return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import GuardViolation
-from .groupring import FgAbelianGroup, GroupRingElement
+from .groupring import FactoredElement, FgAbelianGroup, GroupRingElement
 from .knot import alexander_family
 from .lattice import QuadraticForm, spinc_with_max_square
 from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
                        SWInfo, builtin, expected_sw_dimension,
                        mod2_basic_class_count)
-from .surgery import (DissolutionVerdict, blowup, connected_sum_all,
+from .surgery import (DissolutionVerdict, _sum_fingerprint, blowup, connected_sum_all,
                       dissolve, knot_surgery, log_transform)
 
 
@@ -270,13 +270,13 @@ def n_catalog(kind: str, k: int = 2, **params) -> NCatalogEntry:
 # ----- transfer of the mod-2 polynomial -----
 
 def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry,
-                         k: int) -> GroupRingElement:
+                         k: int) -> FactoredElement:
     """Mod-2 equivariant polynomial of k copies of M glued to N.
 
     This is the mod-2 polynomial of M, in the group ring of H_2(M) plus the
-    torsion classes of N, times the sum of all torsion classes.  M's
-    polynomial is torsion-free, so its mod-2 keys are distinct with
-    coefficient 1 and the product is each key followed by each residue.
+    torsion classes of N, times the sum of all torsion classes: M's core mod
+    2 times each sign vector of its exceptional classes followed by each
+    residue.  ``expand()`` writes it out.
     """
     _transfer_guards(m, n_entry, k)
     if n_entry.eq.b1_invariant != 0:
@@ -285,14 +285,12 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry,
             "does not apply, use gmono_eval for the determined values",
             requirement="nu = 0")
     torsion = n_entry.descriptor.torsion_h1
-    if m.sw.is_zero:
-        free_rank = len(m.intersection.tracked_basis)
-        return GroupRingElement.zero(FgAbelianGroup(free_rank, torsion))
-    base = m.sw.poly.mod2()
-    target = FgAbelianGroup(base.ambient.free_rank, torsion)
-    residues = list(itertools.product(*map(range, target.torsion_orders)))
-    return GroupRingElement._wrap(target, {free + residue: 1 for free in base.free_exponents()
-                                           for residue in residues})
+    sw = m.sw if m.sw.is_known else SWInfo.known(
+        GroupRingElement.zero(FgAbelianGroup(len(m.intersection.tracked_basis))))
+    base = sw.factored()
+    residues = list(itertools.product(*map(range, torsion)))
+    return FactoredElement(base.core.mod2(), FgAbelianGroup(base.ambient.free_rank, torsion),
+                           tuple(sign + residue for sign in base.tails for residue in residues))
 
 
 def _check_entry_order(n_entry: NCatalogEntry, k: int):
@@ -382,8 +380,10 @@ def gmono_eval(m: ManifoldDescriptor, n_entry: NCatalogEntry, k: int,
     if expected_sw_dimension(m, exps) != 0:
         return UNDETERMINED
     free = tuple(exps.get(name, 0) for name in tracked)
-    elem = m.sw.poly.ambient.element(free)
-    return m.sw.poly.coefficient(elem) % 2
+    core, r = m.sw.core, m.sw.core.ambient.free_rank
+    if any(abs(e) != 1 for e in free[r:]):  # every expanded monomial has E_i^(+-1)
+        return 0
+    return core.coefficient(core.ambient.element(free[:r])) % 2
 
 
 # ----- stable-class rewriting -----
@@ -535,15 +535,19 @@ def covering_consistency(m: ManifoldDescriptor, n_entry: NCatalogEntry,
         raise GuardViolation(
             f"entry has |pi_1| = {n_entry.eq.h_order}, not {l}",
             requirement="matching covering order")
+
+    def chi(factors):  # of their connected sum: each sum removes two 4-balls
+        return sum(f.chi for f in factors) - 2 * (len(factors) - 1)
+
     s2 = builtin("S2xS2")
-    cover = connected_sum_all([m] * (k * l) + [s2] * (l - 1))
-    base = connected_sum_all([m] * k + [n_entry.descriptor])
-    if cover.chi != l * base.chi:
+    cover = [m] * (k * l) + [s2] * (l - 1)
+    base = [m] * k + [n_entry.descriptor]
+    if chi(cover) != l * chi(base):
         return False
-    hat_cover = connected_sum_all([s2] * (l - 1))
-    if hat_cover.chi != l * n_entry.descriptor.chi:
+    hat_cover = [s2] * (l - 1)
+    if chi(hat_cover) != l * n_entry.descriptor.chi:
         return False
-    if hat_cover.fingerprint != Fingerprint(True, l - 1, l - 1, "even"):
+    if _sum_fingerprint(hat_cover) != Fingerprint(True, l - 1, l - 1, "even"):
         return False
     return True
 
@@ -676,7 +680,6 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         raise GuardViolation(f"unknown construction {construction!r}")
 
     target_factors = [base] * (k * l) + [builtin("S2xS2")] * (l - 1)
-    target = connected_sum_all(target_factors)
     target_dissolution = dissolve(target_factors)
     counts = [mb.monomials for mb in members]
     fingerprints_equal = len({mb.fingerprint for mb in members}) == 1
@@ -692,7 +695,7 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         l=l,
         space_form=sf.label,
         target_expression=f"{k * l}*{base_label} # {l - 1}*S2xS2",
-        target_fingerprint=target.fingerprint,
+        target_fingerprint=_sum_fingerprint(target_factors),
         target_dissolution=target_dissolution,
         members=tuple(members),
         verdict=verdict,

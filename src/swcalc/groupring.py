@@ -78,7 +78,33 @@ def _accumulate(out: dict, items) -> dict:
 
 
 def _factors_text(names: tuple[str, ...], exponents: tuple[int, ...]) -> str:
-    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e)
+    return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e and n])
+
+
+def _render(core: "GroupRingElement", ambient: FgAbelianGroup, tails, free_names,
+            torsion_names) -> str:
+    """Text of core times the sum of ``tails`` in ``ambient``: core keys have one
+    length, so the sorted expansion is each sorted core term times each tail."""
+    n, t = ambient.free_rank, ambient.torsion_rank
+    if free_names is None:
+        free_names = ("T",) if n == 1 else tuple(f"T{i + 1}" for i in range(n))
+    if torsion_names is None:
+        torsion_names = ("a",) if t == 1 else tuple(f"a{i + 1}" for i in range(t))
+    if not core._terms:
+        return "0"
+    # an exponent past a short names tuple is left unrendered
+    names = tuple(free_names[:n]) + ("",) * (n - len(free_names)) + tuple(torsion_names)
+    tail_texts = [_factors_text(names[core.ambient.free_rank:], tail) for tail in tails]
+    out = []
+    for key, coeff in sorted(core._terms.items()):
+        text, c = _factors_text(names, key), abs(coeff)
+        head = "" if c == 1 else f"{c}*"
+        lead = f"{head}{text}*" if text else head
+        alone = head + text if text else str(c)
+        sep = " - " if coeff < 0 else " + "
+        chunk = sep.join([lead + tail if tail else alone for tail in tail_texts])
+        out.append((sep if out else "-" if coeff < 0 else "") + chunk)
+    return "".join(out)
 
 
 class GroupRingElement:
@@ -298,45 +324,45 @@ class GroupRingElement:
     def render(self, free_names: tuple[str, ...] | None = None,
                torsion_names: tuple[str, ...] | None = None) -> str:
         """Canonical text form, monomials sorted by exponent vector."""
-        g = self.ambient
-        if free_names is None:
-            free_names = ("T",) if g.free_rank == 1 else tuple(
-                f"T{i + 1}" for i in range(g.free_rank))
-        if torsion_names is None:
-            torsion_names = ("a",) if g.torsion_rank == 1 else tuple(
-                f"a{i + 1}" for i in range(g.torsion_rank))
-        if not self._terms:
-            return "0"
-        r = g.free_rank
-        # a free part repeats once per residue and a residue once per free part;
-        # zip leaves exponents past a short names tuple unrendered
-        free_text, torsion_text = {}, {}
-        out = []
-        for key in sorted(self._terms):
-            coeff = self._terms[key]
-            head, tail = key[:r], key[r:]
-            if (left := free_text.get(head)) is None:
-                left = free_text[head] = _factors_text(free_names, head)
-            if (right := torsion_text.get(tail)) is None:
-                right = torsion_text[tail] = _factors_text(torsion_names, tail)
-            factors = f"{left}*{right}" if left and right else left or right
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = factors
-            else:
-                body = f"{abs(coeff)}*{factors}"
-            if out:
-                out.append(f" - {body}" if coeff < 0 else f" + {body}")
-            else:
-                out.append(f"-{body}" if coeff < 0 else body)
-        return "".join(out)
+        return _render(self, self.ambient, ((),), free_names, torsion_names)
 
     def __str__(self):
         return self.render()
 
     def __repr__(self):
         return f"GroupRingElement({self.ambient}, {self.render()!r})"
+
+
+@dataclass(frozen=True)
+class FactoredElement:
+    """``core`` times the sum of the monomials ``tails`` in fresh coordinates.
+
+    The core lives over the leading free coordinates of ``ambient``; a tail
+    holds the other exponents.  Sorted distinct tails give the expansion
+    one term per (core term, tail) pair, with the core term's coefficient."""
+
+    core: GroupRingElement
+    ambient: FgAbelianGroup
+    tails: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if self.core.ambient.torsion_orders or list(self.tails) != sorted(set(self.tails)):
+            raise ValueError("a factored element needs a torsion-free core, sorted tails")
+
+    def monomial_count(self) -> int:
+        return self.core.monomial_count() * len(self.tails)
+
+    def is_zero(self) -> bool:
+        return self.core.is_zero()
+
+    def expand(self) -> GroupRingElement:
+        return GroupRingElement._wrap(self.ambient, {
+            key + tail: c for key, c in self.core._terms.items() for tail in self.tails})
+
+    def render(self, free_names: tuple[str, ...] | None = None,
+               torsion_names: tuple[str, ...] | None = None) -> str:
+        """The expansion's ``GroupRingElement.render``, built without expanding."""
+        return _render(self.core, self.ambient, self.tails, free_names, torsion_names)
 
 
 RANK1 = FgAbelianGroup(1)

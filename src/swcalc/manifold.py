@@ -10,11 +10,12 @@ standard manifolds and transformed by the surgery module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import mul
+from itertools import accumulate, product
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import GuardViolation
-from .groupring import GroupElement, GroupRingElement, laurent
+from .groupring import (FactoredElement, FgAbelianGroup, GroupElement, GroupRingElement,
+                        laurent)
 
 SW_KNOWN = "known"
 SW_ZERO = "zero"
@@ -29,15 +30,17 @@ class SWInfo:
     """Tri-state Seiberg-Witten polynomial: known, identically zero, or unknown.
 
     Unknown propagates through every operation rather than being guessed;
-    the product formulas cover specific constructions only.
+    the product formulas cover specific constructions only.  A known one is
+    ``core`` times prod (E_i + E_i^-1) over the last ``blowups`` tracked classes.
     """
 
     status: str
-    poly: GroupRingElement | None = None
+    core: GroupRingElement | None = None
+    blowups: int = 0
 
     @classmethod
-    def known(cls, poly: GroupRingElement) -> "SWInfo":
-        return cls(SW_KNOWN, poly)
+    def known(cls, core: GroupRingElement, blowups: int = 0) -> "SWInfo":
+        return cls(SW_KNOWN, core, blowups)
 
     @classmethod
     def zero(cls) -> "SWInfo":
@@ -54,6 +57,17 @@ class SWInfo:
     @property
     def is_zero(self) -> bool:
         return self.status == SW_ZERO
+
+    def factored(self) -> FactoredElement:
+        """The core times the sum over the sign vectors of the exceptional classes."""
+        rank = self.core.ambient.free_rank + self.blowups
+        return FactoredElement(self.core, FgAbelianGroup(rank),
+                               tuple(product((-1, 1), repeat=self.blowups)))
+
+    @property
+    def poly(self) -> GroupRingElement | None:
+        """The expanded polynomial, built on each read; None unless known."""
+        return self.factored().expand() if self.blowups else self.core
 
 
 Block = tuple[tuple[int, ...], ...]
@@ -118,16 +132,13 @@ class IntersectionData:
 
     def vector_square(self, vec: Sequence[int]) -> int:
         """Self-intersection of a coefficient vector in basis order."""
-        total = 0
-        start = 0
-        for block in self.blocks:
-            end = start + len(block)
-            v = vec[start:end]
-            for x, row in zip(v, block):
-                if x:
-                    total += x * sum(map(mul, row, v))
-            start = end
-        return total
+        entries = self.__dict__.get("_entries")
+        if entries is None:  # (i, j, g) per nonzero entry, i <= j, g doubled off the diagonal
+            starts = accumulate(map(len, self.blocks), initial=0)
+            entries = self.__dict__.setdefault("_entries", tuple(
+                (s + i, s + j, x if i == j else 2 * x) for s, block in zip(starts, self.blocks)
+                for i, row in enumerate(block) for j, x in enumerate(row[i:], i) if x))
+        return sum([g * vec[i] * vec[j] for i, j, g in entries]) if entries else 0
 
     def direct_sum(self, other: "IntersectionData") -> "IntersectionData":
         """Orthogonal sum, renaming the classes of ``other`` that clash.
@@ -262,13 +273,16 @@ class ManifoldDescriptor:
                 self.torus_class not in self.intersection.tracked_basis:
             raise ValueError("torus class must be a tracked generator")
         if self.sw.is_known:
-            g = self.sw.poly.ambient
-            if g.free_rank != len(self.intersection.tracked_basis) or g.torsion_orders:
-                raise ValueError("SW polynomial must live over the tracked basis")
+            g, m, blocks = self.sw.core.ambient, self.sw.blowups, self.intersection.blocks
+            if g.free_rank + m != len(self.intersection.tracked_basis) or g.torsion_orders \
+                    or blocks[len(blocks) - m:] != (((-1,),),) * m:
+                raise ValueError("SW polynomial must live over the tracked basis, "
+                                 "its exceptional classes last")
             if self.simple_type:
+                # each E_i is orthogonal to the rest with square -1
                 target = 2 * self.chi + 3 * self.sigma
-                square = self.intersection.vector_square
-                if any(square(vec) != target for vec in self.sw.poly.free_exponents()):
+                square, pad = self.intersection.vector_square, (0,) * m
+                if any(square(vec + pad) != target + m for vec in self.sw.core.free_exponents()):
                     raise ValueError(
                         "simple type requires every monomial square to equal "
                         f"2*chi + 3*sigma = {target}")
@@ -308,7 +322,7 @@ class ManifoldDescriptor:
     def sw_render(self) -> str | None:
         if not self.sw.is_known:
             return None
-        return self.sw.poly.render(self.intersection.tracked_basis or None)
+        return self.sw.factored().render(self.intersection.tracked_basis or None)
 
     def to_json_dict(self) -> dict:
         n = len(self.intersection.tracked_basis)
@@ -480,7 +494,7 @@ def mod2_basic_class_count(m: ManifoldDescriptor) -> int | None:
     if m.sw.is_zero:
         return 0
     if m.sw.is_known:
-        return m.sw.poly.mod2().monomial_count()
+        return m.sw.core.mod2().monomial_count() << m.sw.blowups
     return None
 
 

@@ -8,11 +8,10 @@ pieces into standard summands.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, replace
-from itertools import product
 from typing import Sequence
 
 from .errors import GuardViolation
-from .groupring import FgAbelianGroup, GroupRingElement, laurent
+from .groupring import laurent
 from .knot import AlexanderPoly
 from .manifold import (Fingerprint, HomeoType, IntersectionData,
                        ManifoldDescriptor, SWInfo, _signed_binomial, builtin, homeo_type)
@@ -102,8 +101,9 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
     """Blow up m times: b2- grows by m and the form gains m (-1)-classes.
 
     When the polynomial is known and the manifold is of simple type it is
-    multiplied by prod_i (E_i + E_i^{-1}); an unknown polynomial stays
-    unknown while the topology is still performed.
+    multiplied by prod_i (E_i + E_i^{-1}), kept as a count of exceptional
+    classes beside the core; an unknown polynomial stays unknown while the
+    topology is still performed.
     """
     if m < 1:
         raise GuardViolation("blowup count must be at least 1", requirement="m >= 1")
@@ -127,11 +127,7 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
     )
 
     if a.sw.is_known and a.simple_type:
-        # the E_i are new generators, so the product is every key followed
-        # by every sign vector, each keeping its coefficient
-        signs = list(product((1, -1), repeat=m))
-        sw = SWInfo.known(GroupRingElement._wrap(FgAbelianGroup(len(tracked) + m), {
-            key + sign: c for key, c in a.sw.poly._terms.items() for sign in signs}))
+        sw = SWInfo.known(a.sw.core, a.sw.blowups + m)
         simple_type = True
     elif a.sw.is_zero:
         sw = SWInfo.zero()
@@ -176,16 +172,13 @@ def knot_surgery(a: ManifoldDescriptor, k: AlexanderPoly) -> ManifoldDescriptor:
         raise GuardViolation(
             f"knot surgery on {a.label} needs a known polynomial",
             requirement="SW polynomial known")
-    tracked = a.intersection.tracked_basis
-    g = a.sw.poly.ambient
-    torus_index = tracked.index(a.torus_class)
-    scaled = k.poly.substitute_power(2)
-    factor = scaled.embed(g, free_map=(torus_index,))
-    poly = a.sw.poly * factor
+    core = a.sw.core
+    torus_index = a.intersection.tracked_basis.index(a.torus_class)
+    factor = k.poly.substitute_power(2).embed(core.ambient, free_map=(torus_index,))
     return replace(
         a,
         label=f"knot_surgery({a.label}, {k.label()})",
-        sw=SWInfo.known(poly),
+        sw=SWInfo.known(core * factor, a.sw.blowups),
         derived_from=("knot_surgery", (a,), k.label()),
         provenance=a.provenance +
         (f"knot_surgery: polynomial multiplied by Delta({k.label()}) at T^2",),

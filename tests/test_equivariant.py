@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -253,7 +254,89 @@ def knot_surgered_members(draw):
 def test_gmonopole_matches_convolution_transfer(m, orders):
     entry = TRANSFER_ENTRIES[orders]
     assert entry.descriptor.torsion_h1 == orders
-    assert gmonopole_polynomial(m, entry, 2) == convolution_transfer(m, entry)
+    assert gmonopole_polynomial(m, entry, 2).expand() == convolution_transfer(m, entry)
+
+
+# ----- the factored form against its expansion -----
+
+FACTORED_ENTRIES = {
+    (): n_catalog("S4", k=2),
+    (2,): hat_s1_l([2], 2, k=2),
+    (3,): hat_s1_l([3], 3, k=2),
+    (4,): hat_s1_l([4], 4, k=2),
+    (2, 2): hat_s1_l([2, 2], 8, k=2),
+    (2, 6): hat_s1_l([2, 6], 12, k=2, strict=False),
+}
+
+
+@st.composite
+def factored_members(draw):
+    """A member built from E(2), E(3) or E(4) by knot surgeries and at most 8
+    blowups in any order, with its polynomial rebuilt by ring products."""
+    member = builtin("E", draw(st.sampled_from([2, 3, 4])))
+    oracle = member.sw.poly
+    for _ in range(draw(st.integers(0, 3))):
+        blowups = 8 - (len(member.intersection.tracked_basis) - 1)
+        if blowups and draw(st.booleans()):
+            m = draw(st.integers(1, blowups))
+            member = blowup(member, m)
+            r = oracle.ambient.free_rank
+            g = FgAbelianGroup(r + m)
+            oracle = oracle.embed(g)
+            for j in range(r, r + m):
+                unit = tuple(int(i == j) for i in range(r + m))
+                oracle = oracle * (GroupRingElement.monomial(g, unit)
+                                   + GroupRingElement.monomial(g, tuple(-x for x in unit)))
+        else:
+            knot = draw(st.one_of(
+                st.builds(alexander_family, st.integers(1, 4), st.integers(1, 3)),
+                st.builds(torus_knot, st.just(2), st.sampled_from([3, 5]))))
+            member = knot_surgery(member, knot)
+            oracle = oracle * knot.poly.substitute_power(2).embed(oracle.ambient)
+    return member, oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(factored_members(), st.sampled_from(sorted(FACTORED_ENTRIES)), st.data())
+def test_factored_form_matches_expansion(case, orders, data):
+    member, expansion = case
+    sw = member.sw.factored()
+    assert member.sw.poly == expansion
+    assert sw.monomial_count() == expansion.monomial_count()
+    assert mod2_basic_class_count(member) == expansion.mod2().monomial_count()
+    names = member.intersection.tracked_basis
+    short = names[:data.draw(st.integers(0, len(names) - 1))]
+    for free_names in (None, names, short):
+        assert sw.render(free_names) == expansion.render(free_names)
+
+    entry = FACTORED_ENTRIES[orders]
+    transfer = gmonopole_polynomial(member, entry, 2)
+    oracle = convolution_transfer(member, entry)
+    assert transfer.expand() == oracle
+    assert transfer.monomial_count() == oracle.monomial_count()
+    assert transfer.monomial_count() == mod2_basic_class_count(member) * entry.spinc_count
+    for free_names, torsion_names in ((None, None), (names, None), (short, None),
+                                      (names, ("g",))):
+        assert transfer.render(free_names, torsion_names) == \
+            oracle.render(free_names, torsion_names)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factored_members(), st.integers(-2, 2))
+def test_simple_type_verdict_on_the_core_matches_expansion(case, torus_square):
+    """With the torus square changed, the descriptor accepts simple type
+    exactly when every expanded monomial has square 2*chi + 3*sigma."""
+    member, expansion = case
+    inter = member.intersection
+    form = replace(inter, blocks=(((torus_square,),),) + inter.blocks[1:])
+    target = 2 * member.chi + 3 * member.sigma
+    expanded = all(form.vector_square(v) == target for v in expansion.free_exponents())
+    try:
+        replace(member, intersection=form)
+    except ValueError:
+        assert not expanded
+    else:
+        assert expanded
 
 
 # ----- single evaluations -----
@@ -262,6 +345,28 @@ def test_gmono_eval_e3_fiber_class():
     entry = n_catalog("S4", k=2)
     out = gmono_eval(builtin("E", 3), entry, 2, EvalRequest(spinc_class={"T": 1}))
     assert out == 1
+
+
+def test_gmono_eval_on_blowups_matches_expansion():
+    entry = n_catalog("S4", k=2)
+    compared = 0
+    for m in (1, 2, 4):
+        d = blowup(builtin("E", 3), m)
+        tracked = d.intersection.tracked_basis
+        for free in itertools.product(range(-2, 3), repeat=1 + m):
+            request = EvalRequest(spinc_class=dict(zip(tracked, free)))
+            try:
+                out = gmono_eval(d, entry, 2, request)
+            except GuardViolation:  # not characteristic
+                continue
+            if out is not UNDETERMINED:
+                elem = d.sw.poly.ambient.element(free)
+                assert out == d.sw.poly.coefficient(elem) % 2, free
+                compared += 1
+    assert compared > 100
+    forty = blowup(builtin("E", 2), 40)
+    signs = {f"E{i}": (-1) ** i for i in range(1, 41)}
+    assert gmono_eval(forty, entry, 2, EvalRequest(spinc_class=signs)) == 1
 
 
 def test_gmono_eval_undetermined_without_invariant_forms():

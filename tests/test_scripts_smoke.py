@@ -30,3 +30,15 @@ def test_output_digest_smoke():
     result = json.loads(proc.stdout)
     assert result["jobs"] > 0
     assert len(result["sha256"]) == 64
+
+
+def test_output_digest_pins_every_answer():
+    """Every answer of the three workloads at seeds 97 and 5, byte for byte;
+    a change of any answer has to update this digest on purpose."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digest.py"), "--seeds", "97", "5"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "jobs": 642,
+        "sha256": "f57928644dbde7ea375e4ac61410c3d03727c245d85d942844675e711ae2321a"}

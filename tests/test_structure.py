@@ -92,6 +92,13 @@ def test_package_import_loads_no_submodule():
     assert _fresh(f"import sys, swcalc\n{_LOADED}") == "['swcalc']"
 
 
+def test_dir_lists_every_public_name_without_loading_it():
+    script = ("import sys, swcalc\n"
+              "print('laurent' in dir(swcalc), set(swcalc.__all__) <= set(dir(swcalc)))\n"
+              + _LOADED)
+    assert _fresh(script).splitlines() == ["True True", "['swcalc']"]
+
+
 def test_cli_import_loads_only_what_every_command_shares():
     # fixedpoint stays: perfbench/harness.py reads sys.modules["swcalc.fixedpoint"]
     # after importing swcalc.cli

@@ -127,6 +127,16 @@ def test_blowup_matches_embed_and_multiply(m):
         assert blowup(a, m).sw.poly == embed_and_multiply_blowup(a, m)
 
 
+def test_forty_blowups_of_e2_stay_factored():
+    m = blowup(builtin("E", 2), 40)
+    assert mod2_basic_class_count(m) == 2 ** 40
+    assert m.simple_type is True
+    assert m.sw.blowups == 40 and m.sw.core == builtin("E", 2).sw.poly
+    verdict = dissolve([m, builtin("CP2")])
+    assert verdict.status == "dissolved"
+    assert verdict.form.display() == "4*CP2 # 59*CP2bar"
+
+
 # ----- knot surgery -----
 
 def test_knot_surgery_trefoil():
