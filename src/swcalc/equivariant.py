@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import GuardViolation
-from .groupring import FactoredElement, FgAbelianGroup, GroupRingElement
+from .groupring import FactoredElement, FgAbelianGroup, GroupRingElement, TermRenderer
 from .knot import alexander_family
 from .lattice import QuadraticForm, spinc_with_max_square
 from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
@@ -655,13 +655,17 @@ def exotic_family(construction: str, k: int, l: int, size: int,
                 raise GuardViolation("at least one blowup is required",
                                      requirement="m' >= 1")
             base, spacing = blowup(builtin("E", n_prime), m_prime), n_prime
+        renderer = None
         for d in range(1, size + 1):
             member = knot_surgery(base, alexander_family(d, spacing))
             poly = gmonopole_polynomial(member, hat, k)
+            # every member has the base's ambient, tails and tracked names
+            renderer = renderer or TermRenderer(
+                poly.ambient, poly.core.ambient.free_rank, poly.tails,
+                member.intersection.tracked_basis or None)
             members.append(FamilyMember(
                 member.label, poly.monomial_count(), "exact",
-                member.fingerprint,
-                poly.render(member.intersection.tracked_basis or None)))
+                member.fingerprint, renderer.render(poly)))
     elif construction == "s2xs2_hkw":
         if m < 1:
             raise GuardViolation("the base needs at least one S2xS2 summand",

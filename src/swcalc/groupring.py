@@ -81,30 +81,48 @@ def _factors_text(names: tuple[str, ...], exponents: tuple[int, ...]) -> str:
     return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e and n])
 
 
-def _render(core: "GroupRingElement", ambient: FgAbelianGroup, tails, free_names,
-            torsion_names) -> str:
-    """Text of core times the sum of ``tails`` in ``ambient``: core keys have one
-    length, so the sorted expansion is each sorted core term times each tail."""
-    n, t = ambient.free_rank, ambient.torsion_rank
-    if free_names is None:
-        free_names = ("T",) if n == 1 else tuple(f"T{i + 1}" for i in range(n))
-    if torsion_names is None:
-        torsion_names = ("a",) if t == 1 else tuple(f"a{i + 1}" for i in range(t))
-    if not core._terms:
-        return "0"
-    # an exponent past a short names tuple is left unrendered
-    names = tuple(free_names[:n]) + ("",) * (n - len(free_names)) + tuple(torsion_names)
-    tail_texts = [_factors_text(names[core.ambient.free_rank:], tail) for tail in tails]
-    out = []
-    for key, coeff in sorted(core._terms.items()):
-        text, c = _factors_text(names, key), abs(coeff)
+class TermRenderer:
+    """Text of a core times the sum of ``tails`` in ``ambient``.
+
+    Core keys have one length, so the sorted expansion is each sorted core term
+    times each tail.  The text of each (core key, coefficient) is kept, so the
+    elements rendered through one renderer format each shared term once."""
+
+    def __init__(self, ambient: FgAbelianGroup, core_rank: int, tails,
+                 free_names: tuple[str, ...] | None = None,
+                 torsion_names: tuple[str, ...] | None = None):
+        n, t = ambient.free_rank, ambient.torsion_rank
+        if free_names is None:
+            free_names = ("T",) if n == 1 else tuple(f"T{i + 1}" for i in range(n))
+        if torsion_names is None:
+            torsion_names = ("a",) if t == 1 else tuple(f"a{i + 1}" for i in range(t))
+        # an exponent past a short names tuple is left unrendered
+        self._names = tuple(free_names[:n]) + ("",) * (n - len(free_names)) + tuple(torsion_names)
+        self.ambient, self.tails = ambient, tuple(tails)
+        self._tail_texts = [_factors_text(self._names[core_rank:], tail) for tail in self.tails]
+        self._texts: dict = {}  # (core key, coeff) -> the term's text, led by " + " or " - "
+
+    def _text(self, key: tuple[int, ...], coeff: int) -> str:
+        text, c = _factors_text(self._names, key), abs(coeff)
         head = "" if c == 1 else f"{c}*"
         lead = f"{head}{text}*" if text else head
         alone = head + text if text else str(c)
         sep = " - " if coeff < 0 else " + "
-        chunk = sep.join([lead + tail if tail else alone for tail in tail_texts])
-        out.append((sep if out else "-" if coeff < 0 else "") + chunk)
-    return "".join(out)
+        return sep + sep.join([lead + tail if tail else alone for tail in self._tail_texts])
+
+    def render(self, element: "GroupRingElement | FactoredElement") -> str:
+        """Text of an element with this renderer's ambient and tails."""
+        core, tails = (element.core, element.tails) if isinstance(element, FactoredElement) \
+            else (element, ((),))
+        if element.ambient != self.ambient or tails != self.tails:
+            raise AmbientMismatchError("the element's ambient or tails are not the renderer's")
+        if not core._terms:
+            return "0"
+        texts = self._texts
+        out = [texts.get(term) or texts.setdefault(term, self._text(*term))
+               for term in sorted(core._terms.items())]
+        out[0] = out[0][3:] if out[0][1] == "+" else "-" + out[0][3:]
+        return "".join(out)
 
 
 class GroupRingElement:
@@ -239,6 +257,20 @@ class GroupRingElement:
 
     __rmul__ = __mul__
 
+    def mul_laurent(self, q: "GroupRingElement", slot: int, step: int) -> "GroupRingElement":
+        """``self * q.substitute_power(step).embed(self.ambient, free_map=(slot,))``
+        in one pass: a shifted copy of ``self`` per term of the Laurent polynomial q."""
+        if q.ambient.free_rank != 1 or q.ambient.torsion_orders:
+            raise UnsupportedOperation("the factor must be a rank-1 torsion-free polynomial")
+        if not 0 <= slot < self.ambient.free_rank:
+            raise AmbientMismatchError("free generator outside the ambient group")
+        out: dict[tuple[int, ...], int] = {}
+        for key, c in self._terms.items():
+            head, at, tail = key[:slot], key[slot], key[slot + 1:]
+            _accumulate(out, ((head + (at + step * e,) + tail, c * cq)
+                              for (e,), cq in q._terms.items()))
+        return self._wrap(self.ambient, out)
+
     def __pow__(self, n: int):
         if n < 0:
             raise UnsupportedOperation("negative ring powers are not defined")
@@ -324,7 +356,8 @@ class GroupRingElement:
     def render(self, free_names: tuple[str, ...] | None = None,
                torsion_names: tuple[str, ...] | None = None) -> str:
         """Canonical text form, monomials sorted by exponent vector."""
-        return _render(self, self.ambient, ((),), free_names, torsion_names)
+        return TermRenderer(self.ambient, self.ambient.free_rank, ((),), free_names,
+                            torsion_names).render(self)
 
     def __str__(self):
         return self.render()
@@ -362,7 +395,8 @@ class FactoredElement:
     def render(self, free_names: tuple[str, ...] | None = None,
                torsion_names: tuple[str, ...] | None = None) -> str:
         """The expansion's ``GroupRingElement.render``, built without expanding."""
-        return _render(self.core, self.ambient, self.tails, free_names, torsion_names)
+        return TermRenderer(self.ambient, self.core.ambient.free_rank, self.tails, free_names,
+                            torsion_names).render(self)
 
 
 RANK1 = FgAbelianGroup(1)

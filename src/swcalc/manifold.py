@@ -73,6 +73,10 @@ class SWInfo:
 Block = tuple[tuple[int, ...], ...]
 
 
+def _square(entries: Sequence[tuple[int, int, int]], vec: Sequence[int]) -> int:
+    return sum([g * vec[i] * vec[j] for i, j, g in entries]) if entries else 0
+
+
 @dataclass(frozen=True)
 class IntersectionData:
     """Free part of the intersection form, split for bookkeeping.
@@ -130,15 +134,19 @@ class IntersectionData:
             vec[idx[name]] = e
         return self.vector_square(vec)
 
-    def vector_square(self, vec: Sequence[int]) -> int:
-        """Self-intersection of a coefficient vector in basis order."""
+    def _square_entries(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, j, g) per nonzero Gram entry, i <= j, g doubled off the diagonal."""
         entries = self.__dict__.get("_entries")
-        if entries is None:  # (i, j, g) per nonzero entry, i <= j, g doubled off the diagonal
+        if entries is None:
             starts = accumulate(map(len, self.blocks), initial=0)
             entries = self.__dict__.setdefault("_entries", tuple(
                 (s + i, s + j, x if i == j else 2 * x) for s, block in zip(starts, self.blocks)
                 for i, row in enumerate(block) for j, x in enumerate(row[i:], i) if x))
-        return sum([g * vec[i] * vec[j] for i, j, g in entries]) if entries else 0
+        return entries
+
+    def vector_square(self, vec: Sequence[int]) -> int:
+        """Self-intersection of a coefficient vector in basis order."""
+        return _square(self._square_entries(), vec)
 
     def direct_sum(self, other: "IntersectionData") -> "IntersectionData":
         """Orthogonal sum, renaming the classes of ``other`` that clash.
@@ -279,10 +287,14 @@ class ManifoldDescriptor:
                 raise ValueError("SW polynomial must live over the tracked basis, "
                                  "its exceptional classes last")
             if self.simple_type:
-                # each E_i is orthogonal to the rest with square -1
-                target = 2 * self.chi + 3 * self.sigma
-                square, pad = self.intersection.vector_square, (0,) * m
-                if any(square(vec + pad) != target + m for vec in self.sw.core.free_exponents()):
+                # each E_i is orthogonal to the rest with square -1, so only the
+                # entries among the core coordinates reach a core monomial
+                target, r = 2 * self.chi + 3 * self.sigma, g.free_rank
+                entries = [e for e in self.intersection._square_entries() if e[1] < r]
+                # with no such entry every square is 0: one zero vector stands for all
+                vecs = self.sw.core.free_exponents() if entries else \
+                    [(0,) * r][:self.sw.core.monomial_count()]
+                if any(_square(entries, vec) != target + m for vec in vecs):
                     raise ValueError(
                         "simple type requires every monomial square to equal "
                         f"2*chi + 3*sigma = {target}")

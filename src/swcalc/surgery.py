@@ -174,11 +174,10 @@ def knot_surgery(a: ManifoldDescriptor, k: AlexanderPoly) -> ManifoldDescriptor:
             requirement="SW polynomial known")
     core = a.sw.core
     torus_index = a.intersection.tracked_basis.index(a.torus_class)
-    factor = k.poly.substitute_power(2).embed(core.ambient, free_map=(torus_index,))
     return replace(
         a,
         label=f"knot_surgery({a.label}, {k.label()})",
-        sw=SWInfo.known(core * factor, a.sw.blowups),
+        sw=SWInfo.known(core.mul_laurent(k.poly, torus_index, 2), a.sw.blowups),
         derived_from=("knot_surgery", (a,), k.label()),
         provenance=a.provenance +
         (f"knot_surgery: polynomial multiplied by Delta({k.label()}) at T^2",),

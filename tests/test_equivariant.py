@@ -496,9 +496,20 @@ def test_covering_rejects_degenerate():
 
 # ----- families -----
 
+def assert_members_render_alone(report, base, spacing, k):
+    """A family renders its members through one shared renderer; each text
+    equals the member's transfer rendered on its own."""
+    hat = hat_s1_l([report.l], report.l, k=k)
+    for d, mb in enumerate(report.members, 1):
+        member = knot_surgery(base, alexander_family(d, spacing))
+        fresh = gmonopole_polynomial(member, hat, k).render(member.intersection.tracked_basis)
+        assert mb.gmono_rendered == fresh
+
+
 def test_k3_family_small():
     report = exotic_family("k3_knot", k=2, l=2, size=3, n=1)
     assert report.counts == [10, 18, 26]
+    assert_members_render_alone(report, builtin("E", 2), 2, 2)
     assert report.verdict == "smoothly_distinct"
     assert report.target_dissolution.canonical_counts == ("even", 1, 4, 1)
     assert report.covering_consistent
@@ -516,6 +527,7 @@ def test_k3_family_counts_increase_with_d():
 def test_cp2_family_target_and_counts():
     report = exotic_family("cp2_knot", k=2, l=2, size=2, n_prime=2, m_prime=1)
     assert report.counts == [20, 36]
+    assert_members_render_alone(report, blowup(builtin("E", 2), 1), 2, 2)
     assert report.target_dissolution.canonical_counts == ("odd", 13, 81, 1)
     assert report.verdict == "smoothly_distinct"
 

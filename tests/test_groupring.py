@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swcalc.errors import AmbientMismatchError, UnsupportedOperation
-from swcalc.groupring import (FgAbelianGroup, GroupElement, GroupRingElement,
-                              laurent, laurent_coeffs)
+from swcalc.groupring import (FactoredElement, FgAbelianGroup, GroupElement,
+                              GroupRingElement, TermRenderer, laurent, laurent_coeffs)
 
 Z = FgAbelianGroup(1)
 Z_MOD2 = FgAbelianGroup(0, (2,))
@@ -333,6 +333,33 @@ def test_substitute_power_stays_canonical(p, s):
     assert_canonical(p.substitute_power(s))
 
 
+# ----- the one-pass product with a substituted Laurent polynomial -----
+
+@settings(max_examples=200)
+@given(st.data(), st.integers(-2, 2))
+def test_mul_laurent_matches_substitute_embed_product(data, step):
+    """Step 0 sends every term of q to the constant, so terms cancel."""
+    g = data.draw(st.sampled_from([FgAbelianGroup(1), FgAbelianGroup(2), FgAbelianGroup(1, (3,)),
+                                   FgAbelianGroup(2, (2, 4)), FgAbelianGroup(3, (2,))]))
+    p, q = data.draw(ring_elements(group=g)), data.draw(ring_elements(group=Z))
+    slot = data.draw(st.integers(0, g.free_rank - 1))
+    product = p.mul_laurent(q, slot, step)
+    assert product == p * q.substitute_power(step).embed(g, free_map=(slot,))
+    assert_canonical(product)
+
+
+def test_mul_laurent_cancels_and_refuses():
+    g = FgAbelianGroup(2, (3,))
+    p = GroupRingElement.monomial(g, (1, -1), (2,), coeff=3)
+    assert p.mul_laurent(laurent({1: 1, -1: -1}), 1, 0).is_zero()
+    for factor in (GroupRingElement.one(MIXED), GroupRingElement.one(FgAbelianGroup(2))):
+        with pytest.raises(UnsupportedOperation):
+            p.mul_laurent(factor, 0, 2)
+    for slot in (-1, 2):
+        with pytest.raises(AmbientMismatchError):
+            p.mul_laurent(laurent({1: 1}), slot, 2)
+
+
 # ----- rendering against the per-monomial renderer -----
 
 def reference_render(p, free_names=None, torsion_names=None):
@@ -370,23 +397,46 @@ def reference_render(p, free_names=None, torsion_names=None):
 def render_cases(draw):
     g = FgAbelianGroup(draw(st.integers(0, 3)),
                        tuple(draw(st.lists(st.integers(2, 5), max_size=2))))
-    terms = {}
-    for _ in range(draw(st.integers(0, 12))):
-        free = tuple(draw(st.integers(-2, 2)) for _ in range(g.free_rank))
-        tors = tuple(draw(st.integers(0, o - 1)) for o in g.torsion_orders)
-        terms[g.element(free, tors)] = draw(st.integers(-5, 5).filter(bool))
+    elements = []
+    for _ in range(draw(st.integers(1, 3))):
+        # a later element keeps some terms of the one before, as family members do
+        kept = elements[-1].terms.items() if elements else ()
+        terms = {elem: c for elem, c in kept if draw(st.booleans())}
+        for _ in range(draw(st.integers(0, 12))):
+            free = tuple(draw(st.integers(-2, 2)) for _ in range(g.free_rank))
+            tors = tuple(draw(st.integers(0, o - 1)) for o in g.torsion_orders)
+            terms[g.element(free, tors)] = draw(st.integers(-5, 5).filter(bool))
+        elements.append(GroupRingElement(g, terms))
     # None is the default; a short tuple leaves trailing generators unnamed
     free_names = draw(st.sampled_from(
         [None, tuple(f"x{i}" for i in range(g.free_rank)),
          tuple(f"x{i}" for i in range(max(g.free_rank - 1, 0)))]))
     torsion_names = draw(st.sampled_from(
         [None, tuple(f"g{i}" for i in range(g.torsion_rank)), ("g",)[:g.torsion_rank - 1]]))
-    return GroupRingElement(g, terms), free_names, torsion_names
+    return elements, free_names, torsion_names
 
 
 @settings(max_examples=300)
 @given(render_cases())
 def test_render_matches_per_monomial_renderer(case):
-    p, free_names, torsion_names = case
-    assert p.render(free_names, torsion_names) == \
-        reference_render(p, free_names, torsion_names)
+    """Each element alone, and every element through one shared renderer."""
+    elements, free_names, torsion_names = case
+    g = elements[0].ambient
+    shared = TermRenderer(g, g.free_rank, ((),), free_names, torsion_names)
+    for p in elements:
+        expected = reference_render(p, free_names, torsion_names)
+        assert p.render(free_names, torsion_names) == expected
+        assert shared.render(p) == expected
+
+
+def test_renderer_refuses_other_ambient_or_tails():
+    factored = FactoredElement(laurent({1: 2}), FgAbelianGroup(2), ((-1,), (1,)))
+    assert TermRenderer(FgAbelianGroup(2), 1, ((-1,), (1,))).render(factored) == \
+        factored.render() == "2*T1*T2^-1 + 2*T1*T2"
+    for renderer in (TermRenderer(FgAbelianGroup(2), 1, ((1,),)),
+                     TermRenderer(FgAbelianGroup(2, (2,)), 1, ((-1, 0), (1, 0))),
+                     TermRenderer(Z, 1, ((),))):
+        with pytest.raises(AmbientMismatchError):
+            renderer.render(factored)
+    with pytest.raises(AmbientMismatchError):
+        TermRenderer(MIXED, 1, ((),)).render(laurent({1: 1}))

@@ -181,6 +181,28 @@ def test_simple_type_square_enforced():
             simple_type=True)
 
 
+@pytest.mark.parametrize("blowups", [0, 1])
+def test_simple_type_on_a_form_with_no_core_entry(blowups):
+    """The core lives on a square-zero class, so every core monomial has
+    square 0, and 2*chi + 3*sigma + m = -1 + m is not 0 with no blowup."""
+    g = FgAbelianGroup(1)
+    basis, blocks = ("T", "E1")[:1 + blowups], (((0,),), ((-1,),))[:1 + blowups]
+
+    def descriptor(core):
+        return ManifoldDescriptor(
+            "X", True, 0, 3, 20, (), False, SWInfo.known(core, blowups),
+            IntersectionData(basis, blocks, h_count=10, minus_count=2 - blowups),
+            simple_type=True)
+
+    assert descriptor(GroupRingElement.zero(g)).sw.core.is_zero()
+    nonzero = GroupRingElement.monomial(g, (3,)) + GroupRingElement.monomial(g, (-1,))
+    if blowups:
+        assert descriptor(nonzero).simple_type
+    else:
+        with pytest.raises(ValueError):
+            descriptor(nonzero)
+
+
 def test_reverse_swaps_betti_and_forgets_sw():
     m = reverse_orientation(builtin("E", 3))
     assert (m.b2_plus, m.b2_minus) == (29, 5)

@@ -32,13 +32,15 @@ def test_output_digest_smoke():
     assert len(result["sha256"]) == 64
 
 
-def test_output_digest_pins_every_answer():
-    """Every answer of the three workloads at seeds 97 and 5, byte for byte;
-    a change of any answer has to update this digest on purpose."""
+@pytest.mark.parametrize("seeds, sha256", [
+    (("97", "5"), "f57928644dbde7ea375e4ac61410c3d03727c245d85d942844675e711ae2321a"),
+    (("3", "11"), "e2a00e8548e6c687bbd666e74ee220d9a02235bc8cd9c59d59325992a64c7f58"),
+], ids=["97_5", "3_11"])
+def test_output_digest_pins_every_answer(seeds, sha256):
+    """Every answer of the three workloads at two seed pairs, byte for byte;
+    a change of any answer has to update these digests on purpose."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "output_digest.py"), "--seeds", "97", "5"],
+        [sys.executable, str(ROOT / "scripts" / "output_digest.py"), "--seeds", *seeds],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "jobs": 642,
-        "sha256": "f57928644dbde7ea375e4ac61410c3d03727c245d85d942844675e711ae2321a"}
+    assert json.loads(proc.stdout) == {"jobs": 642, "sha256": sha256}
