@@ -153,9 +153,11 @@ def _cmd_lattice(args) -> dict:
             rows = json.loads(args.gram)
         except json.JSONDecodeError as err:
             raise ExprSyntaxError(f"--gram is not valid JSON: {err}") from err
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise ExprSyntaxError("--gram must be a JSON array of rows")
         try:
-            form = lattice.QuadraticForm(tuple(tuple(r) for r in rows))
-        except (ValueError, TypeError) as err:
+            form = lattice.QuadraticForm(tuple(map(tuple, rows)))
+        except ValueError as err:
             raise ExprSyntaxError(f"--gram is not an admissible form: {err}") from err
     payload: dict = {"rank": form.rank, "gram": [list(r) for r in form.gram],
                      "bound": args.bound}
@@ -256,14 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact calculator for smooth 4-manifold invariants")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--catalog", default=None, help="path to a catalog JSON file")
-
     p_eval = sub.add_parser("eval", help="evaluate a manifold expression")
     p_eval.set_defaults(handler=_cmd_eval)
     p_eval.add_argument("expression")
-    add_common(p_eval)
 
     p_family = sub.add_parser("family", help="generate an exotic action family")
     p_family.set_defaults(handler=_cmd_family)
@@ -276,12 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--n-prime", type=int, default=2, dest="n_prime")
     p_family.add_argument("--m-prime", type=int, default=1, dest="m_prime")
     p_family.add_argument("--m", type=int, default=1)
-    add_common(p_family)
 
     p_fixed = sub.add_parser("fixedpoints", help="fixed tuples of the cyclic shift")
     p_fixed.set_defaults(handler=_cmd_fixedpoints)
     p_fixed.add_argument("--k", type=int, required=True)
-    add_common(p_fixed)
 
     p_lattice = sub.add_parser("lattice", help="definite unimodular form checks")
     p_lattice.set_defaults(handler=_cmd_lattice)
@@ -291,18 +286,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lattice.add_argument("--bound", type=int, default=3)
     p_lattice.add_argument("--depth", type=int, default=2)
     p_lattice.add_argument("--list-limit", type=int, default=64, dest="list_limit")
-    add_common(p_lattice)
 
     p_bf = sub.add_parser("bf", help="normalize an equivariant stable class")
     p_bf.set_defaults(handler=_cmd_bf)
     p_bf.add_argument("expression", help="k*M # N with N one of hat(l), S4, CP2bar")
     p_bf.add_argument("--k", type=int, required=True)
-    add_common(p_bf)
 
     p_cat = sub.add_parser("catalog", help="list builtins, knots and summand kinds")
     p_cat.set_defaults(handler=_cmd_catalog)
-    add_common(p_cat)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        if name in ("eval", "bf", "catalog"):  # the handlers that load a catalog
+            p.add_argument("--catalog", default=None, help="path to a catalog JSON file")
     return parser
 
 

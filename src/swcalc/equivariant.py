@@ -33,19 +33,15 @@ from .surgery import (DissolutionVerdict, _sum_fingerprint, blowup, connected_su
 class SpaceForm:
     """A finite group acting freely on the 3-sphere, known by family.
 
-    Only the order and the abelianization enter any computation here;
-    realizability of the action is geometric input, so the families are
-    whitelisted and anything else needs an explicit assertion.
+    Only the order and the abelianization (``h1_orders``, sorted) enter
+    any computation here; realizability of the action is geometric input,
+    so the families are whitelisted and any other group is refused.
     """
 
     label: str
     order: int
     h1_orders: tuple[int, ...]
     quotient_label: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "h1_orders",
-                           tuple(sorted(self.h1_orders)))
 
 
 def cyclic_space_form(order: int) -> SpaceForm:
@@ -96,14 +92,17 @@ def match_space_form(order: int, h1_orders: Sequence[int]) -> SpaceForm | None:
 
 @dataclass(frozen=True)
 class EquivariantData:
-    """Hypotheses attached to a catalog entry for a cyclic order k action."""
+    """What the transfer reads of a summand for a cyclic order k action.
+
+    The free orbit, the invariant psc metric and the maximal-square Spin-c
+    structure are geometric input that each catalog construction provides,
+    so none is stored: ``NCatalogEntry`` checks b2+(N) = 0, and the CP2bar
+    and Extended kinds certify the maximal square on their definite form.
+    """
 
     k: int
     h_order: int = 1
     b1_invariant: int = 0          # nu, dimension of invariant 1-forms
-    has_free_orbit: bool = False
-    psc_invariant: bool = False
-    spinc_max_c1sq: bool = False
 
     def __post_init__(self):
         if self.k < 2:
@@ -121,23 +120,17 @@ class NCatalogEntry:
     def __post_init__(self):
         if self.eq.b1_invariant > self.descriptor.b1:
             raise ValueError("invariant 1-forms cannot exceed b1")
-        if not self.eligible:
+        if self.descriptor.b2_plus != 0:
             raise GuardViolation(
-                f"{self.descriptor.label} does not satisfy the summand hypotheses",
-                requirement="free orbit, invariant psc, maximal-square Spin-c, b2+ = 0")
-
-    @property
-    def eligible(self) -> bool:
-        return (self.eq.has_free_orbit and self.eq.psc_invariant
-                and self.eq.spinc_max_c1sq and self.descriptor.b2_plus == 0)
+                f"{self.descriptor.label} has b2+ = {self.descriptor.b2_plus}",
+                requirement="b2+(N) = 0")
 
     @property
     def spinc_count(self) -> int:
         return math.prod(self.descriptor.torsion_h1)
 
 
-def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2,
-             strict: bool = True) -> NCatalogEntry:
+def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2) -> NCatalogEntry:
     """Surgery on S1 x L along a circle factor, L a space-form quotient.
 
     The result is a rational homology 4-sphere with chi = 2 whose second
@@ -151,15 +144,12 @@ def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2,
             requirement="order l >= 2")
     sf = match_space_form(pi1_order, h1_orders)
     if sf is None:
-        if strict:
-            candidates = [f"{c.label} with H1 {list(c.h1_orders)}"
-                          for c in space_form_candidates(pi1_order)]
-            raise GuardViolation(
-                f"no whitelisted space-form group of order {pi1_order} has "
-                f"H1 of orders {sorted(h1_orders)}; known candidates: {candidates}",
-                requirement="whitelisted spherical space form")
-        sf = SpaceForm(f"asserted-{pi1_order}", pi1_order,
-                       tuple(sorted(h1_orders)), f"asserted(S3/{pi1_order})")
+        candidates = [f"{c.label} with H1 {list(c.h1_orders)}"
+                      for c in space_form_candidates(pi1_order)]
+        raise GuardViolation(
+            f"no whitelisted space-form group of order {pi1_order} has "
+            f"H1 of orders {sorted(h1_orders)}; known candidates: {candidates}",
+            requirement="whitelisted spherical space form")
     descriptor = ManifoldDescriptor(
         label=f"hat(S1x{sf.quotient_label})",
         simply_connected=False,
@@ -172,8 +162,7 @@ def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2,
         intersection=IntersectionData(),
         admits_psc=True,
     )
-    eq = EquivariantData(k=k, h_order=sf.order, has_free_orbit=True,
-                         psc_invariant=True, spinc_max_c1sq=True)
+    eq = EquivariantData(k=k, h_order=sf.order)
     notes = (f"universal cover: {sf.order - 1}*(S2xS2)",
              f"torsion Spin-c structures: {math.prod(sf.h1_orders)}")
     return NCatalogEntry(descriptor, eq, "HatS1L", notes)
@@ -214,16 +203,12 @@ def n_catalog(kind: str, k: int = 2, **params) -> NCatalogEntry:
     psc piece z).
     """
     if kind == "S4":
-        eq = EquivariantData(k=k, has_free_orbit=True, psc_invariant=True,
-                             spinc_max_c1sq=True)
-        return NCatalogEntry(builtin("S4"), eq, "S4",
+        return NCatalogEntry(builtin("S4"), EquivariantData(k=k), "S4",
                              ("rotation with free generic orbits",))
     if kind == "CP2bar":
         z = builtin("CP2bar")
         _certify_max_square(z)
-        eq = EquivariantData(k=k, has_free_orbit=True, psc_invariant=True,
-                             spinc_max_c1sq=True)
-        return NCatalogEntry(z, eq, "CP2bar",
+        return NCatalogEntry(z, EquivariantData(k=k), "CP2bar",
                              ("weighted projective rotation",
                               "maximal-square class certified on diag(-1)"))
     if kind == "S1xLensSum":
@@ -237,14 +222,10 @@ def n_catalog(kind: str, k: int = 2, **params) -> NCatalogEntry:
             label=label, simply_connected=False, b1=1, b2_plus=0, b2_minus=0,
             torsion_h1=orders, spin=True, sw=SWInfo.unknown(),
             intersection=IntersectionData(), admits_psc=True)
-        eq = EquivariantData(
-            k=k, b1_invariant=1, has_free_orbit=True, psc_invariant=True,
-            spinc_max_c1sq=True)
-        return NCatalogEntry(descriptor, eq, "S1xLensSum",
-                             ("free rotation along the circle factor, nu = 1",))
+        return NCatalogEntry(descriptor, EquivariantData(k=k, b1_invariant=1),
+                             "S1xLensSum", ("free rotation along the circle factor, nu = 1",))
     if kind == "HatS1L":
-        return hat_s1_l(params["h1_orders"], params["pi1_order"], k=k,
-                        strict=params.get("strict", True))
+        return hat_s1_l(params["h1_orders"], params["pi1_order"], k=k)
     if kind == "Extended":
         base: NCatalogEntry = params["base"]
         z: ManifoldDescriptor = params["z"]
@@ -405,17 +386,16 @@ class BFAtom:
 
 @dataclass(frozen=True)
 class BFGAtom:
-    """Equivariant stable class of (count copies of summand) # n, or of n alone."""
+    """Equivariant stable class of (k copies of summand) # n, or of n alone."""
 
     n: NCatalogEntry
     k: int
     summand: ManifoldDescriptor | None = None
-    count: int = 0
 
     def render(self) -> str:
         if self.summand is None:
             return f"BFG({self.n.descriptor.label}, k={self.k})"
-        return (f"BFG({self.count}*{self.summand.label} # "
+        return (f"BFG({self.k}*{self.summand.label} # "
                 f"{self.n.descriptor.label}, k={self.k})")
 
 
@@ -446,7 +426,7 @@ def bfg_connected_sum(m: ManifoldDescriptor, count: int,
             f"summand, got {count}",
             requirement="k summands of M")
     _check_entry_order(n_entry, k)
-    return BFGAtom(n_entry, k, m, count)
+    return BFGAtom(n_entry, k, m)
 
 
 @dataclass(frozen=True)
@@ -499,7 +479,7 @@ def bf_simplify(expr: BFExpr) -> BFSimplified:
     """Normalize a smash expression and report nontriviality.
 
     The smash node is flattened and sorted, identity factors are
-    absorbed, an equivariant class over an eligible summand with nu = 0
+    absorbed, an equivariant class over a catalog summand with nu = 0
     is the identity, and a class of a k-fold sum splits off the plain
     class of the repeated summand.  The verdict is Nontrivial when the
     normal form is the identity or a single atom flagged nontrivial.
@@ -625,9 +605,6 @@ def exotic_family(construction: str, k: int, l: int, size: int,
       logarithmic transforms of E(2n); the counts are lower bounds by
       construction.
     """
-    if k < 2:
-        raise GuardViolation("the cyclic order must be at least 2",
-                             requirement="k >= 2")
     if l < 2:
         raise GuardViolation("the covering group H must be nontrivial",
                              requirement="order l >= 2")

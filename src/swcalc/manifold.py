@@ -14,7 +14,7 @@ from itertools import accumulate, product
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import GuardViolation
-from .groupring import (FactoredElement, FgAbelianGroup, GroupElement, GroupRingElement,
+from .groupring import (FactoredElement, FgAbelianGroup, GroupRingElement,
                         laurent)
 
 SW_KNOWN = "known"
@@ -484,14 +484,9 @@ def homeo_type(m: ManifoldDescriptor | Fingerprint) -> HomeoType:
     return HomeoType("even", s2, k3, orientation)
 
 
-def expected_sw_dimension(m: ManifoldDescriptor,
-                          c: Mapping[str, int] | GroupElement) -> int:
+def expected_sw_dimension(m: ManifoldDescriptor, c: Mapping[str, int]) -> int:
     """Expected moduli dimension (c.c - 2*chi - 3*sigma)/4 for a class c."""
-    if isinstance(c, GroupElement):
-        exps = dict(zip(m.intersection.tracked_basis, c.free))
-    else:
-        exps = dict(c)
-    square = m.intersection.square(exps)
+    square = m.intersection.square(c)
     num = square - 2 * m.chi - 3 * m.sigma
     if num % 4 != 0:
         raise GuardViolation(

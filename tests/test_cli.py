@@ -164,6 +164,23 @@ def test_lattice_non_integer_gram_rejected(capsys, gram):
     assert "integers" in data["error"]["message"]
 
 
+@pytest.mark.parametrize("gram", ["5", "null", "[5]"])
+def test_lattice_gram_not_rows_rejected(capsys, gram):
+    code, data = run_json(capsys, ["lattice", "--gram", gram])
+    assert code == 2
+    assert data["error"]["message"] == "--gram must be a JSON array of rows"
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--construction", "k3", "--k", "2", "--l", "2", "--size", "1"],
+    ["fixedpoints", "--k", "3"],
+    ["lattice", "--fixture", "e8", "--bound", "1"],
+], ids=lambda argv: argv[0])
+def test_catalog_option_refused_where_unread(capsys, argv):
+    assert run_command(argv) == 0
+    assert run_command(argv + ["--catalog", "x.json"]) == 2
+
+
 def test_no_runtime_dependencies_loaded():
     """Importing the CLI and running the lattice and fixed-subtorus code
     loads neither numpy nor sympy."""

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from swcalc.equivariant import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL,
                                 BINARY_TETRAHEDRAL, UNDETERMINED, BFAtom,
-                                BFGAtom, EvalRequest, IdAtom, Smash, bf_atom,
+                                BFGAtom, EquivariantData, EvalRequest, IdAtom,
+                                NCatalogEntry, Smash, bf_atom,
                                 bf_simplify, bfg_connected_sum,
                                 covering_consistency, cyclic_space_form,
                                 exotic_family, gmono_eval,
@@ -32,7 +33,7 @@ def test_hat_rp3():
     assert d.chi == 2 and d.b1 == 0 and d.b2 == 0 and d.spin
     assert d.torsion_h1 == (2,)
     assert entry.spinc_count == 2
-    assert entry.eligible
+    assert entry.descriptor.b2_plus == 0
     assert "universal cover: 1*(S2xS2)" in entry.notes
 
 
@@ -54,9 +55,14 @@ def test_hat_whitelist_mismatch():
     assert "candidates" in str(err.value)
 
 
-def test_hat_assert_override():
-    entry = hat_s1_l([3], 4, strict=False)
-    assert entry.descriptor.torsion_h1 == (3,)
+def test_hat_refuses_groups_off_the_whitelist():
+    # H1 of the group's order makes the group abelian: Z4 + Z2 and Z2 + Z6
+    # have three elements of order 2, so neither acts freely on S^3
+    # (Milnor 1957), and no group of order 4 has H1 = Z3
+    for h1_orders, order in (([3], 4), ([4, 2], 8), ([2, 6], 12)):
+        with pytest.raises(GuardViolation) as err:
+            hat_s1_l(h1_orders, order)
+        assert err.value.requirement == "whitelisted spherical space form"
 
 
 def test_space_form_families():
@@ -74,14 +80,13 @@ def test_space_form_families():
 
 def test_catalog_s4():
     entry = n_catalog("S4", k=3)
-    assert entry.eligible
+    assert entry.descriptor.b2_plus == 0
     assert entry.eq.b1_invariant == 0
 
 
 def test_catalog_cp2bar_certified():
     entry = n_catalog("CP2bar", k=2)
     assert entry.descriptor.b2_minus == 1
-    assert entry.eq.spinc_max_c1sq
     assert any("diag(-1)" in note for note in entry.notes)
 
 
@@ -98,7 +103,12 @@ def test_catalog_extended_example():
     entry = n_catalog("Extended", k=2, base=base, z=builtin("CP2bar"), l=2)
     assert entry.descriptor.b2_minus == 4
     assert entry.descriptor.b2_plus == 0
-    assert entry.eligible
+
+
+def test_entry_refuses_positive_b2plus():
+    with pytest.raises(GuardViolation) as err:
+        NCatalogEntry(builtin("S2xS2"), EquivariantData(k=2), "S4")
+    assert err.value.requirement == "b2+(N) = 0"
 
 
 def test_catalog_extended_rejects_positive_b2plus():
@@ -226,13 +236,21 @@ def convolution_transfer(m, entry):
     return (base.embed(target) * total).mod2()
 
 
+def torsion_entry(orders):
+    """A summand with H_1 of the given orders, built directly: no whitelisted
+    space form has them, and the transfer reads only the torsion."""
+    descriptor = ManifoldDescriptor(f"N{list(orders)}", False, 0, 0, 0, orders, True,
+                                    SWInfo.unknown(), IntersectionData())
+    return NCatalogEntry(descriptor, EquivariantData(k=2), "HatS1L")
+
+
 TRANSFER_ENTRIES = {
     (): n_catalog("S4", k=2),
     (2,): hat_s1_l([2], 2, k=2),
     (3,): hat_s1_l([3], 3, k=2),
     (4,): hat_s1_l([4], 4, k=2),
     (2, 2): hat_s1_l([2, 2], 8, k=2),
-    (2, 4): hat_s1_l([4, 2], 8, k=2, strict=False),
+    (2, 4): torsion_entry((2, 4)),
 }
 TRANSFER_BASES = [builtin("E", 2), builtin("E", 3), builtin("E", 4),
                   blowup(builtin("E", 2), 1), blowup(builtin("E", 3), 2)]
@@ -265,7 +283,7 @@ FACTORED_ENTRIES = {
     (3,): hat_s1_l([3], 3, k=2),
     (4,): hat_s1_l([4], 4, k=2),
     (2, 2): hat_s1_l([2, 2], 8, k=2),
-    (2, 6): hat_s1_l([2, 6], 12, k=2, strict=False),
+    (2, 6): torsion_entry((2, 6)),
 }
 
 

@@ -5,8 +5,10 @@ names, the subcommand table and the catalog-order guard each moved to one
 place, and (the reports of each subcommand, errors and ``--format text``)
 while reports were still printed by ``json.dumps(payload, indent=2)``, and
 (the absorption rules of a sum, the keyword forms and their syntax errors)
-while the sum fold and the keyword parsing each had a second copy;
-regenerate them only for an intended change of output.
+while the sum fold and the keyword parsing each had a second copy; the
+help of ``family``, ``fixedpoints`` and ``lattice`` was re-captured when
+their unread ``--catalog`` option was removed.  Regenerate them only for
+an intended change of output.
 """
 from pathlib import Path
 

@@ -1,4 +1,5 @@
 """Structural checks on the package itself."""
+import argparse
 import ast
 import os
 import subprocess
@@ -71,6 +72,30 @@ def test_private_names_have_readers():
             if not any(_reference(node) == name and id(node) not in own
                        for other in trees.values() for node in ast.walk(other)):
                 unread.append(f"{module}:{name}")
+    assert unread == []
+
+
+def _args_read(fn: ast.FunctionDef) -> set[str]:
+    """Every ``args.<name>`` that a function reads."""
+    return {node.attr for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+def test_every_option_has_a_reader():
+    """Each option of a subcommand is read as ``args.<dest>`` by the handler
+    that the subcommand registers; ``--format`` is read by ``run_command``."""
+    from swcalc import cli
+    functions = {stmt.name: stmt for stmt in ast.parse((SRC / "cli.py").read_text()).body
+                 if isinstance(stmt, ast.FunctionDef)}
+    assert "format" in _args_read(functions["run_command"])
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    unread = []
+    for command, parser in sub.choices.items():
+        reads = _args_read(functions[parser.get_default("handler").__name__])
+        unread += [f"{command} {action.dest}" for action in parser._actions
+                   if action.dest not in reads | {"help", "format"}]
     assert unread == []
 
 
