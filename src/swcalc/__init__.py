@@ -19,7 +19,7 @@ _EXPORTS = {
                 "spinc_with_max_square"),
     "fixedpoint": ("AngleTuple", "TorusAutomorphism", "apply_generator",
                    "fixed_subtorus", "invariant_locus", "solve_fixed_points"),
-    "equivariant": ("UNDETERMINED", "EquivariantData", "EvalRequest", "FamilyReport",
+    "equivariant": ("UNDETERMINED", "EvalRequest", "FamilyReport",
                     "NCatalogEntry", "bf_simplify", "bfg_connected_sum",
                     "covering_consistency", "cyclic_space_form", "exotic_family",
                     "gmono_eval", "gmonopole_polynomial", "hat_s1_l", "n_catalog"),

@@ -223,9 +223,9 @@ def _cmd_bf(args) -> dict:
         raise ExprSyntaxError(
             "expression must contain one catalog summand: hat(l), S4 or CP2bar")
     if summand is None:
-        expr = equivariant.BFGAtom(entry, args.k)
+        expr = equivariant.BFGAtom(entry)
     else:
-        expr = equivariant.bfg_connected_sum(summand, count, entry, args.k)
+        expr = equivariant.bfg_connected_sum(summand, count, entry)
     result = equivariant.bf_simplify(expr)
     return {
         "input": expr.render(),

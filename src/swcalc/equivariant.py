@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .errors import GuardViolation
@@ -91,34 +91,27 @@ def match_space_form(order: int, h1_orders: Sequence[int]) -> SpaceForm | None:
 # ----- catalog entries -----
 
 @dataclass(frozen=True)
-class EquivariantData:
-    """What the transfer reads of a summand for a cyclic order k action.
+class NCatalogEntry:
+    """A summand N with its cyclic order k action: all the transfer reads.
 
     The free orbit, the invariant psc metric and the maximal-square Spin-c
     structure are geometric input that each catalog construction provides,
-    so none is stored: ``NCatalogEntry`` checks b2+(N) = 0, and the CP2bar
-    and Extended kinds certify the maximal square on their definite form.
+    so none is stored: the entry checks b2+(N) = 0, and the CP2bar and
+    Extended kinds certify the maximal square on their definite form.
     """
 
+    descriptor: ManifoldDescriptor
     k: int
-    h_order: int = 1
-    b1_invariant: int = 0          # nu, dimension of invariant 1-forms
+    kind: str  # S4 | CP2bar | S1xLensSum | HatS1L | Extended
+    notes: tuple[str, ...] = field(default=(), compare=False)
+    nu: int = 0        # dimension of invariant 1-forms
+    h_order: int = 1   # |pi_1(L)| of a hat summand
 
     def __post_init__(self):
         if self.k < 2:
             raise GuardViolation("the cyclic order must be at least 2",
                                  requirement="k >= 2")
-
-
-@dataclass(frozen=True)
-class NCatalogEntry:
-    descriptor: ManifoldDescriptor
-    eq: EquivariantData
-    kind: str  # S4 | CP2bar | S1xLensSum | HatS1L | Extended
-    notes: tuple[str, ...] = field(default=(), compare=False)
-
-    def __post_init__(self):
-        if self.eq.b1_invariant > self.descriptor.b1:
+        if self.nu > self.descriptor.b1:
             raise ValueError("invariant 1-forms cannot exceed b1")
         if self.descriptor.b2_plus != 0:
             raise GuardViolation(
@@ -162,10 +155,9 @@ def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2) -> NCatalogEn
         intersection=IntersectionData(),
         admits_psc=True,
     )
-    eq = EquivariantData(k=k, h_order=sf.order)
     notes = (f"universal cover: {sf.order - 1}*(S2xS2)",
              f"torsion Spin-c structures: {math.prod(sf.h1_orders)}")
-    return NCatalogEntry(descriptor, eq, "HatS1L", notes)
+    return NCatalogEntry(descriptor, k, "HatS1L", notes, h_order=sf.order)
 
 
 def _certify_max_square(z: ManifoldDescriptor, depth: int = 2) -> None:
@@ -203,12 +195,12 @@ def n_catalog(kind: str, k: int = 2, **params) -> NCatalogEntry:
     psc piece z).
     """
     if kind == "S4":
-        return NCatalogEntry(builtin("S4"), EquivariantData(k=k), "S4",
+        return NCatalogEntry(builtin("S4"), k, "S4",
                              ("rotation with free generic orbits",))
     if kind == "CP2bar":
         z = builtin("CP2bar")
         _certify_max_square(z)
-        return NCatalogEntry(z, EquivariantData(k=k), "CP2bar",
+        return NCatalogEntry(z, k, "CP2bar",
                              ("weighted projective rotation",
                               "maximal-square class certified on diag(-1)"))
     if kind == "S1xLensSum":
@@ -222,8 +214,8 @@ def n_catalog(kind: str, k: int = 2, **params) -> NCatalogEntry:
             label=label, simply_connected=False, b1=1, b2_plus=0, b2_minus=0,
             torsion_h1=orders, spin=True, sw=SWInfo.unknown(),
             intersection=IntersectionData(), admits_psc=True)
-        return NCatalogEntry(descriptor, EquivariantData(k=k, b1_invariant=1),
-                             "S1xLensSum", ("free rotation along the circle factor, nu = 1",))
+        return NCatalogEntry(descriptor, k, "S1xLensSum",
+                             ("free rotation along the circle factor, nu = 1",), nu=1)
     if kind == "HatS1L":
         return hat_s1_l(params["h1_orders"], params["pi1_order"], k=k)
     if kind == "Extended":
@@ -233,9 +225,9 @@ def n_catalog(kind: str, k: int = 2, **params) -> NCatalogEntry:
         if l < 0:
             raise GuardViolation("the copy parameter must be nonnegative",
                                  requirement="l >= 0")
-        if base.eq.k != k:
+        if base.k != k:
             raise GuardViolation(
-                f"base entry was instantiated for k = {base.eq.k}, not {k}",
+                f"base entry was instantiated for k = {base.k}, not {k}",
                 requirement="matching cyclic order")
         if not z.admits_psc:
             raise GuardViolation(f"{z.label} is not marked as carrying positive "
@@ -243,15 +235,14 @@ def n_catalog(kind: str, k: int = 2, **params) -> NCatalogEntry:
         _certify_max_square(z)
         descriptor = connected_sum_all([base.descriptor] + [z] * (k * l))
         # z carries psc and the orders match, so the hypotheses are the base's
-        return NCatalogEntry(descriptor, base.eq, "Extended",
-                             base.notes + (f"extended by {k * l} copies of {z.label}",))
+        return replace(base, descriptor=descriptor, kind="Extended",
+                       notes=base.notes + (f"extended by {k * l} copies of {z.label}",))
     raise GuardViolation(f"unknown catalog kind {kind!r}")
 
 
 # ----- transfer of the mod-2 polynomial -----
 
-def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry,
-                         k: int) -> FactoredElement:
+def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> FactoredElement:
     """Mod-2 equivariant polynomial of k copies of M glued to N.
 
     This is the mod-2 polynomial of M, in the group ring of H_2(M) plus the
@@ -259,8 +250,8 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry,
     2 times each sign vector of its exceptional classes followed by each
     residue.  ``expand()`` writes it out.
     """
-    _transfer_guards(m, n_entry, k)
-    if n_entry.eq.b1_invariant != 0:
+    _transfer_guards(m)
+    if n_entry.nu != 0:
         raise GuardViolation(
             "the entry has invariant 1-forms (nu > 0); polynomial transfer "
             "does not apply, use gmono_eval for the determined values",
@@ -274,18 +265,7 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry,
                            tuple(sign + residue for sign in base.tails for residue in residues))
 
 
-def _check_entry_order(n_entry: NCatalogEntry, k: int):
-    if n_entry.eq.k != k:
-        raise GuardViolation(
-            f"catalog entry was instantiated for k = {n_entry.eq.k}, not {k}",
-            requirement="matching cyclic order")
-
-
-def _transfer_guards(m: ManifoldDescriptor, n_entry: NCatalogEntry, k: int):
-    if k < 2:
-        raise GuardViolation("the cyclic order must be at least 2",
-                             requirement="k >= 2")
-    _check_entry_order(n_entry, k)
+def _transfer_guards(m: ManifoldDescriptor):
     if m.b2_plus <= 1:
         raise GuardViolation(
             f"{m.label} has b2+ = {m.b2_plus}; the transfer needs b2+ > 1",
@@ -331,8 +311,7 @@ class EvalRequest:
     include_invariant_forms: bool = False
 
 
-def gmono_eval(m: ManifoldDescriptor, n_entry: NCatalogEntry, k: int,
-               request: EvalRequest):
+def gmono_eval(m: ManifoldDescriptor, n_entry: NCatalogEntry, request: EvalRequest):
     """Evaluate one mod-2 equivariant pairing, or report it undetermined.
 
     With nu = 0 every pairing equals the corresponding pairing on M mod 2;
@@ -341,16 +320,13 @@ def gmono_eval(m: ManifoldDescriptor, n_entry: NCatalogEntry, k: int,
     evaluations (u_power 0, no 1-cycles, simple-type classes) are
     readable; everything else is Undetermined rather than guessed.
     """
-    _transfer_guards(m, n_entry, k)
-    nu = n_entry.eq.b1_invariant
-    if nu > 0 and not request.include_invariant_forms:
+    _transfer_guards(m)
+    if n_entry.nu > 0 and not request.include_invariant_forms:
         return UNDETERMINED
     if request.one_forms:
         return UNDETERMINED
     if m.sw.is_zero:
         return 0
-    if not m.sw.is_known:
-        return UNDETERMINED
     tracked = m.intersection.tracked_basis
     exps = dict(request.spinc_class or {})
     if any(name not in tracked for name in exps):
@@ -389,14 +365,13 @@ class BFGAtom:
     """Equivariant stable class of (k copies of summand) # n, or of n alone."""
 
     n: NCatalogEntry
-    k: int
     summand: ManifoldDescriptor | None = None
 
     def render(self) -> str:
+        k = self.n.k
         if self.summand is None:
-            return f"BFG({self.n.descriptor.label}, k={self.k})"
-        return (f"BFG({self.k}*{self.summand.label} # "
-                f"{self.n.descriptor.label}, k={self.k})")
+            return f"BFG({self.n.descriptor.label}, k={k})"
+        return f"BFG({k}*{self.summand.label} # {self.n.descriptor.label}, k={k})"
 
 
 @dataclass(frozen=True)
@@ -418,15 +393,13 @@ def bf_atom(m: ManifoldDescriptor) -> BFExpr:
     return BFAtom(m.label, nontrivial)
 
 
-def bfg_connected_sum(m: ManifoldDescriptor, count: int,
-                      n_entry: NCatalogEntry, k: int) -> BFGAtom:
-    if count != k:
+def bfg_connected_sum(m: ManifoldDescriptor, count: int, n_entry: NCatalogEntry) -> BFGAtom:
+    if count != n_entry.k:
         raise GuardViolation(
-            f"the equivariant class needs exactly k = {k} copies of the "
+            f"the equivariant class needs exactly k = {n_entry.k} copies of the "
             f"summand, got {count}",
             requirement="k summands of M")
-    _check_entry_order(n_entry, k)
-    return BFGAtom(n_entry, k, m)
+    return BFGAtom(n_entry, m)
 
 
 @dataclass(frozen=True)
@@ -459,12 +432,12 @@ def _rewrite(node, trace: list[str]):
         if node.summand is not None:
             trace.append(
                 f"sum_splitting: {node.render()} -> BF({node.summand.label}) "
-                f"^ BFG({node.n.descriptor.label}, k={node.k})")
-            rest = BFGAtom(node.n, node.k)
+                f"^ BFG({node.n.descriptor.label}, k={node.n.k})")
+            rest = BFGAtom(node.n)
             return _rewrite(Smash((bf_atom(node.summand), rest)), trace)
-        if node.n.eq.b1_invariant == 0:
+        if node.n.nu == 0:
             trace.append(
-                f"identity_class: BFG({node.n.descriptor.label}, k={node.k}) -> Id")
+                f"identity_class: BFG({node.n.descriptor.label}, k={node.n.k}) -> Id")
             return IdAtom()
         return node
     if isinstance(node, BFAtom):
@@ -497,24 +470,17 @@ def bf_simplify(expr: BFExpr) -> BFSimplified:
 
 # ----- covering check -----
 
-def covering_consistency(m: ManifoldDescriptor, n_entry: NCatalogEntry,
-                         k: int, l: int) -> bool:
+def covering_consistency(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> bool:
     """Euler-characteristic and fingerprint consistency of the l-fold cover.
 
     The stabilized sum of k*l copies of M is an l-fold cover of k copies
     of M glued to the hat summand, and the universal cover of the hat
-    summand is l-1 copies of S2xS2.
+    summand is l-1 copies of S2xS2; k and l = |pi_1| are the entry's.
     """
     if n_entry.kind != "HatS1L":
         raise GuardViolation("the covering check applies to hat-type entries",
                              requirement="hat summand")
-    if l < 2:
-        raise GuardViolation("the covering group must be nontrivial",
-                             requirement="order l >= 2")
-    if n_entry.eq.h_order != l:
-        raise GuardViolation(
-            f"entry has |pi_1| = {n_entry.eq.h_order}, not {l}",
-            requirement="matching covering order")
+    k, l = n_entry.k, n_entry.h_order
 
     def chi(factors):  # of their connected sum: each sum removes two 4-balls
         return sum(f.chi for f in factors) - 2 * (len(factors) - 1)
@@ -635,7 +601,7 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         renderer = None
         for d in range(1, size + 1):
             member = knot_surgery(base, alexander_family(d, spacing))
-            poly = gmonopole_polynomial(member, hat, k)
+            poly = gmonopole_polynomial(member, hat)
             # every member has the base's ambient, tails and tracked names
             renderer = renderer or TermRenderer(
                 poly.ambient, poly.core.ambient.free_rank, poly.tails,
@@ -667,7 +633,7 @@ def exotic_family(construction: str, k: int, l: int, size: int,
     counts_distinct = len(set(counts)) == len(counts)
     verdict = "smoothly_distinct" if counts_distinct and fingerprints_equal \
         else "inconclusive"
-    covering_ok = covering_consistency(base, hat, k, l)
+    covering_ok = covering_consistency(base, hat)
 
     base_label = f"({base.label})" if " # " in base.label else base.label
     return FamilyReport(

@@ -133,7 +133,7 @@ class GroupRingElement:
     as ``GroupElement`` does.  Only the public constructors check input.
     """
 
-    __slots__ = ("ambient", "_terms", "_hash")
+    __slots__ = ("ambient", "_terms")
 
     def __init__(self, ambient: FgAbelianGroup,
                  terms: Mapping[GroupElement, int] | Iterable[tuple[GroupElement, int]] = ()):
@@ -144,7 +144,6 @@ class GroupRingElement:
                 _accumulate(canonical, ((elem.free + elem.torsion, coeff),))
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "_terms", canonical)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _wrap(cls, ambient: FgAbelianGroup, terms: dict) -> "GroupRingElement":
@@ -152,7 +151,6 @@ class GroupRingElement:
         obj = object.__new__(cls)
         object.__setattr__(obj, "ambient", ambient)
         object.__setattr__(obj, "_terms", terms)
-        object.__setattr__(obj, "_hash", None)
         return obj
 
     def __setattr__(self, name, value):
@@ -347,11 +345,7 @@ class GroupRingElement:
         return self._key() == other._key()
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self._key())
 
     def render(self, free_names: tuple[str, ...] | None = None,
                torsion_names: tuple[str, ...] | None = None) -> str:
@@ -402,11 +396,9 @@ class FactoredElement:
 RANK1 = FgAbelianGroup(1)
 
 
-def laurent(coeffs: Mapping[int, int], ambient: FgAbelianGroup = RANK1) -> GroupRingElement:
+def laurent(coeffs: Mapping[int, int]) -> GroupRingElement:
     """Single-variable Laurent polynomial from an exponent -> coefficient map."""
-    if ambient.free_rank != 1 or ambient.torsion_orders:
-        raise UnsupportedOperation("laurent() needs a rank-1 torsion-free group")
-    return GroupRingElement._wrap(ambient, _accumulate(
+    return GroupRingElement._wrap(RANK1, _accumulate(
         {}, (((int(e),), int(c)) for e, c in coeffs.items())))
 
 

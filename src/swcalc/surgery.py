@@ -136,20 +136,14 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
         sw = SWInfo.unknown()
         simple_type = None
 
-    return ManifoldDescriptor(
+    return replace(
+        a,
         label=f"blowup({a.label},{m})",
-        simply_connected=a.simply_connected,
-        b1=a.b1,
-        b2_plus=a.b2_plus,
         b2_minus=a.b2_minus + m,
-        torsion_h1=a.torsion_h1,
         spin=False,
         sw=sw,
         intersection=inter,
         simple_type=simple_type,
-        admits_psc=a.admits_psc,
-        torus_class=a.torus_class,
-        elliptic_class=a.elliptic_class,
         derived_from=("blowup", (a,), str(m)),
         provenance=a.provenance + (f"blowup: {m} exceptional classes appended",),
     )
@@ -224,16 +218,6 @@ class EquivalenceRecord:
     knot: str | None
     fingerprint: Fingerprint
     statement: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "left": self.left,
-            "right": self.right,
-            "knot": self.knot,
-            "fingerprint": list(self.fingerprint),
-            "statement": self.statement,
-        }
 
 
 def stabilization_equivalence(a_k: ManifoldDescriptor,

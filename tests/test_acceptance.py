@@ -111,11 +111,11 @@ def test_criterion_7_stable_class_normalization():
                        "BF(E(2)), nontrivial, confluently"):
         for k in range(2, 6):
             hat = hat_s1_l([2], 2, k=k)
-            result = bf_simplify(bfg_connected_sum(builtin("E", 2), k, hat, k))
+            result = bf_simplify(bfg_connected_sum(builtin("E", 2), k, hat))
             assert result.expr.render() == "BF(E(2))"
             assert result.verdict == "nontrivial"
         hat2 = hat_s1_l([2], 2, k=2)
-        atoms = [bf_atom(builtin("E", 2)), IdAtom(), BFGAtom(hat2, 2),
+        atoms = [bf_atom(builtin("E", 2)), IdAtom(), BFGAtom(hat2),
                  bf_atom(builtin("E", 3)), bf_atom(builtin("S4"))]
         rng = random.Random(11)
         normals = set()
@@ -132,7 +132,7 @@ def test_criterion_8_covering_consistency():
         orders = {2: [2], 3: [3], 4: [4]}
         for k, l in itertools.product((2, 3, 4), repeat=2):
             hat = hat_s1_l(orders[l], l, k=k)
-            assert covering_consistency(builtin("E", 2), hat, k, l)
+            assert covering_consistency(builtin("E", 2), hat)
 
 
 def _exhaustive_small_elements():

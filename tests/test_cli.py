@@ -220,6 +220,14 @@ def test_bf_subcommand(capsys):
     assert data["verdict"] == "nontrivial"
 
 
+def test_bf_catalog_summand_alone(capsys):
+    code, data = run_json(capsys, ["bf", "hat(2)", "--k", "2"])
+    assert code == 0
+    assert data["input"] == "BFG(hat(S1xRP3), k=2)"
+    assert data["normal_form"] == "Id"
+    assert data["verdict"] == "nontrivial"
+
+
 def test_bf_wrong_count(capsys):
     code, data = run_json(capsys, ["bf", "3*E(2) # hat(2)", "--k", "2"])
     assert code == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from swcalc.equivariant import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL,
                                 BINARY_TETRAHEDRAL, UNDETERMINED, BFAtom,
-                                BFGAtom, EquivariantData, EvalRequest, IdAtom,
+                                BFGAtom, EvalRequest, IdAtom,
                                 NCatalogEntry, Smash, bf_atom,
                                 bf_simplify, bfg_connected_sum,
                                 covering_consistency, cyclic_space_form,
@@ -21,7 +21,7 @@ from swcalc.groupring import FgAbelianGroup, GroupRingElement
 from swcalc.knot import alexander_family, torus_knot
 from swcalc.lattice import QuadraticForm, e8_form, spinc_with_max_square
 from swcalc.manifold import (IntersectionData, ManifoldDescriptor, SWInfo, builtin,
-                             mod2_basic_class_count)
+                             mod2_basic_class_count, reverse_orientation)
 from swcalc.surgery import blowup, connected_sum, connected_sum_all, knot_surgery
 
 
@@ -81,7 +81,7 @@ def test_space_form_families():
 def test_catalog_s4():
     entry = n_catalog("S4", k=3)
     assert entry.descriptor.b2_plus == 0
-    assert entry.eq.b1_invariant == 0
+    assert entry.nu == 0
 
 
 def test_catalog_cp2bar_certified():
@@ -92,7 +92,7 @@ def test_catalog_cp2bar_certified():
 
 def test_catalog_lens_sum_has_invariant_circle():
     entry = n_catalog("S1xLensSum", k=2, orders=[2, 3])
-    assert entry.eq.b1_invariant == 1
+    assert entry.nu == 1
     assert entry.descriptor.b1 == 1
     assert entry.descriptor.torsion_h1 == (2, 3)
     assert entry.descriptor.chi == 0
@@ -107,8 +107,14 @@ def test_catalog_extended_example():
 
 def test_entry_refuses_positive_b2plus():
     with pytest.raises(GuardViolation) as err:
-        NCatalogEntry(builtin("S2xS2"), EquivariantData(k=2), "S4")
+        NCatalogEntry(builtin("S2xS2"), 2, "S4")
     assert err.value.requirement == "b2+(N) = 0"
+
+
+def test_entry_refuses_order_below_two():
+    with pytest.raises(GuardViolation) as err:
+        NCatalogEntry(builtin("S4"), 1, "S4")
+    assert err.value.requirement == "k >= 2"
 
 
 def test_catalog_extended_rejects_positive_b2plus():
@@ -123,7 +129,7 @@ def test_catalog_extended_accepts_long_antiblowup_sums():
         z = connected_sum_all([builtin("CP2bar")] * copies)
         entry = n_catalog("Extended", base=base, z=z, l=1)
         assert entry.descriptor.b2_minus == 2 * copies
-        assert entry.eq == base.eq
+        assert (entry.k, entry.nu, entry.h_order) == (base.k, base.nu, base.h_order)
 
 
 def test_catalog_extended_refuses_tracked_rank_above_search_limit():
@@ -175,40 +181,42 @@ def test_certify_max_square_matches_full_form():
 def test_gmonopole_knot_surgered_e2():
     m = knot_surgery(builtin("E", 2), torus_knot(2, 3))
     hat = hat_s1_l([2], 2, k=2)
-    poly = gmonopole_polynomial(m, hat, 2)
+    poly = gmonopole_polynomial(m, hat)
     assert poly.monomial_count() == 6
     assert poly.render(("T",)) == "T^-2 + T^-2*a + 1 + a + T^2 + T^2*a"
 
 
 def test_gmonopole_trivial_torsion():
-    poly = gmonopole_polynomial(builtin("E", 2), n_catalog("S4", k=3), 3)
+    poly = gmonopole_polynomial(builtin("E", 2), n_catalog("S4", k=3))
     assert poly.monomial_count() == 1
 
 
 def test_gmonopole_known_zero():
     m = connected_sum(builtin("E", 2), builtin("E", 2))
     hat = hat_s1_l([2], 2, k=2)
-    assert gmonopole_polynomial(m, hat, 2).is_zero()
+    assert gmonopole_polynomial(m, hat).is_zero()
 
 
 def test_gmonopole_requires_b2plus_above_one():
     hat = hat_s1_l([2], 2, k=2)
     with pytest.raises(GuardViolation) as err:
-        gmonopole_polynomial(builtin("S2xS2"), hat, 2)
+        gmonopole_polynomial(builtin("S2xS2"), hat)
     assert "b2+" in str(err.value)
+
+
+def test_gmonopole_refuses_unknown_polynomial():
+    m = reverse_orientation(builtin("E", 3))
+    assert m.b2_plus == 29 and m.sw.status == "unknown"
+    with pytest.raises(GuardViolation) as err:
+        gmonopole_polynomial(m, hat_s1_l([2], 2))
+    assert err.value.requirement == "SW polynomial known or known zero"
 
 
 def test_gmonopole_redirects_when_nu_positive():
     entry = n_catalog("S1xLensSum", k=2, orders=[2])
     with pytest.raises(GuardViolation) as err:
-        gmonopole_polynomial(builtin("E", 2), entry, 2)
+        gmonopole_polynomial(builtin("E", 2), entry)
     assert "gmono_eval" in str(err.value)
-
-
-def test_gmonopole_requires_matching_k():
-    hat = hat_s1_l([2], 2, k=2)
-    with pytest.raises(GuardViolation):
-        gmonopole_polynomial(builtin("E", 2), hat, 3)
 
 
 def test_gmonopole_count_factorization():
@@ -219,7 +227,7 @@ def test_gmonopole_count_factorization():
                  knot_surgery(builtin("E", 2), alexander_family(2, 1)),
                  blowup(builtin("E", 2), 1)]
     for m, entry in itertools.product(manifolds, hats):
-        poly = gmonopole_polynomial(m, entry, 2)
+        poly = gmonopole_polynomial(m, entry)
         assert poly.monomial_count() == \
             mod2_basic_class_count(m) * entry.spinc_count
 
@@ -241,7 +249,7 @@ def torsion_entry(orders):
     space form has them, and the transfer reads only the torsion."""
     descriptor = ManifoldDescriptor(f"N{list(orders)}", False, 0, 0, 0, orders, True,
                                     SWInfo.unknown(), IntersectionData())
-    return NCatalogEntry(descriptor, EquivariantData(k=2), "HatS1L")
+    return NCatalogEntry(descriptor, 2, "HatS1L")
 
 
 TRANSFER_ENTRIES = {
@@ -272,7 +280,7 @@ def knot_surgered_members(draw):
 def test_gmonopole_matches_convolution_transfer(m, orders):
     entry = TRANSFER_ENTRIES[orders]
     assert entry.descriptor.torsion_h1 == orders
-    assert gmonopole_polynomial(m, entry, 2).expand() == convolution_transfer(m, entry)
+    assert gmonopole_polynomial(m, entry).expand() == convolution_transfer(m, entry)
 
 
 # ----- the factored form against its expansion -----
@@ -328,7 +336,7 @@ def test_factored_form_matches_expansion(case, orders, data):
         assert sw.render(free_names) == expansion.render(free_names)
 
     entry = FACTORED_ENTRIES[orders]
-    transfer = gmonopole_polynomial(member, entry, 2)
+    transfer = gmonopole_polynomial(member, entry)
     oracle = convolution_transfer(member, entry)
     assert transfer.expand() == oracle
     assert transfer.monomial_count() == oracle.monomial_count()
@@ -361,7 +369,7 @@ def test_simple_type_verdict_on_the_core_matches_expansion(case, torus_square):
 
 def test_gmono_eval_e3_fiber_class():
     entry = n_catalog("S4", k=2)
-    out = gmono_eval(builtin("E", 3), entry, 2, EvalRequest(spinc_class={"T": 1}))
+    out = gmono_eval(builtin("E", 3), entry, EvalRequest(spinc_class={"T": 1}))
     assert out == 1
 
 
@@ -374,7 +382,7 @@ def test_gmono_eval_on_blowups_matches_expansion():
         for free in itertools.product(range(-2, 3), repeat=1 + m):
             request = EvalRequest(spinc_class=dict(zip(tracked, free)))
             try:
-                out = gmono_eval(d, entry, 2, request)
+                out = gmono_eval(d, entry, request)
             except GuardViolation:  # not characteristic
                 continue
             if out is not UNDETERMINED:
@@ -384,44 +392,44 @@ def test_gmono_eval_on_blowups_matches_expansion():
     assert compared > 100
     forty = blowup(builtin("E", 2), 40)
     signs = {f"E{i}": (-1) ** i for i in range(1, 41)}
-    assert gmono_eval(forty, entry, 2, EvalRequest(spinc_class=signs)) == 1
+    assert gmono_eval(forty, entry, EvalRequest(spinc_class=signs)) == 1
 
 
 def test_gmono_eval_undetermined_without_invariant_forms():
     entry = n_catalog("S1xLensSum", k=2, orders=[2])
-    out = gmono_eval(builtin("E", 2), entry, 2, EvalRequest())
+    out = gmono_eval(builtin("E", 2), entry, EvalRequest())
     assert out is UNDETERMINED
 
 
 def test_gmono_eval_nu_positive_with_forms():
     entry = n_catalog("S1xLensSum", k=2, orders=[2])
-    out = gmono_eval(builtin("E", 2), entry, 2,
+    out = gmono_eval(builtin("E", 2), entry,
                      EvalRequest(include_invariant_forms=True))
     assert out == 1
 
 
 def test_gmono_eval_missing_class_is_zero():
     entry = n_catalog("S4", k=2)
-    out = gmono_eval(builtin("E", 3), entry, 2, EvalRequest(spinc_class={"T": 3}))
+    out = gmono_eval(builtin("E", 3), entry, EvalRequest(spinc_class={"T": 3}))
     assert out == 0
 
 
 def test_gmono_eval_u_power_undetermined():
     entry = n_catalog("S4", k=2)
-    out = gmono_eval(builtin("E", 2), entry, 2, EvalRequest(u_power=1))
+    out = gmono_eval(builtin("E", 2), entry, EvalRequest(u_power=1))
     assert out is UNDETERMINED
 
 
 def test_gmono_eval_one_forms_unsupported():
     entry = n_catalog("S4", k=2)
-    out = gmono_eval(builtin("E", 2), entry, 2, EvalRequest(one_forms=("c",)))
+    out = gmono_eval(builtin("E", 2), entry, EvalRequest(one_forms=("c",)))
     assert out is UNDETERMINED
 
 
 def test_gmono_eval_known_zero():
     entry = n_catalog("S4", k=2)
     m = connected_sum(builtin("E", 2), builtin("E", 2))
-    assert gmono_eval(m, entry, 2, EvalRequest()) == 0
+    assert gmono_eval(m, entry, EvalRequest()) == 0
 
 
 # ----- stable-class rewriting -----
@@ -429,7 +437,7 @@ def test_gmono_eval_known_zero():
 def test_bf_chain_to_single_atom():
     for k in range(2, 6):
         hat = hat_s1_l([2], 2, k=k)
-        expr = bfg_connected_sum(builtin("E", 2), k, hat, k)
+        expr = bfg_connected_sum(builtin("E", 2), k, hat)
         result = bf_simplify(expr)
         assert result.expr == BFAtom("E(2)", True)
         assert result.verdict == "nontrivial"
@@ -460,7 +468,7 @@ def test_bf_smash_of_two_atoms_is_unknown():
 
 def test_bf_idempotent_and_confluent():
     hat = hat_s1_l([2], 2, k=2)
-    atoms = [bf_atom(builtin("E", 2)), IdAtom(), BFGAtom(hat, 2),
+    atoms = [bf_atom(builtin("E", 2)), IdAtom(), BFGAtom(hat),
              bf_atom(builtin("E", 3)), bf_atom(builtin("S4"))]
     rng = random.Random(7)
     normals = set()
@@ -477,7 +485,7 @@ def test_bf_idempotent_and_confluent():
 def test_bfg_requires_k_copies():
     hat = hat_s1_l([2], 2, k=2)
     with pytest.raises(GuardViolation):
-        bfg_connected_sum(builtin("E", 2), 3, hat, 2)
+        bfg_connected_sum(builtin("E", 2), 3, hat)
 
 
 # ----- covering consistency -----
@@ -488,7 +496,7 @@ def test_covering_consistency_grid():
         for l in (2, 3, 4):
             hat = hat_s1_l(orders[l], l, k=k)
             for m in (builtin("E", 2), builtin("E", 3)):
-                assert covering_consistency(m, hat, k, l)
+                assert covering_consistency(m, hat)
 
 
 def test_covering_consistency_whitelist_families():
@@ -496,20 +504,17 @@ def test_covering_consistency_whitelist_families():
              ([2], 48), ([], 120)]
     for h1, order in cases:
         hat = hat_s1_l(h1, order, k=2)
-        assert covering_consistency(builtin("E", 2), hat, 2, order)
+        assert covering_consistency(builtin("E", 2), hat)
 
 
 def test_covering_consistency_lens3_numbers():
     hat = hat_s1_l([3], 3, k=2)
-    assert covering_consistency(builtin("E", 2), hat, 2, 3)
+    assert covering_consistency(builtin("E", 2), hat)
 
 
 def test_covering_rejects_degenerate():
-    hat = hat_s1_l([2], 2, k=2)
     with pytest.raises(GuardViolation):
-        covering_consistency(builtin("E", 2), hat, 2, 1)
-    with pytest.raises(GuardViolation):
-        covering_consistency(builtin("E", 2), n_catalog("S4", k=2), 2, 2)
+        covering_consistency(builtin("E", 2), n_catalog("S4", k=2))
 
 
 # ----- families -----
@@ -520,7 +525,7 @@ def assert_members_render_alone(report, base, spacing, k):
     hat = hat_s1_l([report.l], report.l, k=k)
     for d, mb in enumerate(report.members, 1):
         member = knot_surgery(base, alexander_family(d, spacing))
-        fresh = gmonopole_polynomial(member, hat, k).render(member.intersection.tracked_basis)
+        fresh = gmonopole_polynomial(member, hat).render(member.intersection.tracked_basis)
         assert mb.gmono_rendered == fresh
 
 

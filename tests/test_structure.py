@@ -1,6 +1,7 @@
 """Structural checks on the package itself."""
 import argparse
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -97,6 +98,21 @@ def test_every_option_has_a_reader():
         unread += [f"{command} {action.dest}" for action in parser._actions
                    if action.dest not in reads | {"help", "format"}]
     assert unread == []
+
+
+def test_entry_is_the_only_source_of_k():
+    """A catalog entry carries the cyclic order k and |pi_1| = l, so no
+    public callable of ``equivariant`` takes ``k`` or ``l`` beside an entry."""
+    from swcalc import equivariant
+    restated = []
+    for name, obj in vars(equivariant).items():
+        if name.startswith("_") or not callable(obj) \
+                or getattr(obj, "__module__", None) != equivariant.__name__:
+            continue
+        params = inspect.signature(obj).parameters
+        if any("NCatalogEntry" in str(p.annotation) for p in params.values()):
+            restated += [f"{name}({p})" for p in ("k", "l") if p in params]
+    assert restated == []
 
 
 def _fresh(script: str) -> str:
