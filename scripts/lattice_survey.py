@@ -8,13 +8,13 @@ satisfy; the bound_limited flag marks exactly this failure.
 """
 import argparse
 
-from swcalc.lattice import (QuadraticForm, diagonal_form, e8_form,
-                            max_characteristic_square, spinc_with_max_square)
+from swcalc.lattice import (QuadraticForm, diagonal_form, diagonalize, e8_form,
+                            max_characteristic_square, spinc_from_basis)
 
 
 def survey(label, form: QuadraticForm, bound: int, depth: int):
     best = max_characteristic_square(form, bound)
-    cert = spinc_with_max_square(form, depth)
+    cert = spinc_from_basis(form, diagonalize(form, depth))
     cert_text = "none" if cert is None else f"{cert.vector} (square {cert.square})"
     flag = " [certificate not met]" if best.bound_limited else ""
     print(f"{label:12s} rank {form.rank}: max c.c = {best.value:4d} at "

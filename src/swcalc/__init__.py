@@ -9,20 +9,17 @@ _EXPORTS = {
     "groupring": ("FgAbelianGroup", "GroupElement", "GroupRingElement", "laurent"),
     "knot": ("AlexanderPoly", "alexander_family", "torus_knot", "unknot", "validate"),
     "manifold": ("Fingerprint", "IntersectionData", "ManifoldDescriptor", "SWInfo",
-                 "builtin", "expected_sw_dimension", "homeo_type",
-                 "mod2_basic_class_count", "reverse_orientation"),
-    "surgery": ("DissolutionVerdict", "EquivalenceRecord", "blowup", "connected_sum",
-                "connected_sum_all", "dissolve", "knot_surgery", "log_transform",
-                "stabilization_equivalence"),
+                 "builtin", "homeo_type", "mod2_basic_class_count",
+                 "reverse_orientation"),
+    "surgery": ("DissolutionVerdict", "blowup", "connected_sum", "connected_sum_all",
+                "dissolve", "knot_surgery", "log_transform"),
     "lattice": ("QuadraticForm", "characteristic_vectors", "diagonal_form",
-                "diagonalize", "e8_form", "max_characteristic_square",
-                "spinc_with_max_square"),
+                "diagonalize", "e8_form", "max_characteristic_square"),
     "fixedpoint": ("AngleTuple", "TorusAutomorphism", "apply_generator",
                    "fixed_subtorus", "invariant_locus", "solve_fixed_points"),
-    "equivariant": ("UNDETERMINED", "EvalRequest", "FamilyReport",
-                    "NCatalogEntry", "bf_simplify", "bfg_connected_sum",
-                    "covering_consistency", "cyclic_space_form", "exotic_family",
-                    "gmono_eval", "gmonopole_polynomial", "hat_s1_l", "n_catalog"),
+    "equivariant": ("FamilyReport", "NCatalogEntry", "bf_simplify",
+                    "bfg_connected_sum", "covering_consistency", "cyclic_space_form",
+                    "exotic_family", "gmonopole_polynomial", "hat_s1_l", "n_catalog"),
     "expressions": ("Catalog", "eval_expr", "parse", "render"),
 }
 

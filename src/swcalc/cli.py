@@ -199,18 +199,15 @@ def _cmd_bf(args) -> dict:
     entry = None
     for f in factors:
         inner, mult = (f.expr, f.count) if isinstance(f, Multiple) else (f, 1)
-        if isinstance(inner, Builtin) and inner.name == "hat":
-            if entry is not None:
-                raise ExprSyntaxError("expected exactly one summand of hat type")
-            if mult != 1:
-                raise ExprSyntaxError("the hat summand appears once")
-            entry = equivariant.hat_s1_l([inner.arg], inner.arg, k=args.k)
-        elif isinstance(inner, Builtin) and inner.name in ("S4", "CP2bar"):
+        if isinstance(inner, Builtin) and inner.name in ("hat", "S4", "CP2bar"):
             if entry is not None:
                 raise ExprSyntaxError("expected exactly one catalog summand")
             if mult != 1:
                 raise ExprSyntaxError("the catalog summand appears once")
-            entry = equivariant.n_catalog(inner.name, k=args.k)
+            if inner.name == "hat":
+                entry = equivariant.hat_s1_l([inner.arg], inner.arg, k=args.k)
+            else:
+                entry = equivariant.n_catalog(inner.name, k=args.k)
         else:
             desc = eval_expr(inner, catalog)
             if summand is not None and desc != summand:
@@ -245,7 +242,7 @@ def _cmd_catalog(args) -> dict:
         "knots": {name: catalog.knots[name].render()
                   for name in catalog.knot_names()},
         "manifolds": catalog.manifold_sources,
-        "catalog_kinds": ["S4", "CP2bar", "S1xLensSum", "HatS1L", "Extended"],
+        "catalog_kinds": ["S4", "CP2bar", "HatS1L"],
         "space_forms": ["Z(l) cyclic, any l >= 2", "Q(4m) binary dihedral, m >= 2",
                         "2T order 24", "2O order 48", "2I order 120"],
     }

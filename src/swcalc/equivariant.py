@@ -1,28 +1,27 @@
 """Equivariant machinery: summand catalog, transfer formula, stable-class
 rewriting, and the exotic-action family generator.
 
-A catalog entry is a closed 4-manifold N with b2+ = 0 that carries a
-cyclic action with a free orbit, an invariant positive scalar curvature
-metric, and an equivariant Spin-c structure of maximal square.  Gluing k
-copies of M to N along a free orbit transfers the mod-2 polynomial of M,
-multiplied by the sum over the torsion classes of N.  Counting monomials
-of the transferred polynomials separates smooth structures and hence
-group actions on a common stabilized sum.
+A catalog entry is a closed 4-manifold N with b2+ = 0 and b1 = 0 that
+carries a cyclic action with a free orbit, an invariant positive scalar
+curvature metric, and an equivariant Spin-c structure of maximal square:
+S4, CP2bar, or the hat summand of S1 x L for a spherical space form L.
+Gluing k copies of M to N along a free orbit transfers the mod-2
+polynomial of M, multiplied by the sum over the torsion classes of N.
+Counting monomials of the transferred polynomials separates smooth
+structures and hence group actions on a common stabilized sum.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import GuardViolation
 from .groupring import FactoredElement, FgAbelianGroup, GroupRingElement, TermRenderer
 from .knot import alexander_family
-from .lattice import QuadraticForm, spinc_with_max_square
 from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
-                       SWInfo, builtin, expected_sw_dimension,
-                       mod2_basic_class_count)
+                       SWInfo, builtin, mod2_basic_class_count)
 from .surgery import (DissolutionVerdict, _sum_fingerprint, blowup, connected_sum_all,
                       dissolve, knot_surgery, log_transform)
 
@@ -96,23 +95,19 @@ class NCatalogEntry:
 
     The free orbit, the invariant psc metric and the maximal-square Spin-c
     structure are geometric input that each catalog construction provides,
-    so none is stored: the entry checks b2+(N) = 0, and the CP2bar and
-    Extended kinds certify the maximal square on their definite form.
+    so none is stored: the entry checks b2+(N) = 0.  Every kind has b1 = 0,
+    so no 1-form is invariant and the transfer applies.
     """
 
     descriptor: ManifoldDescriptor
     k: int
-    kind: str  # S4 | CP2bar | S1xLensSum | HatS1L | Extended
-    notes: tuple[str, ...] = field(default=(), compare=False)
-    nu: int = 0        # dimension of invariant 1-forms
+    kind: str  # S4 | CP2bar | HatS1L
     h_order: int = 1   # |pi_1(L)| of a hat summand
 
     def __post_init__(self):
         if self.k < 2:
             raise GuardViolation("the cyclic order must be at least 2",
                                  requirement="k >= 2")
-        if self.nu > self.descriptor.b1:
-            raise ValueError("invariant 1-forms cannot exceed b1")
         if self.descriptor.b2_plus != 0:
             raise GuardViolation(
                 f"{self.descriptor.label} has b2+ = {self.descriptor.b2_plus}",
@@ -155,89 +150,16 @@ def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2) -> NCatalogEn
         intersection=IntersectionData(),
         admits_psc=True,
     )
-    notes = (f"universal cover: {sf.order - 1}*(S2xS2)",
-             f"torsion Spin-c structures: {math.prod(sf.h1_orders)}")
-    return NCatalogEntry(descriptor, k, "HatS1L", notes, h_order=sf.order)
+    return NCatalogEntry(descriptor, k, "HatS1L", h_order=sf.order)
 
 
-def _certify_max_square(z: ManifoldDescriptor, depth: int = 2) -> None:
-    """Check that z admits a Spin-c class of square -b2 on its free form.
-
-    The form is the tracked block T plus diag(-1)^minus_count, and only T is
-    searched: the square -1 vectors of T + I_m in a box are those of T and
-    the +-e_i, so T + I_m is diagonal in the box exactly when T is, and a
-    class of square -rank T on T plus (1, ..., 1) on I_m has square -b2.
-    """
-    inter = z.intersection
-    if z.b2_plus != 0:
-        raise GuardViolation(f"{z.label} has b2+ > 0", requirement="b2+(Z) = 0")
-    if inter.h_count or inter.plus_count:
-        raise GuardViolation(
-            f"{z.label} stores indefinite or positive summands",
-            requirement="negative definite form")
-    try:
-        form = QuadraticForm(inter.gram)
-    except ValueError as err:
-        raise GuardViolation(
-            f"the form of {z.label} is not negative definite unimodular: {err}",
-            requirement="negative definite unimodular form") from err
-    if spinc_with_max_square(form, depth) is None:
-        raise GuardViolation(
-            f"no maximal-square Spin-c class found for {z.label} at depth {depth}",
-            requirement="c1^2(s_Z) = -b2(Z)")
-
-
-def n_catalog(kind: str, k: int = 2, **params) -> NCatalogEntry:
-    """Catalog of summands usable as the N side of the gluing.
-
-    Kinds: S4, CP2bar, S1xLensSum (orders=[...]), HatS1L (h1_orders,
-    pi1_order), Extended (base entry plus k*l copies of a definite
-    psc piece z).
-    """
-    if kind == "S4":
-        return NCatalogEntry(builtin("S4"), k, "S4",
-                             ("rotation with free generic orbits",))
-    if kind == "CP2bar":
-        z = builtin("CP2bar")
-        _certify_max_square(z)
-        return NCatalogEntry(z, k, "CP2bar",
-                             ("weighted projective rotation",
-                              "maximal-square class certified on diag(-1)"))
-    if kind == "S1xLensSum":
-        orders = tuple(sorted(int(o) for o in params.get("orders", ())))
-        if any(o < 2 for o in orders):
-            raise GuardViolation("every lens order must be at least 2",
-                                 requirement="orders >= 2")
-        label = "S1xS3" if not orders else \
-            "S1x(" + "#".join(f"L({o})" for o in orders) + ")"
-        descriptor = ManifoldDescriptor(
-            label=label, simply_connected=False, b1=1, b2_plus=0, b2_minus=0,
-            torsion_h1=orders, spin=True, sw=SWInfo.unknown(),
-            intersection=IntersectionData(), admits_psc=True)
-        return NCatalogEntry(descriptor, k, "S1xLensSum",
-                             ("free rotation along the circle factor, nu = 1",), nu=1)
-    if kind == "HatS1L":
-        return hat_s1_l(params["h1_orders"], params["pi1_order"], k=k)
-    if kind == "Extended":
-        base: NCatalogEntry = params["base"]
-        z: ManifoldDescriptor = params["z"]
-        l = int(params["l"])
-        if l < 0:
-            raise GuardViolation("the copy parameter must be nonnegative",
-                                 requirement="l >= 0")
-        if base.k != k:
-            raise GuardViolation(
-                f"base entry was instantiated for k = {base.k}, not {k}",
-                requirement="matching cyclic order")
-        if not z.admits_psc:
-            raise GuardViolation(f"{z.label} is not marked as carrying positive "
-                                 "scalar curvature", requirement="psc piece")
-        _certify_max_square(z)
-        descriptor = connected_sum_all([base.descriptor] + [z] * (k * l))
-        # z carries psc and the orders match, so the hypotheses are the base's
-        return replace(base, descriptor=descriptor, kind="Extended",
-                       notes=base.notes + (f"extended by {k * l} copies of {z.label}",))
-    raise GuardViolation(f"unknown catalog kind {kind!r}")
+def n_catalog(kind: str, k: int = 2) -> NCatalogEntry:
+    """The simply connected summands S4 (rotation with free generic orbits)
+    and CP2bar (weighted projective rotation, whose class of square -1 has
+    maximal square); ``hat_s1_l`` builds the hat summands."""
+    if kind not in ("S4", "CP2bar"):
+        raise GuardViolation(f"unknown catalog kind {kind!r}")
+    return NCatalogEntry(builtin(kind), k, kind)
 
 
 # ----- transfer of the mod-2 polynomial -----
@@ -250,22 +172,6 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> Facto
     2 times each sign vector of its exceptional classes followed by each
     residue.  ``expand()`` writes it out.
     """
-    _transfer_guards(m)
-    if n_entry.nu != 0:
-        raise GuardViolation(
-            "the entry has invariant 1-forms (nu > 0); polynomial transfer "
-            "does not apply, use gmono_eval for the determined values",
-            requirement="nu = 0")
-    torsion = n_entry.descriptor.torsion_h1
-    sw = m.sw if m.sw.is_known else SWInfo.known(
-        GroupRingElement.zero(FgAbelianGroup(len(m.intersection.tracked_basis))))
-    base = sw.factored()
-    residues = list(itertools.product(*map(range, torsion)))
-    return FactoredElement(base.core.mod2(), FgAbelianGroup(base.ambient.free_rank, torsion),
-                           tuple(sign + residue for sign in base.tails for residue in residues))
-
-
-def _transfer_guards(m: ManifoldDescriptor):
     if m.b2_plus <= 1:
         raise GuardViolation(
             f"{m.label} has b2+ = {m.b2_plus}; the transfer needs b2+ > 1",
@@ -274,73 +180,13 @@ def _transfer_guards(m: ManifoldDescriptor):
         raise GuardViolation(
             f"the polynomial of {m.label} is unknown; nothing to transfer",
             requirement="SW polynomial known or known zero")
-
-
-class _Undetermined:
-    """Sentinel for values outside the determined range of the transfer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Undetermined"
-
-
-UNDETERMINED = _Undetermined()
-
-
-@dataclass(frozen=True)
-class EvalRequest:
-    """A single pairing of the equivariant invariant.
-
-    ``spinc_class`` selects the Spin-c structure by its monomial exponents
-    over the tracked basis of M (identity when None); ``u_power`` is the
-    exponent of the degree-two point class; ``one_forms`` are 1-cycle
-    insertions; ``include_invariant_forms`` appends the full wedge of
-    invariant 1-forms of N, which is required for a determined value
-    whenever nu > 0.
-    """
-
-    spinc_class: Mapping[str, int] | None = None
-    u_power: int = 0
-    one_forms: tuple = ()
-    include_invariant_forms: bool = False
-
-
-def gmono_eval(m: ManifoldDescriptor, n_entry: NCatalogEntry, request: EvalRequest):
-    """Evaluate one mod-2 equivariant pairing, or report it undetermined.
-
-    With nu = 0 every pairing equals the corresponding pairing on M mod 2;
-    with nu > 0 this holds only when the invariant 1-forms are wedged in.
-    Stored descriptors carry the polynomial alone, so only degree-zero
-    evaluations (u_power 0, no 1-cycles, simple-type classes) are
-    readable; everything else is Undetermined rather than guessed.
-    """
-    _transfer_guards(m)
-    if n_entry.nu > 0 and not request.include_invariant_forms:
-        return UNDETERMINED
-    if request.one_forms:
-        return UNDETERMINED
-    if m.sw.is_zero:
-        return 0
-    tracked = m.intersection.tracked_basis
-    exps = dict(request.spinc_class or {})
-    if any(name not in tracked for name in exps):
-        raise GuardViolation("class names must come from the tracked basis",
-                             requirement="tracked Spin-c class")
-    if request.u_power != 0:
-        return UNDETERMINED
-    if expected_sw_dimension(m, exps) != 0:
-        return UNDETERMINED
-    free = tuple(exps.get(name, 0) for name in tracked)
-    core, r = m.sw.core, m.sw.core.ambient.free_rank
-    if any(abs(e) != 1 for e in free[r:]):  # every expanded monomial has E_i^(+-1)
-        return 0
-    return core.coefficient(core.ambient.element(free[:r])) % 2
+    torsion = n_entry.descriptor.torsion_h1
+    sw = m.sw if m.sw.is_known else SWInfo.known(
+        GroupRingElement.zero(FgAbelianGroup(len(m.intersection.tracked_basis))))
+    base = sw.factored()
+    residues = list(itertools.product(*map(range, torsion)))
+    return FactoredElement(base.core.mod2(), FgAbelianGroup(base.ambient.free_rank, torsion),
+                           tuple(sign + residue for sign in base.tails for residue in residues))
 
 
 # ----- stable-class rewriting -----
@@ -410,7 +256,7 @@ class BFSimplified:
 
 
 def _sort_key(node) -> tuple:
-    rank = {IdAtom: 0, BFAtom: 1, BFGAtom: 2}.get(type(node), 3)
+    rank = {IdAtom: 0, BFAtom: 1}.get(type(node), 2)
     return (rank, node.render())
 
 
@@ -435,11 +281,9 @@ def _rewrite(node, trace: list[str]):
                 f"^ BFG({node.n.descriptor.label}, k={node.n.k})")
             rest = BFGAtom(node.n)
             return _rewrite(Smash((bf_atom(node.summand), rest)), trace)
-        if node.n.nu == 0:
-            trace.append(
-                f"identity_class: BFG({node.n.descriptor.label}, k={node.n.k}) -> Id")
-            return IdAtom()
-        return node
+        trace.append(
+            f"identity_class: BFG({node.n.descriptor.label}, k={node.n.k}) -> Id")
+        return IdAtom()
     if isinstance(node, BFAtom):
         if node.label == "S4":
             trace.append("identity_class: BF(S4) -> Id")
@@ -452,9 +296,9 @@ def bf_simplify(expr: BFExpr) -> BFSimplified:
     """Normalize a smash expression and report nontriviality.
 
     The smash node is flattened and sorted, identity factors are
-    absorbed, an equivariant class over a catalog summand with nu = 0
-    is the identity, and a class of a k-fold sum splits off the plain
-    class of the repeated summand.  The verdict is Nontrivial when the
+    absorbed, the equivariant class of a catalog summand alone is the
+    identity (no catalog summand has invariant 1-forms), and a class of a
+    k-fold sum splits off the plain class of the repeated summand.  The verdict is Nontrivial when the
     normal form is the identity or a single atom flagged nontrivial.
     """
     trace: list[str] = []

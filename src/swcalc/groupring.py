@@ -196,9 +196,6 @@ class GroupRingElement:
         """Sum of all coefficients, i.e. image under A -> 1."""
         return sum(self._terms.values())
 
-    def support(self) -> list[GroupElement]:
-        return [self._element(key) for key in sorted(self._terms)]
-
     def free_exponents(self) -> Iterator[tuple[int, ...]]:
         """Free exponent vector of every stored monomial, in storage order."""
         r = self.ambient.free_rank
@@ -268,19 +265,6 @@ class GroupRingElement:
             _accumulate(out, ((head + (at + step * e,) + tail, c * cq)
                               for (e,), cq in q._terms.items()))
         return self._wrap(self.ambient, out)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise UnsupportedOperation("negative ring powers are not defined")
-        g = self.ambient
-        result = self._wrap(g, {(0,) * (g.free_rank + g.torsion_rank): 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     # ----- reductions and reindexings -----
 

@@ -36,13 +36,6 @@ class AlexanderPoly:
     def coeffs(self) -> dict[int, int]:
         return laurent_coeffs(self.poly)
 
-    def term_count(self) -> int:
-        return self.poly.monomial_count()
-
-    def __mul__(self, other: "AlexanderPoly") -> "AlexanderPoly":
-        return AlexanderPoly(self.poly * other.poly,
-                             name=f"{self.label()}*{other.label()}")
-
     def label(self) -> str:
         return self.name if self.name is not None else self.poly.render(("t",))
 

@@ -275,8 +275,3 @@ def spinc_from_basis(q: QuadraticForm,
         if (q.pairing(vector, basis_vec) - q.evaluate(basis_vec)) % 2 != 0:
             raise AssertionError("constructed vector is not characteristic")
     return SpincResult(vector, square)
-
-
-def spinc_with_max_square(q: QuadraticForm, bound: int) -> SpincResult | None:
-    """spinc_from_basis on the diagonalizing basis found inside the box."""
-    return spinc_from_basis(q, diagonalize(q, bound))

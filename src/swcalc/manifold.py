@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, product
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import GuardViolation
 from .groupring import (FactoredElement, FgAbelianGroup, GroupRingElement,
@@ -123,17 +123,6 @@ class IntersectionData:
             rows.extend(left + tuple(row) + right for row in block)
         return tuple(rows)
 
-    def square(self, exponents: Mapping[str, int]) -> int:
-        """Self-intersection of an integer combination of tracked classes."""
-        idx = {name: i for i, name in enumerate(self.tracked_basis)}
-        vec = [0] * len(self.tracked_basis)
-        for name, e in exponents.items():
-            if name not in idx:
-                raise GuardViolation(f"class {name!r} is not a tracked generator",
-                                     requirement="gram data available for the class")
-            vec[idx[name]] = e
-        return self.vector_square(vec)
-
     def _square_entries(self) -> tuple[tuple[int, int, int], ...]:
         """(i, j, g) per nonzero Gram entry, i <= j, g doubled off the diagonal."""
         entries = self.__dict__.get("_entries")
@@ -143,10 +132,6 @@ class IntersectionData:
                 (s + i, s + j, x if i == j else 2 * x) for s, block in zip(starts, self.blocks)
                 for i, row in enumerate(block) for j, x in enumerate(row[i:], i) if x))
         return entries
-
-    def vector_square(self, vec: Sequence[int]) -> int:
-        """Self-intersection of a coefficient vector in basis order."""
-        return _square(self._square_entries(), vec)
 
     def direct_sum(self, other: "IntersectionData") -> "IntersectionData":
         """Orthogonal sum, renaming the classes of ``other`` that clash.
@@ -482,18 +467,6 @@ def homeo_type(m: ManifoldDescriptor | Fingerprint) -> HomeoType:
             f"{getattr(m, 'label', fp)} is not representable in dissolved form",
             requirement="nonnegative S2xS2 count")
     return HomeoType("even", s2, k3, orientation)
-
-
-def expected_sw_dimension(m: ManifoldDescriptor, c: Mapping[str, int]) -> int:
-    """Expected moduli dimension (c.c - 2*chi - 3*sigma)/4 for a class c."""
-    square = m.intersection.square(c)
-    num = square - 2 * m.chi - 3 * m.sigma
-    if num % 4 != 0:
-        raise GuardViolation(
-            f"square {square} gives a non-integral dimension: "
-            "not a characteristic class for this form",
-            requirement="characteristic class")
-    return num // 4
 
 
 def mod2_basic_class_count(m: ManifoldDescriptor) -> int | None:

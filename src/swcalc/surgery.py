@@ -1,9 +1,8 @@
 """Surgery calculus on manifold descriptors.
 
 Connected sum, blowup, knot surgery along a square-zero torus,
-logarithmic transform, stabilization equivalence records, and the
-dissolution rewrite system that normalizes connected sums of elliptic
-pieces into standard summands.
+logarithmic transform, and the dissolution rewrite system that normalizes
+connected sums of elliptic pieces into standard summands.
 """
 from __future__ import annotations
 
@@ -203,47 +202,6 @@ def log_transform(two_n: int, r: int) -> ManifoldDescriptor:
                     "assumes the companion fibered torus in a disjoint nucleus "
                     "survives, so the torus capability is kept"),
     )
-
-
-# ----- stabilization equivalence -----
-
-@dataclass(frozen=True)
-class EquivalenceRecord:
-    """Evidence that two descriptors become diffeomorphic after one
-    S2xS2 stabilization."""
-
-    kind: str  # "identity" or "one_stabilization"
-    left: str
-    right: str
-    knot: str | None
-    fingerprint: Fingerprint
-    statement: str
-
-
-def stabilization_equivalence(a_k: ManifoldDescriptor,
-                              a: ManifoldDescriptor) -> EquivalenceRecord:
-    """Record that a_k # S2xS2 is diffeomorphic to a # S2xS2.
-
-    Valid when a_k arose from a by knot surgery (one stabilization
-    dissolves the knotting) or trivially when the descriptors agree.
-    """
-    if a_k == a:
-        return EquivalenceRecord(
-            "identity", a_k.label, a.label, None, a.fingerprint,
-            f"{a_k.label} = {a.label}")
-    if a_k.fingerprint != a.fingerprint:
-        raise GuardViolation(
-            f"fingerprints differ: {a_k.fingerprint} vs {a.fingerprint}; "
-            "the manifolds are not homeomorphic",
-            requirement="equal homeomorphism fingerprints")
-    lineage = a_k.derived_from
-    if lineage is None or lineage[0] != "knot_surgery" or lineage[1][0] != a:
-        raise GuardViolation(
-            f"{a_k.label} does not record a knot surgery pedigree from {a.label}",
-            requirement="knot surgery lineage")
-    return EquivalenceRecord(
-        "one_stabilization", a_k.label, a.label, lineage[2], a.fingerprint,
-        f"{a_k.label} # S2xS2 = {a.label} # S2xS2")
 
 
 # ----- dissolution rewrite system -----

@@ -14,11 +14,13 @@ from swcalc.expressions import eval_expr, parse, render
 from swcalc.fixedpoint import invariant_locus, solve_fixed_points
 from swcalc.groupring import FgAbelianGroup, GroupRingElement
 from swcalc.knot import alexander_family, torus_knot, validate
-from swcalc.lattice import (characteristic_vectors, diagonal_form, e8_form,
-                            max_characteristic_square, spinc_with_max_square)
+from swcalc.lattice import (characteristic_vectors, diagonal_form, diagonalize,
+                            e8_form, max_characteristic_square, spinc_from_basis)
 from swcalc.manifold import builtin, mod2_basic_class_count
 from swcalc.surgery import (blowup, connected_sum_all, dissolve, knot_surgery,
                             log_transform)
+
+from oracles import class_square
 
 
 @contextmanager
@@ -93,7 +95,7 @@ def test_criterion_5_lattice_bound():
         assert best.value == 0
         assert best.achiever == (0,) * 8
         assert best.bound_limited
-        assert spinc_with_max_square(e8, 2) is None
+        assert spinc_from_basis(e8, diagonalize(e8, 2)) is None
         vectors = characteristic_vectors(e8, 2)
         assert max(e8.evaluate(v) for v in vectors) == 0 != -8
 
@@ -202,9 +204,8 @@ def test_criterion_9_property_suites():
                       log_transform(2, 4), log_transform(4, 3)]
         for m in generated:
             target = 2 * m.chi + 3 * m.sigma
-            for elem in m.sw.poly.mod2().support():
-                exps = dict(zip(m.intersection.tracked_basis, elem.free))
-                assert m.intersection.square(exps) == target
+            for free in m.sw.poly.mod2().free_exponents():
+                assert class_square(m.intersection, free) == target
 
         # parser round trip on the documented examples
         for text in ("2*E(2) # S2xS2", "knot_surgery(E(2), torus(2,3))",

@@ -233,11 +233,34 @@ def test_bf_wrong_count(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("expression", [
+    "2*E(2) # S4 # hat(2)", "2*E(2) # hat(2) # S4", "2*E(2) # CP2bar # S4",
+    "hat(2) # hat(3)"])
+def test_bf_refuses_a_second_catalog_summand(capsys, expression):
+    code, data = run_json(capsys, ["bf", expression, "--k", "2"])
+    assert code == 2
+    assert data["error"]["message"] == "expected exactly one catalog summand"
+
+
+@pytest.mark.parametrize("expression", ["2*E(2) # 2*hat(2)", "2*E(2) # 2*S4"])
+def test_bf_refuses_a_multiple_of_the_catalog_summand(capsys, expression):
+    code, data = run_json(capsys, ["bf", expression, "--k", "2"])
+    assert code == 2
+    assert data["error"]["message"] == "the catalog summand appears once"
+
+
+def test_bf_refuses_no_catalog_summand(capsys):
+    code, data = run_json(capsys, ["bf", "2*E(2)", "--k", "2"])
+    assert code == 2
+    assert data["error"]["message"] == \
+        "expression must contain one catalog summand: hat(l), S4 or CP2bar"
+
+
 def test_catalog_subcommand(capsys):
     code, data = run_json(capsys, ["catalog"])
     assert code == 0
     assert "trefoil" in data["knots"]
-    assert "HatS1L" in data["catalog_kinds"]
+    assert data["catalog_kinds"] == ["S4", "CP2bar", "HatS1L"]
 
 
 def test_catalog_file_flag(tmp_path, capsys):

@@ -7,22 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swcalc.equivariant import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL,
-                                BINARY_TETRAHEDRAL, UNDETERMINED, BFAtom,
-                                BFGAtom, EvalRequest, IdAtom,
+                                BINARY_TETRAHEDRAL, BFAtom, BFGAtom, IdAtom,
                                 NCatalogEntry, Smash, bf_atom,
                                 bf_simplify, bfg_connected_sum,
                                 covering_consistency, cyclic_space_form,
-                                exotic_family, gmono_eval,
-                                gmonopole_polynomial, hat_s1_l, match_space_form,
-                                n_catalog, quaternionic_space_form,
-                                _certify_max_square)
+                                exotic_family, gmonopole_polynomial, hat_s1_l,
+                                match_space_form, n_catalog, quaternionic_space_form)
 from swcalc.errors import GuardViolation
 from swcalc.groupring import FgAbelianGroup, GroupRingElement
 from swcalc.knot import alexander_family, torus_knot
-from swcalc.lattice import QuadraticForm, e8_form, spinc_with_max_square
 from swcalc.manifold import (IntersectionData, ManifoldDescriptor, SWInfo, builtin,
                              mod2_basic_class_count, reverse_orientation)
-from swcalc.surgery import blowup, connected_sum, connected_sum_all, knot_surgery
+from swcalc.surgery import blowup, connected_sum, knot_surgery
+
+from oracles import class_square
 
 
 # ----- space forms and hat entries -----
@@ -34,13 +32,13 @@ def test_hat_rp3():
     assert d.torsion_h1 == (2,)
     assert entry.spinc_count == 2
     assert entry.descriptor.b2_plus == 0
-    assert "universal cover: 1*(S2xS2)" in entry.notes
+    assert entry.h_order == 2
 
 
 def test_hat_lens5():
     entry = hat_s1_l([5], 5, k=2)
     assert entry.spinc_count == 5
-    assert any("4*(S2xS2)" in note for note in entry.notes)
+    assert entry.h_order == 5
 
 
 def test_hat_refuses_trivial_group():
@@ -81,28 +79,21 @@ def test_space_form_families():
 def test_catalog_s4():
     entry = n_catalog("S4", k=3)
     assert entry.descriptor.b2_plus == 0
-    assert entry.nu == 0
+    assert entry.descriptor.b1 == 0
 
 
 def test_catalog_cp2bar_certified():
     entry = n_catalog("CP2bar", k=2)
     assert entry.descriptor.b2_minus == 1
-    assert any("diag(-1)" in note for note in entry.notes)
+    # the class of square -1 is the whole form: no tracked block to search
+    assert entry.descriptor.intersection.tracked_basis == ()
 
 
-def test_catalog_lens_sum_has_invariant_circle():
-    entry = n_catalog("S1xLensSum", k=2, orders=[2, 3])
-    assert entry.nu == 1
-    assert entry.descriptor.b1 == 1
-    assert entry.descriptor.torsion_h1 == (2, 3)
-    assert entry.descriptor.chi == 0
-
-
-def test_catalog_extended_example():
-    base = hat_s1_l([2], 2, k=2)
-    entry = n_catalog("Extended", k=2, base=base, z=builtin("CP2bar"), l=2)
-    assert entry.descriptor.b2_minus == 4
-    assert entry.descriptor.b2_plus == 0
+def test_catalog_builds_only_simply_connected_kinds():
+    for kind in ("HatS1L", "S1xLensSum", "Extended"):
+        with pytest.raises(GuardViolation) as err:
+            n_catalog(kind)
+        assert "unknown catalog kind" in str(err.value)
 
 
 def test_entry_refuses_positive_b2plus():
@@ -115,65 +106,6 @@ def test_entry_refuses_order_below_two():
     with pytest.raises(GuardViolation) as err:
         NCatalogEntry(builtin("S4"), 1, "S4")
     assert err.value.requirement == "k >= 2"
-
-
-def test_catalog_extended_rejects_positive_b2plus():
-    base = hat_s1_l([2], 2, k=2)
-    with pytest.raises(GuardViolation):
-        n_catalog("Extended", k=2, base=base, z=builtin("S2xS2"), l=1)
-
-
-def test_catalog_extended_accepts_long_antiblowup_sums():
-    base = n_catalog("S4")
-    for copies in (9, 20):
-        z = connected_sum_all([builtin("CP2bar")] * copies)
-        entry = n_catalog("Extended", base=base, z=z, l=1)
-        assert entry.descriptor.b2_minus == 2 * copies
-        assert (entry.k, entry.nu, entry.h_order) == (base.k, base.nu, base.h_order)
-
-
-def test_catalog_extended_refuses_tracked_rank_above_search_limit():
-    with pytest.raises(GuardViolation) as err:
-        n_catalog("Extended", base=n_catalog("S4"), z=blowup(builtin("S4"), 9), l=1)
-    assert err.value.requirement == "rank <= 8"
-
-
-def full_form_certified(z, depth):
-    """The maximal-square search on the whole form, tracked Gram plus
-    diag(-1)^minus_count, assembled densely."""
-    inter = z.intersection
-    n = len(inter.tracked_basis)
-    size = n + inter.minus_count
-    rows = tuple(tuple(inter.gram[i][j] if i < n and j < n else -1 if i == j else 0
-                       for j in range(size)) for i in range(size))
-    return spinc_with_max_square(QuadraticForm(rows), depth) is not None
-
-
-def tracked_block_certified(z, depth):
-    try:
-        _certify_max_square(z, depth)
-    except GuardViolation:
-        return False
-    return True
-
-
-def test_certify_max_square_matches_full_form():
-    e8_piece = ManifoldDescriptor(
-        "Z_E8", True, 0, 0, 8, (), True, SWInfo.unknown(),
-        IntersectionData(tuple(f"x{i}" for i in range(8)), (e8_form().gram,)),
-        admits_psc=True)
-    pool = [e8_piece]
-    for r in range(9):
-        for s in range(9 - r):
-            pieces = ([blowup(builtin("S4"), r)] if r else []) + [builtin("CP2bar")] * s
-            pool.append(connected_sum_all(pieces))
-    verdicts = set()
-    for z in pool:
-        for depth in (1, 2):
-            verdict = tracked_block_certified(z, depth)
-            assert verdict == full_form_certified(z, depth), z.label
-            verdicts.add(verdict)
-    assert verdicts == {True, False}
 
 
 # ----- transfer polynomial -----
@@ -210,13 +142,6 @@ def test_gmonopole_refuses_unknown_polynomial():
     with pytest.raises(GuardViolation) as err:
         gmonopole_polynomial(m, hat_s1_l([2], 2))
     assert err.value.requirement == "SW polynomial known or known zero"
-
-
-def test_gmonopole_redirects_when_nu_positive():
-    entry = n_catalog("S1xLensSum", k=2, orders=[2])
-    with pytest.raises(GuardViolation) as err:
-        gmonopole_polynomial(builtin("E", 2), entry)
-    assert "gmono_eval" in str(err.value)
 
 
 def test_gmonopole_count_factorization():
@@ -356,80 +281,13 @@ def test_simple_type_verdict_on_the_core_matches_expansion(case, torus_square):
     inter = member.intersection
     form = replace(inter, blocks=(((torus_square,),),) + inter.blocks[1:])
     target = 2 * member.chi + 3 * member.sigma
-    expanded = all(form.vector_square(v) == target for v in expansion.free_exponents())
+    expanded = all(class_square(form, v) == target for v in expansion.free_exponents())
     try:
         replace(member, intersection=form)
     except ValueError:
         assert not expanded
     else:
         assert expanded
-
-
-# ----- single evaluations -----
-
-def test_gmono_eval_e3_fiber_class():
-    entry = n_catalog("S4", k=2)
-    out = gmono_eval(builtin("E", 3), entry, EvalRequest(spinc_class={"T": 1}))
-    assert out == 1
-
-
-def test_gmono_eval_on_blowups_matches_expansion():
-    entry = n_catalog("S4", k=2)
-    compared = 0
-    for m in (1, 2, 4):
-        d = blowup(builtin("E", 3), m)
-        tracked = d.intersection.tracked_basis
-        for free in itertools.product(range(-2, 3), repeat=1 + m):
-            request = EvalRequest(spinc_class=dict(zip(tracked, free)))
-            try:
-                out = gmono_eval(d, entry, request)
-            except GuardViolation:  # not characteristic
-                continue
-            if out is not UNDETERMINED:
-                elem = d.sw.poly.ambient.element(free)
-                assert out == d.sw.poly.coefficient(elem) % 2, free
-                compared += 1
-    assert compared > 100
-    forty = blowup(builtin("E", 2), 40)
-    signs = {f"E{i}": (-1) ** i for i in range(1, 41)}
-    assert gmono_eval(forty, entry, EvalRequest(spinc_class=signs)) == 1
-
-
-def test_gmono_eval_undetermined_without_invariant_forms():
-    entry = n_catalog("S1xLensSum", k=2, orders=[2])
-    out = gmono_eval(builtin("E", 2), entry, EvalRequest())
-    assert out is UNDETERMINED
-
-
-def test_gmono_eval_nu_positive_with_forms():
-    entry = n_catalog("S1xLensSum", k=2, orders=[2])
-    out = gmono_eval(builtin("E", 2), entry,
-                     EvalRequest(include_invariant_forms=True))
-    assert out == 1
-
-
-def test_gmono_eval_missing_class_is_zero():
-    entry = n_catalog("S4", k=2)
-    out = gmono_eval(builtin("E", 3), entry, EvalRequest(spinc_class={"T": 3}))
-    assert out == 0
-
-
-def test_gmono_eval_u_power_undetermined():
-    entry = n_catalog("S4", k=2)
-    out = gmono_eval(builtin("E", 2), entry, EvalRequest(u_power=1))
-    assert out is UNDETERMINED
-
-
-def test_gmono_eval_one_forms_unsupported():
-    entry = n_catalog("S4", k=2)
-    out = gmono_eval(builtin("E", 2), entry, EvalRequest(one_forms=("c",)))
-    assert out is UNDETERMINED
-
-
-def test_gmono_eval_known_zero():
-    entry = n_catalog("S4", k=2)
-    m = connected_sum(builtin("E", 2), builtin("E", 2))
-    assert gmono_eval(m, entry, EvalRequest()) == 0
 
 
 # ----- stable-class rewriting -----

@@ -15,8 +15,7 @@ from swcalc.errors import GuardViolation
 from swcalc.lattice import (QuadraticForm, _square_minus_one,
                             characteristic_count, characteristic_vectors,
                             diagonal_form, diagonalize, e8_form,
-                            max_characteristic_square, spinc_from_basis,
-                            spinc_with_max_square)
+                            max_characteristic_square, spinc_from_basis)
 
 
 def is_characteristic(q, c):
@@ -180,31 +179,38 @@ def test_searches_leave_no_reference_cycles(search, q):
 
 # ----- maximal-square class -----
 
+def spinc_in_box(q, bound):
+    """The class of square -rank that the CLI prints: the sum of the
+    diagonalizing basis found inside the box."""
+    return spinc_from_basis(q, diagonalize(q, bound))
+
+
 def test_spinc_diag2():
-    out = spinc_with_max_square(diagonal_form(2), 2)
+    out = spinc_in_box(diagonal_form(2), 2)
     assert out.vector == (1, 1)
     assert out.square == -2
 
 
 def test_spinc_diag1():
-    assert spinc_with_max_square(diagonal_form(1), 1).vector == (1,)
+    assert spinc_in_box(diagonal_form(1), 1).vector == (1,)
 
 
 def test_spinc_rank0():
-    out = spinc_with_max_square(QuadraticForm(()), 1)
+    out = spinc_in_box(QuadraticForm(()), 1)
     assert out.vector == ()
     assert out.square == 0
 
 
 def test_spinc_nontrivial_form_is_characteristic():
     q = QuadraticForm(((-2, 1), (1, -1)))
-    out = spinc_with_max_square(q, 3)
+    out = spinc_in_box(q, 3)
     assert out.square == -2
     assert is_characteristic(q, out.vector)
 
 
 def test_spinc_e8_not_found():
-    assert spinc_with_max_square(e8_form(), 2) is None
+    assert spinc_in_box(e8_form(), 2) is None
+    assert spinc_from_basis(e8_form(), None) is None
 
 
 # ----- equivalence with brute force over the full box -----
@@ -387,12 +393,6 @@ def test_max_square_matches_enumeration_at_default_bound(q):
 def test_square_minus_one_matches_box_filter(gram, depth):
     expected = [v for v in full_box(len(gram), depth) if square(gram, v) == -1]
     assert _square_minus_one(QuadraticForm(gram), depth) == expected
-
-
-def test_spinc_from_basis_matches_spinc_with_max_square():
-    q = QuadraticForm(((-2, 1), (1, -1)))
-    assert spinc_from_basis(q, diagonalize(q, 3)) == spinc_with_max_square(q, 3)
-    assert spinc_from_basis(e8_form(), None) is None
 
 
 # ----- command line: golden answers and the work guard -----

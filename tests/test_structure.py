@@ -1,7 +1,9 @@
 """Structural checks on the package itself."""
 import argparse
 import ast
+import contextlib
 import inspect
+import io
 import os
 import subprocess
 import sys
@@ -163,3 +165,75 @@ def test_star_import_binds_all():
               "exec('from swcalc import *', names)\n"
               "print([n for n in swcalc.__all__ if n not in names])")
     assert _fresh(script) == "[]"
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+# Public names that no golden report and no smoke job enters, each with the
+# reason it stays public.
+UNREACHED = {
+    "validate": "reached only by loading a --catalog file",
+    "GroupElement": "the library's monomial type (terms, coefficient); "
+                    "the commands keep exponent tuples",
+    "apply_generator": "the generator action whose fixed tuples "
+                       "solve_fixed_points lists in closed form",
+}
+
+
+def _entry_points(obj):
+    """Code objects whose call counts as reaching a public name: a function's
+    own code, or any method, property or constructor of a class (of the
+    object's class, for an instance)."""
+    if inspect.isfunction(obj):
+        return {obj.__code__}
+    cls = obj if inspect.isclass(obj) else type(obj)
+    codes = set()
+    for value in vars(cls).values():
+        value = getattr(value, "__func__", getattr(value, "fget", value))
+        if inspect.isfunction(value):
+            codes.add(value.__code__)
+    return codes
+
+
+def test_every_public_name_is_reached(monkeypatch):
+    """Each ``swcalc.__all__`` name is entered by the golden argv corpus or by
+    the smoke jobs of the three benchmark workloads, or is listed above."""
+    from test_golden import REPORTS
+
+    from swcalc import cli, fixedpoint
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from reference import permutation_matrix
+    from workloads import WORKLOADS, make_jobs
+
+    argvs = [argv for _, argv, _ in REPORTS] + [["catalog"]]
+    library = []
+    for workload in WORKLOADS:
+        for job in make_jobs(workload, 0, smoke=True):
+            if job.argv is None:
+                library.append(job.params)
+            else:
+                argvs.append(list(job.argv))
+    public = {name: _entry_points(getattr(swcalc, name)) for name in swcalc.__all__}
+
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in argvs:
+                cli.run_command(argv)
+        for params in library:
+            fixedpoint.fixed_subtorus(fixedpoint.TorusAutomorphism(
+                permutation_matrix(params["perm"]), params["order"]))
+    finally:
+        sys.setprofile(None)
+    unreached = sorted(name for name, codes in public.items()
+                       if not codes & entered and name not in UNREACHED)
+    assert unreached == []
+    # a listed name that left __all__ or that a command now enters leaves the list
+    assert sorted(name for name in UNREACHED
+                  if name not in public or public[name] & entered) == []
