@@ -15,11 +15,11 @@ _EXPORTS = {
                 "dissolve", "knot_surgery", "log_transform"),
     "lattice": ("QuadraticForm", "characteristic_vectors", "diagonal_form",
                 "diagonalize", "e8_form", "max_characteristic_square"),
-    "fixedpoint": ("AngleTuple", "TorusAutomorphism", "apply_generator",
-                   "fixed_subtorus", "invariant_locus", "solve_fixed_points"),
+    "fixedpoint": ("AngleTuple", "TorusAutomorphism", "fixed_subtorus",
+                   "invariant_locus", "solve_fixed_points"),
     "equivariant": ("FamilyReport", "NCatalogEntry", "bf_simplify",
-                    "bfg_connected_sum", "covering_consistency", "cyclic_space_form",
-                    "exotic_family", "gmonopole_polynomial", "hat_s1_l", "n_catalog"),
+                    "covering_consistency", "cyclic_space_form", "exotic_family",
+                    "gmonopole_polynomial", "hat_s1_l", "n_catalog"),
     "expressions": ("Catalog", "eval_expr", "parse", "render"),
 }
 

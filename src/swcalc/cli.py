@@ -219,17 +219,7 @@ def _cmd_bf(args) -> dict:
     if entry is None:
         raise ExprSyntaxError(
             "expression must contain one catalog summand: hat(l), S4 or CP2bar")
-    if summand is None:
-        expr = equivariant.BFGAtom(entry)
-    else:
-        expr = equivariant.bfg_connected_sum(summand, count, entry)
-    result = equivariant.bf_simplify(expr)
-    return {
-        "input": expr.render(),
-        "normal_form": result.expr.render(),
-        "verdict": result.verdict,
-        "trace": list(result.trace),
-    }
+    return equivariant.bf_simplify(entry, summand, count)
 
 
 def _cmd_catalog(args) -> dict:

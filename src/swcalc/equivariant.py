@@ -1,5 +1,5 @@
-"""Equivariant machinery: summand catalog, transfer formula, stable-class
-rewriting, and the exotic-action family generator.
+"""Equivariant machinery: summand catalog, transfer formula, the stable
+class of a k-fold sum, and the exotic-action family generator.
 
 A catalog entry is a closed 4-manifold N with b2+ = 0 and b1 = 0 that
 carries a cyclic action with a free orbit, an invariant positive scalar
@@ -189,127 +189,39 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> Facto
                            tuple(sign + residue for sign in base.tails for residue in residues))
 
 
-# ----- stable-class rewriting -----
+# ----- stable class -----
 
-@dataclass(frozen=True)
-class IdAtom:
-    def render(self) -> str:
-        return "Id"
+def bf_simplify(n_entry: NCatalogEntry, m: ManifoldDescriptor | None = None,
+                count: int = 0) -> dict:
+    """The ``bf`` report of BFG(N), or of BFG(k*M # N) when M is given.
 
-
-@dataclass(frozen=True)
-class BFAtom:
-    label: str
-    nontrivial: bool | None = None
-
-    def render(self) -> str:
-        return f"BF({self.label})"
-
-
-@dataclass(frozen=True)
-class BFGAtom:
-    """Equivariant stable class of (k copies of summand) # n, or of n alone."""
-
-    n: NCatalogEntry
-    summand: ManifoldDescriptor | None = None
-
-    def render(self) -> str:
-        k = self.n.k
-        if self.summand is None:
-            return f"BFG({self.n.descriptor.label}, k={k})"
-        return f"BFG({k}*{self.summand.label} # {self.n.descriptor.label}, k={k})"
-
-
-@dataclass(frozen=True)
-class Smash:
-    factors: tuple
-
-    def render(self) -> str:
-        return " ^ ".join(f.render() for f in self.factors)
-
-
-BFExpr = IdAtom | BFAtom | BFGAtom | Smash
-
-
-def bf_atom(m: ManifoldDescriptor) -> BFExpr:
-    """Stable class of a single manifold; flagged nontrivial when its
-    mod-2 polynomial is."""
-    count = mod2_basic_class_count(m)
-    nontrivial = True if count else None
-    return BFAtom(m.label, nontrivial)
-
-
-def bfg_connected_sum(m: ManifoldDescriptor, count: int, n_entry: NCatalogEntry) -> BFGAtom:
-    if count != n_entry.k:
-        raise GuardViolation(
-            f"the equivariant class needs exactly k = {n_entry.k} copies of the "
-            f"summand, got {count}",
-            requirement="k summands of M")
-    return BFGAtom(n_entry, m)
-
-
-@dataclass(frozen=True)
-class BFSimplified:
-    expr: BFExpr
-    verdict: str  # "nontrivial" or "unknown"
-    trace: tuple[str, ...]
-
-
-def _sort_key(node) -> tuple:
-    rank = {IdAtom: 0, BFAtom: 1}.get(type(node), 2)
-    return (rank, node.render())
-
-
-def _rewrite(node, trace: list[str]):
-    if isinstance(node, Smash):
-        parts = []
-        for f in node.factors:
-            reduced = _rewrite(f, trace)
-            if isinstance(reduced, Smash):
-                parts.extend(reduced.factors)
-            elif not isinstance(reduced, IdAtom):
-                parts.append(reduced)
-        if not parts:
-            return IdAtom()
-        if len(parts) == 1:
-            return parts[0]
-        return Smash(tuple(sorted(parts, key=_sort_key)))
-    if isinstance(node, BFGAtom):
-        if node.summand is not None:
-            trace.append(
-                f"sum_splitting: {node.render()} -> BF({node.summand.label}) "
-                f"^ BFG({node.n.descriptor.label}, k={node.n.k})")
-            rest = BFGAtom(node.n)
-            return _rewrite(Smash((bf_atom(node.summand), rest)), trace)
-        trace.append(
-            f"identity_class: BFG({node.n.descriptor.label}, k={node.n.k}) -> Id")
-        return IdAtom()
-    if isinstance(node, BFAtom):
-        if node.label == "S4":
-            trace.append("identity_class: BF(S4) -> Id")
-            return IdAtom()
-        return node
-    return node
-
-
-def bf_simplify(expr: BFExpr) -> BFSimplified:
-    """Normalize a smash expression and report nontriviality.
-
-    The smash node is flattened and sorted, identity factors are
-    absorbed, the equivariant class of a catalog summand alone is the
-    identity (no catalog summand has invariant 1-forms), and a class of a
-    k-fold sum splits off the plain class of the repeated summand.  The verdict is Nontrivial when the
-    normal form is the identity or a single atom flagged nontrivial.
+    The class of a k-fold sum splits off the plain class of the repeated
+    summand, BFG(k*M # N) = BF(M) ^ BFG(N), and the equivariant class of a
+    catalog summand alone is the identity (no catalog summand has invariant
+    1-forms).  The verdict is nontrivial when the result is Id, or BF(M)
+    with a nonzero mod-2 polynomial, and unknown otherwise.
     """
+    k, n_label = n_entry.k, n_entry.descriptor.label
+    n_class = f"BFG({n_label}, k={k})"
     trace: list[str] = []
-    normal = _rewrite(expr, trace)
-    if isinstance(normal, IdAtom):
-        verdict = "nontrivial"
-    elif isinstance(normal, BFAtom) and normal.nontrivial:
-        verdict = "nontrivial"
+    if m is None:
+        source, normal, verdict = n_class, "Id", "nontrivial"
     else:
-        verdict = "unknown"
-    return BFSimplified(normal, verdict, tuple(trace))
+        if count != k:
+            raise GuardViolation(
+                f"the equivariant class needs exactly k = {k} copies of the "
+                f"summand, got {count}",
+                requirement="k summands of M")
+        source = f"BFG({k}*{m.label} # {n_label}, k={k})"
+        trace.append(f"sum_splitting: {source} -> BF({m.label}) ^ {n_class}")
+        if m.label == "S4":
+            trace.append("identity_class: BF(S4) -> Id")
+            normal, verdict = "Id", "nontrivial"
+        else:
+            normal = f"BF({m.label})"
+            verdict = "nontrivial" if mod2_basic_class_count(m) else "unknown"
+    trace.append(f"identity_class: {n_class} -> Id")
+    return {"input": source, "normal_form": normal, "verdict": verdict, "trace": trace}
 
 
 # ----- covering check -----

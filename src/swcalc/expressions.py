@@ -416,17 +416,3 @@ def eval_expr(e: Expr, catalog: Catalog | None = None,
     if isinstance(e, Reverse):
         return reverse_orientation(eval_expr(e.expr, catalog, _stack))
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def expression_factors(e: Expr, catalog: Catalog | None = None
-                       ) -> list[ManifoldDescriptor]:
-    """Top-level connected-sum factors, multiplicities expanded."""
-    if isinstance(e, ConnSum):
-        out: list[ManifoldDescriptor] = []
-        for f in e.factors:
-            out.extend(expression_factors(f, catalog))
-        return out
-    if isinstance(e, Multiple):
-        piece = eval_expr(e.expr, catalog)
-        return [piece] * e.count
-    return [eval_expr(e, catalog)]

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Sequence
 
 from .errors import GuardViolation
 
@@ -40,19 +39,8 @@ class AngleTuple:
         object.__setattr__(obj, "angles", angles)
         return obj
 
-    @property
-    def k(self) -> int:
-        return len(self.angles)
-
     def as_strings(self) -> list[str]:
         return [str(a) for a in self.angles]
-
-
-def normalize(raw: Sequence[Fraction]) -> AngleTuple:
-    """Quotient by the overall rotation: subtract the last entry, reduce mod 1."""
-    raw = [Fraction(a) for a in raw]
-    last = raw[-1]
-    return AngleTuple(tuple((a - last) % 1 for a in raw))
 
 
 def solve_fixed_points(k: int) -> list[tuple[Fraction, AngleTuple]]:
@@ -75,28 +63,6 @@ def invariant_locus(k: int) -> list[tuple[Fraction, AngleTuple]]:
     if k < 1:
         raise GuardViolation("the cyclic order must be at least 1", requirement="k >= 1")
     return [(Fraction(0), AngleTuple._wrap((Fraction(0),) * k))]
-
-
-def apply_generator(t: AngleTuple, gauge: Fraction | int,
-                    offsets: Sequence[Fraction | int]) -> AngleTuple:
-    """One application of the cyclic generator followed by a global rotation.
-
-    ``offsets`` are the per-summand rotation constants of a lift of the
-    generator; they must sum to 0 mod 1 because the lift has order k.
-    Each offset is trivial near the gluing necks, so a global gauge
-    transformation cancels all of them exactly and only the cyclic shift
-    survives in the normal form.
-    """
-    offsets = [Fraction(o) for o in offsets]
-    if len(offsets) != t.k:
-        raise GuardViolation(f"expected {t.k} offsets, got {len(offsets)}",
-                             requirement="one offset per summand")
-    if sum(offsets) % 1 != 0:
-        raise GuardViolation("offsets must sum to 0 mod 1",
-                             requirement="lift of finite order")
-    shifted = (t.angles[-1],) + t.angles[:-1]
-    gauge = Fraction(gauge)
-    return normalize([(a + gauge) % 1 for a in shifted])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Reference computations shared by the tests, written with nothing of
-swcalc beyond ring products and the stored Gram matrix."""
+swcalc beyond ring products, the stored Gram matrix and the angle tuple."""
+from fractions import Fraction
+
+from swcalc.fixedpoint import AngleTuple
 from swcalc.groupring import GroupRingElement
 
 
@@ -19,3 +22,21 @@ def class_square(intersection, vec) -> int:
     gram = intersection.gram
     return sum(vec[i] * row[j] * vec[j] for i, row in enumerate(gram)
                for j in range(len(vec)))
+
+
+def normalize(raw) -> AngleTuple:
+    """Quotient by the overall rotation: subtract the last entry, reduce mod 1."""
+    raw = [Fraction(a) for a in raw]
+    return AngleTuple(tuple((a - raw[-1]) % 1 for a in raw))
+
+
+def apply_generator(t: AngleTuple, gauge) -> AngleTuple:
+    """One application of the cyclic generator followed by a global rotation.
+
+    A lift of the generator also rotates each summand by a constant, the
+    constants summing to 0 mod 1; each is trivial near the gluing necks, so
+    a global gauge transformation cancels all of them and only the cyclic
+    shift survives in the normal form.
+    """
+    shifted = (t.angles[-1],) + t.angles[:-1]
+    return normalize([(a + Fraction(gauge)) % 1 for a in shifted])

@@ -2,14 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
+import io
 import itertools
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
-from swcalc.equivariant import (BFGAtom, IdAtom, Smash, bf_atom, bf_simplify,
-                                bfg_connected_sum, covering_consistency,
-                                exotic_family, hat_s1_l)
+from swcalc.cli import run_command
+from swcalc.equivariant import (bf_simplify, covering_consistency, exotic_family,
+                                hat_s1_l)
 from swcalc.expressions import eval_expr, parse, render
 from swcalc.fixedpoint import invariant_locus, solve_fixed_points
 from swcalc.groupring import FgAbelianGroup, GroupRingElement
@@ -113,19 +114,17 @@ def test_criterion_7_stable_class_normalization():
                        "BF(E(2)), nontrivial, confluently"):
         for k in range(2, 6):
             hat = hat_s1_l([2], 2, k=k)
-            result = bf_simplify(bfg_connected_sum(builtin("E", 2), k, hat))
-            assert result.expr.render() == "BF(E(2))"
-            assert result.verdict == "nontrivial"
-        hat2 = hat_s1_l([2], 2, k=2)
-        atoms = [bf_atom(builtin("E", 2)), IdAtom(), BFGAtom(hat2),
-                 bf_atom(builtin("E", 3)), bf_atom(builtin("S4"))]
-        rng = random.Random(11)
-        normals = set()
-        for _ in range(100):
-            shuffled = atoms[:]
-            rng.shuffle(shuffled)
-            normals.add(bf_simplify(Smash(tuple(shuffled))).expr)
-        assert len(normals) == 1
+            result = bf_simplify(hat, builtin("E", 2), k)
+            assert result["normal_form"] == "BF(E(2))"
+            assert result["verdict"] == "nontrivial"
+            reports = set()
+            for expression in (f"{k}*E(2) # hat(2)", f"hat(2) # {k}*E(2)",
+                               "E(2) # hat(2)" + " # E(2)" * (k - 1)):
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    assert run_command(["bf", expression, "--k", str(k)]) == 0
+                reports.add(out.getvalue())
+            assert len(reports) == 1
 
 
 def test_criterion_8_covering_consistency():

@@ -249,6 +249,29 @@ def test_bf_refuses_a_multiple_of_the_catalog_summand(capsys, expression):
     assert data["error"]["message"] == "the catalog summand appears once"
 
 
+def test_bf_s4_alias_splits_to_identity(tmp_path, capsys):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"manifolds": {"Z": "S4"}}))
+    code, data = run_json(capsys, ["bf", "2*Z # hat(2)", "--k", "2",
+                                   "--catalog", str(path)])
+    assert code == 0
+    assert data["input"] == "BFG(2*S4 # hat(S1xRP3), k=2)"
+    assert data["normal_form"] == "Id"
+    assert data["verdict"] == "nontrivial"
+    assert data["trace"] == [
+        "sum_splitting: BFG(2*S4 # hat(S1xRP3), k=2) -> BF(S4) ^ BFG(hat(S1xRP3), k=2)",
+        "identity_class: BF(S4) -> Id",
+        "identity_class: BFG(hat(S1xRP3), k=2) -> Id",
+    ]
+
+
+def test_bf_refuses_two_different_summands(capsys):
+    code, data = run_json(capsys, ["bf", "E(2) # E(3) # hat(2)", "--k", "2"])
+    assert code == 2
+    assert data["error"]["message"] == \
+        "expected k copies of a single manifold plus one catalog summand"
+
+
 def test_bf_refuses_no_catalog_summand(capsys):
     code, data = run_json(capsys, ["bf", "2*E(2)", "--k", "2"])
     assert code == 2

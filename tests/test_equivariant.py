@@ -1,15 +1,15 @@
+import contextlib
+import io
 import itertools
-import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swcalc.cli import run_command
 from swcalc.equivariant import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL,
-                                BINARY_TETRAHEDRAL, BFAtom, BFGAtom, IdAtom,
-                                NCatalogEntry, Smash, bf_atom,
-                                bf_simplify, bfg_connected_sum,
+                                BINARY_TETRAHEDRAL, NCatalogEntry, bf_simplify,
                                 covering_consistency, cyclic_space_form,
                                 exotic_family, gmonopole_polynomial, hat_s1_l,
                                 match_space_form, n_catalog, quaternionic_space_form)
@@ -290,60 +290,51 @@ def test_simple_type_verdict_on_the_core_matches_expansion(case, torus_square):
         assert expanded
 
 
-# ----- stable-class rewriting -----
+# ----- stable class -----
 
 def test_bf_chain_to_single_atom():
     for k in range(2, 6):
         hat = hat_s1_l([2], 2, k=k)
-        expr = bfg_connected_sum(builtin("E", 2), k, hat)
-        result = bf_simplify(expr)
-        assert result.expr == BFAtom("E(2)", True)
-        assert result.verdict == "nontrivial"
+        result = bf_simplify(hat, builtin("E", 2), k)
+        assert list(result) == ["input", "normal_form", "verdict", "trace"]
+        assert result["normal_form"] == "BF(E(2))"
+        assert result["verdict"] == "nontrivial"
 
 
 def test_bf_s4_is_identity():
-    result = bf_simplify(bf_atom(builtin("S4")))
-    assert isinstance(result.expr, IdAtom)
-    assert result.verdict == "nontrivial"
-
-
-def test_bf_smash_of_identities():
-    result = bf_simplify(Smash((IdAtom(), IdAtom())))
-    assert isinstance(result.expr, IdAtom)
+    result = bf_simplify(n_catalog("CP2bar"), builtin("S4"), 2)
+    assert result["normal_form"] == "Id"
+    assert result["verdict"] == "nontrivial"
+    assert "identity_class: BF(S4) -> Id" in result["trace"]
 
 
 def test_bf_unknown_flag_gives_unknown_verdict():
-    result = bf_simplify(bf_atom(builtin("S2xS2")))
-    assert result.verdict == "unknown"
+    result = bf_simplify(n_catalog("S4"), builtin("S2xS2"), 2)
+    assert result["normal_form"] == "BF(S2xS2)"
+    assert result["verdict"] == "unknown"
 
 
-def test_bf_smash_of_two_atoms_is_unknown():
-    expr = Smash((bf_atom(builtin("E", 2)), bf_atom(builtin("E", 3))))
-    result = bf_simplify(expr)
-    assert result.verdict == "unknown"
-    assert isinstance(result.expr, Smash)
+def _bf_report(expression: str, k: int) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command(["bf", expression, "--k", str(k)])
+    return code, out.getvalue()
 
 
-def test_bf_idempotent_and_confluent():
-    hat = hat_s1_l([2], 2, k=2)
-    atoms = [bf_atom(builtin("E", 2)), IdAtom(), BFGAtom(hat),
-             bf_atom(builtin("E", 3)), bf_atom(builtin("S4"))]
-    rng = random.Random(7)
-    normals = set()
-    for _ in range(100):
-        shuffled = atoms[:]
-        rng.shuffle(shuffled)
-        out = bf_simplify(Smash(tuple(shuffled)))
-        normals.add(out.expr)
-        again = bf_simplify(out.expr)
-        assert again.expr == out.expr
-    assert len(normals) == 1
+def test_bf_report_ignores_summand_order():
+    for k in range(2, 6):
+        orders = [f"{k}*E(2) # hat(2)", f"hat(2) # {k}*E(2)",
+                  "E(2) # hat(2)" + " # E(2)" * (k - 1)]
+        reports = {_bf_report(expression, k) for expression in orders}
+        assert len(reports) == 1
+        assert reports.pop()[0] == 0
 
 
 def test_bfg_requires_k_copies():
     hat = hat_s1_l([2], 2, k=2)
-    with pytest.raises(GuardViolation):
-        bfg_connected_sum(builtin("E", 2), 3, hat)
+    with pytest.raises(GuardViolation) as err:
+        bf_simplify(hat, builtin("E", 2), 3)
+    assert err.value.requirement == "k summands of M"
 
 
 # ----- covering consistency -----

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from swcalc.errors import ExprSyntaxError, GuardViolation
 from swcalc.expressions import (Blowup, Builtin, Catalog, ConnSum, KnotRef,
                                 KnotSurgery, LogTransform, Multiple, Reverse,
-                                eval_expr, expression_factors, parse, render)
+                                eval_expr, parse, render)
 from swcalc.manifold import homeo_type, mod2_basic_class_count
 
 
@@ -103,11 +103,6 @@ def test_eval_permutation_invariance():
     assert len(fps) == 1
     counts = {mod2_basic_class_count(m) for m in results}
     assert len(counts) == 1
-
-
-def test_expression_factors_expand_multiples():
-    factors = expression_factors(parse("2*E(2) # S2xS2"))
-    assert len(factors) == 3
 
 
 # ----- rendering round trip -----
