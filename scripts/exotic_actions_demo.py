@@ -15,18 +15,18 @@ from swcalc.equivariant import exotic_family
 
 def show(report, as_json):
     if as_json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(json.dumps(report, indent=2))
         return
-    print(f"== {report.construction}  (k={report.k}, l={report.l}, "
-          f"H={report.space_form})")
-    print(f"   target: {report.target_expression}")
-    form = report.target_dissolution.form
-    print(f"   dissolves to: {form.display() if form else 'unknown'}")
-    print(f"   covering check: {report.covering_consistent}")
-    for member in report.members:
-        marker = "" if member.count_basis == "exact" else " (lower bound)"
-        print(f"   {member.monomials:6d}{marker}  {member.label}")
-    print(f"   verdict: {report.verdict}")
+    print(f"== {report['construction']}  (k={report['k']}, l={report['l']}, "
+          f"H={report['space_form']})")
+    target = report["target"]
+    print(f"   target: {target['expression']}")
+    print(f"   dissolves to: {target['dissolved']['display'] or 'unknown'}")
+    print(f"   covering check: {report['covering_consistent']}")
+    for member in report["members"]:
+        marker = "" if member["count_basis"] == "exact" else " (lower bound)"
+        print(f"   {member['monomials']:6d}{marker}  {member['label']}")
+    print(f"   verdict: {report['verdict']}")
     print()
 
 

@@ -17,9 +17,9 @@ _EXPORTS = {
                 "diagonalize", "e8_form", "max_characteristic_square"),
     "fixedpoint": ("AngleTuple", "TorusAutomorphism", "fixed_subtorus",
                    "invariant_locus", "solve_fixed_points"),
-    "equivariant": ("FamilyReport", "NCatalogEntry", "bf_simplify",
-                    "covering_consistency", "cyclic_space_form", "exotic_family",
-                    "gmonopole_polynomial", "hat_s1_l", "n_catalog"),
+    "equivariant": ("NCatalogEntry", "bf_simplify", "covering_consistency",
+                    "cyclic_space_form", "exotic_family", "gmonopole_polynomial",
+                    "hat_s1_l", "n_catalog"),
     "expressions": ("Catalog", "eval_expr", "parse", "render"),
 }
 

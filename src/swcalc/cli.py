@@ -114,10 +114,9 @@ def _cmd_eval(args) -> dict:
 def _cmd_family(args) -> dict:
     from . import equivariant
     name = {"k3": "k3_knot", "cp2": "cp2_knot", "s2xs2": "s2xs2_hkw"}[args.construction]
-    report = equivariant.exotic_family(
+    return equivariant.exotic_family(
         name, k=args.k, l=args.l, size=args.size, n=args.n,
         n_prime=args.n_prime, m_prime=args.m_prime, m=args.m)
-    return report.to_json_dict()
 
 
 def _angle_rows(pairs) -> list[dict]:

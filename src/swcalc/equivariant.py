@@ -22,7 +22,7 @@ from .groupring import FactoredElement, FgAbelianGroup, GroupRingElement, TermRe
 from .knot import alexander_family
 from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
                        SWInfo, builtin, mod2_basic_class_count)
-from .surgery import (DissolutionVerdict, _sum_fingerprint, blowup, connected_sum_all,
+from .surgery import (_sum_fingerprint, blowup, connected_sum_all,
                       dissolve, knot_surgery, log_transform)
 
 
@@ -256,63 +256,10 @@ def covering_consistency(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> bool:
 
 # ----- family generator -----
 
-@dataclass(frozen=True)
-class FamilyMember:
-    label: str
-    monomials: int
-    count_basis: str  # "exact" or "lower_bound"
-    fingerprint: Fingerprint
-    gmono_rendered: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "monomials": self.monomials,
-            "count_basis": self.count_basis,
-            "fingerprint": list(self.fingerprint),
-            "gmonopole_mod2": self.gmono_rendered,
-        }
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    construction: str
-    k: int
-    l: int
-    space_form: str
-    target_expression: str
-    target_fingerprint: Fingerprint
-    target_dissolution: DissolutionVerdict
-    members: tuple[FamilyMember, ...]
-    verdict: str
-    covering_consistent: bool
-
-    @property
-    def counts(self) -> list[int]:
-        return [mb.monomials for mb in self.members]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "construction": self.construction,
-            "k": self.k,
-            "l": self.l,
-            "space_form": self.space_form,
-            "target": {
-                "expression": self.target_expression,
-                "fingerprint": list(self.target_fingerprint),
-                "dissolved": self.target_dissolution.to_json_dict(),
-            },
-            "members": [mb.to_json_dict() for mb in self.members],
-            "counts": self.counts,
-            "verdict": self.verdict,
-            "covering_consistent": self.covering_consistent,
-        }
-
-
 def exotic_family(construction: str, k: int, l: int, size: int,
                   n: int = 1, n_prime: int = 2, m_prime: int = 1,
-                  m: int = 1, space_form: SpaceForm | None = None) -> FamilyReport:
-    """Generate a family of group actions separated by monomial counts.
+                  m: int = 1, space_form: SpaceForm | None = None) -> dict:
+    """The ``family`` report: group actions separated by monomial counts.
 
     Members are exotic smooth structures on a common base M; the actions
     of Z_k x H live on k*l copies of M summed with l-1 copies of S2xS2,
@@ -339,7 +286,7 @@ def exotic_family(construction: str, k: int, l: int, size: int,
                              requirement="matching order")
     hat = hat_s1_l(sf.h1_orders, sf.order, k=k)
 
-    members: list[FamilyMember] = []
+    members: list[dict] = []
     if construction in ("k3_knot", "cp2_knot"):
         if construction == "k3_knot":
             if n < 1:
@@ -362,9 +309,9 @@ def exotic_family(construction: str, k: int, l: int, size: int,
             renderer = renderer or TermRenderer(
                 poly.ambient, poly.core.ambient.free_rank, poly.tails,
                 member.intersection.tracked_basis or None)
-            members.append(FamilyMember(
-                member.label, poly.monomial_count(), "exact",
-                member.fingerprint, renderer.render(poly)))
+            members.append({"label": member.label, "monomials": poly.monomial_count(),
+                            "count_basis": "exact", "fingerprint": list(member.fingerprint),
+                            "gmonopole_mod2": renderer.render(poly)})
     elif construction == "s2xs2_hkw":
         if m < 1:
             raise GuardViolation("the base needs at least one S2xS2 summand",
@@ -376,31 +323,30 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         for r in range(1, size + 1):
             sample = log_transform(2 * n, r)
             count = mod2_basic_class_count(sample) * hat.spinc_count
-            members.append(FamilyMember(
-                f"fiber-sum carrying {sample.label}", count, "lower_bound",
-                base.fingerprint, None))
+            members.append({"label": f"fiber-sum carrying {sample.label}",
+                            "monomials": count, "count_basis": "lower_bound",
+                            "fingerprint": list(base.fingerprint), "gmonopole_mod2": None})
     else:
         raise GuardViolation(f"unknown construction {construction!r}")
 
     target_factors = [base] * (k * l) + [builtin("S2xS2")] * (l - 1)
-    target_dissolution = dissolve(target_factors)
-    counts = [mb.monomials for mb in members]
-    fingerprints_equal = len({mb.fingerprint for mb in members}) == 1
-    counts_distinct = len(set(counts)) == len(counts)
-    verdict = "smoothly_distinct" if counts_distinct and fingerprints_equal \
-        else "inconclusive"
-    covering_ok = covering_consistency(base, hat)
-
+    dissolved = dissolve(target_factors).to_json_dict()
+    counts = [mb["monomials"] for mb in members]
+    distinct = (len(set(counts)) == len(counts)
+                and len({tuple(mb["fingerprint"]) for mb in members}) == 1)
     base_label = f"({base.label})" if " # " in base.label else base.label
-    return FamilyReport(
-        construction=construction,
-        k=k,
-        l=l,
-        space_form=sf.label,
-        target_expression=f"{k * l}*{base_label} # {l - 1}*S2xS2",
-        target_fingerprint=_sum_fingerprint(target_factors),
-        target_dissolution=target_dissolution,
-        members=tuple(members),
-        verdict=verdict,
-        covering_consistent=covering_ok,
-    )
+    return {
+        "construction": construction,
+        "k": k,
+        "l": l,
+        "space_form": sf.label,
+        "target": {
+            "expression": f"{k * l}*{base_label} # {l - 1}*S2xS2",
+            "fingerprint": list(_sum_fingerprint(target_factors)),
+            "dissolved": dissolved,
+        },
+        "members": members,
+        "counts": counts,
+        "verdict": "smoothly_distinct" if distinct else "inconclusive",
+        "covering_consistent": covering_consistency(base, hat),
+    }

@@ -29,6 +29,9 @@ from .knot import AlexanderPoly, alexander_family, torus_knot, unknot, validate
 from .manifold import BUILTIN_NAMES, ManifoldDescriptor, builtin, reverse_orientation
 from .surgery import blowup, connected_sum_all, knot_surgery, log_transform
 
+# the most open '~', knot_surgery( and blowup( levels, and nested catalog entries
+MAX_NESTING = 100
+
 # ----- AST -----
 
 
@@ -194,7 +197,7 @@ class Catalog:
                                  "manifolds are objects")
         for name, entry in knots.items():
             if isinstance(entry, str):
-                ref = _parse_all(entry, None, _Parser._knotref)
+                ref = _parse_all(entry, cat, _Parser._knotref)
                 cat.knots[name] = _resolve_knot_constructor(ref, cat)
             elif isinstance(entry, dict) and isinstance(entry.get("coeffs"), dict) and all(
                     e.removeprefix("-").isdecimal() and type(c) is int
@@ -219,14 +222,14 @@ class Catalog:
         return sorted(self.manifold_sources)
 
 
-def _resolve_knot_constructor(ref: KnotRef, catalog: Catalog | None) -> AlexanderPoly:
+def _resolve_knot_constructor(ref: KnotRef, catalog: Catalog) -> AlexanderPoly:
     if ref.name in _KNOT_CONSTRUCTORS:
         return _KNOT_CONSTRUCTORS[ref.name][1](*ref.args)
-    if catalog is not None and ref.name in catalog.knots:
+    if ref.name in catalog.knots:
         if ref.args:
             raise GuardViolation(f"named knot {ref.name!r} takes no arguments")
         return catalog.knots[ref.name]
-    known = list(_KNOT_CONSTRUCTORS) + (catalog.knot_names() if catalog else [])
+    known = list(_KNOT_CONSTRUCTORS) + catalog.knot_names()
     hints = difflib.get_close_matches(ref.name, known, n=3)
     raise ExprSyntaxError(
         f"unknown knot {ref.name!r}" + (f"; did you mean {hints}?" if hints else ""),
@@ -236,10 +239,11 @@ def _resolve_knot_constructor(ref: KnotRef, catalog: Catalog | None) -> Alexande
 # ----- parser -----
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], catalog: Catalog | None):
+    def __init__(self, tokens: list[_Token], catalog: Catalog):
         self.tokens = tokens
         self.i = 0
         self.catalog = catalog
+        self.depth = 0  # nesting levels open at the current token
 
     def _peek(self) -> _Token:
         return self.tokens[self.i]
@@ -293,11 +297,21 @@ class _Parser:
             return atom if count == 1 else Multiple(count, atom)
         return self.atom()
 
+    def _nested(self, tok: _Token, rule):
+        """Parse one nesting level, opened by ``tok``, with ``rule``."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
+                                  position=tok.pos)
+        self.depth += 1
+        tree = rule(self)
+        self.depth -= 1
+        return tree
+
     def atom(self) -> Expr:
         tok = self._peek()
         if tok.kind == "~":
             self._next()
-            return Reverse(self.atom())
+            return Reverse(self._nested(tok, _Parser.atom))
         if tok.kind != "NAME":
             raise ExprSyntaxError(
                 f"expected a manifold name but found {tok.text or 'end of input'!r}",
@@ -307,7 +321,7 @@ class _Parser:
         if name in _KEYWORDS:
             node, first, second = _KEYWORDS[name]
             self._expect("(")
-            a = first(self)
+            a = self._nested(name_tok, first) if first is _Parser.expr else first(self)
             self._expect(",")
             b = second(self)
             self._expect(")")
@@ -326,14 +340,13 @@ class _Parser:
             if args:
                 raise ExprSyntaxError(f"{name} takes no arguments", position=pos)
             return
-        if self.catalog is not None and name in self.catalog.manifold_sources:
+        if name in self.catalog.manifold_sources:
             if args:
                 raise ExprSyntaxError(f"catalog entry {name} takes no arguments",
                                       position=pos)
             return
-        universe = list(BUILTIN_NAMES) + list(PARAM_BUILTINS) + list(_KEYWORDS)
-        if self.catalog is not None:
-            universe += self.catalog.manifold_names()
+        universe = (list(BUILTIN_NAMES) + list(PARAM_BUILTINS) + list(_KEYWORDS)
+                    + self.catalog.manifold_names())
         hints = difflib.get_close_matches(name, universe, n=3)
         raise ExprSyntaxError(
             f"unknown manifold {name!r}" +
@@ -361,10 +374,10 @@ _KEYWORDS = {
 
 def parse(text: str, catalog: Catalog | None = None) -> Expr:
     """Parse an expression, validating names against the catalog."""
-    return _parse_all(text, catalog, _Parser.expr)
+    return _parse_all(text, Catalog() if catalog is None else catalog, _Parser.expr)
 
 
-def _parse_all(text: str, catalog: Catalog | None, rule) -> Expr | KnotRef:
+def _parse_all(text: str, catalog: Catalog, rule) -> Expr | KnotRef:
     """Parse the whole text with one grammar rule."""
     parser = _Parser(_tokenize(text), catalog)
     tree = rule(parser)
@@ -374,31 +387,23 @@ def _parse_all(text: str, catalog: Catalog | None, rule) -> Expr | KnotRef:
 
 # ----- evaluation -----
 
-_default_catalog: Catalog | None = None
-
-
-def default_catalog() -> Catalog:
-    global _default_catalog
-    if _default_catalog is None:
-        _default_catalog = Catalog()
-    return _default_catalog
-
-
 def eval_expr(e: Expr, catalog: Catalog | None = None,
               _stack: tuple[str, ...] = ()) -> ManifoldDescriptor:
     """Evaluate an expression tree to a manifold descriptor."""
-    if catalog is None:
-        catalog = default_catalog()
+    catalog = Catalog() if catalog is None else catalog
     if isinstance(e, Builtin):
         if e.name == "hat":
             from .equivariant import hat_s1_l  # only hat(l) needs the transfer stack
             return hat_s1_l([e.arg], e.arg).descriptor
         if e.name in BUILTIN_NAMES or e.name == "E":
             return builtin(e.name, e.arg)
-        if catalog is not None and e.name in catalog.manifold_sources:
+        if e.name in catalog.manifold_sources:
             if e.name in _stack:
                 raise GuardViolation(
                     f"catalog entry {e.name!r} refers to itself")
+            if len(_stack) == MAX_NESTING:
+                raise GuardViolation(
+                    f"catalog entries nest deeper than {MAX_NESTING} levels")
             sub = parse(catalog.manifold_sources[e.name], catalog)
             return eval_expr(sub, catalog, _stack + (e.name,))
         raise GuardViolation(f"unknown manifold {e.name!r}")

@@ -57,16 +57,18 @@ def test_criterion_3_transfer_family():
     with timed(3, 5.0, "transfer doubles the counts, verdict smoothly distinct, "
                        "target dissolves to 1*(S2xS2) # 4*K3"):
         report = exotic_family("k3_knot", k=2, l=2, size=5, n=1)
-        for d, member in enumerate(report.members, start=1):
-            assert member.monomials == (4 * d + 1) * 2
-        assert report.verdict == "smoothly_distinct"
-        assert report.target_dissolution.canonical_counts == ("even", 1, 4, 1)
+        for d, member in enumerate(report["members"], start=1):
+            assert member["monomials"] == (4 * d + 1) * 2
+        assert report["verdict"] == "smoothly_distinct"
+        dissolved = report["target"]["dissolved"]
+        assert (dissolved["parity"], dissolved["n"], dissolved["m"],
+                dissolved["orientation"]) == ("even", 1, 4, 1)
 
         member = knot_surgery(builtin("E", 2), alexander_family(1, 1))
         check = dissolve([member] * 4 + [builtin("S2xS2")])
         assert check.canonical_counts == ("even", 1, 4, 1)
         target_sum = connected_sum_all([member] * 4 + [builtin("S2xS2")])
-        assert target_sum.fingerprint == report.target_fingerprint
+        assert list(target_sum.fingerprint) == report["target"]["fingerprint"]
 
 
 def test_criterion_4_cp2_family_target():
@@ -74,11 +76,13 @@ def test_criterion_4_cp2_family_target():
                        "equal member fingerprints"):
         report = exotic_family("cp2_knot", k=2, l=2, size=2,
                                n_prime=2, m_prime=1)
-        assert report.target_dissolution.status == "dissolved"
-        assert report.target_dissolution.canonical_counts == ("odd", 13, 81, 1)
-        assert len({mb.fingerprint for mb in report.members}) == 1
-        assert all(mb.fingerprint == (True, 3, 20, "odd")
-                   for mb in report.members)
+        dissolved = report["target"]["dissolved"]
+        assert dissolved["status"] == "dissolved"
+        assert (dissolved["parity"], dissolved["n"], dissolved["m"],
+                dissolved["orientation"]) == ("odd", 13, 81, 1)
+        assert len({tuple(mb["fingerprint"]) for mb in report["members"]}) == 1
+        assert all(mb["fingerprint"] == [True, 3, 20, "odd"]
+                   for mb in report["members"])
 
 
 def test_criterion_5_lattice_bound():
@@ -218,7 +222,7 @@ def test_family_scale_200_members():
     with timed("family-scale", 2.0, "k3_knot family of 200 members has "
                                     "(4d+1)*2 transferred classes, d = 1..200"):
         report = exotic_family("k3_knot", k=2, l=2, size=200)
-        assert [mb.monomials for mb in report.members] == \
+        assert [mb["monomials"] for mb in report["members"]] == \
             [(4 * d + 1) * 2 for d in range(1, 201)]
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -401,3 +402,33 @@ def test_bad_catalog_file_refused(tmp_path, capsys, content, code):
     exit_code, data = run_json(capsys, ["eval", "S4", "--catalog", str(path)])
     assert exit_code == code
     assert data["error"]["type"] == ("syntax" if code == 2 else "guard")
+
+
+# ----- deep nesting, each run a fresh process -----
+
+def _chain_argv(tmp_path) -> list[str]:
+    """eval X0 over a catalog chain X0 -> X1 -> ... -> X1499 -> K3."""
+    entries = {f"X{i}": f"X{i + 1}" for i in range(1499)}
+    entries["X1499"] = "K3"
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"manifolds": entries}))
+    return ["eval", "X0", "--catalog", str(path)]
+
+
+@pytest.mark.parametrize("argv, code, position", [
+    (["eval", "~" * 1202 + "K3"], 2, 100),
+    (["eval", "blowup(" * 400 + "K3" + ",1)" * 400], 2, 700),
+    (["eval", "~" * 900 + "K3"], 2, 100),
+    (None, 1, None),
+], ids=["reverse_1202", "blowup_400", "reverse_900", "catalog_chain_1500"])
+def test_deep_nesting_is_refused_fast(tmp_path, argv, code, position):
+    argv = argv or _chain_argv(tmp_path)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "swcalc.cli", *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (code, "")
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == ("syntax" if code == 2 else "guard")
+    assert error.get("position") == position
+    assert elapsed < 1.0, f"{argv[:2]} took {elapsed:.2f}s"

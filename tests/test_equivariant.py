@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -371,44 +372,50 @@ def test_covering_rejects_degenerate():
 def assert_members_render_alone(report, base, spacing, k):
     """A family renders its members through one shared renderer; each text
     equals the member's transfer rendered on its own."""
-    hat = hat_s1_l([report.l], report.l, k=k)
-    for d, mb in enumerate(report.members, 1):
+    hat = hat_s1_l([report["l"]], report["l"], k=k)
+    for d, mb in enumerate(report["members"], 1):
         member = knot_surgery(base, alexander_family(d, spacing))
         fresh = gmonopole_polynomial(member, hat).render(member.intersection.tracked_basis)
-        assert mb.gmono_rendered == fresh
+        assert mb["gmonopole_mod2"] == fresh
+
+
+def dissolved_counts(report):
+    """(parity, n, m, orientation) of the report's dissolved target."""
+    dissolved = report["target"]["dissolved"]
+    return tuple(dissolved[key] for key in ("parity", "n", "m", "orientation"))
 
 
 def test_k3_family_small():
     report = exotic_family("k3_knot", k=2, l=2, size=3, n=1)
-    assert report.counts == [10, 18, 26]
+    assert report["counts"] == [10, 18, 26]
     assert_members_render_alone(report, builtin("E", 2), 2, 2)
-    assert report.verdict == "smoothly_distinct"
-    assert report.target_dissolution.canonical_counts == ("even", 1, 4, 1)
-    assert report.covering_consistent
-    assert len({mb.fingerprint for mb in report.members}) == 1
+    assert report["verdict"] == "smoothly_distinct"
+    assert dissolved_counts(report) == ("even", 1, 4, 1)
+    assert report["covering_consistent"]
+    assert len({tuple(mb["fingerprint"]) for mb in report["members"]}) == 1
 
 
 def test_k3_family_counts_increase_with_d():
     for n in (1, 2, 3):
         report = exotic_family("k3_knot", k=2, l=2, size=4, n=n)
-        counts = report.counts
+        counts = report["counts"]
         assert counts == sorted(counts)
         assert len(set(counts)) == len(counts)
 
 
 def test_cp2_family_target_and_counts():
     report = exotic_family("cp2_knot", k=2, l=2, size=2, n_prime=2, m_prime=1)
-    assert report.counts == [20, 36]
+    assert report["counts"] == [20, 36]
     assert_members_render_alone(report, blowup(builtin("E", 2), 1), 2, 2)
-    assert report.target_dissolution.canonical_counts == ("odd", 13, 81, 1)
-    assert report.verdict == "smoothly_distinct"
+    assert dissolved_counts(report) == ("odd", 13, 81, 1)
+    assert report["verdict"] == "smoothly_distinct"
 
 
 def test_s2xs2_family_lower_bounds():
     report = exotic_family("s2xs2_hkw", k=2, l=2, size=3, m=2, n=1)
-    assert report.counts == [2, 4, 6]
-    assert all(mb.count_basis == "lower_bound" for mb in report.members)
-    assert report.target_dissolution.canonical_counts == ("even", 9, 0, 1)
+    assert report["counts"] == [2, 4, 6]
+    assert all(mb["count_basis"] == "lower_bound" for mb in report["members"])
+    assert dissolved_counts(report) == ("even", 9, 0, 1)
 
 
 def test_family_rejects_small_l():
@@ -425,5 +432,23 @@ def test_family_rejects_small_k():
 def test_family_with_quaternion_group():
     sf = quaternionic_space_form(2)
     report = exotic_family("k3_knot", k=2, l=8, size=2, n=1, space_form=sf)
-    assert report.counts == [5 * 4, 9 * 4]
-    assert report.verdict == "smoothly_distinct"
+    assert report["counts"] == [5 * 4, 9 * 4]
+    assert report["verdict"] == "smoothly_distinct"
+
+
+@pytest.mark.parametrize("argv, kwargs", [
+    (["--construction", "k3", "--k", "2", "--l", "3", "--size", "3"],
+     {"construction": "k3_knot", "k": 2, "l": 3, "size": 3}),
+    (["--construction", "cp2", "--k", "3", "--l", "2", "--size", "2", "--n-prime", "3"],
+     {"construction": "cp2_knot", "k": 3, "l": 2, "size": 2, "n_prime": 3}),
+    (["--construction", "s2xs2", "--k", "2", "--l", "2", "--size", "3", "--m", "2"],
+     {"construction": "s2xs2_hkw", "k": 2, "l": 2, "size": 3, "m": 2}),
+], ids=["k3", "cp2", "s2xs2"])
+def test_family_command_prints_the_library_report(argv, kwargs):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_command(["family", *argv]) == 0
+    report = exotic_family(**kwargs)
+    printed = json.loads(out.getvalue())
+    assert printed == {"schema": "swcalc/1", **report}
+    assert list(printed) == ["schema", *report]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from swcalc.errors import ExprSyntaxError, GuardViolation
 from swcalc.expressions import (Blowup, Builtin, Catalog, ConnSum, KnotRef,
                                 KnotSurgery, LogTransform, Multiple, Reverse,
-                                eval_expr, parse, render)
+                                MAX_NESTING, eval_expr, parse, render)
 from swcalc.manifold import homeo_type, mod2_basic_class_count
 
 
@@ -189,3 +189,46 @@ def test_default_catalog_has_trefoil():
     catalog = Catalog()
     assert "trefoil" in catalog.knots
     assert catalog.knots["unknot"].coeffs() == {0: 1}
+
+
+# ----- nesting bound -----
+
+@pytest.mark.parametrize("opener, closer", [
+    ("~", ""), ("knot_surgery(", ", unknot)"), ("blowup(", ",1)")],
+    ids=["reverse", "knot_surgery", "blowup"])
+def test_nesting_bound_is_exact(opener, closer):
+    """MAX_NESTING levels parse and evaluate; one more is refused at the
+    token that opens it."""
+    deepest = opener * MAX_NESTING + "K3" + closer * MAX_NESTING
+    assert eval_expr(parse(deepest)).b2_plus == 3
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(opener * (MAX_NESTING + 1) + "K3" + closer * (MAX_NESTING + 1))
+    assert err.value.position == len(opener) * MAX_NESTING
+
+
+def test_nesting_counts_every_kind_and_ignores_closed_levels():
+    half = MAX_NESTING // 2
+    mixed = "~" * half + "blowup(" * half + "K3" + ",1)" * half
+    assert eval_expr(parse(mixed)).b2_plus == 3
+    with pytest.raises(ExprSyntaxError):
+        parse("~" + mixed)
+    # closed levels do not count, and logtx( is no level
+    wide = " # ".join([mixed] * 3 + ["~" * MAX_NESTING + "logtx(2,1)"])
+    assert parse(wide).factors[-1] == parse("~" * MAX_NESTING + "logtx(2,1)")
+
+
+def _catalog_chain(tmp_path, length: int) -> Catalog:
+    """Entries X0 -> X1 -> ... -> X<length-1> -> K3."""
+    entries = {f"X{i}": f"X{i + 1}" for i in range(length - 1)}
+    entries[f"X{length - 1}"] = "K3"
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"manifolds": entries}))
+    return Catalog.load(path)
+
+
+def test_catalog_chain_bound_is_exact(tmp_path):
+    catalog = _catalog_chain(tmp_path, MAX_NESTING)
+    assert eval_expr(parse("X0", catalog), catalog).chi == 24
+    catalog = _catalog_chain(tmp_path, MAX_NESTING + 1)
+    with pytest.raises(GuardViolation, match="nest deeper than"):
+        eval_expr(parse("X0", catalog), catalog)

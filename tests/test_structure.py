@@ -177,7 +177,6 @@ UNREACHED = {
     "GroupElement": "the library's monomial type (terms, coefficient); "
                     "the commands keep exponent tuples",
     "main": "the console entry point; the corpus runs run_command in process",
-    "default_catalog": "eval_expr without a catalog; library use only",
     "quaternionic_space_form": "reached by hat(l) with 4 | l >= 8, which no "
                                "corpus job uses",
 }
