@@ -15,7 +15,7 @@ from swcalc.lattice import (QuadraticForm, diagonal_form, diagonalize, e8_form,
 def survey(label, form: QuadraticForm, bound: int, depth: int):
     best = max_characteristic_square(form, bound)
     cert = spinc_from_basis(form, diagonalize(form, depth))
-    cert_text = "none" if cert is None else f"{cert.vector} (square {cert.square})"
+    cert_text = "none" if cert is None else f"{cert} (square {-form.rank})"
     flag = " [certificate not met]" if best.bound_limited else ""
     print(f"{label:12s} rank {form.rank}: max c.c = {best.value:4d} at "
           f"{best.achiever}{flag}; certificate vector: {cert_text}")

@@ -6,7 +6,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "groupring": ("FgAbelianGroup", "GroupElement", "GroupRingElement", "laurent"),
+    "groupring": ("FgAbelianGroup", "GroupRingElement", "laurent"),
     "knot": ("AlexanderPoly", "alexander_family", "torus_knot", "unknot", "validate"),
     "manifold": ("Fingerprint", "IntersectionData", "ManifoldDescriptor", "SWInfo",
                  "builtin", "homeo_type", "mod2_basic_class_count",

@@ -180,7 +180,7 @@ def _cmd_lattice(args) -> dict:
         }
         spinc = lattice.spinc_from_basis(form, basis)
         payload["spinc_with_max_square"] = None if spinc is None else {
-            "vector": list(spinc.vector), "square": spinc.square}
+            "vector": list(spinc), "square": -form.rank}
     else:
         payload["diagonalize"] = {"skipped": "rank above the search guard"}
         payload["spinc_with_max_square"] = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add, mod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import AmbientMismatchError, UnsupportedOperation
 
@@ -38,32 +38,6 @@ class FgAbelianGroup:
     @property
     def torsion_rank(self) -> int:
         return len(self.torsion_orders)
-
-    def identity(self) -> "GroupElement":
-        return GroupElement((0,) * self.free_rank, (0,) * self.torsion_rank)
-
-    def element(self, free: Iterable[int] = (), torsion: Iterable[int] = ()) -> "GroupElement":
-        """Build an element, reducing torsion entries to canonical residues."""
-        free_t = tuple(int(x) for x in free)
-        tors_t = tuple(int(x) for x in torsion)
-        if len(free_t) != self.free_rank or len(tors_t) != self.torsion_rank:
-            raise AmbientMismatchError(
-                f"exponent vector shape ({len(free_t)},{len(tors_t)}) does not match "
-                f"group of rank ({self.free_rank},{self.torsion_rank})")
-        tors_t = tuple(e % o for e, o in zip(tors_t, self.torsion_orders))
-        return GroupElement(free_t, tors_t)
-
-
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    """Exponent vector of a monomial: free part then torsion part.
-
-    Ordering is lexicographic on the free exponents, then torsion, which
-    is also the canonical rendering order.
-    """
-
-    free: tuple[int, ...]
-    torsion: tuple[int, ...] = ()
 
 
 def _accumulate(out: dict, items) -> dict:
@@ -129,19 +103,25 @@ class GroupRingElement:
     """Immutable element of Z[A] for a finitely generated abelian A.
 
     Terms map flat exponent tuples (free exponents, then torsion residues)
-    to nonzero ints; the free rank is fixed per ambient group, so they sort
-    as ``GroupElement`` does.  Only the public constructors check input.
+    to nonzero ints; the free rank is fixed per ambient group, so sorted keys
+    order the free exponents first, then the torsion.  Only the public
+    constructors check input.
     """
 
     __slots__ = ("ambient", "_terms")
 
-    def __init__(self, ambient: FgAbelianGroup,
-                 terms: Mapping[GroupElement, int] | Iterable[tuple[GroupElement, int]] = ()):
+    def __init__(self, ambient: FgAbelianGroup, terms: Mapping[tuple[int, ...], int]):
+        """Canonicalize ``terms``: reduce torsion exponents to residues, add the
+        coefficients of keys that reduce alike and drop zeros."""
+        r, orders = ambient.free_rank, ambient.torsion_orders
         canonical: dict[tuple[int, ...], int] = {}
-        for elem, coeff in (terms.items() if isinstance(terms, Mapping) else terms):
-            if coeff := int(coeff):
-                elem = ambient.element(elem.free, elem.torsion)
-                _accumulate(canonical, ((elem.free + elem.torsion, coeff),))
+        for key, coeff in terms.items():
+            key = tuple(map(int, key))
+            if len(key) != r + len(orders):
+                raise AmbientMismatchError(
+                    f"exponent vector of length {len(key)} does not match a group of "
+                    f"rank ({r},{len(orders)})")
+            _accumulate(canonical, ((key[:r] + tuple(map(mod, key[r:], orders)), int(coeff)),))
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "_terms", canonical)
 
@@ -164,29 +144,19 @@ class GroupRingElement:
 
     @classmethod
     def one(cls, ambient: FgAbelianGroup) -> "GroupRingElement":
-        return cls(ambient, {ambient.identity(): 1})
+        return cls(ambient, {(0,) * (ambient.free_rank + ambient.torsion_rank): 1})
 
     @classmethod
-    def monomial(cls, ambient: FgAbelianGroup, free: Iterable[int] = (),
-                 torsion: Iterable[int] = (), coeff: int = 1) -> "GroupRingElement":
-        return cls(ambient, {ambient.element(free, torsion): coeff})
+    def monomial(cls, ambient: FgAbelianGroup, key: tuple[int, ...],
+                 coeff: int = 1) -> "GroupRingElement":
+        return cls(ambient, {key: coeff})
 
     # ----- basic queries -----
 
-    def _element(self, key: tuple[int, ...]) -> GroupElement:
-        r = self.ambient.free_rank
-        return GroupElement(key[:r], key[r:])
-
     @property
-    def terms(self) -> dict[GroupElement, int]:
-        return {self._element(key): c for key, c in self._terms.items()}
-
-    def coefficient(self, elem: GroupElement) -> int:
-        elem = self.ambient.element(elem.free, elem.torsion)
-        return self._terms.get(elem.free + elem.torsion, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """A copy of the canonical exponent tuple -> coefficient map."""
+        return dict(self._terms)
 
     def monomial_count(self) -> int:
         """Number of stored monomials (after canonicalization)."""
@@ -210,7 +180,7 @@ class GroupRingElement:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = GroupRingElement(self.ambient, {self.ambient.identity(): other})
+            other = self.one(self.ambient) * other
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check_ambient(other)
@@ -362,9 +332,6 @@ class FactoredElement:
 
     def monomial_count(self) -> int:
         return self.core.monomial_count() * len(self.tails)
-
-    def is_zero(self) -> bool:
-        return self.core.is_zero()
 
     def expand(self) -> GroupRingElement:
         return GroupRingElement._wrap(self.ambient, {

@@ -33,9 +33,6 @@ class AlexanderPoly:
                 "Alexander polynomial must evaluate to 1 at t = 1",
                 requirement="Delta(1) = 1 normalization")
 
-    def coeffs(self) -> dict[int, int]:
-        return laurent_coeffs(self.poly)
-
     def label(self) -> str:
         return self.name if self.name is not None else self.poly.render(("t",))
 

@@ -253,25 +253,18 @@ def diagonalize(q: QuadraticForm, depth: int) -> tuple[tuple[int, ...], ...] | N
     return basis
 
 
-@dataclass(frozen=True)
-class SpincResult:
-    vector: tuple[int, ...]
-    square: int
-
-
 def spinc_from_basis(q: QuadraticForm,
-                     basis: tuple[tuple[int, ...], ...] | None) -> SpincResult | None:
+                     basis: tuple[tuple[int, ...], ...] | None) -> tuple[int, ...] | None:
     """Characteristic vector of square -rank from a diagonalizing basis: the
     sum of the basis vectors (the all-ones vector in the new basis), certified
     characteristic; None when there is no basis."""
     if basis is None:
         return None
     vector = tuple(sum(v[i] for v in basis) for i in range(q.rank))
-    square = q.evaluate(vector)
-    if square != -q.rank:
+    if q.evaluate(vector) != -q.rank:
         raise AssertionError("sum of a diag(-1) basis must have square -rank")
     for i in range(q.rank):
         basis_vec = [1 if j == i else 0 for j in range(q.rank)]
         if (q.pairing(vector, basis_vec) - q.evaluate(basis_vec)) % 2 != 0:
             raise AssertionError("constructed vector is not characteristic")
-    return SpincResult(vector, square)
+    return vector

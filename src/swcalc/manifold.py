@@ -64,11 +64,6 @@ class SWInfo:
         return FactoredElement(self.core, FgAbelianGroup(rank),
                                tuple(product((-1, 1), repeat=self.blowups)))
 
-    @property
-    def poly(self) -> GroupRingElement | None:
-        """The expanded polynomial, built on each read; None unless known."""
-        return self.factored().expand() if self.blowups else self.core
-
 
 Block = tuple[tuple[int, ...], ...]
 

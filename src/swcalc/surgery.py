@@ -6,7 +6,7 @@ connected sums of elliptic pieces into standard summands.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import GuardViolation
@@ -218,10 +218,6 @@ class DissolutionVerdict:
     def status(self) -> str:
         return "unknown" if self.form is None else "dissolved"
 
-    @property
-    def canonical_counts(self):
-        return astuple(self.form) if self.form else (None, None, None, 1)
-
     def to_json_dict(self) -> dict:
         form = self.form.to_json_dict() if self.form else \
             {"parity": None, "n": None, "m": None, "orientation": 1, "display": None}
@@ -242,11 +238,12 @@ def _standard_kind(d: ManifoldDescriptor) -> str | None:
     fp = d.fingerprint
     if (kind := _STANDARD_FPS.get(fp)) is not None:
         return kind
-    # the polynomial is torsion-free, so its one free vector is the whole key
-    if fp == (True, 3, 19, "even") and d.sw.is_known \
-            and d.sw.poly.monomial_count() == 1 \
-            and not any(next(d.sw.poly.free_exponents())) \
-            and abs(d.sw.poly.evaluate_at_one()) == 1:
+    # the polynomial is torsion-free, so its one free vector is the whole key;
+    # a blown-up polynomial has at least two monomials
+    if fp == (True, 3, 19, "even") and d.sw.is_known and d.sw.blowups == 0 \
+            and d.sw.core.monomial_count() == 1 \
+            and not any(next(d.sw.core.free_exponents())) \
+            and abs(d.sw.core.evaluate_at_one()) == 1:
         return "K3"
     return None
 

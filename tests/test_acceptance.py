@@ -13,11 +13,11 @@ from swcalc.equivariant import (bf_simplify, covering_consistency, exotic_family
                                 hat_s1_l)
 from swcalc.expressions import eval_expr, parse, render
 from swcalc.fixedpoint import invariant_locus, solve_fixed_points
-from swcalc.groupring import FgAbelianGroup, GroupRingElement
+from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent_coeffs
 from swcalc.knot import alexander_family, torus_knot, validate
 from swcalc.lattice import (characteristic_vectors, diagonal_form, diagonalize,
                             e8_form, max_characteristic_square, spinc_from_basis)
-from swcalc.manifold import builtin, mod2_basic_class_count
+from swcalc.manifold import HomeoType, builtin, mod2_basic_class_count
 from swcalc.surgery import (blowup, connected_sum_all, dissolve, knot_surgery,
                             log_transform)
 
@@ -66,7 +66,7 @@ def test_criterion_3_transfer_family():
 
         member = knot_surgery(builtin("E", 2), alexander_family(1, 1))
         check = dissolve([member] * 4 + [builtin("S2xS2")])
-        assert check.canonical_counts == ("even", 1, 4, 1)
+        assert check.form == HomeoType("even", 1, 4, 1)
         target_sum = connected_sum_all([member] * 4 + [builtin("S2xS2")])
         assert list(target_sum.fingerprint) == report["target"]["fingerprint"]
 
@@ -144,7 +144,7 @@ def _exhaustive_small_elements():
     """Every element with support in {t^-1, 1, t} and coefficients in
     {-2, -1, 1, 2}, plus zero."""
     g = FgAbelianGroup(1)
-    support = [g.element((e,)) for e in (-1, 0, 1)]
+    support = [(e,) for e in (-1, 0, 1)]
     elements = [GroupRingElement.zero(g)]
     for coeffs in itertools.product((-2, -1, 0, 1, 2), repeat=3):
         if any(coeffs):
@@ -174,7 +174,7 @@ def test_criterion_9_property_suites():
         rng = random.Random(3)
         pool = []
         for _ in range(12):
-            terms = {g.element((rng.randint(-3, 3),)): rng.randint(-4, 4)
+            terms = {(rng.randint(-3, 3),): rng.randint(-4, 4)
                      for _ in range(rng.randint(0, 4))}
             pool.append(GroupRingElement(g, terms))
         for a, b, c in itertools.islice(itertools.product(pool, repeat=3),
@@ -187,7 +187,7 @@ def test_criterion_9_property_suites():
         knots = [torus_knot(2, 3), torus_knot(2, 5), torus_knot(3, 4),
                  alexander_family(1, 1), alexander_family(3, 2)]
         for knot in knots:
-            coeffs = knot.coeffs()
+            coeffs = laurent_coeffs(knot.poly)
             assert all(coeffs[-e] == c for e, c in coeffs.items())
             assert knot.poly.evaluate_at_one() == 1
             assert validate(knot.poly).poly == knot.poly
@@ -207,7 +207,7 @@ def test_criterion_9_property_suites():
                       log_transform(2, 4), log_transform(4, 3)]
         for m in generated:
             target = 2 * m.chi + 3 * m.sigma
-            for free in m.sw.poly.mod2().free_exponents():
+            for free in m.sw.factored().expand().mod2().free_exponents():
                 assert class_square(m.intersection, free) == target
 
         # parser round trip on the documented examples
@@ -239,4 +239,4 @@ def test_sum_scale_10000_fold_dissolves():
                                   "to 1*(S2xS2) # 10000*K3"):
         m = eval_expr(parse("10000*E(2) # S2xS2"))
         verdict = dissolve([m])
-        assert verdict.canonical_counts == ("even", 1, 10000, 1)
+        assert verdict.form == HomeoType("even", 1, 10000, 1)

@@ -127,7 +127,7 @@ def test_gmonopole_trivial_torsion():
 def test_gmonopole_known_zero():
     m = connected_sum(builtin("E", 2), builtin("E", 2))
     hat = hat_s1_l([2], 2, k=2)
-    assert gmonopole_polynomial(m, hat).is_zero()
+    assert gmonopole_polynomial(m, hat).monomial_count() == 0
 
 
 def test_gmonopole_requires_b2plus_above_one():
@@ -161,12 +161,12 @@ def test_gmonopole_count_factorization():
 def convolution_transfer(m, entry):
     """The transfer as the generic product of the embedded mod-2 polynomial
     with the sum of all torsion classes, reduced mod 2 again."""
-    base = m.sw.poly.mod2()
+    base = m.sw.factored().expand().mod2()
     target = FgAbelianGroup(base.ambient.free_rank, entry.descriptor.torsion_h1)
     zeros = (0,) * target.free_rank
-    total = GroupRingElement(target, [
-        (target.element(zeros, combo), 1)
-        for combo in itertools.product(*(range(o) for o in target.torsion_orders))])
+    total = GroupRingElement(target, {
+        zeros + combo: 1
+        for combo in itertools.product(*(range(o) for o in target.torsion_orders))})
     return (base.embed(target) * total).mod2()
 
 
@@ -226,7 +226,7 @@ def factored_members(draw):
     """A member built from E(2), E(3) or E(4) by knot surgeries and at most 8
     blowups in any order, with its polynomial rebuilt by ring products."""
     member = builtin("E", draw(st.sampled_from([2, 3, 4])))
-    oracle = member.sw.poly
+    oracle = member.sw.factored().expand()
     for _ in range(draw(st.integers(0, 3))):
         blowups = 8 - (len(member.intersection.tracked_basis) - 1)
         if blowups and draw(st.booleans()):
@@ -253,7 +253,7 @@ def factored_members(draw):
 def test_factored_form_matches_expansion(case, orders, data):
     member, expansion = case
     sw = member.sw.factored()
-    assert member.sw.poly == expansion
+    assert sw.expand() == expansion
     assert sw.monomial_count() == expansion.monomial_count()
     assert mod2_basic_class_count(member) == expansion.mod2().monomial_count()
     names = member.intersection.tracked_basis

@@ -186,26 +186,28 @@ def spinc_in_box(q, bound):
 
 
 def test_spinc_diag2():
-    out = spinc_in_box(diagonal_form(2), 2)
-    assert out.vector == (1, 1)
-    assert out.square == -2
+    q = diagonal_form(2)
+    out = spinc_in_box(q, 2)
+    assert out == (1, 1)
+    assert q.evaluate(out) == -2
 
 
 def test_spinc_diag1():
-    assert spinc_in_box(diagonal_form(1), 1).vector == (1,)
+    assert spinc_in_box(diagonal_form(1), 1) == (1,)
 
 
 def test_spinc_rank0():
-    out = spinc_in_box(QuadraticForm(()), 1)
-    assert out.vector == ()
-    assert out.square == 0
+    q = QuadraticForm(())
+    out = spinc_in_box(q, 1)
+    assert out == ()
+    assert q.evaluate(out) == 0
 
 
 def test_spinc_nontrivial_form_is_characteristic():
     q = QuadraticForm(((-2, 1), (1, -1)))
     out = spinc_in_box(q, 3)
-    assert out.square == -2
-    assert is_characteristic(q, out.vector)
+    assert q.evaluate(out) == -2
+    assert is_characteristic(q, out)
 
 
 def test_spinc_e8_not_found():

@@ -5,6 +5,7 @@ import contextlib
 import importlib
 import inspect
 import io
+import json
 import os
 import subprocess
 import sys
@@ -170,15 +171,21 @@ def test_star_import_binds_all():
 
 PERFBENCH = SRC.parent.parent / "perfbench"
 
-# Public functions and classes that no golden report and no smoke job enters,
-# each with the reason it stays public.
+# Public functions, classes and class members that no golden report and no
+# smoke job enters, each with the reason it stays public.
 UNREACHED = {
-    "validate": "reached only by loading a --catalog file",
-    "GroupElement": "the library's monomial type (terms, coefficient); "
-                    "the commands keep exponent tuples",
     "main": "the console entry point; the corpus runs run_command in process",
     "quaternionic_space_form": "reached by hat(l) with 4 | l >= 8, which no "
                                "corpus job uses",
+    "GroupRingElement.embed": "the reference implementation for mul_laurent",
+    "GroupRingElement.substitute_power": "the reference implementation for mul_laurent",
+    "FactoredElement.expand": "the reference implementation for the factored form",
+    "GroupRingElement.one": "how tests and library users build elements",
+    "GroupRingElement.zero": "how tests and library users build elements",
+    "GroupRingElement.monomial": "how tests and library users build elements",
+    "GroupRingElement.terms": "how tests and library users read elements",
+    "HomeoType.fingerprint": "the inverse of homeo_type, which the round-trip "
+                             "test checks",
 }
 
 
@@ -213,10 +220,24 @@ def _entry_points(obj):
     return codes
 
 
-def test_every_public_name_is_reached(monkeypatch):
-    """Each public function and class of the package is entered by the golden
-    argv corpus or by the smoke jobs of the three benchmark workloads, or is
-    listed above."""
+def _public_members(definitions: dict) -> dict:
+    """``Class.member`` -> code objects, for every public method, property,
+    classmethod and staticmethod defined by a public class."""
+    found = {}
+    for cls_name, cls in definitions.items():
+        if not inspect.isclass(cls):
+            continue
+        for name, value in vars(cls).items():
+            value = getattr(value, "__func__", getattr(value, "fget", value))
+            if not name.startswith("_") and inspect.isfunction(value):
+                found[f"{cls_name}.{name}"] = {value.__code__}
+    return found
+
+
+def test_every_public_name_is_reached(monkeypatch, tmp_path):
+    """Each public function and class of the package, and each public member
+    of those classes, is entered by the golden argv corpus, a catalog file or
+    the smoke jobs of the three benchmark workloads, or is listed above."""
     from test_golden import REPORTS
 
     from swcalc import cli, fixedpoint
@@ -224,7 +245,12 @@ def test_every_public_name_is_reached(monkeypatch):
     from reference import permutation_matrix
     from workloads import WORKLOADS, make_jobs
 
-    argvs = [argv for _, argv, _ in REPORTS] + [["catalog"]]
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"knots": {"fig8": {"coeffs": {"-1": -1, "0": 3, "1": -1}}},
+                                   "manifolds": {"X": "knot_surgery(K3, fig8)"}}))
+    # the misspelt entry reaches the suggestion list of catalog names
+    argvs = [argv for _, argv, _ in REPORTS] + [
+        ["catalog"], ["eval", "X # Y", "--catalog", str(catalog)]]
     library = []
     for workload in WORKLOADS:
         for job in make_jobs(workload, 0, smoke=True):
@@ -232,7 +258,9 @@ def test_every_public_name_is_reached(monkeypatch):
                 library.append(job.params)
             else:
                 argvs.append(list(job.argv))
-    public = {name: _entry_points(obj) for name, obj in _public_definitions().items()}
+    definitions = _public_definitions()
+    public = {name: _entry_points(obj) for name, obj in definitions.items()}
+    public.update(_public_members(definitions))
 
     entered = set()
 
@@ -252,7 +280,7 @@ def test_every_public_name_is_reached(monkeypatch):
         sys.setprofile(None)
     unreached = sorted(name for name, codes in public.items()
                        if not codes & entered and name not in UNREACHED)
-    assert unreached == []
+    assert unreached == [], "\n".join(unreached)
     # a listed name that left the package or that a command now enters leaves the list
     assert sorted(name for name in UNREACHED
                   if name not in public or public[name] & entered) == []

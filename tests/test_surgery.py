@@ -9,7 +9,7 @@ from dataclasses import replace
 from swcalc.errors import GuardViolation
 from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent, laurent_coeffs
 from swcalc.knot import AlexanderPoly, alexander_family, torus_knot, unknot
-from swcalc.manifold import SWInfo, builtin, homeo_type, mod2_basic_class_count
+from swcalc.manifold import HomeoType, SWInfo, builtin, homeo_type, mod2_basic_class_count
 from swcalc.surgery import (_standard_kind, blowup, connected_sum, connected_sum_all,
                             dissolve, knot_surgery, log_transform)
 
@@ -19,10 +19,11 @@ from oracles import class_square, ring_power
 def expand_mod2(descriptor):
     """Independent expansion oracle: multiset of exponent vectors with odd
     multiplicity, computed from scratch."""
-    poly = descriptor.sw.poly
+    poly = descriptor.sw.factored().expand()
     counts = {}
-    for elem, coeff in poly.terms.items():
-        counts[elem.free] = counts.get(elem.free, 0) + coeff
+    # the polynomial is torsion-free, so a key is its free exponent vector
+    for free, coeff in poly.terms.items():
+        counts[free] = counts.get(free, 0) + coeff
     return {k for k, v in counts.items() if v % 2}
 
 
@@ -91,7 +92,7 @@ def test_blowup_class_squares():
     m = blowup(builtin("E", 2), 2)
     target = 2 * m.chi + 3 * m.sigma
     assert target == -2
-    for free in m.sw.poly.free_exponents():
+    for free in m.sw.factored().expand().free_exponents():
         assert class_square(m.intersection, free) == target
 
 
@@ -109,9 +110,10 @@ def test_iterated_blowup_names_fresh():
 def embed_and_multiply_blowup(a, m):
     """The polynomial of blowup(a, m) as a's polynomial embedded into the
     larger group and multiplied by each E_j + E_j^-1 in turn."""
-    n_old = a.sw.poly.ambient.free_rank
+    poly = a.sw.factored().expand()
+    n_old = poly.ambient.free_rank
     g = FgAbelianGroup(n_old + m)
-    poly = a.sw.poly.embed(g, free_map=tuple(range(n_old)))
+    poly = poly.embed(g, free_map=tuple(range(n_old)))
     for j in range(m):
         unit = tuple(1 if t == n_old + j else 0 for t in range(n_old + m))
         poly = poly * (GroupRingElement.monomial(g, unit)
@@ -124,14 +126,14 @@ def test_blowup_matches_embed_and_multiply(m):
     pool = [builtin("E", 2), builtin("E", 3), builtin("E", 4),
             knot_surgery(builtin("E", 3), torus_knot(2, 5)), blowup(builtin("E", 3), 2)]
     for a in pool:
-        assert blowup(a, m).sw.poly == embed_and_multiply_blowup(a, m)
+        assert blowup(a, m).sw.factored().expand() == embed_and_multiply_blowup(a, m)
 
 
 def test_forty_blowups_of_e2_stay_factored():
     m = blowup(builtin("E", 2), 40)
     assert mod2_basic_class_count(m) == 2 ** 40
     assert m.simple_type is True
-    assert m.sw.blowups == 40 and m.sw.core == builtin("E", 2).sw.poly
+    assert m.sw.blowups == 40 and m.sw.core == builtin("E", 2).sw.factored().expand()
     verdict = dissolve([m, builtin("CP2")])
     assert verdict.status == "dissolved"
     assert verdict.form.display() == "4*CP2 # 59*CP2bar"
@@ -141,13 +143,13 @@ def test_forty_blowups_of_e2_stay_factored():
 
 def test_knot_surgery_trefoil():
     m = knot_surgery(builtin("E", 2), torus_knot(2, 3))
-    assert laurent_coeffs(m.sw.poly) == {2: 1, 0: -1, -2: 1}
+    assert laurent_coeffs(m.sw.factored().expand()) == {2: 1, 0: -1, -2: 1}
     assert mod2_basic_class_count(m) == 3
 
 
 def test_knot_surgery_unknot_is_identity_on_sw():
     m = knot_surgery(builtin("E", 2), unknot())
-    assert m.sw.poly == builtin("E", 2).sw.poly
+    assert m.sw.factored().expand() == builtin("E", 2).sw.factored().expand()
 
 
 def test_knot_surgery_family_counts():
@@ -183,7 +185,7 @@ def test_knot_surgery_composition_is_multiplicative():
     k2 = alexander_family(1, 1)
     twice = knot_surgery(knot_surgery(e2, k1), k2)
     product = knot_surgery(e2, AlexanderPoly(k1.poly * k2.poly))
-    assert twice.sw.poly == product.sw.poly
+    assert twice.sw.factored().expand() == product.sw.factored().expand()
 
 
 def test_knot_surgery_on_blowup():
@@ -195,8 +197,8 @@ def test_knot_surgery_on_blowup():
 # ----- logarithmic transform -----
 
 def test_log_transform_small_cases():
-    assert laurent_coeffs(log_transform(2, 3).sw.poly) == {2: 1, 0: 1, -2: 1}
-    assert laurent_coeffs(log_transform(2, 1).sw.poly) == {0: 1}
+    assert laurent_coeffs(log_transform(2, 3).sw.factored().expand()) == {2: 1, 0: 1, -2: 1}
+    assert laurent_coeffs(log_transform(2, 1).sw.factored().expand()) == {0: 1}
     m = log_transform(4, 2)
     assert mod2_basic_class_count(m) == 4
 
@@ -222,7 +224,7 @@ def test_log_transform_matches_summed_comb():
             for j in range(r):
                 comb = comb + GroupRingElement.monomial(g, (r - 1 - 2 * j,))
             expected = ring_power(t_r - t_mr, two_n - 2) * comb
-            assert log_transform(two_n, r).sw.poly == expected
+            assert log_transform(two_n, r).sw.factored().expand() == expected
 
 
 def test_log_transform_guards():
@@ -237,7 +239,7 @@ def test_log_transform_guards():
 def test_standard_kind_of_each_piece():
     k3 = builtin("E", 2)
     assert _standard_kind(builtin("K3")) == _standard_kind(k3) == "K3"
-    assert _standard_kind(replace(k3, sw=SWInfo.known(-k3.sw.poly))) == "K3"
+    assert _standard_kind(replace(k3, sw=SWInfo.known(-k3.sw.factored().expand()))) == "K3"
     surgered = knot_surgery(k3, torus_knot(2, 3))
     assert surgered.fingerprint == k3.fingerprint
     assert _standard_kind(surgered) is None
@@ -252,33 +254,33 @@ def test_standard_kind_of_each_piece():
 
 def test_dissolve_elliptic_stabilization():
     v = dissolve([builtin("E", 2), builtin("S2xS2")])
-    assert v.canonical_counts == ("even", 1, 1, 1)
+    assert v.form == HomeoType("even", 1, 1, 1)
     exotic = dissolve([log_transform(2, 3), builtin("S2xS2")])
-    assert exotic.canonical_counts == ("even", 1, 1, 1)
+    assert exotic.form == HomeoType("even", 1, 1, 1)
     assert any("elliptic_stabilization" in r for r in exotic.rule_trace)
 
 
 def test_dissolve_cp2_rule():
     v = dissolve([builtin("E", 2), builtin("CP2")])
-    assert v.canonical_counts == ("odd", 4, 19, 1)
+    assert v.form == HomeoType("odd", 4, 19, 1)
 
 
 def test_dissolve_four_e2():
     v = dissolve([builtin("E", 2)] * 4 + [builtin("S2xS2")])
-    assert v.canonical_counts == ("even", 1, 4, 1)
+    assert v.form == HomeoType("even", 1, 4, 1)
 
 
 def test_dissolve_long_sum_without_recursion():
     # a 1200-fold sum once raised RecursionError after half a minute
     v = dissolve([connected_sum_all([builtin("E", 2)] * 1200)])
     assert v.status == "dissolved"
-    assert v.canonical_counts == ("even", 0, 1200, 1)
+    assert v.form == HomeoType("even", 0, 1200, 1)
 
 
 def test_dissolve_knot_surgered_factors():
     m = knot_surgery(builtin("E", 2), alexander_family(1, 1))
     v = dissolve([m] * 4 + [builtin("S2xS2")])
-    assert v.canonical_counts == ("even", 1, 4, 1)
+    assert v.form == HomeoType("even", 1, 4, 1)
 
 
 def test_dissolve_knot_surgered_with_cp2_only_is_unknown():
@@ -289,12 +291,12 @@ def test_dissolve_knot_surgered_with_cp2_only_is_unknown():
 
 def test_dissolve_standard_pieces_only():
     v = dissolve([builtin("S2xS2")] * 3)
-    assert v.canonical_counts == ("even", 3, 0, 1)
+    assert v.form == HomeoType("even", 3, 0, 1)
 
 
 def test_dissolve_mixed_parity_normalizes():
     v = dissolve([builtin("S2xS2"), builtin("CP2")])
-    assert v.canonical_counts == ("odd", 2, 1, 1)
+    assert v.form == HomeoType("odd", 2, 1, 1)
 
 
 def test_dissolve_k3_with_only_antiblowups_is_stuck():
@@ -304,13 +306,13 @@ def test_dissolve_k3_with_only_antiblowups_is_stuck():
 
 def test_dissolve_empty_is_trivial():
     v = dissolve([builtin("S4")])
-    assert v.canonical_counts == ("even", 0, 0, 1)
+    assert v.form == HomeoType("even", 0, 0, 1)
 
 
 def test_dissolve_blown_up_elliptic_chain():
     base = blowup(builtin("E", 2), 1)
     v = dissolve([base] * 4 + [builtin("S2xS2")])
-    assert v.canonical_counts == ("odd", 13, 81, 1)
+    assert v.form == HomeoType("odd", 13, 81, 1)
 
 
 def test_dissolve_requires_simply_connected():
@@ -348,7 +350,7 @@ pool_sums = st.lists(st.sampled_from(POOL), min_size=2, max_size=5)
 def test_dissolve_verdict_ignores_factor_order(factors, data):
     permuted = data.draw(st.permutations(factors))
     v, w = dissolve(factors), dissolve(permuted)
-    assert (v.status, v.canonical_counts) == (w.status, w.canonical_counts)
+    assert (v.status, v.form) == (w.status, w.form)
 
 
 @settings(max_examples=200, deadline=None)
