@@ -37,9 +37,9 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
     Betti numbers and torsion add, parity is the logical and, and the
     Euler characteristic drops by 2.  The polynomial is known only in
     three situations: a trivial summand, a summand of CP2bar pieces
-    absorbed by the blowup formula, and the vanishing rule when both
-    sides have positive b2+.  Every result, absorbed or not, records the
-    summands of both sides as one flat lineage.
+    absorbed by the blowup formula, and the vanishing rule when the sum
+    splits into two parts of positive b2+.  Every result, absorbed or
+    not, records the summands of both sides as one flat lineage.
     """
     lineage = ("connected_sum", _sum_leaves(a) + _sum_leaves(b), "")
     label = f"{a.label} # {b.label}"
@@ -54,7 +54,10 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
             return replace(blowup(y, m), label=label, derived_from=lineage)
 
     inter = a.intersection.direct_sum(b.intersection)
-    if a.b2_plus > 0 and b.b2_plus > 0:
+    # a zero polynomial with b2+ > 0 comes only from this rule, so that side
+    # already splits into two parts of positive b2+, and the sum still does
+    if a.b2_plus > 0 and b.b2_plus > 0 or any(
+            x.sw.is_zero and x.b2_plus > 0 for x in (a, b)):
         sw = SWInfo.zero()
         note = "connected_sum: both summands have b2+ > 0, polynomial vanishes"
     else:

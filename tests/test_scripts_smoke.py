@@ -33,8 +33,8 @@ def test_output_digest_smoke():
 
 
 @pytest.mark.parametrize("seeds, sha256", [
-    (("97", "5"), "f57928644dbde7ea375e4ac61410c3d03727c245d85d942844675e711ae2321a"),
-    (("3", "11"), "e2a00e8548e6c687bbd666e74ee220d9a02235bc8cd9c59d59325992a64c7f58"),
+    (("97", "5"), "02791cebac64e6e4a4ba74cfffad064bf31f52be3fb6cb1a8f6b22eccde72a1b"),
+    (("3", "11"), "f7c4fb86178b2afa330abf1a8bb884111217e0a55d09a389f6dd9a3b4441699e"),
 ], ids=["97_5", "3_11"])
 def test_output_digest_pins_every_answer(seeds, sha256):
     """Every answer of the three workloads at two seed pairs, byte for byte;

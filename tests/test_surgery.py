@@ -1,15 +1,17 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataclasses import replace
 
+from swcalc.equivariant import hat_s1_l
 from swcalc.errors import GuardViolation
 from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent, laurent_coeffs
 from swcalc.knot import AlexanderPoly, alexander_family, torus_knot, unknot
-from swcalc.manifold import HomeoType, SWInfo, builtin, homeo_type, mod2_basic_class_count
+from swcalc.manifold import (HomeoType, SWInfo, builtin, homeo_type, mod2_basic_class_count,
+                             reverse_orientation)
 from swcalc.surgery import (_standard_kind, blowup, connected_sum, connected_sum_all,
                             dissolve, knot_surgery, log_transform)
 
@@ -321,7 +323,6 @@ def test_dissolve_requires_simply_connected():
 
 
 def test_dissolve_non_elliptic_nonstandard_is_unknown():
-    from swcalc.manifold import reverse_orientation
     v = dissolve([reverse_orientation(builtin("E", 3))])
     assert v.status == "unknown"
 
@@ -351,6 +352,21 @@ def test_dissolve_verdict_ignores_factor_order(factors, data):
     permuted = data.draw(st.permutations(factors))
     v, w = dissolve(factors), dissolve(permuted)
     assert (v.status, v.form) == (w.status, w.form)
+
+
+# summands of b2+ = 0 that are not absorbed, beside the pool
+ORDER_POOL = POOL + (builtin("S4"), builtin("S1xS3"), hat_s1_l([2], 2).descriptor,
+                     reverse_orientation(builtin("CP2")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(ORDER_POOL), min_size=2, max_size=4))
+@example([builtin("E", 2), builtin("E", 2), builtin("CP2bar")])
+def test_sum_polynomial_ignores_summand_order(factors):
+    """Every order of the summands gives one status and one mod-2 count."""
+    answers = {(m.sw.status, mod2_basic_class_count(m))
+               for m in map(connected_sum_all, itertools.permutations(factors))}
+    assert len(answers) == 1
 
 
 @settings(max_examples=200, deadline=None)
