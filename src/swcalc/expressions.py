@@ -29,7 +29,8 @@ from .knot import AlexanderPoly, alexander_family, torus_knot, unknot, validate
 from .manifold import BUILTIN_NAMES, ManifoldDescriptor, builtin, reverse_orientation
 from .surgery import blowup, connected_sum_all, knot_surgery, log_transform
 
-# the most open '~', knot_surgery( and blowup( levels, and nested catalog entries
+# the most open '~', knot_surgery( and blowup( levels, counted together with the
+# catalog entries on one path of an evaluation
 MAX_NESTING = 100
 
 # ----- AST -----
@@ -387,9 +388,15 @@ def _parse_all(text: str, catalog: Catalog, rule) -> Expr | KnotRef:
 
 # ----- evaluation -----
 
-def eval_expr(e: Expr, catalog: Catalog | None = None,
-              _stack: tuple[str, ...] = ()) -> ManifoldDescriptor:
-    """Evaluate an expression tree to a manifold descriptor."""
+def eval_expr(e: Expr, catalog: Catalog | None = None, _stack: tuple[str, ...] = (),
+              _level: int = 0) -> ManifoldDescriptor:
+    """Evaluate an expression tree to a manifold descriptor.
+
+    ``_stack`` names the catalog entries above ``e``; ``_level`` counts them
+    and the ``~``, ``knot_surgery`` and ``blowup`` nodes above ``e``."""
+    if _level > MAX_NESTING:
+        raise GuardViolation(f"expressions and catalog entries nest deeper than "
+                             f"{MAX_NESTING} levels")
     catalog = Catalog() if catalog is None else catalog
     if isinstance(e, Builtin):
         if e.name == "hat":
@@ -401,23 +408,20 @@ def eval_expr(e: Expr, catalog: Catalog | None = None,
             if e.name in _stack:
                 raise GuardViolation(
                     f"catalog entry {e.name!r} refers to itself")
-            if len(_stack) == MAX_NESTING:
-                raise GuardViolation(
-                    f"catalog entries nest deeper than {MAX_NESTING} levels")
             sub = parse(catalog.manifold_sources[e.name], catalog)
-            return eval_expr(sub, catalog, _stack + (e.name,))
+            return eval_expr(sub, catalog, _stack + (e.name,), _level + 1)
         raise GuardViolation(f"unknown manifold {e.name!r}")
     if isinstance(e, ConnSum):
-        return connected_sum_all([eval_expr(f, catalog, _stack) for f in e.factors])
+        return connected_sum_all([eval_expr(f, catalog, _stack, _level) for f in e.factors])
     if isinstance(e, Multiple):
-        return connected_sum_all([eval_expr(e.expr, catalog, _stack)] * e.count)
+        return connected_sum_all([eval_expr(e.expr, catalog, _stack, _level)] * e.count)
     if isinstance(e, KnotSurgery):
-        base = eval_expr(e.expr, catalog, _stack)
+        base = eval_expr(e.expr, catalog, _stack, _level + 1)
         return knot_surgery(base, _resolve_knot_constructor(e.knot, catalog))
     if isinstance(e, LogTransform):
         return log_transform(e.two_n, e.r)
     if isinstance(e, Blowup):
-        return blowup(eval_expr(e.expr, catalog, _stack), e.m)
+        return blowup(eval_expr(e.expr, catalog, _stack, _level + 1), e.m)
     if isinstance(e, Reverse):
-        return reverse_orientation(eval_expr(e.expr, catalog, _stack))
+        return reverse_orientation(eval_expr(e.expr, catalog, _stack, _level + 1))
     raise TypeError(f"not an expression node: {e!r}")

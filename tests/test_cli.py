@@ -406,23 +406,28 @@ def test_bad_catalog_file_refused(tmp_path, capsys, content, code):
 
 # ----- deep nesting, each run a fresh process -----
 
-def _chain_argv(tmp_path) -> list[str]:
-    """eval X0 over a catalog chain X0 -> X1 -> ... -> X1499 -> K3."""
-    entries = {f"X{i}": f"X{i + 1}" for i in range(1499)}
-    entries["X1499"] = "K3"
+def _chain_argv(tmp_path, length: int, tildes: int) -> list[str]:
+    """eval X0 over a catalog chain X0 -> X1 -> ... -> X<length-1> -> K3,
+    each entry with ``tildes`` '~' before the next."""
+    entries = {f"X{i}": "~" * tildes + f"X{i + 1}" for i in range(length - 1)}
+    entries[f"X{length - 1}"] = "~" * tildes + "K3"
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({"manifolds": entries}))
     return ["eval", "X0", "--catalog", str(path)]
 
 
+# a tuple argv is the (length, tildes) of a catalog chain
 @pytest.mark.parametrize("argv, code, position", [
     (["eval", "~" * 1202 + "K3"], 2, 100),
     (["eval", "blowup(" * 400 + "K3" + ",1)" * 400], 2, 700),
     (["eval", "~" * 900 + "K3"], 2, 100),
-    (None, 1, None),
-], ids=["reverse_1202", "blowup_400", "reverse_900", "catalog_chain_1500"])
+    ((1500, 0), 1, None),
+    ((20, 100), 1, None),
+], ids=["reverse_1202", "blowup_400", "reverse_900", "catalog_chain_1500",
+        "catalog_chain_20x100"])
 def test_deep_nesting_is_refused_fast(tmp_path, argv, code, position):
-    argv = argv or _chain_argv(tmp_path)
+    if isinstance(argv, tuple):
+        argv = _chain_argv(tmp_path, *argv)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "swcalc.cli", *argv], env=_src_env(),
                           capture_output=True, text=True, timeout=60)

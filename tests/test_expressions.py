@@ -218,18 +218,34 @@ def test_nesting_counts_every_kind_and_ignores_closed_levels():
     assert parse(wide).factors[-1] == parse("~" * MAX_NESTING + "logtx(2,1)")
 
 
-def _catalog_chain(tmp_path, length: int) -> Catalog:
-    """Entries X0 -> X1 -> ... -> X<length-1> -> K3."""
-    entries = {f"X{i}": f"X{i + 1}" for i in range(length - 1)}
-    entries[f"X{length - 1}"] = "K3"
+def _catalog_chain(tmp_path, tildes) -> Catalog:
+    """Entries X0 -> X1 -> ... -> K3, entry i with tildes[i] '~' before the next."""
+    names = [f"X{i}" for i in range(len(tildes))] + ["K3"]
+    entries = {name: "~" * t + after for name, t, after in zip(names, tildes, names[1:])}
     path = tmp_path / "chain.json"
     path.write_text(json.dumps({"manifolds": entries}))
     return Catalog.load(path)
 
 
 def test_catalog_chain_bound_is_exact(tmp_path):
-    catalog = _catalog_chain(tmp_path, MAX_NESTING)
+    catalog = _catalog_chain(tmp_path, [0] * MAX_NESTING)
     assert eval_expr(parse("X0", catalog), catalog).chi == 24
-    catalog = _catalog_chain(tmp_path, MAX_NESTING + 1)
+    catalog = _catalog_chain(tmp_path, [0] * (MAX_NESTING + 1))
     with pytest.raises(GuardViolation, match="nest deeper than"):
         eval_expr(parse("X0", catalog), catalog)
+
+
+@pytest.mark.parametrize("tildes, levels", [((49, 49), 100), ((49, 50), 101),
+                                            ((99,), 100), ((100,), 101)],
+                         ids=["49+49", "49+50", "99", "100"])
+def test_levels_add_up_across_catalog_entries(tmp_path, tildes, levels):
+    """Each entry on the path is one level and each of its '~' one more, so
+    entries that each parse within the bound can still pass it together."""
+    assert len(tildes) + sum(tildes) == levels
+    catalog = _catalog_chain(tmp_path, tildes)
+    tree = parse("X0", catalog)
+    if levels <= MAX_NESTING:
+        assert eval_expr(tree, catalog).chi == 24
+    else:
+        with pytest.raises(GuardViolation, match="nest deeper than"):
+            eval_expr(tree, catalog)
