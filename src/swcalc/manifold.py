@@ -141,7 +141,7 @@ class IntersectionData:
         table = self.__dict__.get("_names")
         if table is None:
             table = self.__dict__.setdefault("_names", _NameTable(self.tracked_basis))
-        if not table.claim(len(self.tracked_basis)):
+        if len(table.taken) != len(self.tracked_basis):
             table = _NameTable(self.tracked_basis)
         out = object.__new__(IntersectionData)
         out.__dict__.update(
@@ -158,20 +158,14 @@ class IntersectionData:
 class _NameTable:
     """The tracked names along one chain of direct sums.
 
-    Every form of the chain holds the table, but only its last form may
-    read or extend it: the first sum taken from a given rank claims that
-    rank, and a later sum from the same rank starts a table of its own.
-    The claim is one ``dict.setdefault``, which is atomic.
+    Every form of the chain holds the table, but it lists exactly the names
+    of a form only while it holds as many names as that form has: a sum
+    from an earlier form of the chain starts a table of its own.
     """
 
     def __init__(self, names: tuple[str, ...]):
         self.taken = set(names)
         self.next_suffix: dict[str, int] = {}  # name -> i with name_2..name_{i-1} taken
-        self.claims: dict[int, object] = {}
-
-    def claim(self, rank: int) -> bool:
-        token = object()
-        return self.claims.setdefault(rank, token) is token
 
     def add(self, names: tuple[str, ...]) -> tuple[str, ...]:
         out = []
