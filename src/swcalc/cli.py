@@ -29,7 +29,7 @@ def _to_json(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` with one join per container.
 
     With an indent, ``json`` skips its C encoder and yields piece by piece;
-    the reports are mostly integer rows, printed here by ``map(repr, row)``.
+    the reports are mostly rows of ints or of angle texts, printed by one ``map``.
     """
     if isinstance(obj, str):
         return _escape(obj)
@@ -50,8 +50,11 @@ def _to_json(obj, pad: str = "\n") -> str:
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == {int}:
+        types = set(map(type, obj))
+        if types == {int}:
             items = map(repr, obj)
+        elif types == {str}:
+            items = map(_escape, obj)
         else:
             items = [_to_json(val, inner) for val in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
@@ -119,16 +122,18 @@ def _cmd_family(args) -> dict:
         n_prime=args.n_prime, m_prime=args.m_prime, m=args.m)
 
 
-def _angle_rows(pairs) -> list[dict]:
-    return [{"theta": str(theta), "tuple": tup.as_strings()} for theta, tup in pairs]
-
-
 def _cmd_fixedpoints(args) -> dict:
-    return {
-        "k": args.k,
-        "solutions": _angle_rows(fixedpoint.solve_fixed_points(args.k)),
-        "invariant_locus": _angle_rows(fixedpoint.invariant_locus(args.k)),
-    }
+    k = args.k
+    solutions = fixedpoint.solve_fixed_points(k)
+    # every angle is some j/k, the theta of solution j: format each once
+    texts = [str(theta) for theta, _ in solutions]
+
+    def rows(pairs):
+        return [{"theta": texts[k // theta.denominator * theta.numerator],
+                 "tuple": [texts[k // a.denominator * a.numerator] for a in tup.angles]}
+                for theta, tup in pairs]
+    return {"k": k, "solutions": rows(solutions),
+            "invariant_locus": rows(fixedpoint.invariant_locus(k))}
 
 
 def _parse_fixture(text: str) -> lattice.QuadraticForm:

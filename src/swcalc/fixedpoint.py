@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .errors import GuardViolation
 
@@ -38,9 +38,6 @@ class AngleTuple:
         obj = object.__new__(cls)
         object.__setattr__(obj, "angles", angles)
         return obj
-
-    def as_strings(self) -> list[str]:
-        return [str(a) for a in self.angles]
 
 
 def solve_fixed_points(k: int) -> list[tuple[Fraction, AngleTuple]]:
@@ -97,9 +94,8 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(n))
-                       for j in range(n)) for i in range(n))
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _mat_pow(m, e: int):
@@ -120,21 +116,28 @@ class FixedSubtorus:
     basis: tuple[tuple[int, ...], ...]
 
 
-def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q of a square matrix, with its pivot
-    columns."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over Z of a square matrix, each
+    row divided by its content: the rows and the pivot columns."""
+    m = [list(row) for row in rows]
     pivots: list[int] = []
     for col in range(len(m)):
         r = len(pivots)
         pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        top = m[pivot]
+        g = math.gcd(*top)
+        if g > 1:
+            top = [x // g for x in top]
+        m[r], m[pivot] = top, m[r]
+        p = top[col]
+        for i, row in enumerate(m):
+            c = row[col]
+            if i != r and c:
+                row = [p * x - c * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return m, pivots
 
@@ -142,22 +145,21 @@ def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 def fixed_subtorus(aut: TorusAutomorphism) -> FixedSubtorus:
     """Rational fixed subtorus of a finite-order torus automorphism.
 
-    Computes ker(D - I) over Q, one vector per free column of its reduced
-    row echelon form, with a primitive integer basis, and checks that the
-    averaging projector P = S/m, S = sum_{i<m} D^i over the least period m,
-    is idempotent with image equal to that kernel, which is the algebraic
-    content of averaging solutions onto the invariant locus.
+    Computes ker(D - I) by fraction-free elimination over Z, one primitive
+    vector per free column, and checks the averaging operator S = sum_{i<m} D^i
+    over the least period m, the algebraic content of averaging solutions onto
+    the invariant locus: S^2 = mS (S/m is idempotent), DS = S (it lands in the
+    fixed space) and rank S = the number of free columns (it fills it).
     """
     n = aut.dimension
     d = aut.matrix
-    if n == 0:
-        return FixedSubtorus(0, ())
-    rref, pivots = _rref([[x - (i == j) for j, x in enumerate(row)]
-                          for i, row in enumerate(d)])
+    echelon, pivots = _echelon([[x - (i == j) for j, x in enumerate(row)]
+                                for i, row in enumerate(d)])
     free = [c for c in range(n) if c not in pivots]
 
-    s, power, period = _identity(n), d, 1
-    while power != _identity(n):
+    identity = _identity(n)
+    s, power, period = identity, d, 1
+    while power != identity:
         s = tuple(tuple(map(add, a, b)) for a, b in zip(s, power))
         power = _mat_mul(power, d)
         period += 1
@@ -165,21 +167,19 @@ def fixed_subtorus(aut: TorusAutomorphism) -> FixedSubtorus:
         raise AssertionError("averaging operator is not idempotent")
     if _mat_mul(d, s) != s:
         raise AssertionError("averaging operator does not land in the fixed space")
-    if len(_rref(s)[1]) != len(free):
+    if len(_echelon(s)[1]) != len(free):
         raise AssertionError("averaging image does not match the fixed space")
 
     basis = []
     for col in free:
-        vec = [int(c == col) for c in range(n)]
-        for row, pivot in zip(rref, pivots):
-            vec[pivot] = -row[col]
-        lcm = math.lcm(*(x.denominator for x in vec))
-        ints = [int(x * lcm) for x in vec]
-        g = math.gcd(*(abs(x) for x in ints))
-        if g > 1:
-            ints = [x // g for x in ints]
-        first = next((x for x in ints if x != 0), 1)
-        if first < 0:
+        # x_col = 1 and x_p = -row[col] / row[p], times the least common
+        # denominator, which leaves the vector primitive
+        lcm = math.lcm(*(row[p] // math.gcd(row[p], row[col]) for row, p in zip(echelon, pivots)))
+        ints = [0] * n
+        ints[col] = lcm
+        for row, p in zip(echelon, pivots):
+            ints[p] = -row[col] * lcm // row[p]
+        if next(x for x in ints if x) < 0:
             ints = [-x for x in ints]
         basis.append(tuple(ints))
     return FixedSubtorus(len(free), tuple(basis))

@@ -223,8 +223,8 @@ class GroupRingElement:
     __rmul__ = __mul__
 
     def mul_laurent(self, q: "GroupRingElement", slot: int, step: int) -> "GroupRingElement":
-        """``self * q.substitute_power(step).embed(self.ambient, free_map=(slot,))``
-        in one pass: a shifted copy of ``self`` per term of the Laurent polynomial q."""
+        """``self`` times q(T^step), with T the free generator ``slot``, in one
+        pass: a shifted copy of ``self`` per term of the Laurent polynomial q."""
         if q.ambient.free_rank != 1 or q.ambient.torsion_orders:
             raise UnsupportedOperation("the factor must be a rank-1 torsion-free polynomial")
         if not 0 <= slot < self.ambient.free_rank:
@@ -241,18 +241,6 @@ class GroupRingElement:
     def mod2(self) -> "GroupRingElement":
         """Reduce every coefficient to {0,1}; monomials with even coefficient drop out."""
         return self._wrap(self.ambient, {k: 1 for k, c in self._terms.items() if c & 1})
-
-    def substitute_power(self, s: int) -> "GroupRingElement":
-        """Replace the single free generator t by t^s.
-
-        Only defined over a rank-one torsion-free ambient group.  With
-        s = 0 all monomials collapse onto the constant term.
-        """
-        g = self.ambient
-        if g.free_rank != 1 or g.torsion_orders:
-            raise UnsupportedOperation(
-                "substitute_power needs a rank-1 torsion-free ambient group")
-        return self._wrap(g, _accumulate({}, (((s * e,), c) for (e,), c in self._terms.items())))
 
     def embed(self, target: FgAbelianGroup,
               free_map: tuple[int, ...] | None = None,

@@ -1,7 +1,9 @@
 """Reference computations shared by the tests, written with nothing of
-swcalc beyond ring products, the stored Gram matrix and the angle tuple."""
+swcalc beyond ring constructors and products, the stored Gram matrix and
+the angle tuple."""
 from fractions import Fraction
 
+from swcalc.errors import UnsupportedOperation
 from swcalc.fixedpoint import AngleTuple
 from swcalc.groupring import GroupRingElement
 
@@ -15,6 +17,19 @@ def ring_power(p: GroupRingElement, n: int) -> GroupRingElement:
         p = p * p if n > 1 else p
         n >>= 1
     return result
+
+
+def substitute_power(p: GroupRingElement, s: int) -> GroupRingElement:
+    """p(t^s): the single free generator t of a Laurent polynomial becomes
+    t^s, so s = 0 collapses every monomial onto the constant term.  The
+    reference for ``GroupRingElement.mul_laurent``."""
+    if p.ambient.free_rank != 1 or p.ambient.torsion_orders:
+        raise UnsupportedOperation(
+            "substitute_power needs a rank-1 torsion-free ambient group")
+    terms: dict[tuple[int], int] = {}
+    for (e,), c in p.terms.items():
+        terms[(s * e,)] = terms.get((s * e,), 0) + c
+    return GroupRingElement(p.ambient, terms)
 
 
 def class_square(intersection, vec) -> int:

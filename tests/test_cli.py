@@ -123,6 +123,18 @@ def test_fixedpoints(capsys):
     assert len(data["invariant_locus"]) == 1
 
 
+def test_fixedpoints_bytes_match_closed_form(capsys):
+    """Tuple j is ((k-1-i) j / k mod 1)_i, and the invariant locus is tuple 0."""
+    for k in range(1, 41):
+        solutions = [{"theta": str(Fraction(j, k)),
+                      "tuple": [str(Fraction((k - 1 - i) * j, k) % 1) for i in range(k)]}
+                     for j in range(k)]
+        expected = {"schema": "swcalc/1", "k": k, "solutions": solutions,
+                    "invariant_locus": solutions[:1]}
+        assert run_command(["fixedpoints", "--k", str(k)]) == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_lattice_gram_json(capsys):
     code, data = run_json(capsys, [
         "lattice", "--gram", "[[-1,0],[0,-1]]", "--bound", "1"])
@@ -329,7 +341,7 @@ _INTS = st.one_of(st.integers(), st.integers(min_value=2**64, max_value=2**200),
 
 
 def _json_trees(depth: int):
-    leaves = st.one_of(_TEXT, _INTS, st.booleans(), st.none(), st.lists(_INTS),
+    leaves = st.one_of(_TEXT, _INTS, st.booleans(), st.none(), st.lists(_INTS), st.lists(_TEXT),
                        st.lists(st.one_of(_INTS, st.sampled_from([True, False, None]))))
     if depth == 0:
         return leaves

@@ -21,7 +21,7 @@ from swcalc.manifold import (IntersectionData, ManifoldDescriptor, SWInfo, built
                              mod2_basic_class_count, reverse_orientation)
 from swcalc.surgery import blowup, connected_sum, knot_surgery
 
-from oracles import class_square
+from oracles import class_square, substitute_power
 
 
 # ----- space forms and hat entries -----
@@ -244,7 +244,7 @@ def factored_members(draw):
                 st.builds(alexander_family, st.integers(1, 4), st.integers(1, 3)),
                 st.builds(torus_knot, st.just(2), st.sampled_from([3, 5]))))
             member = knot_surgery(member, knot)
-            oracle = oracle * knot.poly.substitute_power(2).embed(oracle.ambient)
+            oracle = oracle * substitute_power(knot.poly, 2).embed(oracle.ambient)
     return member, oracle
 
 

@@ -183,9 +183,30 @@ def test_fixed_subtorus_matches_sympy(blocks, data):
     for i in range(n):
         for j in range(n):
             matrix[perm[i]][perm[j]] = signs[i] * signs[j] * block[i][j]
+    # then by transvections E = I + c e_a e_b^T, D -> E D E^-1, so that D - I
+    # has pivots other than +-1 and rows whose entries share a factor
+    moves = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                         st.sampled_from((-2, -1, 1, 2))), max_size=n))
+    for a, b, c in moves:
+        if a != b:
+            for row in matrix:  # right by E^-1: column b -= c * column a
+                row[b] -= c * row[a]
+            matrix[a] = [x + c * y for x, y in zip(matrix[a], matrix[b])]
     order = math.lcm(*(o for _, o in blocks))
     out = fixed_subtorus(TorusAutomorphism(tuple(map(tuple, matrix)), order))
     assert (out.dimension, out.basis) == sympy_fixed_subtorus(matrix)
+
+
+def test_fixed_subtorus_of_a_unimodular_conjugate():
+    """D = P (I_2 + rotation of order 4) P^-1 for a P of determinant 1.  The
+    third row of D - I is 2 (1, -3, 1, -2), and both pivots of its integer
+    echelon are -2."""
+    d = ((3, -4, 1, -4), (2, -5, 2, -4), (2, -6, 3, -4), (0, 2, -1, 1))
+    out = fixed_subtorus(TorusAutomorphism(d, 4))
+    assert (out.dimension, out.basis) == (2, ((1, 1, 2, 0), (2, 0, 0, 1)))
+    assert (out.dimension, out.basis) == sympy_fixed_subtorus(d)
+    for v in out.basis:
+        assert tuple(sum(x * y for x, y in zip(row, v)) for row in d) == v
 
 
 def test_angle_tuple_normal_form_enforced():

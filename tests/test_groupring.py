@@ -6,7 +6,7 @@ from swcalc.errors import AmbientMismatchError, UnsupportedOperation
 from swcalc.groupring import (FactoredElement, FgAbelianGroup, GroupRingElement,
                               TermRenderer, laurent, laurent_coeffs)
 
-from oracles import ring_power
+from oracles import ring_power, substitute_power
 
 Z = FgAbelianGroup(1)
 Z_MOD2 = FgAbelianGroup(0, (2,))
@@ -175,22 +175,22 @@ def test_monomial_count():
 
 def test_substitute_power_doubling():
     p = laurent({1: 1, 0: -1, -1: 1})
-    assert laurent_coeffs(p.substitute_power(2)) == {2: 1, 0: -1, -2: 1}
+    assert laurent_coeffs(substitute_power(p, 2)) == {2: 1, 0: -1, -2: 1}
 
 
 def test_substitute_power_identity():
     p = laurent({5: 3, -2: 1})
-    assert p.substitute_power(1) == p
+    assert substitute_power(p, 1) == p
 
 
 def test_substitute_power_collapse():
     p = laurent({1: 1, -1: 1})
-    assert laurent_coeffs(p.substitute_power(0)) == {0: 2}
+    assert laurent_coeffs(substitute_power(p, 0)) == {0: 2}
 
 
 def test_substitute_power_needs_rank_one():
     with pytest.raises(UnsupportedOperation):
-        GroupRingElement.one(MIXED).substitute_power(2)
+        substitute_power(GroupRingElement.one(MIXED), 2)
 
 
 # ----- embed -----
@@ -294,7 +294,7 @@ def test_mod2_is_multiplicative(triple):
 @given(ring_elements(group=Z), st.integers(-3, 3).filter(lambda s: s != 0))
 def test_substitute_power_preserves_coefficient_multiset(p, s):
     before = sorted(p.terms.values())
-    after = sorted(p.substitute_power(s).terms.values())
+    after = sorted(substitute_power(p, s).terms.values())
     assert before == after
 
 
@@ -347,7 +347,7 @@ def test_embed_stays_canonical(data):
 @settings(max_examples=100)
 @given(ring_elements(group=Z), st.integers(-3, 3))
 def test_substitute_power_stays_canonical(p, s):
-    assert_canonical(p.substitute_power(s))
+    assert_canonical(substitute_power(p, s))
 
 
 # ----- the one-pass product with a substituted Laurent polynomial -----
@@ -361,7 +361,7 @@ def test_mul_laurent_matches_substitute_embed_product(data, step):
     p, q = data.draw(ring_elements(group=g)), data.draw(ring_elements(group=Z))
     slot = data.draw(st.integers(0, g.free_rank - 1))
     product = p.mul_laurent(q, slot, step)
-    assert product == p * q.substitute_power(step).embed(g, free_map=(slot,))
+    assert product == p * substitute_power(q, step).embed(g, free_map=(slot,))
     assert_canonical(product)
 
 

@@ -178,7 +178,6 @@ UNREACHED = {
     "quaternionic_space_form": "reached by hat(l) with 4 | l >= 8, which no "
                                "corpus job uses",
     "GroupRingElement.embed": "the reference implementation for mul_laurent",
-    "GroupRingElement.substitute_power": "the reference implementation for mul_laurent",
     "FactoredElement.expand": "the reference implementation for the factored form",
     "GroupRingElement.one": "how tests and library users build elements",
     "GroupRingElement.zero": "how tests and library users build elements",
