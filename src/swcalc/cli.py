@@ -109,7 +109,7 @@ def _cmd_eval(args) -> dict:
         except SwcalcError as err:
             payload["homeo_type"] = {"error": str(err)}
         if isinstance(tree, (ConnSum, Multiple)):
-            # dissolve expands the sum into the summands its lineage records
+            # dissolve reads the sum as the leaf runs its lineage records
             payload["dissolution"] = dissolve([descriptor]).to_json_dict()
     return payload
 

@@ -238,20 +238,13 @@ def covering_consistency(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> bool:
                              requirement="hat summand")
     k, l = n_entry.k, n_entry.h_order
 
-    def chi(factors):  # of their connected sum: each sum removes two 4-balls
-        return sum(f.chi for f in factors) - 2 * (len(factors) - 1)
+    def chi(runs):  # of the sum of the (summand, copies) runs: each sum removes two 4-balls
+        return sum(c * f.chi for f, c in runs) - 2 * (sum(c for _, c in runs) - 1)
 
-    s2 = builtin("S2xS2")
-    cover = [m] * (k * l) + [s2] * (l - 1)
-    base = [m] * k + [n_entry.descriptor]
-    if chi(cover) != l * chi(base):
-        return False
-    hat_cover = [s2] * (l - 1)
-    if chi(hat_cover) != l * n_entry.descriptor.chi:
-        return False
-    if _sum_fingerprint(hat_cover) != Fingerprint(True, l - 1, l - 1, "even"):
-        return False
-    return True
+    hat_cover = [(builtin("S2xS2"), l - 1)]
+    return (chi([(m, k * l)] + hat_cover) == l * chi([(m, k), (n_entry.descriptor, 1)])
+            and chi(hat_cover) == l * n_entry.descriptor.chi
+            and _sum_fingerprint(hat_cover) == Fingerprint(True, l - 1, l - 1, "even"))
 
 
 # ----- family generator -----
@@ -319,7 +312,7 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         if n < 1:
             raise GuardViolation("the elliptic index parameter must be at least 1",
                                  requirement="n >= 1")
-        base = connected_sum_all([builtin("S2xS2")] * m)
+        base = connected_sum_all([builtin("S2xS2")], [m])
         for r in range(1, size + 1):
             sample = log_transform(2 * n, r)
             count = mod2_basic_class_count(sample) * hat.spinc_count
@@ -329,8 +322,8 @@ def exotic_family(construction: str, k: int, l: int, size: int,
     else:
         raise GuardViolation(f"unknown construction {construction!r}")
 
-    target_factors = [base] * (k * l) + [builtin("S2xS2")] * (l - 1)
-    dissolved = dissolve(target_factors).to_json_dict()
+    target = [(base, k * l), (builtin("S2xS2"), l - 1)]
+    dissolved = dissolve(*zip(*target)).to_json_dict()
     counts = [mb["monomials"] for mb in members]
     distinct = (len(set(counts)) == len(counts)
                 and len({tuple(mb["fingerprint"]) for mb in members}) == 1)
@@ -342,7 +335,7 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         "space_form": sf.label,
         "target": {
             "expression": f"{k * l}*{base_label} # {l - 1}*S2xS2",
-            "fingerprint": list(_sum_fingerprint(target_factors)),
+            "fingerprint": list(_sum_fingerprint(target)),
             "dissolved": dissolved,
         },
         "members": members,

@@ -414,7 +414,7 @@ def eval_expr(e: Expr, catalog: Catalog | None = None, _stack: tuple[str, ...] =
     if isinstance(e, ConnSum):
         return connected_sum_all([eval_expr(f, catalog, _stack, _level) for f in e.factors])
     if isinstance(e, Multiple):
-        return connected_sum_all([eval_expr(e.expr, catalog, _stack, _level)] * e.count)
+        return connected_sum_all([eval_expr(e.expr, catalog, _stack, _level)], [e.count])
     if isinstance(e, KnotSurgery):
         base = eval_expr(e.expr, catalog, _stack, _level + 1)
         return knot_surgery(base, _resolve_knot_constructor(e.knot, catalog))

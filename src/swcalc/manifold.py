@@ -128,15 +128,15 @@ class IntersectionData:
                 for i, row in enumerate(block) for j, x in enumerate(row[i:], i) if x))
         return entries
 
-    def direct_sum(self, other: "IntersectionData") -> "IntersectionData":
-        """Orthogonal sum, renaming the classes of ``other`` that clash.
+    def direct_sum(self, other: "IntersectionData", count: int = 1) -> "IntersectionData":
+        """Orthogonal sum with ``count`` copies of ``other``, renaming clashes.
 
         A clashing name x becomes the first free one of x_2, x_3, ...  Both
         forms were checked when they were made, and a block sum of checked
         blocks is checked, so the sum is assembled without a further
         check.  Names are looked up in a table that a chain of sums shares,
         so a sum costs the two concatenations plus O(1) amortized per class
-        of ``other``.
+        of the copies.
         """
         table = self.__dict__.get("_names")
         if table is None:
@@ -145,11 +145,11 @@ class IntersectionData:
             table = _NameTable(self.tracked_basis)
         out = object.__new__(IntersectionData)
         out.__dict__.update(
-            tracked_basis=self.tracked_basis + table.add(other.tracked_basis),
-            blocks=self.blocks + other.blocks,
-            h_count=self.h_count + other.h_count,
-            plus_count=self.plus_count + other.plus_count,
-            minus_count=self.minus_count + other.minus_count,
+            tracked_basis=self.tracked_basis + table.add(other.tracked_basis * count),
+            blocks=self.blocks + other.blocks * count,
+            h_count=self.h_count + count * other.h_count,
+            plus_count=self.plus_count + count * other.plus_count,
+            minus_count=self.minus_count + count * other.minus_count,
             _names=table,
         )
         return out
@@ -240,7 +240,8 @@ class ManifoldDescriptor:
     admits_psc: bool = False
     torus_class: str | None = None
     elliptic_class: bool = False
-    derived_from: tuple[str, tuple["ManifoldDescriptor", ...], str] | None = \
+    # (step, parents, argument); a connected sum's parents are (leaf, multiplicity) runs
+    derived_from: tuple[str, tuple, str] | None = \
         field(default=None, repr=False, compare=False)
     provenance: tuple[str, ...] = field(default=(), repr=False, compare=False)
 

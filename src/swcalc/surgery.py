@@ -7,6 +7,7 @@ connected sums of elliptic pieces into standard summands.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, count, filterfalse, islice, repeat
 from typing import Sequence
 
 from .errors import GuardViolation
@@ -18,17 +19,40 @@ from .manifold import (Fingerprint, HomeoType, IntersectionData,
 
 # ----- connected sum -----
 
-def _is_standard_s4(d: ManifoldDescriptor) -> bool:
-    return d.fingerprint == (True, 0, 0, "even")
+_S4 = (True, 0, 0, "even")  # the fingerprint of a trivial summand
+_ABSORBED = "connected_sum: summand with trivial fingerprint absorbed"
+_BLOWN_UP = "blowup: {} exceptional classes appended"
 
 
 def _pure_antiblowup_count(d: ManifoldDescriptor) -> int:
     """m when d has the fingerprint of m copies of CP2bar, else 0."""
     fp = d.fingerprint
-    if fp.simply_connected and fp.b2_plus == 0 and fp.b2_minus >= 1 \
-            and fp.parity == "odd":
-        return fp.b2_minus
-    return 0
+    return fp.b2_minus if fp.simply_connected and not fp.b2_plus and fp.parity == "odd" else 0
+
+
+def _merged(runs) -> list[tuple[ManifoldDescriptor, int]]:
+    """Runs with adjacent interchangeable summands (equal, with equal records) merged."""
+    out = []
+    for f, c in runs:
+        if c < 1:
+            raise GuardViolation(f"{c} copies of {f.label} requested", requirement="count >= 1")
+        g = out[-1][0] if out else None
+        # labels differ between most summands, so they are compared first
+        if g is f or g is not None and g.label == f.label and g == f \
+                and (g.provenance, g.derived_from) == (f.provenance, f.derived_from):
+            out[-1] = (g, out[-1][1] + c)
+        else:
+            out.append((f, c))
+    return out
+
+
+def _lineage(runs) -> tuple[str, tuple[tuple[ManifoldDescriptor, int], ...], str]:
+    """The record of the sum of the runs: the runs of its leaves, a sum's from its record."""
+    leaves = []
+    for f, c in runs:
+        own = f.derived_from[1] if (f.derived_from or "_")[0] == "connected_sum" else ((f, 1),)
+        leaves += ((own[0][0], own[0][1] * c),) if len(own) == 1 else own * c
+    return ("connected_sum", tuple(_merged(leaves)), "")
 
 
 def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescriptor:
@@ -39,24 +63,62 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
     three situations: a trivial summand, a summand of CP2bar pieces
     absorbed by the blowup formula, and the vanishing rule when the sum
     splits into two parts of positive b2+.  Every result, absorbed or
-    not, records the summands of both sides as one flat lineage.
+    not, records the leaves of both sides as (leaf, multiplicity) runs.
     """
-    lineage = ("connected_sum", _sum_leaves(a) + _sum_leaves(b), "")
-    label = f"{a.label} # {b.label}"
-    for x, y in ((a, b), (b, a)):
-        if _is_standard_s4(x):
-            return replace(y, label=label, derived_from=lineage,
-                           provenance=y.provenance +
-                           ("connected_sum: summand with trivial fingerprint absorbed",))
-    for x, y in ((b, a), (a, b)):
-        m = _pure_antiblowup_count(x)
-        if m and y.sw.is_known and y.simple_type:
-            return replace(blowup(y, m), label=label, derived_from=lineage)
+    return _sum_onto(a, b, 1, f"{a.label} # {b.label}", _lineage(((a, 1), (b, 1))))
 
-    inter = a.intersection.direct_sum(b.intersection)
+
+def connected_sum_all(factors: Sequence[ManifoldDescriptor],
+                      counts: Sequence[int] | None = None) -> ManifoldDescriptor:
+    """The sum of counts[i] >= 1 copies of factors[i] (one each by default),
+    folded from the left by ``connected_sum``'s rules, one run of equal
+    summands at a time; the label is joined once."""
+    runs = _merged(zip(factors, counts or repeat(1)))
+    if not runs:
+        return builtin("S4")
+    label = " # ".join(chain.from_iterable([f.label] * c for f, c in runs))
+    lineage = _lineage(runs)
+    out = runs[0][0]
+    for i, (f, c) in enumerate(runs):  # the first copy starts the sum
+        out = _sum_onto(out, f, c - (i == 0), label, lineage)
+    return out
+
+
+def _sum_onto(a: ManifoldDescriptor, b: ManifoldDescriptor, c: int, label: str,
+              lineage: tuple) -> ManifoldDescriptor:
+    """c copies of b summed onto a one at a time by ``connected_sum``'s rules,
+    labelled and recorded as given; a rule that fires again on every later
+    copy takes all of them in one step."""
+    while c:
+        if a.fingerprint == _S4:
+            a = replace(b, label=label, derived_from=lineage,
+                        provenance=b.provenance + (_ABSORBED,))
+            c = 0 if b.fingerprint == _S4 else c - 1  # b's record for every copy of S4
+        elif b.fingerprint == _S4:
+            return replace(a, label=label, derived_from=lineage,
+                           provenance=a.provenance + (_ABSORBED,) * c)
+        elif (m := _pure_antiblowup_count(b)) and a.sw.is_known and a.simple_type:
+            # a blowup stays known and of simple type, so every copy is absorbed
+            return replace(blowup(a, m * c), label=label, derived_from=lineage,
+                           provenance=a.provenance + (_BLOWN_UP.format(m),) * c)
+        elif (m := _pure_antiblowup_count(a)) and b.sw.is_known and b.simple_type:
+            a, c = replace(blowup(b, m), label=label, derived_from=lineage), c - 1
+        else:
+            # the sum is never known again, so only a known b of simple type with
+            # b2+ = 0 can be absorbed later, by a sum of CP2bar fingerprint
+            n = c if b.b2_plus or not (b.sw.is_known and b.simple_type) else 1
+            a, c = _unabsorbed_sum(a, b, n, label, lineage), c - n
+    return a
+
+
+def _unabsorbed_sum(a: ManifoldDescriptor, b: ManifoldDescriptor, n: int, label: str,
+                    lineage: tuple) -> ManifoldDescriptor:
+    """n copies of b summed onto a when no absorption rule fires."""
+    inter = a.intersection.direct_sum(b.intersection, n)
     # a zero polynomial with b2+ > 0 comes only from this rule, so that side
-    # already splits into two parts of positive b2+, and the sum still does
-    if a.b2_plus > 0 and b.b2_plus > 0 or any(
+    # already splits into two parts of positive b2+, and the sum still does;
+    # so do two copies of b when b2+(b) > 0
+    if b.b2_plus > 0 and (a.b2_plus > 0 or n > 1) or any(
             x.sw.is_zero and x.b2_plus > 0 for x in (a, b)):
         sw = SWInfo.zero()
         note = "connected_sum: both summands have b2+ > 0, polynomial vanishes"
@@ -66,16 +128,16 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
 
     torus = a.torus_class
     if torus is None and b.torus_class is not None:
-        renamed_b = inter.tracked_basis[len(a.intersection.tracked_basis):]
-        torus = renamed_b[b.intersection.tracked_basis.index(b.torus_class)]
+        torus = inter.tracked_basis[len(a.intersection.tracked_basis)
+                                    + b.intersection.tracked_basis.index(b.torus_class)]
 
     return ManifoldDescriptor(
         label=label,
         simply_connected=a.simply_connected and b.simply_connected,
-        b1=a.b1 + b.b1,
-        b2_plus=a.b2_plus + b.b2_plus,
-        b2_minus=a.b2_minus + b.b2_minus,
-        torsion_h1=tuple(sorted(a.torsion_h1 + b.torsion_h1)),
+        b1=a.b1 + n * b.b1,
+        b2_plus=a.b2_plus + n * b.b2_plus,
+        b2_minus=a.b2_minus + n * b.b2_minus,
+        torsion_h1=tuple(sorted(a.torsion_h1 + b.torsion_h1 * n)),
         spin=a.spin and b.spin,
         sw=sw,
         intersection=inter,
@@ -86,15 +148,6 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
         derived_from=lineage,
         provenance=(note,),
     )
-
-
-def connected_sum_all(factors: Sequence[ManifoldDescriptor]) -> ManifoldDescriptor:
-    if not factors:
-        return builtin("S4")
-    out = factors[0]
-    for f in factors[1:]:
-        out = connected_sum(out, f)
-    return out
 
 
 # ----- blowup -----
@@ -110,16 +163,9 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
     if m < 1:
         raise GuardViolation("blowup count must be at least 1", requirement="m >= 1")
     tracked = a.intersection.tracked_basis
-    existing = set(tracked)
-    new_names = []
-    i = 1
-    while len(new_names) < m:
-        cand = f"E{i}"
-        if cand not in existing:
-            new_names.append(cand)
-            existing.add(cand)
-        i += 1
-    new_names = tuple(new_names)
+    # the first m of E1, E2, ... that the form does not use yet
+    new_names = tuple(islice(filterfalse(set(tracked).__contains__,
+                                         map("E{}".format, count(1))), m))
 
     inter = IntersectionData(
         tracked + new_names, a.intersection.blocks + (((-1,),),) * m,
@@ -147,7 +193,7 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
         intersection=inter,
         simple_type=simple_type,
         derived_from=("blowup", (a,), str(m)),
-        provenance=a.provenance + (f"blowup: {m} exceptional classes appended",),
+        provenance=a.provenance + (_BLOWN_UP.format(m),),
     )
 
 
@@ -254,48 +300,45 @@ def _standard_kind(d: ManifoldDescriptor) -> str | None:
 def _knot_derived(d: ManifoldDescriptor) -> bool:
     seen = [d]
     while seen:
-        cur = seen.pop()
-        lineage = cur.derived_from
+        lineage = seen.pop().derived_from
         if lineage is None:
             continue
         if lineage[0] == "knot_surgery":
             return True
-        seen.extend(lineage[1])
+        # a sum records (leaf, multiplicity) runs, every other step its parents
+        seen.extend(p[0] if lineage[0] == "connected_sum" else p for p in lineage[1])
     return False
 
 
-def _sum_fingerprint(factors: Sequence[ManifoldDescriptor]) -> Fingerprint:
+def _sum_fingerprint(runs: Sequence[tuple[ManifoldDescriptor, int]]) -> Fingerprint:
     return Fingerprint(
-        all(f.simply_connected for f in factors),
-        sum(f.b2_plus for f in factors),
-        sum(f.b2_minus for f in factors),
-        "even" if all(f.spin for f in factors) else "odd",
+        all(f.simply_connected for f, _ in runs),
+        sum(c * f.b2_plus for f, c in runs),
+        sum(c * f.b2_minus for f, c in runs),
+        "even" if all(f.spin for f, _ in runs) else "odd",
     )
 
 
-def _sum_leaves(d: ManifoldDescriptor) -> tuple[ManifoldDescriptor, ...]:
-    """The summands of a descriptor built as a connected sum, else d alone."""
-    if d.derived_from is not None and d.derived_from[0] == "connected_sum":
-        return d.derived_from[1]
-    return (d,)
-
-
-def dissolve(factors: Sequence[ManifoldDescriptor]) -> DissolutionVerdict:
+def dissolve(factors: Sequence[ManifoldDescriptor],
+             counts: Sequence[int] | None = None) -> DissolutionVerdict:
     """Normalize a connected sum of descriptors into standard pieces.
 
-    Three rewrite rules are applied until only standard pieces remain:
-    an elliptic-type factor absorbs one S2xS2 summand and splits into the
-    dissolved pieces of the stabilized sum; an elliptic-type factor that
-    is not knot-derived does the same with a CP2 summand; and one S2xS2
-    trades for CP2 # CP2bar whenever the rest of the sum is odd.  Each
-    step rewrites the first pending factor that some rule fits, so the
-    verdict does not depend on the order of the factors.  Each rule
-    strictly reduces the number of non-standard factors, so the system
-    terminates; if no rule fits any factor the verdict is unknown rather
-    than guessed.
+    counts[i] >= 1 copies of factors[i] are summed (one each by default),
+    a sum standing for its leaf runs.  Three rewrite rules are applied
+    until only standard pieces remain: an elliptic-type factor absorbs
+    one S2xS2 summand and splits into the dissolved pieces of the
+    stabilized sum; an elliptic-type factor that is not knot-derived does
+    the same with a CP2 summand; and one S2xS2 trades for CP2 # CP2bar
+    whenever the rest of the sum is odd.  Each step rewrites the first
+    pending factor that some rule fits, so the verdict does not depend on
+    the order of the factors.  Each rule strictly reduces the number of
+    non-standard factors, so the system terminates; if no rule fits any
+    factor the verdict is unknown rather than guessed.  A rule takes in
+    one step, with one trace line per copy, every copy of a leaf run that
+    it would take one by one.
     """
-    factors = [leaf for f in factors for leaf in _sum_leaves(f)]
-    for f in factors:
+    runs = _lineage(zip(factors, counts or repeat(1)))[1]
+    for f, _ in runs:
         if not f.simply_connected:
             raise GuardViolation(
                 f"dissolution needs simply connected factors, got {f.label}",
@@ -303,31 +346,31 @@ def dissolve(factors: Sequence[ManifoldDescriptor]) -> DissolutionVerdict:
 
     trace: list[str] = []
     std: dict[str, int] = {"CP2": 0, "CP2bar": 0, "S2xS2": 0, "K3": 0}
-    pending: list[ManifoldDescriptor] = []
-    for f in factors:
+    pending: list[list] = []  # [factor, copies, knot-derived]
+    for f, c in runs:
         kind = _standard_kind(f)
         if kind == "S4":
-            trace.append(f"trivial_summand: dropped {f.label}")
+            trace += [f"trivial_summand: dropped {f.label}"] * c
         elif kind is not None:
-            std[kind] += 1
+            std[kind] += c
         else:
-            pending.append(f)
+            pending.append([f, c, f.elliptic_class and _knot_derived(f)])
 
     while pending:
         s2, cp2, cp2bar = std["S2xS2"], std["CP2"], std["CP2bar"]
         # the swap needs an odd factor in the complement of the pair
         swap = not s2 and cp2 and cp2bar and (
-            cp2 >= 2 or cp2bar >= 2 or any(not g.spin for g in pending))
-        i = next((i for i, f in enumerate(pending) if f.elliptic_class and (
-            s2 or swap or cp2 and not _knot_derived(f))), None)
+            cp2 >= 2 or cp2bar >= 2 or any(not g.spin for g, _, _ in pending))
+        i = next((i for i, (f, _, knot) in enumerate(pending) if f.elliptic_class and (
+            s2 or swap or cp2 and not knot)), None)
         if i is None:
-            f = pending[0]
+            f = pending[0][0]
             trace.append(f"stuck: no stabilizing summand available for {f.label}"
                          if f.elliptic_class else
                          f"stuck: {f.label} is not covered by the dissolution rules")
             return DissolutionVerdict(None, tuple(trace))
-        f = pending[i]
-        summand = "S2xS2" if s2 else "CP2" if cp2 and not _knot_derived(f) else None
+        f, c, knot = pending[i]
+        summand = "S2xS2" if s2 else "CP2" if cp2 and not knot else None
         if summand is None:
             # enables the stabilization rule for f on the next step
             std["CP2"] -= 1
@@ -335,27 +378,29 @@ def dissolve(factors: Sequence[ManifoldDescriptor]) -> DissolutionVerdict:
             std["S2xS2"] += 1
             trace.append("parity_swap: CP2 # CP2bar rewritten to S2xS2")
             continue
-        del pending[i]
-        std[summand] -= 1
-        form = homeo_type(_sum_fingerprint([f, builtin(summand)]))
+        form = homeo_type(_sum_fingerprint(((f, 1), (builtin(summand), 1))))
         pieces = ("CP2", "CP2bar") if form.parity == "odd" else ("S2xS2", "K3")
-        std[pieces[0]] += form.n
-        std[pieces[1]] += form.m
+        # the copies this rule takes before the choice can change: S2xS2 must
+        # stay available, and CP2 may enable the swap for an earlier factor
+        t = (c if form.parity == "even" and form.n else min(c, s2)) if s2 else \
+            1 if any(g.elliptic_class for g, _, _ in pending[:i]) else c
+        pending[i][1] -= t
+        if not pending[i][1]:
+            del pending[i]
+        std[summand] -= t
+        std[pieces[0]] += t * form.n
+        std[pieces[1]] += t * form.m
         rule = "elliptic_stabilization" if s2 else "cp2_dissolution"
-        trace.append(f"{rule}: {f.label} # {summand} rewritten to standard pieces")
+        trace += [f"{rule}: {f.label} # {summand} rewritten to standard pieces"] * t
 
     # only standard pieces remain; normalize mixed parities
     if (std["CP2"] or std["CP2bar"]) and (std["S2xS2"] or std["K3"]):
-        while std["S2xS2"]:
-            std["S2xS2"] -= 1
-            std["CP2"] += 1
-            std["CP2bar"] += 1
-            trace.append("parity_swap: S2xS2 rewritten to CP2 # CP2bar")
-        while std["K3"] and std["CP2"]:
-            std["K3"] -= 1
-            std["CP2"] += 3
-            std["CP2bar"] += 19
-            trace.append("cp2_dissolution: K3 # CP2 rewritten to 4*CP2 # 19*CP2bar")
+        t = std["S2xS2"]
+        std.update(S2xS2=0, CP2=std["CP2"] + t, CP2bar=std["CP2bar"] + t)
+        trace += ["parity_swap: S2xS2 rewritten to CP2 # CP2bar"] * t
+        t = std["K3"] if std["CP2"] else 0  # each rewrite leaves more CP2
+        std.update(K3=std["K3"] - t, CP2=std["CP2"] + 3 * t, CP2bar=std["CP2bar"] + 19 * t)
+        trace += ["cp2_dissolution: K3 # CP2 rewritten to 4*CP2 # 19*CP2bar"] * t
         if std["K3"]:
             trace.append("stuck: K3 summand with no CP2 available")
             return DissolutionVerdict(None, tuple(trace))
@@ -364,7 +409,7 @@ def dissolve(factors: Sequence[ManifoldDescriptor]) -> DissolutionVerdict:
         form = HomeoType("odd", std["CP2"], std["CP2bar"])
     else:
         form = HomeoType("even", std["S2xS2"], std["K3"])
-    expected = homeo_type(_sum_fingerprint(factors))
+    expected = homeo_type(_sum_fingerprint(runs))
     if form != expected:
         raise AssertionError(
             f"dissolution changed the homeomorphism type: {expected} -> {form}")

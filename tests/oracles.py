@@ -1,11 +1,14 @@
 """Reference computations shared by the tests, written with nothing of
-swcalc beyond ring constructors and products, the stored Gram matrix and
-the angle tuple."""
+swcalc beyond ring constructors and products, the stored Gram matrix, the
+angle tuple, the binary connected sum and the classification of one
+summand."""
 from fractions import Fraction
 
-from swcalc.errors import UnsupportedOperation
+from swcalc.errors import GuardViolation, UnsupportedOperation
 from swcalc.fixedpoint import AngleTuple
 from swcalc.groupring import GroupRingElement
+from swcalc.manifold import Fingerprint, HomeoType, builtin, homeo_type
+from swcalc.surgery import DissolutionVerdict, _knot_derived, _standard_kind, connected_sum
 
 
 def ring_power(p: GroupRingElement, n: int) -> GroupRingElement:
@@ -55,3 +58,102 @@ def apply_generator(t: AngleTuple, gauge) -> AngleTuple:
     """
     shifted = (t.angles[-1],) + t.angles[:-1]
     return normalize([(a + Fraction(gauge)) % 1 for a in shifted])
+
+
+# ----- connected sums, one copy at a time -----
+
+def fold_sum(factors):
+    """The connected sum folded from the left, one binary sum per copy: the
+    reference for ``connected_sum_all``'s runs."""
+    if not factors:
+        return builtin("S4")
+    out = factors[0]
+    for f in factors[1:]:
+        out = connected_sum(out, f)
+    return out
+
+
+def flat_leaves(factors):
+    """The summands of each factor, one entry per copy: a sum's lineage runs
+    written out, any other factor itself."""
+    leaves = []
+    for f in factors:
+        lineage = f.derived_from
+        if lineage is not None and lineage[0] == "connected_sum":
+            leaves += [leaf for leaf, copies in lineage[1] for _ in range(copies)]
+        else:
+            leaves.append(f)
+    return leaves
+
+
+def _fingerprint(factors) -> Fingerprint:
+    return Fingerprint(all(f.simply_connected for f in factors),
+                       sum(f.b2_plus for f in factors), sum(f.b2_minus for f in factors),
+                       "even" if all(f.spin for f in factors) else "odd")
+
+
+def dissolve_flat(factors) -> DissolutionVerdict:
+    """The dissolution rewrite system applied one copy at a time to the flat
+    list of summands: the reference for ``dissolve``'s runs."""
+    factors = flat_leaves(factors)
+    if not all(f.simply_connected for f in factors):
+        raise GuardViolation("dissolution needs simply connected factors")
+    trace = []
+    std = {"CP2": 0, "CP2bar": 0, "S2xS2": 0, "K3": 0}
+    pending = []
+    for f in factors:
+        kind = _standard_kind(f)
+        if kind == "S4":
+            trace.append(f"trivial_summand: dropped {f.label}")
+        elif kind is not None:
+            std[kind] += 1
+        else:
+            pending.append(f)
+    while pending:
+        s2, cp2, cp2bar = std["S2xS2"], std["CP2"], std["CP2bar"]
+        swap = not s2 and cp2 and cp2bar and (
+            cp2 >= 2 or cp2bar >= 2 or any(not g.spin for g in pending))
+        i = next((i for i, f in enumerate(pending) if f.elliptic_class and (
+            s2 or swap or cp2 and not _knot_derived(f))), None)
+        if i is None:
+            f = pending[0]
+            trace.append(f"stuck: no stabilizing summand available for {f.label}"
+                         if f.elliptic_class else
+                         f"stuck: {f.label} is not covered by the dissolution rules")
+            return DissolutionVerdict(None, tuple(trace))
+        f = pending[i]
+        summand = "S2xS2" if s2 else "CP2" if cp2 and not _knot_derived(f) else None
+        if summand is None:
+            std["CP2"] -= 1
+            std["CP2bar"] -= 1
+            std["S2xS2"] += 1
+            trace.append("parity_swap: CP2 # CP2bar rewritten to S2xS2")
+            continue
+        del pending[i]
+        std[summand] -= 1
+        form = homeo_type(_fingerprint([f, builtin(summand)]))
+        pieces = ("CP2", "CP2bar") if form.parity == "odd" else ("S2xS2", "K3")
+        std[pieces[0]] += form.n
+        std[pieces[1]] += form.m
+        rule = "elliptic_stabilization" if s2 else "cp2_dissolution"
+        trace.append(f"{rule}: {f.label} # {summand} rewritten to standard pieces")
+    if (std["CP2"] or std["CP2bar"]) and (std["S2xS2"] or std["K3"]):
+        while std["S2xS2"]:
+            std["S2xS2"] -= 1
+            std["CP2"] += 1
+            std["CP2bar"] += 1
+            trace.append("parity_swap: S2xS2 rewritten to CP2 # CP2bar")
+        while std["K3"] and std["CP2"]:
+            std["K3"] -= 1
+            std["CP2"] += 3
+            std["CP2bar"] += 19
+            trace.append("cp2_dissolution: K3 # CP2 rewritten to 4*CP2 # 19*CP2bar")
+        if std["K3"]:
+            trace.append("stuck: K3 summand with no CP2 available")
+            return DissolutionVerdict(None, tuple(trace))
+    if std["CP2"] or std["CP2bar"]:
+        form = HomeoType("odd", std["CP2"], std["CP2bar"])
+    else:
+        form = HomeoType("even", std["S2xS2"], std["K3"])
+    assert form == homeo_type(_fingerprint(factors))
+    return DissolutionVerdict(form, tuple(trace))

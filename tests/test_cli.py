@@ -449,3 +449,36 @@ def test_deep_nesting_is_refused_fast(tmp_path, argv, code, position):
     assert error["type"] == ("syntax" if code == 2 else "guard")
     assert error.get("position") == position
     assert elapsed < 1.0, f"{argv[:2]} took {elapsed:.2f}s"
+
+
+# ----- hostile-input contract: large inputs answer fast, each run a fresh process -----
+
+K = 10**6
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--construction", "k3", "--k", str(K), "--l", "2", "--size", "1"],
+    ["eval", "100000*S4"],
+], ids=["family_k_1e6", "eval_100000_S4"])
+def test_large_multiples_answer_within_budget(argv):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "swcalc.cli", *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=5)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert elapsed < 5.0, f"{argv[:2]} took {elapsed:.2f}s"
+    data = json.loads(proc.stdout)
+    if argv[0] == "family":
+        # 2*K copies of E(2) (b2+ 3, b2- 19) and one S2xS2
+        assert data["target"] == {
+            "expression": f"{2 * K}*E(2) # 1*S2xS2",
+            "fingerprint": [True, 3 * 2 * K + 1, 19 * 2 * K + 1, "even"],
+            "dissolved": {"status": "dissolved", "display": f"1*(S2xS2) # {2 * K}*K3",
+                          "parity": "even", "n": 1, "m": 2 * K, "orientation": 1,
+                          "rule_trace": []}}
+        assert data["covering_consistent"] is True
+    else:
+        assert data["label"] == " # ".join(["S4"] * 100000)
+        assert data["dissolution"]["rule_trace"] == ["trivial_summand: dropped S4"] * 100000
+        assert data["fingerprint"] == {"simply_connected": True, "b2_plus": 0, "b2_minus": 0,
+                                       "parity": "even"}

@@ -175,6 +175,8 @@ PERFBENCH = SRC.parent.parent / "perfbench"
 # smoke job enters, each with the reason it stays public.
 UNREACHED = {
     "main": "the console entry point; the corpus runs run_command in process",
+    "connected_sum": "the binary sum for library users and the tests' copy-by-copy "
+                     "oracle; every fold goes through connected_sum_all's runs",
     "quaternionic_space_form": "reached by hat(l) with 4 | l >= 8, which no "
                                "corpus job uses",
     "GroupRingElement.embed": "the reference implementation for mul_laurent",

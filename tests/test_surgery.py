@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,16 +9,19 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
-from swcalc.equivariant import hat_s1_l
+from swcalc import surgery
+from swcalc.cli import run_command
+from swcalc.equivariant import exotic_family, hat_s1_l
 from swcalc.errors import GuardViolation
+from swcalc.expressions import eval_expr, parse, render
 from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent, laurent_coeffs
 from swcalc.knot import AlexanderPoly, alexander_family, torus_knot, unknot
-from swcalc.manifold import (HomeoType, SWInfo, builtin, homeo_type, mod2_basic_class_count,
-                             reverse_orientation)
+from swcalc.manifold import (HomeoType, IntersectionData, ManifoldDescriptor, SWInfo, builtin,
+                             homeo_type, mod2_basic_class_count, reverse_orientation)
 from swcalc.surgery import (_standard_kind, blowup, connected_sum, connected_sum_all,
                             dissolve, knot_surgery, log_transform)
 
-from oracles import class_square, ring_power
+from oracles import class_square, dissolve_flat, fold_sum, ring_power
 
 
 def expand_mod2(descriptor):
@@ -389,3 +395,99 @@ def test_dissolve_pool_count():
                  for m in itertools.combinations_with_replacement(POOL, n)]
     assert len(multisets) == 1992
     assert sum(dissolve(m).status == "dissolved" for m in multisets) == 1129
+
+
+# ----- runs of equal summands against the copy-by-copy oracle -----
+
+RUN_POOL = ("E(2)", "E(3)", "K3", "S4", "CP2", "CP2bar", "S2xS2", "hat(2)",
+            "knot_surgery(E(2),trefoil)", "blowup(E(2),1)")
+RUN_DESCRIPTORS = {text: eval_expr(parse(text)) for text in RUN_POOL}
+
+
+def _verdict(factors, dissolver):
+    try:
+        return dissolver(factors).to_json_dict()
+    except GuardViolation:
+        return "refused"
+
+
+def _eval_bytes(text: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_command(["eval", text]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(RUN_POOL), st.integers(1, 6), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_runs_match_the_copy_by_copy_fold(multiplicities, rng):
+    copies = [text for text, n in multiplicities.items() for _ in range(n)]
+    rng.shuffle(copies)
+    factors = [RUN_DESCRIPTORS[text] for text in copies]
+    runs, oracle = connected_sum_all(factors), fold_sum(factors)
+    assert runs.to_json_dict() == oracle.to_json_dict()
+    assert runs == oracle and hash(runs) == hash(oracle)
+    assert _verdict([runs], dissolve) == _verdict([oracle], dissolve_flat) \
+        == _verdict(factors, dissolve)
+    # the CLI prints n*X # ... as it prints X # ... # X # ..., but for the
+    # expression itself; a later n*X is one summand, so only the leading run
+    # is written as a multiple
+    lead = len(list(next(itertools.groupby(copies))[1]))
+    compact = " # ".join([f"{lead}*{copies[0]}"] + copies[lead:])
+    spelled = " # ".join(copies)
+    printed = [json.dumps(render(parse(text))) for text in (compact, spelled)]
+    assert _eval_bytes(compact).replace(*printed) == _eval_bytes(spelled)
+
+
+def test_dissolve_classifies_each_run_once(monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return _standard_kind(d)
+
+    monkeypatch.setattr(surgery, "_standard_kind", counted)
+    total = connected_sum_all([builtin("E", 2)] * 100_000 + [builtin("S2xS2")])
+    assert dissolve([total]).form == HomeoType("even", 1, 100_000)
+    assert len(calls) == 2
+
+
+def test_family_target_of_a_large_k_is_read_from_runs():
+    report = exotic_family("k3_knot", k=100_000, l=2, size=1)
+    assert report["target"]["fingerprint"] == [True, 600001, 3800001, "even"]
+    assert report["target"]["dissolved"]["display"] == "1*(S2xS2) # 200000*K3"
+    assert report["covering_consistent"] is True
+
+
+@pytest.mark.parametrize("texts, counts", [
+    (("knot_surgery(E(2),trefoil)", "E(3)", "CP2"), (2, 3, 1)),
+    (("knot_surgery(E(2),trefoil)", "CP2", "E(3)", "CP2bar"), (3, 2, 4, 1)),
+    (("blowup(E(2),1)", "S2xS2", "K3", "CP2"), (5, 2, 3, 1)),
+], ids=["cp2_rule_behind_a_knot_factor", "swap_first", "odd_stabilization"])
+def test_dissolve_counts_stand_for_copies(texts, counts):
+    factors = [RUN_DESCRIPTORS.get(text) or eval_expr(parse(text)) for text in texts]
+    flat = [f for f, n in zip(factors, counts) for _ in range(n)]
+    assert dissolve(factors, counts) == dissolve_flat(flat) == dissolve(flat)
+    assert connected_sum_all(factors, counts).to_json_dict() == fold_sum(flat).to_json_dict()
+
+
+def test_counts_below_one_are_refused():
+    for build in (connected_sum_all, dissolve):
+        with pytest.raises(GuardViolation):
+            build([builtin("E", 2), builtin("S2xS2")], [2, 0])
+
+
+def test_runs_of_a_known_summand_of_b2plus_zero():
+    """A known summand of simple type with b2+ = 0 is absorbed by the blowup
+    rule once the sum before it has CP2bar's fingerprint, so its copies are
+    summed one at a time until then."""
+    even = ManifoldDescriptor("A", True, 0, 0, 8, (), True, SWInfo.unknown(),
+                              IntersectionData(minus_count=8))
+    odd = ManifoldDescriptor("X", True, 0, 0, 4, (), False, SWInfo.known(laurent({0: 1})),
+                             IntersectionData(("U",), (((-1,),),), minus_count=3),
+                             simple_type=True)
+    factors = [even, odd, odd, odd]
+    runs, oracle = connected_sum_all(factors), fold_sum(factors)
+    assert runs.to_json_dict() == oracle.to_json_dict()
+    assert runs.sw.is_known
