@@ -95,7 +95,7 @@ def _load_catalog(path: str | None):
 
 
 def _cmd_eval(args) -> dict:
-    from .expressions import ConnSum, Multiple, eval_expr, parse, render
+    from .expressions import ConnSum, eval_expr, parse, render
     from .manifold import homeo_type
     from .surgery import dissolve
     catalog = _load_catalog(args.catalog)
@@ -108,7 +108,7 @@ def _cmd_eval(args) -> dict:
             payload["homeo_type"] = homeo_type(descriptor).to_json_dict()
         except SwcalcError as err:
             payload["homeo_type"] = {"error": str(err)}
-        if isinstance(tree, (ConnSum, Multiple)):
+        if isinstance(tree, ConnSum):
             # dissolve reads the sum as the leaf runs its lineage records
             payload["dissolution"] = dissolve([descriptor]).to_json_dict()
     return payload
@@ -194,15 +194,13 @@ def _cmd_lattice(args) -> dict:
 
 def _cmd_bf(args) -> dict:
     from . import equivariant
-    from .expressions import Builtin, ConnSum, Multiple, eval_expr, parse
+    from .expressions import Builtin, ConnSum, eval_expr, parse
     catalog = _load_catalog(args.catalog)
     tree = parse(args.expression, catalog)
-    factors = tree.factors if isinstance(tree, ConnSum) else (tree,)
     summand = None
     count = 0
     entry = None
-    for f in factors:
-        inner, mult = (f.expr, f.count) if isinstance(f, Multiple) else (f, 1)
+    for mult, inner in tree.runs if isinstance(tree, ConnSum) else [(1, tree)]:
         if isinstance(inner, Builtin) and inner.name in ("hat", "S4", "CP2bar"):
             if entry is not None:
                 raise ExprSyntaxError("expected exactly one catalog summand")

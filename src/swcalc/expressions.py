@@ -44,13 +44,7 @@ class Builtin:
 
 @dataclass(frozen=True)
 class ConnSum:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Multiple:
-    count: int
-    expr: "Expr"
+    runs: tuple  # (count >= 1, atom) pairs in source order
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,7 @@ class Reverse:
     expr: "Expr"
 
 
-Expr = Builtin | ConnSum | Multiple | KnotSurgery | LogTransform | Blowup | Reverse
+Expr = Builtin | ConnSum | KnotSurgery | LogTransform | Blowup | Reverse
 
 
 def render(e: Expr) -> str:
@@ -90,9 +84,7 @@ def render(e: Expr) -> str:
     if isinstance(e, Builtin):
         return e.name if e.arg is None else f"{e.name}({e.arg})"
     if isinstance(e, ConnSum):
-        return " # ".join(render(f) for f in e.factors)
-    if isinstance(e, Multiple):
-        return f"{e.count}*{render(e.expr)}"
+        return " # ".join(render(f) if c == 1 else f"{c}*{render(f)}" for c, f in e.runs)
     if isinstance(e, KnotSurgery):
         return f"knot_surgery({render(e.expr)}, {render_knotref(e.knot)})"
     if isinstance(e, LogTransform):
@@ -196,6 +188,10 @@ class Catalog:
         if not (isinstance(knots, dict) and isinstance(manifolds, dict)):
             raise GuardViolation("a catalog must be a JSON object whose knots and "
                                  "manifolds are objects")
+        reserved = sorted(knots.keys() & _KNOT_CONSTRUCTORS.keys()
+                          | manifolds.keys() & {*BUILTIN_NAMES, *PARAM_BUILTINS, *_KEYWORDS})
+        if reserved:
+            raise GuardViolation(f"catalog entries may not take the builtin names {reserved}")
         for name, entry in knots.items():
             if isinstance(entry, str):
                 ref = _parse_all(entry, cat, _Parser._knotref)
@@ -278,25 +274,22 @@ class _Parser:
         return tuple(vals)
 
     def expr(self) -> Expr:
-        factors = [self.term()]
+        runs = [self.term()]
         while self._peek().kind == "#":
             self._next()
-            factors.append(self.term())
-        if len(factors) == 1:
-            return factors[0]
-        return ConnSum(tuple(factors))
+            runs.append(self.term())
+        return runs[0][1] if len(runs) == 1 and runs[0][0] == 1 else ConnSum(tuple(runs))
 
-    def term(self) -> Expr:
-        if self._peek().kind == "INT":
-            count_tok = self._next()
-            count = int(count_tok.text)
-            if count < 1:
-                raise ExprSyntaxError("multiplicities must be at least 1",
-                                      position=count_tok.pos)
-            self._expect("*")
-            atom = self.atom()
-            return atom if count == 1 else Multiple(count, atom)
-        return self.atom()
+    def term(self) -> tuple[int, Expr]:
+        if self._peek().kind != "INT":
+            return 1, self.atom()
+        count_tok = self._next()
+        count = int(count_tok.text)
+        if count < 1:
+            raise ExprSyntaxError("multiplicities must be at least 1",
+                                  position=count_tok.pos)
+        self._expect("*")
+        return count, self.atom()
 
     def _nested(self, tok: _Token, rule):
         """Parse one nesting level, opened by ``tok``, with ``rule``."""
@@ -389,15 +382,18 @@ def _parse_all(text: str, catalog: Catalog, rule) -> Expr | KnotRef:
 # ----- evaluation -----
 
 def eval_expr(e: Expr, catalog: Catalog | None = None, _stack: tuple[str, ...] = (),
-              _level: int = 0) -> ManifoldDescriptor:
+              _level: int = 0, _done: dict | None = None) -> ManifoldDescriptor:
     """Evaluate an expression tree to a manifold descriptor.
 
     ``_stack`` names the catalog entries above ``e``; ``_level`` counts them
-    and the ``~``, ``knot_surgery`` and ``blowup`` nodes above ``e``."""
+    and the ``~``, ``knot_surgery`` and ``blowup`` nodes above ``e``.
+    ``_done`` keeps each catalog entry's value by (entry, level) for one
+    top-level call: the level decides whether the bound refuses it."""
     if _level > MAX_NESTING:
         raise GuardViolation(f"expressions and catalog entries nest deeper than "
                              f"{MAX_NESTING} levels")
     catalog = Catalog() if catalog is None else catalog
+    _done = {} if _done is None else _done
     if isinstance(e, Builtin):
         if e.name == "hat":
             from .equivariant import hat_s1_l  # only hat(l) needs the transfer stack
@@ -408,20 +404,23 @@ def eval_expr(e: Expr, catalog: Catalog | None = None, _stack: tuple[str, ...] =
             if e.name in _stack:
                 raise GuardViolation(
                     f"catalog entry {e.name!r} refers to itself")
-            sub = parse(catalog.manifold_sources[e.name], catalog)
-            return eval_expr(sub, catalog, _stack + (e.name,), _level + 1)
+            key = (e.name, _level)
+            if key not in _done:
+                sub = parse(catalog.manifold_sources[e.name], catalog)
+                _done[key] = eval_expr(sub, catalog, _stack + (e.name,), _level + 1, _done)
+            return _done[key]
         raise GuardViolation(f"unknown manifold {e.name!r}")
     if isinstance(e, ConnSum):
-        return connected_sum_all([eval_expr(f, catalog, _stack, _level) for f in e.factors])
-    if isinstance(e, Multiple):
-        return connected_sum_all([eval_expr(e.expr, catalog, _stack, _level)], [e.count])
+        counts, atoms = zip(*e.runs)
+        return connected_sum_all([eval_expr(f, catalog, _stack, _level, _done)
+                                  for f in atoms], counts)
     if isinstance(e, KnotSurgery):
-        base = eval_expr(e.expr, catalog, _stack, _level + 1)
+        base = eval_expr(e.expr, catalog, _stack, _level + 1, _done)
         return knot_surgery(base, _resolve_knot_constructor(e.knot, catalog))
     if isinstance(e, LogTransform):
         return log_transform(e.two_n, e.r)
     if isinstance(e, Blowup):
-        return blowup(eval_expr(e.expr, catalog, _stack, _level + 1), e.m)
+        return blowup(eval_expr(e.expr, catalog, _stack, _level + 1, _done), e.m)
     if isinstance(e, Reverse):
-        return reverse_orientation(eval_expr(e.expr, catalog, _stack, _level + 1))
+        return reverse_orientation(eval_expr(e.expr, catalog, _stack, _level + 1, _done))
     raise TypeError(f"not an expression node: {e!r}")

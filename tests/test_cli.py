@@ -405,8 +405,13 @@ def test_unicode_decimal_digit_is_an_integer(capsys):
     ('{"manifolds": "X"}', 1),
     ('{"knots": {"x": {"coeffs": {"a": 1}}}}', 1),
     ('{"knots": {"x": {"coeffs": {"0": 1.5}}}}', 1),
+    ('{"manifolds": {"K3": "E(3)"}}', 1),
+    ('{"manifolds": {"E": "K3"}}', 1),
+    ('{"manifolds": {"blowup": "K3"}}', 1),
+    ('{"knots": {"torus": "torus(2,5)"}}', 1),
 ], ids=["missing", "invalid_json", "top_level_list", "knots_list", "manifolds_string",
-        "exponent_not_integer", "coefficient_not_integer"])
+        "exponent_not_integer", "coefficient_not_integer", "builtin_name", "param_builtin_name",
+        "keyword_name", "knot_constructor_name"])
 def test_bad_catalog_file_refused(tmp_path, capsys, content, code):
     path = tmp_path / "cat.json"
     if content is not None:
@@ -482,3 +487,22 @@ def test_large_multiples_answer_within_budget(argv):
         assert data["dissolution"]["rule_trace"] == ["trivial_summand: dropped S4"] * 100000
         assert data["fingerprint"] == {"simply_connected": True, "b2_plus": 0, "b2_minus": 0,
                                        "parity": "even"}
+
+
+def test_doubling_catalog_chain_is_refused_within_budget(tmp_path):
+    """Y_i = Y_{i+1} # Y_{i+1} over 18 levels names 2^18 copies of K3: each
+    entry is evaluated once per level, so the report guard refuses it fast."""
+    entries = {f"Y{i}": f"Y{i + 1} # Y{i + 1}" for i in range(18)}
+    path = tmp_path / "doubling.json"
+    path.write_text(json.dumps({"manifolds": {**entries, "Y18": "K3"}}))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "swcalc.cli", "eval", "Y0", "--catalog",
+                           str(path)], env=_src_env(), capture_output=True, text=True,
+                          timeout=5)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert elapsed < 5.0, f"the doubling chain took {elapsed:.2f}s"
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "guard"
+    assert error["requirement"] == "at most 1000 tracked classes"
+    assert f"{2**18}x{2**18} intersection form" in error["message"]

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swcalc import expressions
 from swcalc.errors import ExprSyntaxError, GuardViolation
 from swcalc.expressions import (Blowup, Builtin, Catalog, ConnSum, KnotRef,
-                                KnotSurgery, LogTransform, Multiple, Reverse,
+                                KnotSurgery, LogTransform, Reverse,
                                 MAX_NESTING, eval_expr, parse, render)
 from swcalc.groupring import laurent_coeffs
 from swcalc.manifold import homeo_type, mod2_basic_class_count
@@ -14,7 +15,13 @@ from swcalc.manifold import homeo_type, mod2_basic_class_count
 
 def test_parse_sum_with_multiplicity():
     tree = parse("2*E(2) # S2xS2")
-    assert tree == ConnSum((Multiple(2, Builtin("E", 2)), Builtin("S2xS2")))
+    assert tree == ConnSum(((2, Builtin("E", 2)), (1, Builtin("S2xS2"))))
+    # only a single term of count 1 is a bare atom, and equal terms stay apart
+    assert parse("1*K3") == Builtin("K3")
+    assert parse("3*E(2)") == ConnSum(((3, Builtin("E", 2)),))
+    assert parse("E(2) # 1*E(2) # 2*E(2)") == ConnSum(
+        ((1, Builtin("E", 2)), (1, Builtin("E", 2)), (2, Builtin("E", 2))))
+    assert render(parse("1*K3 # 2*E(2)")) == "K3 # 2*E(2)"
 
 
 def test_parse_knot_surgery_node():
@@ -35,7 +42,7 @@ def test_parse_e1_ok_eval_guarded():
 
 def test_parse_reverse_and_nested():
     tree = parse("~K3 # blowup(E(2),2)")
-    assert tree == ConnSum((Reverse(Builtin("K3")), Blowup(Builtin("E", 2), 2)))
+    assert tree == ConnSum(((1, Reverse(Builtin("K3"))), (1, Blowup(Builtin("E", 2), 2))))
 
 
 def test_parse_logtx():
@@ -140,16 +147,14 @@ def atom_trees(draw, depth):
 @st.composite
 def term_trees(draw, depth):
     atom = draw(atom_trees(depth))
-    if draw(st.booleans()):
-        return Multiple(draw(st.integers(2, 4)), atom)
-    return atom
+    return (draw(st.integers(2, 4)) if draw(st.booleans()) else 1), atom
 
 
 @st.composite
 def expr_trees(draw, depth=0):
     count = draw(st.integers(1, 3)) if depth < 2 else 1
     terms = [draw(term_trees(depth)) for _ in range(count)]
-    return terms[0] if count == 1 else ConnSum(tuple(terms))
+    return terms[0][1] if count == 1 and terms[0][0] == 1 else ConnSum(tuple(terms))
 
 
 @settings(max_examples=150)
@@ -186,6 +191,39 @@ def test_catalog_self_reference_rejected(tmp_path):
         eval_expr(parse("X", catalog), catalog)
 
 
+def test_catalog_entries_evaluate_once_per_level(tmp_path, monkeypatch):
+    """A doubling chain Y_i = Y_{i+1} # Y_{i+1} parses each entry once, not
+    once per reference (2^13 - 1 parses)."""
+    entries = {f"Y{i}": f"Y{i + 1} # Y{i + 1}" for i in range(12)}
+    path = tmp_path / "doubling.json"
+    path.write_text(json.dumps({"manifolds": {**entries, "Y12": "K3"}}))
+    catalog = Catalog.load(path)
+    tree = parse("Y0", catalog)
+    parsed = []
+    monkeypatch.setattr(expressions, "parse",
+                        lambda text, cat: parsed.append(text) or parse(text, cat))
+    assert eval_expr(tree, catalog).b2_plus == 3 * 2**12
+    assert len(parsed) == 13
+
+
+@pytest.mark.parametrize("text", ["Y # " + "~" * 97 + "Y", "~" * 97 + "Y # Y"],
+                         ids=["level_0_first", "level_97_first"])
+def test_entry_refusal_does_not_depend_on_order(tmp_path, text):
+    """Y is answered at level 0 and refused at level 97 in either order."""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"manifolds": {"Y": "~~~K3"}}))
+    catalog = Catalog.load(path)
+    with pytest.raises(GuardViolation, match="nest deeper than 100 levels"):
+        eval_expr(parse(text, catalog), catalog)
+
+
+def test_catalog_may_override_trefoil(tmp_path):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"knots": {"trefoil": "torus(2,5)"}}))
+    poly = Catalog.load(path).knots["trefoil"].poly
+    assert laurent_coeffs(poly) == {2: 1, 1: -1, 0: 1, -1: -1, -2: 1}
+
+
 def test_default_catalog_has_trefoil():
     catalog = Catalog()
     assert "trefoil" in catalog.knots
@@ -215,7 +253,7 @@ def test_nesting_counts_every_kind_and_ignores_closed_levels():
         parse("~" + mixed)
     # closed levels do not count, and logtx( is no level
     wide = " # ".join([mixed] * 3 + ["~" * MAX_NESTING + "logtx(2,1)"])
-    assert parse(wide).factors[-1] == parse("~" * MAX_NESTING + "logtx(2,1)")
+    assert parse(wide).runs[-1] == (1, parse("~" * MAX_NESTING + "logtx(2,1)"))
 
 
 def _catalog_chain(tmp_path, tildes) -> Catalog:

@@ -418,6 +418,11 @@ def _eval_bytes(text: str) -> str:
     return out.getvalue()
 
 
+def _as_runs(copies: list[str]) -> list[str]:
+    """Each run of equal adjacent copies written as n*X."""
+    return [f"{len(list(group))}*{text}" for text, group in itertools.groupby(copies)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.sampled_from(RUN_POOL), st.integers(1, 6), min_size=1, max_size=4),
        st.randoms(use_true_random=False))
@@ -430,14 +435,15 @@ def test_runs_match_the_copy_by_copy_fold(multiplicities, rng):
     assert runs == oracle and hash(runs) == hash(oracle)
     assert _verdict([runs], dissolve) == _verdict([oracle], dissolve_flat) \
         == _verdict(factors, dissolve)
-    # the CLI prints n*X # ... as it prints X # ... # X # ..., but for the
-    # expression itself; a later n*X is one summand, so only the leading run
-    # is written as a multiple
-    lead = len(list(next(itertools.groupby(copies))[1]))
-    compact = " # ".join([f"{lead}*{copies[0]}"] + copies[lead:])
+    # the CLI prints every run written as n*X, and one run split as a*X # b*X,
+    # as it prints the spelled-out sum, but for the expression itself
+    cuts = [j for j in range(1, len(copies)) if copies[j - 1] == copies[j]]
+    cut = rng.choice(cuts) if cuts else len(copies)
     spelled = " # ".join(copies)
-    printed = [json.dumps(render(parse(text))) for text in (compact, spelled)]
-    assert _eval_bytes(compact).replace(*printed) == _eval_bytes(spelled)
+    for compact in (" # ".join(_as_runs(copies)),
+                    " # ".join(_as_runs(copies[:cut]) + _as_runs(copies[cut:]))):
+        printed = [json.dumps(render(parse(text))) for text in (compact, spelled)]
+        assert _eval_bytes(compact).replace(*printed) == _eval_bytes(spelled)
 
 
 def test_dissolve_classifies_each_run_once(monkeypatch):
