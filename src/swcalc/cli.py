@@ -130,7 +130,7 @@ def _cmd_fixedpoints(args) -> dict:
 
     def rows(pairs):
         return [{"theta": texts[k // theta.denominator * theta.numerator],
-                 "tuple": [texts[k // a.denominator * a.numerator] for a in tup.angles]}
+                 "tuple": list(map(texts.__getitem__, tup.numerators))}
                 for theta, tup in pairs]
     return {"k": k, "solutions": rows(solutions),
             "invariant_locus": rows(fixedpoint.invariant_locus(k))}

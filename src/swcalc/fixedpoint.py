@@ -4,39 +4,44 @@ Approximate solutions on a k-fold connected sum are tuples of gauge
 angles, one per summand, taken modulo a single overall rotation.  The
 cyclic generator shifts the tuple; a fixed tuple exists for each k-th
 root of unity, and the gauge-invariant locus is the single component at
-angle zero.  All angles are exact rationals modulo 1.
+angle zero.  Angles are exact: integer numerators over the order k.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .errors import GuardViolation
 
 
 @dataclass(frozen=True)
 class AngleTuple:
-    """Gauge normal form: k angles in [0,1) with the last pinned to 0."""
+    """Gauge normal form: the angles n/k in [0,1) for n in ``numerators``,
+    the last pinned to 0, over one common denominator k."""
 
-    angles: tuple[Fraction, ...]
+    k: int
+    numerators: tuple[int, ...]
 
     def __post_init__(self):
-        angles = tuple(Fraction(a) for a in self.angles)
-        if not angles:
+        numerators = tuple(self.numerators)
+        if any(type(x) is not int for x in (self.k, *numerators)) or self.k < 1:
+            raise ValueError("angles must be integer numerators over a positive integer k")
+        if not numerators:
             raise ValueError("an angle tuple needs at least one entry")
-        if any(not 0 <= a < 1 for a in angles):
+        if any(not 0 <= n < self.k for n in numerators):
             raise ValueError("angles must be reduced to [0,1)")
-        if angles[-1] != 0:
+        if numerators[-1] != 0:
             raise ValueError("normal form requires the last angle to be 0")
-        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "numerators", numerators)
 
     @classmethod
-    def _wrap(cls, angles: tuple[Fraction, ...]) -> "AngleTuple":
-        """Trusted constructor: ``angles`` are ``Fraction``s already in normal form."""
+    def _wrap(cls, k: int, numerators: tuple[int, ...]) -> "AngleTuple":
+        """Trusted constructor: ``numerators`` are already in normal form over k."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "angles", angles)
+        object.__setattr__(obj, "k", k)
+        object.__setattr__(obj, "numerators", numerators)
         return obj
 
 
@@ -45,13 +50,15 @@ def solve_fixed_points(k: int) -> list[tuple[Fraction, AngleTuple]]:
 
     The congruences 0 = t1 + theta, t1 = t2 + theta, ..., t_{k-1} = theta
     force theta to be a k-th division point and determine the tuple
-    ((k-1)theta, (k-2)theta, ..., theta, 0) modulo 1.
+    ((k-1)theta, (k-2)theta, ..., theta, 0) modulo 1, whose numerators over k
+    are the residues ((k-1-i)j mod k)_i.
     """
     if k < 1:
         raise GuardViolation("the cyclic order must be at least 1", requirement="k >= 1")
-    points = [Fraction(m, k) for m in range(k)]
-    return [(points[j], AngleTuple._wrap(tuple(points[(k - 1 - i) * j % k] for i in range(k))))
-            for j in range(k)]
+    # read backwards from (k-1)j in steps of j, k residue cycles give row j
+    cycle = tuple(range(k)) * k
+    rows = [(0,) * k] + [cycle[(k - 1) * j::-j] for j in range(1, k)]
+    return [(Fraction(j, k), AngleTuple._wrap(k, row)) for j, row in enumerate(rows)]
 
 
 def invariant_locus(k: int) -> list[tuple[Fraction, AngleTuple]]:
@@ -59,7 +66,7 @@ def invariant_locus(k: int) -> list[tuple[Fraction, AngleTuple]]:
     representatives, i.e. exactly the theta = 0 component."""
     if k < 1:
         raise GuardViolation("the cyclic order must be at least 1", requirement="k >= 1")
-    return [(Fraction(0), AngleTuple._wrap((Fraction(0),) * k))]
+    return [(Fraction(0), AngleTuple._wrap(k, (0,) * k))]
 
 
 @dataclass(frozen=True)
@@ -77,16 +84,12 @@ class TorusAutomorphism:
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square")
-        if self.order < 1:
-            raise ValueError("order must be positive")
+        if type(self.order) is not int or self.order < 1:
+            raise ValueError("order must be a positive integer")
         if _mat_pow(matrix, self.order) != _identity(n):
             raise GuardViolation(
                 f"matrix to the power {self.order} is not the identity",
                 requirement="finite order action")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.matrix)
 
 
 def _identity(n: int) -> tuple[tuple[int, ...], ...]:
@@ -117,8 +120,8 @@ class FixedSubtorus:
 
 
 def _echelon(rows) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination over Z of a square matrix, each
-    row divided by its content: the rows and the pivot columns."""
+    """Fraction-free Gauss-Jordan elimination over Z of the first len(rows)
+    columns, each row divided by its content: the rows and the pivot columns."""
     m = [list(row) for row in rows]
     pivots: list[int] = []
     for col in range(len(m)):
@@ -142,44 +145,66 @@ def _echelon(rows) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
-def fixed_subtorus(aut: TorusAutomorphism) -> FixedSubtorus:
-    """Rational fixed subtorus of a finite-order torus automorphism.
-
-    Computes ker(D - I) by fraction-free elimination over Z, one primitive
-    vector per free column, and checks the averaging operator S = sum_{i<m} D^i
-    over the least period m, the algebraic content of averaging solutions onto
-    the invariant locus: S^2 = mS (S/m is idempotent), DS = S (it lands in the
-    fixed space) and rank S = the number of free columns (it fills it).
-    """
-    n = aut.dimension
-    d = aut.matrix
-    echelon, pivots = _echelon([[x - (i == j) for j, x in enumerate(row)]
-                                for i, row in enumerate(d)])
-    free = [c for c in range(n) if c not in pivots]
-
-    identity = _identity(n)
-    s, power, period = identity, d, 1
-    while power != identity:
-        s = tuple(tuple(map(add, a, b)) for a, b in zip(s, power))
-        power = _mat_mul(power, d)
-        period += 1
-    if _mat_mul(s, s) != tuple(tuple(period * x for x in row) for row in s):
-        raise AssertionError("averaging operator is not idempotent")
-    if _mat_mul(d, s) != s:
-        raise AssertionError("averaging operator does not land in the fixed space")
-    if len(_echelon(s)[1]) != len(free):
-        raise AssertionError("averaging image does not match the fixed space")
-
+def _kernel(rows) -> list[tuple[int, ...]]:
+    """Rational kernel of a square integer matrix: one primitive vector per
+    free column of its echelon, the first nonzero entry positive."""
+    echelon, pivots = _echelon(rows)
     basis = []
-    for col in free:
+    for col in (c for c in range(len(rows)) if c not in pivots):
         # x_col = 1 and x_p = -row[col] / row[p], times the least common
         # denominator, which leaves the vector primitive
         lcm = math.lcm(*(row[p] // math.gcd(row[p], row[col]) for row, p in zip(echelon, pivots)))
-        ints = [0] * n
+        ints = [0] * len(rows)
         ints[col] = lcm
         for row, p in zip(echelon, pivots):
             ints[p] = -row[col] * lcm // row[p]
         if next(x for x in ints if x) < 0:
             ints = [-x for x in ints]
         basis.append(tuple(ints))
-    return FixedSubtorus(len(free), tuple(basis))
+    return basis
+
+
+def _averaging(d, kernel, left) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """c and P' = c K (LK)^-1 L, integral, for K the columns ``kernel`` and
+    L the rows ``left``, checked to be c times the averaging projector.
+
+    [LK | I] is brought to [diag(p) | R] by one elimination, so c = lcm(p)
+    makes c (LK)^-1 = diag(c/p) R integral.  The checks P'^2 = cP', DP' = P',
+    P'D = P' and rank P' = len(kernel) make P'/c the projector onto ker(D - I)
+    along im(D - I), which for finite-order D is S/m, S = sum_{i<m} D^i.
+    """
+    r = len(kernel)
+    lk = [[sum(map(mul, row, v)) for v in kernel] for row in left]
+    rows, pivots = _echelon([row + [int(i == j) for j in range(r)] for i, row in enumerate(lk)])
+    if len(pivots) < r:
+        raise AssertionError("LK is singular: ker(D - I) meets im(D - I)")
+    c = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    inverse = [[x * (c // row[i]) for x in row[r:]] for i, row in enumerate(rows)]
+    p = _mat_mul(tuple(zip(*kernel)), _mat_mul(inverse, left))
+    if _mat_mul(p, p) != tuple(tuple(c * x for x in row) for row in p):
+        raise AssertionError("averaging operator is not idempotent")
+    if _mat_mul(d, p) != p:
+        raise AssertionError("averaging operator does not land in the fixed space")
+    if _mat_mul(p, d) != p:
+        raise AssertionError("averaging operator does not vanish on im(D - I)")
+    if sum(row[i] for i, row in enumerate(p)) != c * r:  # an idempotent's rank is its trace
+        raise AssertionError("averaging image does not match the fixed space")
+    return c, p
+
+
+def fixed_subtorus(aut: TorusAutomorphism) -> FixedSubtorus:
+    """Rational fixed subtorus of a finite-order torus automorphism.
+
+    Computes ker(D - I) by fraction-free elimination over Z, one primitive
+    vector per free column, and checks the averaging projector onto it, the
+    algebraic content of averaging solutions onto the invariant locus, in
+    closed form: with K that basis and L the same basis of ker (D - I)^T,
+    P' = c K (LK)^-1 L must satisfy P'^2 = cP' (idempotent), DP' = P' (it
+    lands in the fixed space), P'D = P' (it kills im(D - I)) and
+    rank P' = the number of free columns (it fills the fixed space).
+    """
+    a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(aut.matrix)]
+    kernel = _kernel(a)
+    if kernel:
+        _averaging(aut.matrix, kernel, _kernel(list(zip(*a))))
+    return FixedSubtorus(len(kernel), tuple(kernel))

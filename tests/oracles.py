@@ -1,6 +1,6 @@
 """Reference computations shared by the tests, written with nothing of
 swcalc beyond ring constructors and products, the stored Gram matrix, the
-angle tuple, the binary connected sum and the classification of one
+angle tuple's fields, the binary connected sum and the classification of one
 summand."""
 from fractions import Fraction
 
@@ -42,10 +42,20 @@ def class_square(intersection, vec) -> int:
                for j in range(len(vec)))
 
 
-def normalize(raw) -> AngleTuple:
-    """Quotient by the overall rotation: subtract the last entry, reduce mod 1."""
+# ----- the fixed-point model, in exact rationals -----
+
+def angles(t: AngleTuple) -> tuple[Fraction, ...]:
+    """The angles of a tuple as exact rationals in [0,1)."""
+    return tuple(Fraction(n, t.k) for n in t.numerators)
+
+
+def normalize(raw, k: int) -> AngleTuple:
+    """Quotient by the overall rotation: subtract the last entry, reduce mod 1,
+    and write the angles over the denominator k."""
     raw = [Fraction(a) for a in raw]
-    return AngleTuple(tuple((a - raw[-1]) % 1 for a in raw))
+    scaled = [(a - raw[-1]) % 1 * k for a in raw]
+    assert all(x.denominator == 1 for x in scaled), "an angle is not a multiple of 1/k"
+    return AngleTuple(k, tuple(int(x) for x in scaled))
 
 
 def apply_generator(t: AngleTuple, gauge) -> AngleTuple:
@@ -56,8 +66,33 @@ def apply_generator(t: AngleTuple, gauge) -> AngleTuple:
     a global gauge transformation cancels all of them and only the cyclic
     shift survives in the normal form.
     """
-    shifted = (t.angles[-1],) + t.angles[:-1]
-    return normalize([(a + Fraction(gauge)) % 1 for a in shifted])
+    a = angles(t)
+    shifted = (a[-1],) + a[:-1]
+    return normalize([(x + Fraction(gauge)) % 1 for x in shifted], t.k)
+
+
+def fixed_points_by_fractions(k: int) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+    """The fixed tuples as (theta, angles), theta = j/k and the tuple
+    ((k-1-i) theta mod 1)_i, each angle one of the k division points: the
+    reference for ``solve_fixed_points``'s residue rows."""
+    points = [Fraction(m, k) for m in range(k)]
+    return [(points[j], tuple(points[(k - 1 - i) * j % k] for i in range(k)))
+            for j in range(k)]
+
+
+def period_walk(d) -> tuple[list[list[int]], int]:
+    """S = sum_{i<m} D^i and the least period m of D, walked one power at a
+    time: the reference for ``fixed_subtorus``'s averaging projector.  Each
+    step multiplies by D through D's nonzero entries, column by column."""
+    n = len(d)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    columns = [[(i, d[i][j]) for i in range(n) if d[i][j]] for j in range(n)]
+    s, power, m = [row[:] for row in identity], [list(row) for row in d], 1
+    while power != identity:
+        s = [[x + y for x, y in zip(a, b)] for a, b in zip(s, power)]
+        power = [[sum(row[i] * x for i, x in col) for col in columns] for row in power]
+        m += 1
+    return s, m
 
 
 # ----- connected sums, one copy at a time -----

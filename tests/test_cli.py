@@ -125,7 +125,7 @@ def test_fixedpoints(capsys):
 
 def test_fixedpoints_bytes_match_closed_form(capsys):
     """Tuple j is ((k-1-i) j / k mod 1)_i, and the invariant locus is tuple 0."""
-    for k in range(1, 41):
+    for k in [*range(1, 57), 64, 97, 128]:
         solutions = [{"theta": str(Fraction(j, k)),
                       "tuple": [str(Fraction((k - 1 - i) * j, k) % 1) for i in range(k)]}
                      for j in range(k)]
@@ -487,6 +487,27 @@ def test_large_multiples_answer_within_budget(argv):
         assert data["dissolution"]["rule_trace"] == ["trivial_summand: dropped S4"] * 100000
         assert data["fingerprint"] == {"simply_connected": True, "b2_plus": 0, "b2_minus": 0,
                                        "parity": "even"}
+
+
+# Library fixed_subtorus on cycle type (2,3,5,7,11,13): n = 41, least period 30,030.
+LONG_PERIOD = """\
+import math
+from swcalc.fixedpoint import TorusAutomorphism, fixed_subtorus
+cycles, perm = (2, 3, 5, 7, 11, 13), []
+for c in cycles:
+    perm += [len(perm) + (i + 1) % c for i in range(c)]
+matrix = tuple(tuple(int(perm[j] == i) for j in range(41)) for i in range(41))
+print(fixed_subtorus(TorusAutomorphism(matrix, math.lcm(*cycles))).dimension)
+"""
+
+
+def test_long_period_fixed_subtorus_answers_within_budget():
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", LONG_PERIOD], env=_src_env(),
+                          capture_output=True, text=True, timeout=5)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "6\n")
+    assert elapsed < 1.0, f"the n = 41 fixed subtorus took {elapsed:.2f}s"
 
 
 def test_doubling_catalog_chain_is_refused_within_budget(tmp_path):

@@ -3,41 +3,43 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swcalc.errors import GuardViolation
-from swcalc.fixedpoint import (AngleTuple, TorusAutomorphism, fixed_subtorus,
-                               invariant_locus, solve_fixed_points)
+from swcalc.fixedpoint import (AngleTuple, TorusAutomorphism, _averaging, _kernel,
+                               fixed_subtorus, invariant_locus, solve_fixed_points)
 
-from oracles import apply_generator, normalize
+from oracles import (angles, apply_generator, fixed_points_by_fractions, normalize,
+                     period_walk)
 
 
 def satisfies_congruences(theta, tup):
     """Independent check of the chained shift congruences mod 1."""
-    angles = tup.angles
-    k = len(angles)
-    eqs = [(0 - (angles[0] + theta)) % 1 == 0]
+    angles_ = angles(tup)
+    k = len(angles_)
+    eqs = [(0 - (angles_[0] + theta)) % 1 == 0]
     for i in range(k - 1):
-        eqs.append((angles[i] - (angles[i + 1] + theta)) % 1 == 0)
+        eqs.append((angles_[i] - (angles_[i + 1] + theta)) % 1 == 0)
     return all(eqs)
 
 
 def test_solutions_k3():
     sols = solve_fixed_points(3)
     assert [str(theta) for theta, _ in sols] == ["0", "1/3", "2/3"]
-    assert sols[1][1].angles == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
+    assert angles(sols[1][1]) == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
+    assert sols[1][1] == AngleTuple(3, (2, 1, 0))
 
 
 def test_solution_k1():
     sols = solve_fixed_points(1)
     assert len(sols) == 1
-    assert sols[0][1].angles == (Fraction(0),)
+    assert angles(sols[0][1]) == (Fraction(0),)
 
 
 def test_solutions_k2():
     sols = solve_fixed_points(2)
-    assert [tup.angles for _, tup in sols] == [
+    assert [angles(tup) for _, tup in sols] == [
         (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0))]
 
 
@@ -77,7 +79,7 @@ def test_fixed_tuple_is_fixed_up_to_gauge():
 
 
 def test_identity_on_zero_tuple():
-    zero = AngleTuple((Fraction(0),) * 4)
+    zero = AngleTuple(4, (0,) * 4)
     assert apply_generator(zero, 0) == zero
 
 
@@ -90,8 +92,8 @@ def test_generator_permutes_fixed_set():
 
 
 def test_normalize_reduces_mod_one():
-    out = normalize([Fraction(5, 4), Fraction(1, 2)])
-    assert out.angles == (Fraction(3, 4), Fraction(0))
+    out = normalize([Fraction(5, 4), Fraction(1, 2)], 4)
+    assert angles(out) == (Fraction(3, 4), Fraction(0))
 
 
 # ----- torus automorphisms -----
@@ -126,6 +128,12 @@ def test_block_mix():
 def test_wrong_order_rejected():
     with pytest.raises(GuardViolation):
         TorusAutomorphism(((0, 1), (1, 0)), 3)
+
+
+@pytest.mark.parametrize("order", [2.0, "2", True, None, 0])
+def test_non_integer_order_rejected(order):
+    with pytest.raises(ValueError, match="order must be a positive integer"):
+        TorusAutomorphism(((0, 1), (1, 0)), order)
 
 
 @pytest.mark.parametrize("matrix", [((1.0,),), ((True,),), (("1",),),
@@ -209,19 +217,102 @@ def test_fixed_subtorus_of_a_unimodular_conjugate():
         assert tuple(sum(x * y for x, y in zip(row, v)) for row in d) == v
 
 
+# ----- the averaging projector against the period walk (tests/oracles.py) -----
+
+def cycle_matrix(cycles):
+    """The permutation matrix with the given cycle lengths on consecutive indices."""
+    perm, start = [], 0
+    for c in cycles:
+        perm += [start + (i + 1) % c for i in range(c)]
+        start += c
+    return tuple(tuple(int(perm[j] == i) for j in range(start)) for i in range(start))
+
+
+def assert_projector_is_the_walk(d):
+    """fixed_subtorus's checked c and P' against the walk's S and m: cS = mP'."""
+    s, m = period_walk(d)
+    a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(d)]
+    kernel = _kernel(a)
+    if not kernel:  # no fixed vector: the walk averages every vector to 0
+        assert not any(map(any, s))
+        return
+    c, p = _averaging(d, kernel, _kernel(list(zip(*a))))
+    assert [[c * x for x in row] for row in s] == [[m * x for x in row] for row in p]
+
+
+# The largest least periods of permutations of 19, 23, 25 and 29 points
+# (Landau's function), with smaller types of the same shape.
+@pytest.mark.parametrize("cycles", [(1,), (1, 1), (2,), (2, 3), (1, 2, 2), (3, 4, 5),
+                                    (3, 4, 5, 7), (3, 5, 7, 8), (4, 5, 7, 9), (5, 7, 8, 9)])
+def test_projector_is_the_period_walk_on_cycle_types(cycles):
+    assert_projector_is_the_walk(cycle_matrix(cycles))
+
+
+@st.composite
+def finite_order_matrices(draw):
+    """A block sum of BLOCKS conjugated by a signed permutation and then by
+    transvections, as in test_fixed_subtorus_matches_sympy."""
+    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=4))
+    n = sum(len(b) for b, _ in blocks)
+    block = [[0] * n for _ in range(n)]
+    offset = 0
+    for b, _ in blocks:
+        for i, row in enumerate(b):
+            block[offset + i][offset:offset + len(b)] = row
+        offset += len(b)
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            matrix[perm[i]][perm[j]] = signs[i] * signs[j] * block[i][j]
+    moves = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.sampled_from((-2, -1, 1, 2))), max_size=n))
+    for a, b, c in moves:
+        if a != b:
+            for row in matrix:
+                row[b] -= c * row[a]
+            matrix[a] = [x + c * y for x, y in zip(matrix[a], matrix[b])]
+    return tuple(map(tuple, matrix))
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_order_matrices())
+def test_projector_is_the_period_walk_on_conjugates(d):
+    assert_projector_is_the_walk(d)
+
+
+@settings(max_examples=50, deadline=None)
+@given(finite_order_matrices())
+def test_orthogonal_projector_is_refused(d):
+    """With L = K^T, P' = c K (K^T K)^-1 K^T is the orthogonal projector onto
+    ker(D - I): idempotent and fixed by D, but P'D = P' fails as soon as
+    K^T (D - I) is not 0."""
+    a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(d)]
+    kernel = _kernel(a)
+    assume(any(sum(v[i] * a[i][j] for i in range(len(d))) for v in kernel
+               for j in range(len(d))))
+    with pytest.raises(AssertionError, match=r"vanish on im\(D - I\)"):
+        _averaging(d, kernel, kernel)
+
+
 def test_angle_tuple_normal_form_enforced():
-    with pytest.raises(ValueError):
-        AngleTuple((Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        AngleTuple((Fraction(3, 2), Fraction(0)))
+    with pytest.raises(ValueError):  # (1/2, 1/3)
+        AngleTuple(6, (3, 2))
+    with pytest.raises(ValueError):  # (3/2, 0)
+        AngleTuple(2, (3, 0))
 
 
 def test_solutions_match_closed_form_and_locus_is_theta_zero():
-    for k in range(1, 61):
+    """Row j is the residues ((k-1-i) j mod k)_i over k: read through the k
+    division points, it is the Fraction formula's tuple."""
+    for k in range(1, 201):
         sols = solve_fixed_points(k)
-        assert [theta for theta, _ in sols] == [Fraction(j, k) for j in range(k)]
-        assert [tup.angles for _, tup in sols] == [
-            tuple(Fraction((k - 1 - i) * j, k) % 1 for i in range(k)) for j in range(k)]
+        thetas = [theta for theta, _ in sols]
+        assert thetas == [Fraction(j, k) for j in range(k)]
+        assert all(tup.k == k for _, tup in sols)
+        assert [(theta, tuple(map(thetas.__getitem__, tup.numerators)))
+                for theta, tup in sols] == fixed_points_by_fractions(k)
         assert invariant_locus(k) == sols[:1]
 
 
@@ -234,15 +325,13 @@ def test_invariant_locus_guard():
 def test_fixed_tuples_equal_checked_construction():
     for k in range(1, 61):
         for _, tup in solve_fixed_points(k) + invariant_locus(k):
-            assert all(type(a) is Fraction for a in tup.angles)
-            assert AngleTuple(tup.angles) == tup
+            assert type(tup.numerators) is tuple
+            assert AngleTuple(tup.k, tup.numerators) == tup
 
 
 def test_angle_tuple_public_constructor_still_checks():
-    with pytest.raises(ValueError):
-        AngleTuple(())
-    with pytest.raises(ValueError):
-        AngleTuple((Fraction(-1, 3), Fraction(0)))
-    with pytest.raises(ValueError):
-        AngleTuple((Fraction(1), Fraction(0)))
-    assert AngleTuple((0.5, 0)).angles == (Fraction(1, 2), Fraction(0))
+    for k, numerators in [(1, ()), (3, (-1, 0)), (1, (1, 0)), (0, (0,)), (2.0, (1, 0)),
+                          (2, (0.5, 0)), (True, (0,)), (2, (1, False))]:
+        with pytest.raises(ValueError):
+            AngleTuple(k, numerators)
+    assert AngleTuple(2, [1, 0]).numerators == (1, 0)
