@@ -15,8 +15,8 @@ _EXPORTS = {
                 "dissolve", "knot_surgery", "log_transform"),
     "lattice": ("QuadraticForm", "characteristic_vectors", "diagonal_form",
                 "diagonalize", "e8_form", "max_characteristic_square"),
-    "fixedpoint": ("AngleTuple", "TorusAutomorphism", "fixed_subtorus",
-                   "invariant_locus", "solve_fixed_points"),
+    "fixedpoint": ("TorusAutomorphism", "fixed_subtorus", "invariant_locus",
+                   "solve_fixed_points"),
     "equivariant": ("NCatalogEntry", "bf_simplify", "covering_consistency",
                     "cyclic_space_form", "exotic_family", "gmonopole_polynomial",
                     "hat_s1_l", "n_catalog"),

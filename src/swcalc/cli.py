@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -125,13 +126,12 @@ def _cmd_family(args) -> dict:
 def _cmd_fixedpoints(args) -> dict:
     k = args.k
     solutions = fixedpoint.solve_fixed_points(k)
-    # every angle is some j/k, the theta of solution j: format each once
-    texts = [str(theta) for theta, _ in solutions]
+    # every angle is some j/k, the theta of solution j: format each once, reduced
+    texts = ["0"] + [f"{j // (g := math.gcd(j, k))}/{k // g}" for j in range(1, k)]
 
     def rows(pairs):
-        return [{"theta": texts[k // theta.denominator * theta.numerator],
-                 "tuple": list(map(texts.__getitem__, tup.numerators))}
-                for theta, tup in pairs]
+        return [{"theta": texts[j], "tuple": list(map(texts.__getitem__, row))}
+                for j, row in pairs]
     return {"k": k, "solutions": rows(solutions),
             "invariant_locus": rows(fixedpoint.invariant_locus(k))}
 

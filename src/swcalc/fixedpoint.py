@@ -10,43 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .errors import GuardViolation
 
 
-@dataclass(frozen=True)
-class AngleTuple:
-    """Gauge normal form: the angles n/k in [0,1) for n in ``numerators``,
-    the last pinned to 0, over one common denominator k."""
-
-    k: int
-    numerators: tuple[int, ...]
-
-    def __post_init__(self):
-        numerators = tuple(self.numerators)
-        if any(type(x) is not int for x in (self.k, *numerators)) or self.k < 1:
-            raise ValueError("angles must be integer numerators over a positive integer k")
-        if not numerators:
-            raise ValueError("an angle tuple needs at least one entry")
-        if any(not 0 <= n < self.k for n in numerators):
-            raise ValueError("angles must be reduced to [0,1)")
-        if numerators[-1] != 0:
-            raise ValueError("normal form requires the last angle to be 0")
-        object.__setattr__(self, "numerators", numerators)
-
-    @classmethod
-    def _wrap(cls, k: int, numerators: tuple[int, ...]) -> "AngleTuple":
-        """Trusted constructor: ``numerators`` are already in normal form over k."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "k", k)
-        object.__setattr__(obj, "numerators", numerators)
-        return obj
-
-
-def solve_fixed_points(k: int) -> list[tuple[Fraction, AngleTuple]]:
-    """The k fixed tuples of the cyclic shift, one per angle theta = j/k.
+def solve_fixed_points(k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The k fixed tuples of the cyclic shift as (j, row) pairs, one per
+    angle theta = j/k.  Each row is a tuple in gauge normal form: the k
+    numerators n in [0, k) of its angles n/k, the last one 0.
 
     The congruences 0 = t1 + theta, t1 = t2 + theta, ..., t_{k-1} = theta
     force theta to be a k-th division point and determine the tuple
@@ -58,15 +30,15 @@ def solve_fixed_points(k: int) -> list[tuple[Fraction, AngleTuple]]:
     # read backwards from (k-1)j in steps of j, k residue cycles give row j
     cycle = tuple(range(k)) * k
     rows = [(0,) * k] + [cycle[(k - 1) * j::-j] for j in range(1, k)]
-    return [(Fraction(j, k), AngleTuple._wrap(k, row)) for j, row in enumerate(rows)]
+    return list(enumerate(rows))
 
 
-def invariant_locus(k: int) -> list[tuple[Fraction, AngleTuple]]:
+def invariant_locus(k: int) -> list[tuple[int, tuple[int, ...]]]:
     """The subset of fixed tuples whose gauge orbit contains invariant
     representatives, i.e. exactly the theta = 0 component."""
     if k < 1:
         raise GuardViolation("the cyclic order must be at least 1", requirement="k >= 1")
-    return [(Fraction(0), AngleTuple._wrap(k, (0,) * k))]
+    return [(0, (0,) * k)]
 
 
 @dataclass(frozen=True)

@@ -239,8 +239,6 @@ def diagonalize(q: QuadraticForm, depth: int) -> tuple[tuple[int, ...], ...] | N
             requirement=f"rank <= {DIAGONALIZE_MAX_RANK}")
     if depth < 1:
         raise GuardViolation("search depth must be at least 1", requirement="depth >= 1")
-    if q.rank == 0:
-        return ()
     candidates = _square_minus_one(q, depth)
     if len(candidates) != 2 * q.rank:
         return None

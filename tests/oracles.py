@@ -5,7 +5,6 @@ summand."""
 from fractions import Fraction
 
 from swcalc.errors import GuardViolation, UnsupportedOperation
-from swcalc.fixedpoint import AngleTuple
 from swcalc.groupring import GroupRingElement
 from swcalc.manifold import Fingerprint, HomeoType, builtin, homeo_type
 from swcalc.surgery import DissolutionVerdict, _knot_derived, _standard_kind, connected_sum
@@ -44,21 +43,21 @@ def class_square(intersection, vec) -> int:
 
 # ----- the fixed-point model, in exact rationals -----
 
-def angles(t: AngleTuple) -> tuple[Fraction, ...]:
-    """The angles of a tuple as exact rationals in [0,1)."""
-    return tuple(Fraction(n, t.k) for n in t.numerators)
+def angles(row: tuple[int, ...], k: int) -> tuple[Fraction, ...]:
+    """The angles n/k of a row of numerators as exact rationals in [0,1)."""
+    return tuple(Fraction(n, k) for n in row)
 
 
-def normalize(raw, k: int) -> AngleTuple:
+def normalize(raw, k: int) -> tuple[int, ...]:
     """Quotient by the overall rotation: subtract the last entry, reduce mod 1,
-    and write the angles over the denominator k."""
+    and write the angles as numerators over the denominator k."""
     raw = [Fraction(a) for a in raw]
     scaled = [(a - raw[-1]) % 1 * k for a in raw]
     assert all(x.denominator == 1 for x in scaled), "an angle is not a multiple of 1/k"
-    return AngleTuple(k, tuple(int(x) for x in scaled))
+    return tuple(int(x) for x in scaled)
 
 
-def apply_generator(t: AngleTuple, gauge) -> AngleTuple:
+def apply_generator(row: tuple[int, ...], k: int, gauge) -> tuple[int, ...]:
     """One application of the cyclic generator followed by a global rotation.
 
     A lift of the generator also rotates each summand by a constant, the
@@ -66,9 +65,9 @@ def apply_generator(t: AngleTuple, gauge) -> AngleTuple:
     a global gauge transformation cancels all of them and only the cyclic
     shift survives in the normal form.
     """
-    a = angles(t)
+    a = angles(row, k)
     shifted = (a[-1],) + a[:-1]
-    return normalize([(x + Fraction(gauge)) % 1 for x in shifted], t.k)
+    return normalize([(x + Fraction(gauge)) % 1 for x in shifted], k)
 
 
 def fixed_points_by_fractions(k: int) -> list[tuple[Fraction, tuple[Fraction, ...]]]:

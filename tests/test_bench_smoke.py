@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("workload,trace", [
-    ("family", "0"), ("sums", "0"), ("lattice", "0"), ("sums", "1")])
+    ("family", "0"), ("sums", "0"), ("lattice", "0"),
+    ("family", "1"), ("sums", "1"), ("lattice", "1")])
 def test_bench_smoke(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,

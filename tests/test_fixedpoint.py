@@ -7,17 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swcalc.errors import GuardViolation
-from swcalc.fixedpoint import (AngleTuple, TorusAutomorphism, _averaging, _kernel,
-                               fixed_subtorus, invariant_locus, solve_fixed_points)
+from swcalc.fixedpoint import (TorusAutomorphism, _averaging, _kernel, fixed_subtorus,
+                               invariant_locus, solve_fixed_points)
 
 from oracles import (angles, apply_generator, fixed_points_by_fractions, normalize,
                      period_walk)
 
 
-def satisfies_congruences(theta, tup):
-    """Independent check of the chained shift congruences mod 1."""
-    angles_ = angles(tup)
-    k = len(angles_)
+def satisfies_congruences(j, row):
+    """Independent check of the chained shift congruences mod 1 at theta = j/k."""
+    k = len(row)
+    theta = Fraction(j, k)
+    angles_ = angles(row, k)
     eqs = [(0 - (angles_[0] + theta)) % 1 == 0]
     for i in range(k - 1):
         eqs.append((angles_[i] - (angles_[i + 1] + theta)) % 1 == 0)
@@ -26,20 +27,20 @@ def satisfies_congruences(theta, tup):
 
 def test_solutions_k3():
     sols = solve_fixed_points(3)
-    assert [str(theta) for theta, _ in sols] == ["0", "1/3", "2/3"]
-    assert angles(sols[1][1]) == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
-    assert sols[1][1] == AngleTuple(3, (2, 1, 0))
+    assert [j for j, _ in sols] == [0, 1, 2]
+    assert angles(sols[1][1], 3) == (Fraction(2, 3), Fraction(1, 3), Fraction(0))
+    assert sols[1] == (1, (2, 1, 0))
 
 
 def test_solution_k1():
     sols = solve_fixed_points(1)
     assert len(sols) == 1
-    assert angles(sols[0][1]) == (Fraction(0),)
+    assert angles(sols[0][1], 1) == (Fraction(0),)
 
 
 def test_solutions_k2():
     sols = solve_fixed_points(2)
-    assert [angles(tup) for _, tup in sols] == [
+    assert [angles(row, 2) for _, row in sols] == [
         (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0))]
 
 
@@ -51,8 +52,8 @@ def test_counts_up_to_fifty():
 
 def test_solutions_satisfy_congruences():
     for k in range(1, 13):
-        for theta, tup in solve_fixed_points(k):
-            assert satisfies_congruences(theta, tup)
+        for j, row in solve_fixed_points(k):
+            assert satisfies_congruences(j, row)
 
 
 def test_invariant_locus_is_theta_zero():
@@ -74,26 +75,27 @@ def test_locus_ratio():
 # ----- generator action (the oracle in tests/oracles.py) -----
 
 def test_fixed_tuple_is_fixed_up_to_gauge():
-    theta, tup = solve_fixed_points(3)[1]
-    assert apply_generator(tup, theta) == tup
+    j, row = solve_fixed_points(3)[1]
+    assert apply_generator(row, 3, Fraction(j, 3)) == row
 
 
 def test_identity_on_zero_tuple():
-    zero = AngleTuple(4, (0,) * 4)
-    assert apply_generator(zero, 0) == zero
+    zero = (0,) * 4
+    assert apply_generator(zero, 4, 0) == zero
 
 
 def test_generator_permutes_fixed_set():
     for k in range(1, 13):
-        fixed = {tup for _, tup in solve_fixed_points(k)}
-        for theta, tup in solve_fixed_points(k):
-            assert apply_generator(tup, theta) in fixed
-        assert {apply_generator(tup, 0) for tup in fixed} == fixed
+        fixed = {row for _, row in solve_fixed_points(k)}
+        for j, row in solve_fixed_points(k):
+            assert apply_generator(row, k, Fraction(j, k)) in fixed
+        assert {apply_generator(row, k, 0) for row in fixed} == fixed
 
 
 def test_normalize_reduces_mod_one():
     out = normalize([Fraction(5, 4), Fraction(1, 2)], 4)
-    assert angles(out) == (Fraction(3, 4), Fraction(0))
+    assert out == (3, 0)
+    assert angles(out, 4) == (Fraction(3, 4), Fraction(0))
 
 
 # ----- torus automorphisms -----
@@ -296,23 +298,14 @@ def test_orthogonal_projector_is_refused(d):
         _averaging(d, kernel, kernel)
 
 
-def test_angle_tuple_normal_form_enforced():
-    with pytest.raises(ValueError):  # (1/2, 1/3)
-        AngleTuple(6, (3, 2))
-    with pytest.raises(ValueError):  # (3/2, 0)
-        AngleTuple(2, (3, 0))
-
-
 def test_solutions_match_closed_form_and_locus_is_theta_zero():
-    """Row j is the residues ((k-1-i) j mod k)_i over k: read through the k
-    division points, it is the Fraction formula's tuple."""
+    """Row j is the residues ((k-1-i) j mod k)_i over k: read as angles n/k,
+    it is the Fraction formula's tuple at theta = j/k."""
     for k in range(1, 201):
         sols = solve_fixed_points(k)
-        thetas = [theta for theta, _ in sols]
-        assert thetas == [Fraction(j, k) for j in range(k)]
-        assert all(tup.k == k for _, tup in sols)
-        assert [(theta, tuple(map(thetas.__getitem__, tup.numerators)))
-                for theta, tup in sols] == fixed_points_by_fractions(k)
+        assert [j for j, _ in sols] == list(range(k))
+        assert [(Fraction(j, k), angles(row, k))
+                for j, row in sols] == fixed_points_by_fractions(k)
         assert invariant_locus(k) == sols[:1]
 
 
@@ -323,15 +316,11 @@ def test_invariant_locus_guard():
 
 
 def test_fixed_tuples_equal_checked_construction():
-    for k in range(1, 61):
-        for _, tup in solve_fixed_points(k) + invariant_locus(k):
-            assert type(tup.numerators) is tuple
-            assert AngleTuple(tup.k, tup.numerators) == tup
-
-
-def test_angle_tuple_public_constructor_still_checks():
-    for k, numerators in [(1, ()), (3, (-1, 0)), (1, (1, 0)), (0, (0,)), (2.0, (1, 0)),
-                          (2, (0.5, 0)), (True, (0,)), (2, (1, False))]:
-        with pytest.raises(ValueError):
-            AngleTuple(k, numerators)
-    assert AngleTuple(2, [1, 0]).numerators == (1, 0)
+    """Every row is in gauge normal form: a tuple of k ints n in [0, k), the
+    numerators of angles n/k, with the last angle pinned to 0."""
+    for k in range(1, 201):
+        for j, row in solve_fixed_points(k) + invariant_locus(k):
+            assert type(j) is int and 0 <= j < k
+            assert type(row) is tuple and len(row) == k
+            assert all(type(n) is int and 0 <= n < k for n in row)
+            assert row[-1] == 0

@@ -152,6 +152,14 @@ def test_cli_import_loads_only_what_every_command_shares():
          "swcalc.lattice"])
 
 
+def test_cli_import_loads_no_rational_arithmetic():
+    # the fixed-point rows are integer numerators over k; only the oracles
+    # in tests/ read them as Fractions
+    script = ("import sys, swcalc.cli\n"
+              "print([m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules])")
+    assert _fresh(script) == "[]"
+
+
 def test_eval_without_hat_skips_the_transfer_stack():
     script = ("import sys, io, contextlib\n"
               "import swcalc.cli\n"
