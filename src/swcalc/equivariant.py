@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import GuardViolation
-from .groupring import FactoredElement, FgAbelianGroup, GroupRingElement, TermRenderer
+from .groupring import (FactoredElement, FgAbelianGroup, GroupRingElement, TermRenderer,
+                        _add_shifted_mod2)
 from .knot import alexander_family
 from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
                        SWInfo, builtin, mod2_basic_class_count)
@@ -294,16 +295,24 @@ def exotic_family(construction: str, k: int, l: int, size: int,
                 raise GuardViolation("at least one blowup is required",
                                      requirement="m' >= 1")
             base, spacing = blowup(builtin("E", n_prime), m_prime), n_prime
-        renderer = None
+        first = knot_surgery(base, knot := alexander_family(1, spacing))
+        poly = gmonopole_polynomial(first, hat)
+        # every member has the first's ambient, tails, tracked names and fingerprint
+        renderer = TermRenderer(poly.ambient, poly.core.ambient.free_rank, poly.tails,
+                                first.intersection.tracked_basis or None)
+        slot, step = first.intersection.tracked_basis.index(first.torus_class), 2 * spacing
+        support = poly.core.terms
         for d in range(1, size + 1):
-            member = knot_surgery(base, alexander_family(d, spacing))
-            poly = gmonopole_polynomial(member, hat)
-            # every member has the base's ambient, tails and tracked names
-            renderer = renderer or TermRenderer(
-                poly.ambient, poly.core.ambient.free_rank, poly.tails,
-                member.intersection.tracked_basis or None)
-            members.append({"label": member.label, "monomials": poly.monomial_count(),
-                            "count_basis": "exact", "fingerprint": list(member.fingerprint),
+            if d > 1:
+                knot = alexander_family(d, spacing)
+                # Delta_d - Delta_{d-1} = t^{+-2dn} - t^{+-(2d-1)n}: over F2, member d is
+                # member d-1 plus M's core shifted by each of those four exponents of T^2
+                near, far = (2 * d - 1) * step, 2 * d * step
+                _add_shifted_mod2(support, base.sw.core, slot, (near, -near, far, -far))
+                poly = replace(poly, core=GroupRingElement._wrap(poly.core.ambient, support))
+            members.append({"label": f"knot_surgery({base.label}, {knot.label()})",
+                            "monomials": poly.monomial_count(), "count_basis": "exact",
+                            "fingerprint": list(first.fingerprint),
                             "gmonopole_mod2": renderer.render(poly)})
     elif construction == "s2xs2_hkw":
         if m < 1:

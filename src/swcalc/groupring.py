@@ -51,6 +51,15 @@ def _accumulate(out: dict, items) -> dict:
     return out
 
 
+def _add_shifted_mod2(support: dict, core: "GroupRingElement", slot: int, shifts) -> None:
+    """Add core * sum_s T^s, T the free generator ``slot``, to a mod-2 ``support`` in place."""
+    for key in [key for key, c in core._terms.items() if c & 1]:
+        for s in shifts:
+            shifted = key[:slot] + (key[slot] + s,) + key[slot + 1:]
+            if not support.pop(shifted, 0):
+                support[shifted] = 1
+
+
 def _factors_text(names: tuple[str, ...], exponents: tuple[int, ...]) -> str:
     return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e and n])
 
@@ -340,10 +349,3 @@ def laurent(coeffs: Mapping[int, int]) -> GroupRingElement:
     return GroupRingElement._wrap(RANK1, _accumulate(
         {}, (((int(e),), int(c)) for e, c in coeffs.items())))
 
-
-def laurent_coeffs(p: GroupRingElement) -> dict[int, int]:
-    """Inverse of :func:`laurent` for rank-1 torsion-free elements."""
-    g = p.ambient
-    if g.free_rank != 1 or g.torsion_orders:
-        raise UnsupportedOperation("element is not a single-variable Laurent polynomial")
-    return {e: c for (e,), c in p._terms.items()}

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import GuardViolation
-from .groupring import GroupRingElement, laurent, laurent_coeffs
+from .errors import GuardViolation, UnsupportedOperation
+from .groupring import RANK1, GroupRingElement, laurent
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,16 @@ class AlexanderPoly:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        coeffs = laurent_coeffs(self.poly)
-        for e, c in coeffs.items():
-            if coeffs.get(-e, 0) != c:
+        if self.poly.ambient != RANK1:
+            raise UnsupportedOperation("element is not a single-variable Laurent polynomial")
+        terms, total = self.poly._terms, 0
+        for (e,), c in terms.items():
+            if terms.get((-e,)) != c:
                 raise GuardViolation(
                     "Alexander polynomial must be symmetric under t -> 1/t",
                     requirement="symmetrized Alexander polynomial")
-        if self.poly.evaluate_at_one() != 1:
+            total += c
+        if total != 1:
             raise GuardViolation(
                 "Alexander polynomial must evaluate to 1 at t = 1",
                 requirement="Delta(1) = 1 normalization")
@@ -82,12 +85,8 @@ def alexander_family(d: int, n: int) -> AlexanderPoly:
     if d < 1 or n < 1:
         raise GuardViolation("family parameters must satisfy d >= 1 and n >= 1",
                              requirement="d >= 1, n >= 1")
-    coeffs = {0: 1}
-    for j in range(1, 2 * d + 1):
-        sign = -1 if j % 2 else 1
-        coeffs[j * n] = sign
-        coeffs[-j * n] = sign
-    return AlexanderPoly(laurent(coeffs), name=f"family({d},{n})")
+    terms = {(j * n,): 1 - 2 * (j & 1) for j in range(-2 * d, 2 * d + 1)}
+    return AlexanderPoly(GroupRingElement._wrap(RANK1, terms), name=f"family({d},{n})")
 
 
 def validate(p: GroupRingElement, name: str | None = None) -> AlexanderPoly:

@@ -1,13 +1,24 @@
 """Reference computations shared by the tests, written with nothing of
 swcalc beyond ring constructors and products, the stored Gram matrix, the
-angle tuple's fields, the binary connected sum and the classification of one
-summand."""
+binary connected sum, the classification of one summand, and one knot surgery,
+transfer and render per knot-family member."""
 from fractions import Fraction
 
+from swcalc.equivariant import gmonopole_polynomial
 from swcalc.errors import GuardViolation, UnsupportedOperation
-from swcalc.groupring import GroupRingElement
+from swcalc.groupring import GroupRingElement, TermRenderer
+from swcalc.knot import alexander_family
 from swcalc.manifold import Fingerprint, HomeoType, builtin, homeo_type
-from swcalc.surgery import DissolutionVerdict, _knot_derived, _standard_kind, connected_sum
+from swcalc.surgery import (DissolutionVerdict, _knot_derived, _standard_kind, connected_sum,
+                            knot_surgery)
+
+
+def laurent_coeffs(p: GroupRingElement) -> dict[int, int]:
+    """The exponent -> coefficient map of a rank-1 torsion-free element."""
+    g = p.ambient
+    if g.free_rank != 1 or g.torsion_orders:
+        raise UnsupportedOperation("element is not a single-variable Laurent polynomial")
+    return {e: c for (e,), c in p.terms.items()}
 
 
 def ring_power(p: GroupRingElement, n: int) -> GroupRingElement:
@@ -92,6 +103,25 @@ def period_walk(d) -> tuple[list[list[int]], int]:
         power = [[sum(row[i] * x for i, x in col) for col in columns] for row in power]
         m += 1
     return s, m
+
+
+# ----- knot-family members, each built from nothing -----
+
+def knot_family_members(base, spacing: int, hat, size: int) -> list[dict]:
+    """The member dicts of ``exotic_family``'s knot constructions, each member
+    by its own knot surgery, transfer and render: the reference for the
+    running mod-2 update."""
+    members, renderer = [], None
+    for d in range(1, size + 1):
+        member = knot_surgery(base, alexander_family(d, spacing))
+        poly = gmonopole_polynomial(member, hat)
+        renderer = renderer or TermRenderer(
+            poly.ambient, poly.core.ambient.free_rank, poly.tails,
+            member.intersection.tracked_basis or None)
+        members.append({"label": member.label, "monomials": poly.monomial_count(),
+                        "count_basis": "exact", "fingerprint": list(member.fingerprint),
+                        "gmonopole_mod2": renderer.render(poly)})
+    return members
 
 
 # ----- connected sums, one copy at a time -----

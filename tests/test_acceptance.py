@@ -13,7 +13,7 @@ from swcalc.equivariant import (bf_simplify, covering_consistency, exotic_family
                                 hat_s1_l)
 from swcalc.expressions import eval_expr, parse, render
 from swcalc.fixedpoint import invariant_locus, solve_fixed_points
-from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent_coeffs
+from swcalc.groupring import FgAbelianGroup, GroupRingElement
 from swcalc.knot import alexander_family, torus_knot, validate
 from swcalc.lattice import (characteristic_vectors, diagonal_form, diagonalize,
                             e8_form, max_characteristic_square, spinc_from_basis)
@@ -21,7 +21,7 @@ from swcalc.manifold import HomeoType, builtin, mod2_basic_class_count
 from swcalc.surgery import (blowup, connected_sum_all, dissolve, knot_surgery,
                             log_transform)
 
-from oracles import class_square
+from oracles import class_square, laurent_coeffs
 
 
 @contextmanager

@@ -16,12 +16,12 @@ from swcalc.equivariant import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL,
                                 match_space_form, n_catalog, quaternionic_space_form)
 from swcalc.errors import GuardViolation
 from swcalc.groupring import FgAbelianGroup, GroupRingElement
-from swcalc.knot import alexander_family, torus_knot
+from swcalc.knot import AlexanderPoly, alexander_family, torus_knot
 from swcalc.manifold import (IntersectionData, ManifoldDescriptor, SWInfo, builtin,
                              mod2_basic_class_count, reverse_orientation)
 from swcalc.surgery import blowup, connected_sum, knot_surgery
 
-from oracles import class_square, substitute_power
+from oracles import class_square, knot_family_members, substitute_power
 
 
 # ----- space forms and hat entries -----
@@ -427,6 +427,34 @@ def test_family_rejects_small_l():
 def test_family_rejects_small_k():
     with pytest.raises(GuardViolation):
         exotic_family("k3_knot", k=1, l=2, size=1)
+
+
+KNOT_BASES = [("k3_knot", {"n": n}) for n in (1, 2, 3)] + [
+    ("cp2_knot", {"n_prime": a, "m_prime": b}) for a in range(2, 6) for b in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("l", (2, 3, 4, 5))
+@pytest.mark.parametrize("construction, params", KNOT_BASES,
+                         ids=[f"{c}-{'-'.join(map(str, p.values()))}" for c, p in KNOT_BASES])
+def test_knot_family_members_match_one_surgery_per_member(construction, params, l, k):
+    """The running mod-2 update gives every member of a 60-member family, and
+    so of every shorter one, as its own knot surgery and transfer do."""
+    if construction == "k3_knot":
+        base, spacing = builtin("E", 2 * params["n"]), 2 * params["n"]
+    else:
+        base, spacing = blowup(builtin("E", params["n_prime"]), params["m_prime"]), \
+            params["n_prime"]
+    report = exotic_family(construction, k, l, 60, **params)
+    assert report["members"] == knot_family_members(base, spacing, hat_s1_l((l,), l, k), 60)
+
+
+def test_every_knot_family_member_checks_its_alexander_polynomial(monkeypatch):
+    checked, check = [], AlexanderPoly.__post_init__
+    monkeypatch.setattr(AlexanderPoly, "__post_init__",
+                        lambda self: checked.append(self.name) or check(self))
+    exotic_family("cp2_knot", k=2, l=3, size=5, n_prime=3)
+    assert checked == [f"family({d},3)" for d in range(1, 6)]
 
 
 def test_family_with_quaternion_group():

@@ -9,8 +9,9 @@ from swcalc.errors import ExprSyntaxError, GuardViolation
 from swcalc.expressions import (Blowup, Builtin, Catalog, ConnSum, KnotRef,
                                 KnotSurgery, LogTransform, Reverse,
                                 MAX_NESTING, eval_expr, parse, render)
-from swcalc.groupring import laurent_coeffs
 from swcalc.manifold import homeo_type, mod2_basic_class_count
+
+from oracles import laurent_coeffs
 
 
 def test_parse_sum_with_multiplicity():

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from swcalc.errors import AmbientMismatchError, UnsupportedOperation
 from swcalc.groupring import (FactoredElement, FgAbelianGroup, GroupRingElement,
-                              TermRenderer, laurent, laurent_coeffs)
+                              TermRenderer, _add_shifted_mod2, laurent)
 
-from oracles import ring_power, substitute_power
+from oracles import laurent_coeffs, ring_power, substitute_power
 
 Z = FgAbelianGroup(1)
 Z_MOD2 = FgAbelianGroup(0, (2,))
@@ -375,6 +375,32 @@ def test_mul_laurent_cancels_and_refuses():
     for slot in (-1, 2):
         with pytest.raises(AmbientMismatchError):
             p.mul_laurent(laurent({1: 1}), slot, 2)
+
+
+# ----- the running mod-2 update by shifted copies -----
+
+@settings(max_examples=200)
+@given(st.data(), st.lists(st.integers(-3, 3), unique=True, max_size=4))
+def test_shifted_mod2_update_matches_the_ring_sum(data, shifts):
+    """Small exponents and shifts make the copies overlap each other and the
+    support, so keys leave as well as enter."""
+    g = data.draw(st.sampled_from([FgAbelianGroup(1), FgAbelianGroup(2),
+                                   FgAbelianGroup(2, (2, 4))]))
+    core, start = data.draw(ring_elements(group=g)), data.draw(ring_elements(group=g)).mod2()
+    slot = data.draw(st.integers(0, g.free_rank - 1))
+    support = start.terms
+    _add_shifted_mod2(support, core, slot, shifts)
+    expected = (start + core.mul_laurent(laurent(dict.fromkeys(shifts, 1)), slot, 1)).mod2()
+    assert GroupRingElement(g, support) == expected
+
+
+def test_shifted_mod2_update_drops_overlapping_keys():
+    g = FgAbelianGroup(2)
+    core = GroupRingElement(g, {(0, 0): 1, (1, 0): 3, (0, 1): 2})
+    support = {(2, 0): 1, (5, 5): 1}
+    # the copies shifted by 0 and 1 meet at (1, 0), and the second reaches (2, 0)
+    _add_shifted_mod2(support, core, 0, (0, 1))
+    assert support == {(0, 0): 1, (5, 5): 1}
 
 
 # ----- rendering against the per-monomial renderer -----

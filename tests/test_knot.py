@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swcalc.errors import GuardViolation
-from swcalc.groupring import laurent, laurent_coeffs
+from swcalc.errors import GuardViolation, UnsupportedOperation
+from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent
 from swcalc.knot import AlexanderPoly, alexander_family, torus_knot, unknot, validate
+
+from oracles import laurent_coeffs
 
 
 def sympy_torus_oracle(p, q):
@@ -74,6 +76,12 @@ def test_family_shape(d, n):
     assert len(coeffs) == 4 * d + 1
     assert all(abs(c) == 1 for c in coeffs.values())
     assert fam.poly.evaluate_at_one() == 1
+
+
+@pytest.mark.parametrize("ambient", (FgAbelianGroup(2), FgAbelianGroup(1, (2,))))
+def test_alexander_poly_needs_a_single_variable_laurent_polynomial(ambient):
+    with pytest.raises(UnsupportedOperation):
+        AlexanderPoly(GroupRingElement.one(ambient))
 
 
 def test_family_rejects_bad_params():

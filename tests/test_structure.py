@@ -192,7 +192,6 @@ UNREACHED = {
     "GroupRingElement.one": "how tests and library users build elements",
     "GroupRingElement.zero": "how tests and library users build elements",
     "GroupRingElement.monomial": "how tests and library users build elements",
-    "GroupRingElement.terms": "how tests and library users read elements",
     "HomeoType.fingerprint": "the inverse of homeo_type, which the round-trip "
                              "test checks",
 }

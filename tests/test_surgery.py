@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,14 +15,14 @@ from swcalc.cli import run_command
 from swcalc.equivariant import exotic_family, hat_s1_l
 from swcalc.errors import GuardViolation
 from swcalc.expressions import eval_expr, parse, render
-from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent, laurent_coeffs
+from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent
 from swcalc.knot import AlexanderPoly, alexander_family, torus_knot, unknot
 from swcalc.manifold import (HomeoType, IntersectionData, ManifoldDescriptor, SWInfo, builtin,
                              homeo_type, mod2_basic_class_count, reverse_orientation)
 from swcalc.surgery import (_standard_kind, blowup, connected_sum, connected_sum_all,
                             dissolve, knot_surgery, log_transform)
 
-from oracles import class_square, dissolve_flat, fold_sum, ring_power
+from oracles import class_square, dissolve_flat, fold_sum, laurent_coeffs, ring_power
 
 
 def expand_mod2(descriptor):
@@ -426,6 +427,9 @@ def _as_runs(copies: list[str]) -> list[str]:
 @settings(max_examples=60, deadline=None)
 @given(st.dictionaries(st.sampled_from(RUN_POOL), st.integers(1, 6), min_size=1, max_size=4),
        st.randoms(use_true_random=False))
+# seed 5 leaves the CP2 copies first, so the homeomorphism type displays as
+# the compact expression itself
+@example({"CP2": 2, "CP2bar": 2}, random.Random(5))
 def test_runs_match_the_copy_by_copy_fold(multiplicities, rng):
     copies = [text for text, n in multiplicities.items() for _ in range(n)]
     rng.shuffle(copies)
@@ -436,13 +440,14 @@ def test_runs_match_the_copy_by_copy_fold(multiplicities, rng):
     assert _verdict([runs], dissolve) == _verdict([oracle], dissolve_flat) \
         == _verdict(factors, dissolve)
     # the CLI prints every run written as n*X, and one run split as a*X # b*X,
-    # as it prints the spelled-out sum, but for the expression itself
+    # as it prints the spelled-out sum, but for the "expression" line itself
     cuts = [j for j in range(1, len(copies)) if copies[j - 1] == copies[j]]
     cut = rng.choice(cuts) if cuts else len(copies)
     spelled = " # ".join(copies)
     for compact in (" # ".join(_as_runs(copies)),
                     " # ".join(_as_runs(copies[:cut]) + _as_runs(copies[cut:]))):
-        printed = [json.dumps(render(parse(text))) for text in (compact, spelled)]
+        printed = [f'"expression": {json.dumps(render(parse(text)))}'
+                   for text in (compact, spelled)]
         assert _eval_bytes(compact).replace(*printed) == _eval_bytes(spelled)
 
 
