@@ -23,8 +23,12 @@ from .groupring import (FactoredElement, FgAbelianGroup, GroupRingElement, TermR
 from .knot import alexander_family
 from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
                        SWInfo, builtin, mod2_basic_class_count)
-from .surgery import (_sum_fingerprint, blowup, connected_sum_all,
-                      dissolve, knot_surgery, log_transform)
+from .surgery import _sum_fingerprint, blowup, connected_sum_all, dissolve, log_transform
+
+
+def _copies(k: int, label: str) -> str:
+    """``k*X`` for k copies of X, a sum's label in parentheses."""
+    return f"{k}*({label})" if " # " in label else f"{k}*{label}"
 
 
 # ----- spherical space forms -----
@@ -213,7 +217,7 @@ def bf_simplify(n_entry: NCatalogEntry, m: ManifoldDescriptor | None = None,
                 f"the equivariant class needs exactly k = {k} copies of the "
                 f"summand, got {count}",
                 requirement="k summands of M")
-        source = f"BFG({k}*{m.label} # {n_label}, k={k})"
+        source = f"BFG({_copies(k, m.label)} # {n_label}, k={k})"
         trace.append(f"sum_splitting: {source} -> BF({m.label}) ^ {n_class}")
         if m.label == "S4":
             trace.append("identity_class: BF(S4) -> Id")
@@ -295,24 +299,23 @@ def exotic_family(construction: str, k: int, l: int, size: int,
                 raise GuardViolation("at least one blowup is required",
                                      requirement="m' >= 1")
             base, spacing = blowup(builtin("E", n_prime), m_prime), n_prime
-        first = knot_surgery(base, knot := alexander_family(1, spacing))
-        poly = gmonopole_polynomial(first, hat)
-        # every member has the first's ambient, tails, tracked names and fingerprint
+        # member 0 is M itself (Delta_0 = 1): it supplies the ambient, tails and names
+        poly = gmonopole_polynomial(base, hat)
         renderer = TermRenderer(poly.ambient, poly.core.ambient.free_rank, poly.tails,
-                                first.intersection.tracked_basis or None)
-        slot, step = first.intersection.tracked_basis.index(first.torus_class), 2 * spacing
+                                base.intersection.tracked_basis or None)
+        slot, step = base.intersection.tracked_basis.index(base.torus_class), 2 * spacing
         support = poly.core.terms
+        # the running support, wrapped once: the core reads each update in place
+        poly = replace(poly, core=GroupRingElement._wrap(poly.core.ambient, support))
         for d in range(1, size + 1):
-            if d > 1:
-                knot = alexander_family(d, spacing)
-                # Delta_d - Delta_{d-1} = t^{+-2dn} - t^{+-(2d-1)n}: over F2, member d is
-                # member d-1 plus M's core shifted by each of those four exponents of T^2
-                near, far = (2 * d - 1) * step, 2 * d * step
-                _add_shifted_mod2(support, base.sw.core, slot, (near, -near, far, -far))
-                poly = replace(poly, core=GroupRingElement._wrap(poly.core.ambient, support))
+            knot = alexander_family(d, spacing)
+            # Delta_d - Delta_{d-1} = t^{+-2dn} - t^{+-(2d-1)n}: over F2, member d is
+            # member d-1 plus M's core shifted by each of those four exponents of T^2
+            near, far = (2 * d - 1) * step, 2 * d * step
+            _add_shifted_mod2(support, base.sw.core, slot, (near, -near, far, -far))
             members.append({"label": f"knot_surgery({base.label}, {knot.label()})",
                             "monomials": poly.monomial_count(), "count_basis": "exact",
-                            "fingerprint": list(first.fingerprint),
+                            "fingerprint": list(base.fingerprint),
                             "gmonopole_mod2": renderer.render(poly)})
     elif construction == "s2xs2_hkw":
         if m < 1:
@@ -336,14 +339,13 @@ def exotic_family(construction: str, k: int, l: int, size: int,
     counts = [mb["monomials"] for mb in members]
     distinct = (len(set(counts)) == len(counts)
                 and len({tuple(mb["fingerprint"]) for mb in members}) == 1)
-    base_label = f"({base.label})" if " # " in base.label else base.label
     return {
         "construction": construction,
         "k": k,
         "l": l,
         "space_form": sf.label,
         "target": {
-            "expression": f"{k * l}*{base_label} # {l - 1}*S2xS2",
+            "expression": f"{_copies(k * l, base.label)} # {l - 1}*S2xS2",
             "fingerprint": list(_sum_fingerprint(target)),
             "dissolved": dissolved,
         },

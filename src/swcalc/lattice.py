@@ -261,8 +261,7 @@ def spinc_from_basis(q: QuadraticForm,
     vector = tuple(sum(v[i] for v in basis) for i in range(q.rank))
     if q.evaluate(vector) != -q.rank:
         raise AssertionError("sum of a diag(-1) basis must have square -rank")
-    for i in range(q.rank):
-        basis_vec = [1 if j == i else 0 for j in range(q.rank)]
-        if (q.pairing(vector, basis_vec) - q.evaluate(basis_vec)) % 2 != 0:
-            raise AssertionError("constructed vector is not characteristic")
+    # characteristic: (G.c)_i = G_ii (mod 2) for every i
+    if any((sum(map(mul, row, vector)) - row[i]) % 2 for i, row in enumerate(q.gram)):
+        raise AssertionError("constructed vector is not characteristic")
     return vector

@@ -68,6 +68,13 @@ class SWInfo:
 Block = tuple[tuple[int, ...], ...]
 
 
+def _square_entries(blocks: Sequence[Block]) -> list[tuple[int, int, int]]:
+    """(i, j, g) per nonzero Gram entry of the block sum, i <= j, g doubled off the diagonal."""
+    starts = accumulate(map(len, blocks), initial=0)
+    return [(s + i, s + j, x if i == j else 2 * x) for s, block in zip(starts, blocks)
+            for i, row in enumerate(block) for j, x in enumerate(row[i:], i) if x]
+
+
 def _square(entries: Sequence[tuple[int, int, int]], vec: Sequence[int]) -> int:
     return sum([g * vec[i] * vec[j] for i, j, g in entries]) if entries else 0
 
@@ -117,16 +124,6 @@ class IntersectionData:
             right = (0,) * (n - len(rows) - len(block))
             rows.extend(left + tuple(row) + right for row in block)
         return tuple(rows)
-
-    def _square_entries(self) -> tuple[tuple[int, int, int], ...]:
-        """(i, j, g) per nonzero Gram entry, i <= j, g doubled off the diagonal."""
-        entries = self.__dict__.get("_entries")
-        if entries is None:
-            starts = accumulate(map(len, self.blocks), initial=0)
-            entries = self.__dict__.setdefault("_entries", tuple(
-                (s + i, s + j, x if i == j else 2 * x) for s, block in zip(starts, self.blocks)
-                for i, row in enumerate(block) for j, x in enumerate(row[i:], i) if x))
-        return entries
 
     def direct_sum(self, other: "IntersectionData", count: int = 1) -> "IntersectionData":
         """Orthogonal sum with ``count`` copies of ``other``, renaming clashes.
@@ -263,9 +260,9 @@ class ManifoldDescriptor:
                                  "its exceptional classes last")
             if self.simple_type:
                 # each E_i is orthogonal to the rest with square -1, so only the
-                # entries among the core coordinates reach a core monomial
+                # blocks of the core coordinates reach a core monomial
                 target, r = 2 * self.chi + 3 * self.sigma, g.free_rank
-                entries = [e for e in self.intersection._square_entries() if e[1] < r]
+                entries = _square_entries(blocks[:len(blocks) - m])
                 # with no such entry every square is 0: one zero vector stands for all
                 vecs = self.sw.core.free_exponents() if entries else \
                     [(0,) * r][:self.sw.core.monomial_count()]
@@ -378,8 +375,8 @@ def _elliptic_surface(n: int, label: str | None = None) -> ManifoldDescriptor:
 def builtin(name: str, n: int | None = None) -> ManifoldDescriptor:
     """Descriptor for a standard manifold by name.
 
-    Supported names: S4, CP2, CP2bar, S2xS2, K3, S1xS3, and E with its
-    index as the second argument (index at least 2).
+    Supported names: S4, CP2, CP2bar, S2xS2, K3, S1xS3, each one shared
+    value, and E with its index as the second argument (index at least 2).
     """
     if name == "E":
         if n is None:
@@ -395,32 +392,26 @@ def builtin(name: str, n: int | None = None) -> ManifoldDescriptor:
         return _elliptic_surface(n)
     if n is not None:
         raise GuardViolation(f"{name} takes no argument")
-    if name == "S4":
-        return ManifoldDescriptor(
-            "S4", True, 0, 0, 0, (), True, SWInfo.zero(),
-            IntersectionData(), simple_type=True, admits_psc=True)
-    if name == "CP2":
-        return ManifoldDescriptor(
-            "CP2", True, 0, 1, 0, (), False, SWInfo.unknown(),
-            IntersectionData(plus_count=1), admits_psc=True)
-    if name == "CP2bar":
-        return ManifoldDescriptor(
-            "CP2bar", True, 0, 0, 1, (), False, SWInfo.unknown(),
-            IntersectionData(minus_count=1), admits_psc=True)
-    if name == "S2xS2":
-        return ManifoldDescriptor(
-            "S2xS2", True, 0, 1, 1, (), True, SWInfo.unknown(),
-            IntersectionData(h_count=1), admits_psc=True)
-    if name == "K3":
-        return _elliptic_surface(2, label="K3")
-    if name == "S1xS3":
-        return ManifoldDescriptor(
-            "S1xS3", False, 1, 0, 0, (), True, SWInfo.unknown(),
-            IntersectionData(), admits_psc=True)
-    raise GuardViolation(f"unknown builtin manifold {name!r}")
+    if name not in _FIXED_BUILTINS:
+        raise GuardViolation(f"unknown builtin manifold {name!r}")
+    return _FIXED_BUILTINS[name]
 
 
-BUILTIN_NAMES = ("S4", "CP2", "CP2bar", "S2xS2", "K3", "S1xS3")
+# immutable, so one value of each is shared by every reader
+_FIXED_BUILTINS = {
+    "S4": ManifoldDescriptor("S4", True, 0, 0, 0, (), True, SWInfo.zero(),
+                             IntersectionData(), simple_type=True, admits_psc=True),
+    "CP2": ManifoldDescriptor("CP2", True, 0, 1, 0, (), False, SWInfo.unknown(),
+                              IntersectionData(plus_count=1), admits_psc=True),
+    "CP2bar": ManifoldDescriptor("CP2bar", True, 0, 0, 1, (), False, SWInfo.unknown(),
+                                 IntersectionData(minus_count=1), admits_psc=True),
+    "S2xS2": ManifoldDescriptor("S2xS2", True, 0, 1, 1, (), True, SWInfo.unknown(),
+                                IntersectionData(h_count=1), admits_psc=True),
+    "K3": _elliptic_surface(2, label="K3"),
+    "S1xS3": ManifoldDescriptor("S1xS3", False, 1, 0, 0, (), True, SWInfo.unknown(),
+                                IntersectionData(), admits_psc=True),
+}
+BUILTIN_NAMES = tuple(_FIXED_BUILTINS)
 
 
 # ----- derived operations -----

@@ -19,7 +19,7 @@ from .manifold import (Fingerprint, HomeoType, IntersectionData,
 
 # ----- connected sum -----
 
-_S4 = (True, 0, 0, "even")  # the fingerprint of a trivial summand
+_S4 = builtin("S4").fingerprint  # the fingerprint of a trivial summand
 _ABSORBED = "connected_sum: summand with trivial fingerprint absorbed"
 _BLOWN_UP = "blowup: {} exceptional classes appended"
 
@@ -275,12 +275,7 @@ class DissolutionVerdict:
                 "rule_trace": list(self.rule_trace)}
 
 
-_STANDARD_FPS = {
-    (True, 0, 0, "even"): "S4",
-    (True, 1, 0, "odd"): "CP2",
-    (True, 0, 1, "odd"): "CP2bar",
-    (True, 1, 1, "even"): "S2xS2",
-}
+_STANDARD_FPS = {builtin(kind).fingerprint: kind for kind in ("S4", "CP2", "CP2bar", "S2xS2")}
 
 
 def _standard_kind(d: ManifoldDescriptor) -> str | None:

@@ -278,6 +278,19 @@ def test_bf_s4_alias_splits_to_identity(tmp_path, capsys):
     ]
 
 
+def test_bf_label_parenthesizes_a_sum_summand(tmp_path, capsys):
+    """k copies of a sum-valued M read as k*(M), as in the family target."""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"manifolds": {"KK": "K3 # K3"}}))
+    code, data = run_json(capsys, ["bf", "2*KK # hat(2)", "--k", "2",
+                                   "--catalog", str(path)])
+    assert code == 0
+    assert data["input"] == "BFG(2*(K3 # K3) # hat(S1xRP3), k=2)"
+    assert data["trace"][0] == ("sum_splitting: BFG(2*(K3 # K3) # hat(S1xRP3), k=2)"
+                                " -> BF(K3 # K3) ^ BFG(hat(S1xRP3), k=2)")
+    assert data["normal_form"] == "BF(K3 # K3)"
+
+
 def test_bf_refuses_two_different_summands(capsys):
     code, data = run_json(capsys, ["bf", "E(2) # E(3) # hat(2)", "--k", "2"])
     assert code == 2

@@ -300,12 +300,15 @@ def test_orthogonal_projector_is_refused(d):
 
 def test_solutions_match_closed_form_and_locus_is_theta_zero():
     """Row j is the residues ((k-1-i) j mod k)_i over k: read as angles n/k,
-    it is the Fraction formula's tuple at theta = j/k."""
+    it is the Fraction formula's tuple at theta = j/k.  The formula's angles
+    are compared as numerators over k, so no Fraction is built per entry."""
     for k in range(1, 201):
         sols = solve_fixed_points(k)
         assert [j for j, _ in sols] == list(range(k))
-        assert [(Fraction(j, k), angles(row, k))
-                for j, row in sols] == fixed_points_by_fractions(k)
+        over_k = [(theta.numerator * (k // theta.denominator),
+                   tuple(a.numerator * (k // a.denominator) for a in point))
+                  for theta, point in fixed_points_by_fractions(k)]
+        assert [(j, row) for j, row in sols] == over_k
         assert invariant_locus(k) == sols[:1]
 
 

@@ -3,10 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swcalc.errors import GuardViolation
+from swcalc.expressions import eval_expr, parse
 from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent
 from swcalc.manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
-                             SWInfo, _signed_binomial, _square, builtin, homeo_type,
-                             mod2_basic_class_count, reverse_orientation)
+                             SWInfo, _signed_binomial, _square, _square_entries, builtin,
+                             homeo_type, mod2_basic_class_count, reverse_orientation)
 from swcalc.surgery import connected_sum, connected_sum_all
 
 from oracles import ring_power
@@ -60,6 +61,16 @@ def test_k3_is_the_index_two_surface():
 def test_s1xs3():
     m = builtin("S1xS3")
     assert m.b1 == 1 and m.chi == 0 and m.spin
+
+
+def test_shared_builtins_keep_their_own_names():
+    """A fixed builtin is one shared value; the name table that a sum caches
+    on its form never leaks into a later sum or into the builtin itself."""
+    assert builtin("K3") is builtin("K3")
+    for _ in range(2):
+        m = eval_expr(parse("K3 # K3 # E(2)"))
+        assert m.intersection.tracked_basis == ("T", "T_2", "T_3")
+    assert builtin("K3").intersection.tracked_basis == ("T",)
 
 
 def test_unknown_builtin():
@@ -255,7 +266,7 @@ def test_block_sum_matches_dense_form(blocks, data):
     assert total.tracked_basis == _greedy_names(pieces)
     vec = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
     expected = sum(vec[i] * dense[i][j] * vec[j] for i in range(n) for j in range(n))
-    assert _square(total._square_entries(), vec) == expected
+    assert _square(_square_entries(total.blocks), vec) == expected
 
 
 def test_block_must_be_symmetric():
