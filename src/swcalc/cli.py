@@ -17,7 +17,7 @@ import sys
 
 # Each handler imports what it uses, so a cold start compiles only that;
 # perfbench/harness.py reads sys.modules["swcalc.fixedpoint"] after importing cli.
-from . import fixedpoint, lattice
+from . import fixedpoint
 from .errors import ExprSyntaxError, SwcalcError
 
 SCHEMA = "swcalc/1"
@@ -136,7 +136,8 @@ def _cmd_fixedpoints(args) -> dict:
             "invariant_locus": rows(fixedpoint.invariant_locus(k))}
 
 
-def _parse_fixture(text: str) -> lattice.QuadraticForm:
+def _parse_fixture(text: str):
+    from . import lattice
     if text == "e8":
         return lattice.e8_form()
     if text.startswith("diag:"):
@@ -148,6 +149,7 @@ def _parse_fixture(text: str) -> lattice.QuadraticForm:
 
 
 def _cmd_lattice(args) -> dict:
+    from . import lattice
     if (args.gram is None) == (args.fixture is None):
         raise ExprSyntaxError("provide exactly one of --gram or --fixture")
     if args.fixture:
@@ -232,7 +234,7 @@ def _cmd_catalog(args) -> dict:
         "builtins": [*BUILTIN_NAMES, *(f"{name}({','.join(params)})"
                                        for name, params in PARAM_BUILTINS.items())],
         "knots": {name: catalog.knots[name].render()
-                  for name in catalog.knot_names()},
+                  for name in sorted(catalog.knots)},
         "manifolds": catalog.manifold_sources,
         "catalog_kinds": ["S4", "CP2bar", "HatS1L"],
         "space_forms": ["Z(l) cyclic, any l >= 2", "Q(4m) binary dihedral, m >= 2",

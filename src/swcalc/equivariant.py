@@ -13,7 +13,6 @@ structures and hence group actions on a common stabilized sum.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -106,8 +105,7 @@ class NCatalogEntry:
 
     descriptor: ManifoldDescriptor
     k: int
-    kind: str  # S4 | CP2bar | HatS1L
-    h_order: int = 1   # |pi_1(L)| of a hat summand
+    h_order: int = 1   # |pi_1(L)| of a hat summand, 1 for S4 and CP2bar
 
     def __post_init__(self):
         if self.k < 2:
@@ -117,10 +115,6 @@ class NCatalogEntry:
             raise GuardViolation(
                 f"{self.descriptor.label} has b2+ = {self.descriptor.b2_plus}",
                 requirement="b2+(N) = 0")
-
-    @property
-    def spinc_count(self) -> int:
-        return math.prod(self.descriptor.torsion_h1)
 
 
 def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2) -> NCatalogEntry:
@@ -155,7 +149,7 @@ def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2) -> NCatalogEn
         intersection=IntersectionData(),
         admits_psc=True,
     )
-    return NCatalogEntry(descriptor, k, "HatS1L", h_order=sf.order)
+    return NCatalogEntry(descriptor, k, sf.order)
 
 
 def n_catalog(kind: str, k: int = 2) -> NCatalogEntry:
@@ -164,7 +158,7 @@ def n_catalog(kind: str, k: int = 2) -> NCatalogEntry:
     maximal square); ``hat_s1_l`` builds the hat summands."""
     if kind not in ("S4", "CP2bar"):
         raise GuardViolation(f"unknown catalog kind {kind!r}")
-    return NCatalogEntry(builtin(kind), k, kind)
+    return NCatalogEntry(builtin(kind), k)
 
 
 # ----- transfer of the mod-2 polynomial -----
@@ -219,8 +213,8 @@ def bf_simplify(n_entry: NCatalogEntry, m: ManifoldDescriptor | None = None,
                 requirement="k summands of M")
         source = f"BFG({_copies(k, m.label)} # {n_label}, k={k})"
         trace.append(f"sum_splitting: {source} -> BF({m.label}) ^ {n_class}")
-        if m.label == "S4":
-            trace.append("identity_class: BF(S4) -> Id")
+        if m.fingerprint == builtin("S4").fingerprint:  # X # S4 is X
+            trace.append(f"identity_class: BF({m.label}) -> Id")
             normal, verdict = "Id", "nontrivial"
         else:
             normal = f"BF({m.label})"
@@ -238,7 +232,7 @@ def covering_consistency(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> bool:
     of M glued to the hat summand, and the universal cover of the hat
     summand is l-1 copies of S2xS2; k and l = |pi_1| are the entry's.
     """
-    if n_entry.kind != "HatS1L":
+    if n_entry.h_order < 2:
         raise GuardViolation("the covering check applies to hat-type entries",
                              requirement="hat summand")
     k, l = n_entry.k, n_entry.h_order
@@ -327,7 +321,7 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         base = connected_sum_all([builtin("S2xS2")], [m])
         for r in range(1, size + 1):
             sample = log_transform(2 * n, r)
-            count = mod2_basic_class_count(sample) * hat.spinc_count
+            count = gmonopole_polynomial(sample, hat).monomial_count()
             members.append({"label": f"fiber-sum carrying {sample.label}",
                             "monomials": count, "count_basis": "lower_bound",
                             "fingerprint": list(base.fingerprint), "gmonopole_mod2": None})

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,7 +105,8 @@ def render_knotref(k: KnotRef) -> str:
 
 # ----- tokenizer -----
 
-_SYMBOLS = "#*(),~"
+# an INT, a word, a symbol, or whitespace, matched from each position in turn
+_TOKEN = re.compile(r"(\d+)|(\w+)|([#*(),~])|\s+")
 
 
 @dataclass(frozen=True)
@@ -117,32 +119,15 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     out = []
     i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            out.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            out.append(_Token("INT", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", position=i)
-    out.append(_Token("EOF", "", n))
+    while i < len(text):
+        match = _TOKEN.match(text, i)
+        # a NAME starts with a letter or _: a word led by ² or ½ is refused there
+        if match is None or match.lastindex == 2 and not (text[i].isalpha() or text[i] == "_"):
+            raise ExprSyntaxError(f"unexpected character {text[i]!r}", position=i)
+        if match.lastindex:
+            out.append(_Token(("INT", "NAME", match[0])[match.lastindex - 1], match[0], i))
+        i = match.end()
+    out.append(_Token("EOF", "", len(text)))
     return out
 
 
@@ -212,12 +197,6 @@ class Catalog:
             cat.manifold_sources[name] = source
         return cat
 
-    def knot_names(self) -> list[str]:
-        return sorted(self.knots)
-
-    def manifold_names(self) -> list[str]:
-        return sorted(self.manifold_sources)
-
 
 def _resolve_knot_constructor(ref: KnotRef, catalog: Catalog) -> AlexanderPoly:
     if ref.name in _KNOT_CONSTRUCTORS:
@@ -226,7 +205,7 @@ def _resolve_knot_constructor(ref: KnotRef, catalog: Catalog) -> AlexanderPoly:
         if ref.args:
             raise GuardViolation(f"named knot {ref.name!r} takes no arguments")
         return catalog.knots[ref.name]
-    known = list(_KNOT_CONSTRUCTORS) + catalog.knot_names()
+    known = list(_KNOT_CONSTRUCTORS) + sorted(catalog.knots)
     hints = difflib.get_close_matches(ref.name, known, n=3)
     raise ExprSyntaxError(
         f"unknown knot {ref.name!r}" + (f"; did you mean {hints}?" if hints else ""),
@@ -340,7 +319,7 @@ class _Parser:
                                       position=pos)
             return
         universe = (list(BUILTIN_NAMES) + list(PARAM_BUILTINS) + list(_KEYWORDS)
-                    + self.catalog.manifold_names())
+                    + sorted(self.catalog.manifold_sources))
         hints = difflib.get_close_matches(name, universe, n=3)
         raise ExprSyntaxError(
             f"unknown manifold {name!r}" +

@@ -65,7 +65,7 @@ def connected_sum(a: ManifoldDescriptor, b: ManifoldDescriptor) -> ManifoldDescr
     splits into two parts of positive b2+.  Every result, absorbed or
     not, records the leaves of both sides as (leaf, multiplicity) runs.
     """
-    return _sum_onto(a, b, 1, f"{a.label} # {b.label}", _lineage(((a, 1), (b, 1))))
+    return connected_sum_all((a, b))
 
 
 def connected_sum_all(factors: Sequence[ManifoldDescriptor],

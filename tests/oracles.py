@@ -1,11 +1,11 @@
 """Reference computations shared by the tests, written with nothing of
 swcalc beyond ring constructors and products, the stored Gram matrix, the
-binary connected sum, the classification of one summand, and one knot surgery,
-transfer and render per knot-family member."""
+binary connected sum, the classification of one summand, one knot surgery,
+transfer and render per knot-family member, and the syntax error type."""
 from fractions import Fraction
 
 from swcalc.equivariant import gmonopole_polynomial
-from swcalc.errors import GuardViolation, UnsupportedOperation
+from swcalc.errors import ExprSyntaxError, GuardViolation, UnsupportedOperation
 from swcalc.groupring import GroupRingElement, TermRenderer
 from swcalc.knot import alexander_family
 from swcalc.manifold import Fingerprint, HomeoType, builtin, homeo_type
@@ -221,3 +221,39 @@ def dissolve_flat(factors) -> DissolutionVerdict:
         form = HomeoType("even", std["S2xS2"], std["K3"])
     assert form == homeo_type(_fingerprint(factors))
     return DissolutionVerdict(form, tuple(trace))
+
+
+# ----- expression tokens, one character at a time -----
+
+def scan(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) tokens of an expression, read one character
+    at a time: the reference for ``expressions._tokenize``."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "#*(),~":
+            out.append((c, c, i))
+            i += 1
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            out.append(("INT", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(("NAME", text[i:j], i))
+            i = j
+            continue
+        raise ExprSyntaxError(f"unexpected character {c!r}", position=i)
+    out.append(("EOF", "", n))
+    return out

@@ -278,6 +278,21 @@ def test_bf_s4_alias_splits_to_identity(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("source, label", [("S4 # S4", "(S4 # S4)"), ("~S4", "~S4")])
+def test_bf_summand_with_the_s4_fingerprint_splits_to_identity(tmp_path, capsys,
+                                                                 source, label):
+    """X # S4 is X: the identity rule reads the fingerprint, not the spelling."""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"manifolds": {"Z": source}}))
+    code, data = run_json(capsys, ["bf", "2*Z # hat(2)", "--k", "2",
+                                   "--catalog", str(path)])
+    assert code == 0
+    assert data["input"] == f"BFG(2*{label} # hat(S1xRP3), k=2)"
+    assert data["normal_form"] == "Id"
+    assert data["verdict"] == "nontrivial"
+    assert data["trace"][1] == f"identity_class: BF({source}) -> Id"
+
+
 def test_bf_label_parenthesizes_a_sum_summand(tmp_path, capsys):
     """k copies of a sum-valued M read as k*(M), as in the family target."""
     path = tmp_path / "cat.json"

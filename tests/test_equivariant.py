@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -31,14 +32,14 @@ def test_hat_rp3():
     d = entry.descriptor
     assert d.chi == 2 and d.b1 == 0 and d.b2 == 0 and d.spin
     assert d.torsion_h1 == (2,)
-    assert entry.spinc_count == 2
+    assert math.prod(entry.descriptor.torsion_h1) == 2
     assert entry.descriptor.b2_plus == 0
     assert entry.h_order == 2
 
 
 def test_hat_lens5():
     entry = hat_s1_l([5], 5, k=2)
-    assert entry.spinc_count == 5
+    assert math.prod(entry.descriptor.torsion_h1) == 5
     assert entry.h_order == 5
 
 
@@ -99,13 +100,13 @@ def test_catalog_builds_only_simply_connected_kinds():
 
 def test_entry_refuses_positive_b2plus():
     with pytest.raises(GuardViolation) as err:
-        NCatalogEntry(builtin("S2xS2"), 2, "S4")
+        NCatalogEntry(builtin("S2xS2"), 2)
     assert err.value.requirement == "b2+(N) = 0"
 
 
 def test_entry_refuses_order_below_two():
     with pytest.raises(GuardViolation) as err:
-        NCatalogEntry(builtin("S4"), 1, "S4")
+        NCatalogEntry(builtin("S4"), 1)
     assert err.value.requirement == "k >= 2"
 
 
@@ -155,7 +156,7 @@ def test_gmonopole_count_factorization():
     for m, entry in itertools.product(manifolds, hats):
         poly = gmonopole_polynomial(m, entry)
         assert poly.monomial_count() == \
-            mod2_basic_class_count(m) * entry.spinc_count
+            mod2_basic_class_count(m) * math.prod(entry.descriptor.torsion_h1)
 
 
 def convolution_transfer(m, entry):
@@ -175,7 +176,7 @@ def torsion_entry(orders):
     space form has them, and the transfer reads only the torsion."""
     descriptor = ManifoldDescriptor(f"N{list(orders)}", False, 0, 0, 0, orders, True,
                                     SWInfo.unknown(), IntersectionData())
-    return NCatalogEntry(descriptor, 2, "HatS1L")
+    return NCatalogEntry(descriptor, 2, math.prod(orders))
 
 
 TRANSFER_ENTRIES = {
@@ -266,7 +267,8 @@ def test_factored_form_matches_expansion(case, orders, data):
     oracle = convolution_transfer(member, entry)
     assert transfer.expand() == oracle
     assert transfer.monomial_count() == oracle.monomial_count()
-    assert transfer.monomial_count() == mod2_basic_class_count(member) * entry.spinc_count
+    assert transfer.monomial_count() == \
+        mod2_basic_class_count(member) * math.prod(entry.descriptor.torsion_h1)
     for free_names, torsion_names in ((None, None), (names, None), (short, None),
                                       (names, ("g",))):
         assert transfer.render(free_names, torsion_names) == \
@@ -363,8 +365,10 @@ def test_covering_consistency_lens3_numbers():
 
 
 def test_covering_rejects_degenerate():
-    with pytest.raises(GuardViolation):
-        covering_consistency(builtin("E", 2), n_catalog("S4", k=2))
+    for kind in ("S4", "CP2bar"):
+        with pytest.raises(GuardViolation) as err:
+            covering_consistency(builtin("E", 2), n_catalog(kind, k=2))
+        assert err.value.requirement == "hat summand"
 
 
 # ----- families -----

@@ -1,4 +1,5 @@
 import json
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from swcalc.expressions import (Blowup, Builtin, Catalog, ConnSum, KnotRef,
                                 MAX_NESTING, eval_expr, parse, render)
 from swcalc.manifold import homeo_type, mod2_basic_class_count
 
-from oracles import laurent_coeffs
+from oracles import laurent_coeffs, scan
 
 
 def test_parse_sum_with_multiplicity():
@@ -76,6 +77,43 @@ def test_parse_zero_multiplicity_rejected():
 def test_parse_trailing_garbage():
     with pytest.raises(ExprSyntaxError):
         parse("E(2) )")
+
+
+# ASCII word characters, the six symbols and whitespace, plus a superscript
+# digit, a fraction, a Roman numeral, two Arabic-Indic digits, an accented
+# letter, two more whitespace characters and a digit outside the basic plane
+_TOKEN_ALPHABET = (st.sampled_from(string.ascii_letters + string.digits + "_#*(),~ \t\n")
+                   | st.sampled_from("²½Ⅻ٣٠é\x1c\xa0\U0001d7ce"))
+
+
+def _tokens(text):
+    return [(t.kind, t.text, t.pos) for t in expressions._tokenize(text)]
+
+
+def _result(read, text):
+    """What ``read`` makes of the text, or its syntax error's message and position."""
+    try:
+        return read(text)
+    except ExprSyntaxError as err:
+        return str(err), err.position
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(_TOKEN_ALPHABET, max_size=20))
+def test_tokenize_matches_the_character_loop(text):
+    assert _result(_tokens, text) == _result(scan, text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("E(٣)", Builtin("E", 3)),
+    ("E(2)²", ("unexpected character '²'", 4)),
+    ("²*K3", ("unexpected character '²'", 0)),
+    ("E(½)", ("unexpected character '½'", 2)),
+])
+def test_parse_follows_the_readme_digit_rules(text, expected):
+    """An INT is a run of Nd digits, so E(٣) is E(3); ² and ½ are no digits and
+    start no NAME, so each is refused at its position."""
+    assert _result(parse, text) == expected
 
 
 # ----- evaluation -----

@@ -148,8 +148,7 @@ def test_cli_import_loads_only_what_every_command_shares():
     # fixedpoint stays: perfbench/harness.py reads sys.modules["swcalc.fixedpoint"]
     # after importing swcalc.cli
     assert _fresh(f"import sys, swcalc.cli\n{_LOADED}") == str(
-        ["swcalc", "swcalc.cli", "swcalc.errors", "swcalc.fixedpoint",
-         "swcalc.lattice"])
+        ["swcalc", "swcalc.cli", "swcalc.errors", "swcalc.fixedpoint"])
 
 
 def test_cli_import_loads_no_rational_arithmetic():
