@@ -22,7 +22,7 @@ from .groupring import (FactoredElement, FgAbelianGroup, GroupRingElement, TermR
 from .knot import alexander_family
 from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
                        SWInfo, builtin, mod2_basic_class_count)
-from .surgery import _sum_fingerprint, blowup, connected_sum_all, dissolve, log_transform
+from .surgery import _sum_fingerprint, blowup, connected_sum_all, dissolve
 
 
 def _copies(k: int, label: str) -> str:
@@ -169,7 +169,7 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> Facto
     This is the mod-2 polynomial of M, in the group ring of H_2(M) plus the
     torsion classes of N, times the sum of all torsion classes: M's core mod
     2 times each sign vector of its exceptional classes followed by each
-    residue.  ``expand()`` writes it out.
+    residue, with M's power kept as a factor over F2.  ``expand()`` writes it out.
     """
     if m.b2_plus <= 1:
         raise GuardViolation(
@@ -185,7 +185,8 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> Facto
     base = sw.factored()
     residues = list(itertools.product(*map(range, torsion)))
     return FactoredElement(base.core.mod2(), FgAbelianGroup(base.ambient.free_rank, torsion),
-                           tuple(sign + residue for sign in base.tails for residue in residues))
+                           tuple(sign + residue for sign in base.tails for residue in residues),
+                           base.power, True)
 
 
 # ----- stable class -----
@@ -298,15 +299,16 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         renderer = TermRenderer(poly.ambient, poly.core.ambient.free_rank, poly.tails,
                                 base.intersection.tracked_basis or None)
         slot, step = base.intersection.tracked_basis.index(base.torus_class), 2 * spacing
-        support = poly.core.terms
+        core = poly.powered_core()  # M's mod-2 polynomial, its power expanded
+        support = core.terms
         # the running support, wrapped once: the core reads each update in place
-        poly = replace(poly, core=GroupRingElement._wrap(poly.core.ambient, support))
+        poly = replace(poly, core=GroupRingElement._wrap(core.ambient, support), power=(1, 0, 0))
         for d in range(1, size + 1):
             knot = alexander_family(d, spacing)
             # Delta_d - Delta_{d-1} = t^{+-2dn} - t^{+-(2d-1)n}: over F2, member d is
             # member d-1 plus M's core shifted by each of those four exponents of T^2
             near, far = (2 * d - 1) * step, 2 * d * step
-            _add_shifted_mod2(support, base.sw.core, slot, (near, -near, far, -far))
+            _add_shifted_mod2(support, core, slot, (near, -near, far, -far))
             members.append({"label": f"knot_surgery({base.label}, {knot.label()})",
                             "monomials": poly.monomial_count(), "count_basis": "exact",
                             "fingerprint": list(base.fingerprint),
@@ -319,12 +321,12 @@ def exotic_family(construction: str, k: int, l: int, size: int,
             raise GuardViolation("the elliptic index parameter must be at least 1",
                                  requirement="n >= 1")
         base = connected_sum_all([builtin("S2xS2")], [m])
-        for r in range(1, size + 1):
-            sample = log_transform(2 * n, r)
-            count = gmonopole_polynomial(sample, hat).monomial_count()
-            members.append({"label": f"fiber-sum carrying {sample.label}",
-                            "monomials": count, "count_basis": "lower_bound",
-                            "fingerprint": list(base.fingerprint), "gmonopole_mod2": None})
+        # logtx(2n, r) is r terms spanning 2r - 2 times E(2n)'s power at step r, whose
+        # mod-2 exponents lie at least 2r apart: its transfer is r copies of E(2n)'s
+        count = gmonopole_polynomial(builtin("E", 2 * n), hat).monomial_count()
+        members = [{"label": f"fiber-sum carrying logtx({2 * n},{r})", "monomials": r * count,
+                    "count_basis": "lower_bound", "fingerprint": list(base.fingerprint),
+                    "gmonopole_mod2": None} for r in range(1, size + 1)]
     else:
         raise GuardViolation(f"unknown construction {construction!r}")
 

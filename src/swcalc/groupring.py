@@ -9,11 +9,14 @@ so equality of elements is structural.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import product
+from math import comb
 from operator import add, mod
 from typing import Iterator, Mapping
 
-from .errors import AmbientMismatchError, UnsupportedOperation
+from .errors import AmbientMismatchError, GuardViolation, UnsupportedOperation
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,8 @@ class TermRenderer:
 
     def render(self, element: "GroupRingElement | FactoredElement") -> str:
         """Text of an element with this renderer's ambient and tails."""
-        core, tails = (element.core, element.tails) if isinstance(element, FactoredElement) \
-            else (element, ((),))
+        core, tails = (element.powered_core(), element.tails) \
+            if isinstance(element, FactoredElement) else (element, ((),))
         if element.ambient != self.ambient or tails != self.tails:
             raise AmbientMismatchError("the element's ambient or tails are not the renderer's")
         if not core._terms:
@@ -245,6 +248,23 @@ class GroupRingElement:
                               for (e,), cq in q._terms.items()))
         return self._wrap(self.ambient, out)
 
+    def mul_power(self, step: int, exponent: int, slot: int,
+                  mod2: bool = False) -> "GroupRingElement":
+        """``self`` times (T^step - T^-step)^exponent, T the free generator ``slot``:
+        the signed binomial row, or over F2 the Lucas product of the
+        T^(step*2^b) + T^-(step*2^b) over the bits b of the exponent."""
+        if not exponent:
+            return self
+        if mod2:  # one term per choice of signs of the bits, so no two terms meet
+            row = dict.fromkeys(map(sum, product(*[
+                (1 << b, -1 << b) for b in range(exponent.bit_length()) if exponent >> b & 1])), 1)
+        else:
+            row, c = {}, 1
+            for j in range(exponent + 1):
+                row[exponent - 2 * j] = -c if j & 1 else c
+                c = c * (exponent - j) // (j + 1)
+        return self.mul_laurent(laurent(row), slot, step)
+
     # ----- reductions and reindexings -----
 
     def mod2(self) -> "GroupRingElement":
@@ -313,30 +333,49 @@ class GroupRingElement:
 
 @dataclass(frozen=True)
 class FactoredElement:
-    """``core`` times the sum of the monomials ``tails`` in fresh coordinates.
+    """``core`` times (T^step - T^-step)^exponent at the core's free generator
+    ``slot``, ``power = (step, exponent, slot)``, times the sum of the monomials
+    ``tails`` in fresh coordinates; over F2 when ``mod2``.
 
     The core lives over the leading free coordinates of ``ambient``; a tail
-    holds the other exponents.  Sorted distinct tails give the expansion
-    one term per (core term, tail) pair, with the core term's coefficient."""
+    holds the other exponents.  The core spans less than 2*step at the slot and
+    the tails are sorted and distinct, so each (core, power, tail) term gives
+    its own monomial of the expansion."""
 
     core: GroupRingElement
     ambient: FgAbelianGroup
     tails: tuple[tuple[int, ...], ...]
+    power: tuple[int, int, int] = (1, 0, 0)
+    mod2: bool = False
 
     def __post_init__(self):
         if self.core.ambient.torsion_orders or list(self.tails) != sorted(set(self.tails)):
             raise ValueError("a factored element needs a torsion-free core, sorted tails")
 
     def monomial_count(self) -> int:
-        return self.core.monomial_count() * len(self.tails)
+        m = self.power[1]  # the power has 2^popcount(m) terms over F2, m + 1 over Z
+        return self.core.monomial_count() * len(self.tails) * (
+            1 << m.bit_count() if self.mod2 else m + 1)
+
+    def powered_core(self) -> GroupRingElement:
+        """The core times the power; refused over Z when the power's largest
+        coefficient C(m, m//2), between 2^m/(m+1) and 2^m, has more digits than
+        ``str`` may print."""
+        step, m, slot = self.power
+        limit = sys.get_int_max_str_digits()
+        if not self.mod2 and limit and m > 3 * limit \
+                and (m > 4 * limit or comb(m, m // 2) >= 10 ** limit):
+            raise GuardViolation(f"(T^{step} - T^-{step})^{m} has a coefficient of more than "
+                                 f"{limit} digits", requirement="within budget")
+        return self.core.mul_power(step, m, slot, self.mod2)
 
     def expand(self) -> GroupRingElement:
         return GroupRingElement._wrap(self.ambient, {
-            key + tail: c for key, c in self.core._terms.items() for tail in self.tails})
+            key + tail: c for key, c in self.powered_core()._terms.items() for tail in self.tails})
 
     def render(self, free_names: tuple[str, ...] | None = None,
                torsion_names: tuple[str, ...] | None = None) -> str:
-        """The expansion's ``GroupRingElement.render``, built without expanding."""
+        """The expansion's ``GroupRingElement.render``, built without expanding the tails."""
         return TermRenderer(self.ambient, self.core.ambient.free_rank, self.tails, free_names,
                             torsion_names).render(self)
 

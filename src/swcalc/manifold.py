@@ -31,16 +31,19 @@ class SWInfo:
 
     Unknown propagates through every operation rather than being guessed;
     the product formulas cover specific constructions only.  A known one is
-    ``core`` times prod (E_i + E_i^-1) over the last ``blowups`` tracked classes.
+    ``core`` times the power (T^step - T^-step)^exponent at the core's free
+    generator ``slot``, ``power = (step, exponent, slot)``, times
+    prod (E_i + E_i^-1) over the last ``blowups`` tracked classes.
     """
 
     status: str
     core: GroupRingElement | None = None
     blowups: int = 0
+    power: tuple[int, int, int] = (1, 0, 0)
 
     @classmethod
-    def known(cls, core: GroupRingElement, blowups: int = 0) -> "SWInfo":
-        return cls(SW_KNOWN, core, blowups)
+    def known(cls, core: GroupRingElement, blowups: int = 0, power=(1, 0, 0)) -> "SWInfo":
+        return cls(SW_KNOWN, core, blowups, power)
 
     @classmethod
     def zero(cls) -> "SWInfo":
@@ -59,10 +62,10 @@ class SWInfo:
         return self.status == SW_ZERO
 
     def factored(self) -> FactoredElement:
-        """The core times the sum over the sign vectors of the exceptional classes."""
+        """The core and its power times the sum over the exceptional sign vectors."""
         rank = self.core.ambient.free_rank + self.blowups
         return FactoredElement(self.core, FgAbelianGroup(rank),
-                               tuple(product((-1, 1), repeat=self.blowups)))
+                               tuple(product((-1, 1), repeat=self.blowups)), self.power)
 
 
 Block = tuple[tuple[int, ...], ...]
@@ -254,6 +257,10 @@ class ManifoldDescriptor:
             raise ValueError("torus class must be a tracked generator")
         if self.sw.is_known:
             g, m, blocks = self.sw.core.ambient, self.sw.blowups, self.intersection.blocks
+            step, e, slot = self.sw.power  # so that the power's copies of the core never meet
+            at = [key[slot] for key in self.sw.core.free_exponents()] if e else ()
+            if e and (step < 1 or e < 0 or at and max(at) - min(at) >= 2 * step):
+                raise ValueError("a power needs step >= 1 and a core spanning less than 2*step")
             if g.free_rank + m != len(self.intersection.tracked_basis) or g.torsion_orders \
                     or blocks[len(blocks) - m:] != (((-1,),),) * m:
                 raise ValueError("SW polynomial must live over the tracked basis, "
@@ -264,7 +271,7 @@ class ManifoldDescriptor:
                 target, r = 2 * self.chi + 3 * self.sigma, g.free_rank
                 entries = _square_entries(blocks[:len(blocks) - m])
                 # with no such entry every square is 0: one zero vector stands for all
-                vecs = self.sw.core.free_exponents() if entries else \
+                vecs = self.sw.core.mul_power(*self.sw.power).free_exponents() if entries else \
                     [(0,) * r][:self.sw.core.monomial_count()]
                 if any(_square(entries, vec) != target + m for vec in vecs):
                     raise ValueError(
@@ -343,15 +350,6 @@ class ManifoldDescriptor:
 
 # ----- standard manifolds -----
 
-def _signed_binomial(m: int, step: int) -> GroupRingElement:
-    """(T^step - T^-step)^m, written as its row: (-1)^j C(m, j) T^(step(m-2j))."""
-    row, c = {}, 1
-    for j in range(m + 1):
-        row[step * (m - 2 * j)] = -c if j & 1 else c
-        c = c * (m - j) // (j + 1)
-    return laurent(row)
-
-
 def _elliptic_surface(n: int, label: str | None = None) -> ManifoldDescriptor:
     # b2+ = 2n-1, b2- = 10n-1, sigma = -8n, chi = 12n; fiber class T has square 0
     return ManifoldDescriptor(
@@ -362,7 +360,7 @@ def _elliptic_surface(n: int, label: str | None = None) -> ManifoldDescriptor:
         b2_minus=10 * n - 1,
         torsion_h1=(),
         spin=(n % 2 == 0),
-        sw=SWInfo.known(_signed_binomial(n - 2, 1)),
+        sw=SWInfo.known(laurent({0: 1}), power=(1, n - 2, 0)),
         intersection=IntersectionData(("T",), (((0,),),),
                                       h_count=6 * n - 2, minus_count=1),
         simple_type=True,
@@ -455,7 +453,8 @@ def mod2_basic_class_count(m: ManifoldDescriptor) -> int | None:
     if m.sw.is_zero:
         return 0
     if m.sw.is_known:
-        return m.sw.core.mod2().monomial_count() << m.sw.blowups
+        # the power's mod-2 terms, one per sign vector of its Lucas product, never overlap
+        return m.sw.core.mod2().monomial_count() << m.sw.blowups + m.sw.power[1].bit_count()
     return None
 
 

@@ -14,7 +14,7 @@ from .errors import GuardViolation
 from .groupring import laurent
 from .knot import AlexanderPoly
 from .manifold import (Fingerprint, HomeoType, IntersectionData,
-                       ManifoldDescriptor, SWInfo, _signed_binomial, builtin, homeo_type)
+                       ManifoldDescriptor, SWInfo, builtin, homeo_type)
 
 
 # ----- connected sum -----
@@ -175,7 +175,7 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
     )
 
     if a.sw.is_known and a.simple_type:
-        sw = SWInfo.known(a.sw.core, a.sw.blowups + m)
+        sw = replace(a.sw, blowups=a.sw.blowups + m)
         simple_type = True
     elif a.sw.is_zero:
         sw = SWInfo.zero()
@@ -214,7 +214,8 @@ def knot_surgery(a: ManifoldDescriptor, k: AlexanderPoly) -> ManifoldDescriptor:
         raise GuardViolation(
             f"knot surgery on {a.label} needs a known polynomial",
             requirement="SW polynomial known")
-    core = a.sw.core
+    # Delta_K spreads the core along the torus, so the power is multiplied in first
+    core = a.sw.core.mul_power(*a.sw.power)
     torus_index = a.intersection.tracked_basis.index(a.torus_class)
     return replace(
         a,
@@ -241,11 +242,10 @@ def log_transform(two_n: int, r: int) -> ManifoldDescriptor:
         raise GuardViolation("multiplicity must be at least 1", requirement="r >= 1")
     base = builtin("E", two_n)
     comb = laurent(dict.fromkeys(range(r - 1, -r, -2), 1))
-    poly = _signed_binomial(two_n - 2, r) * comb
     return replace(
         base,
         label=f"logtx({two_n},{r})",
-        sw=SWInfo.known(poly),
+        sw=SWInfo.known(comb, power=(r, two_n - 2, 0)),
         derived_from=("log_transform", (base,), f"r={r}"),
         provenance=(f"log_transform: multiplicity {r} on E({two_n})",
                     "assumes the companion fibered torus in a disjoint nucleus "
@@ -283,8 +283,8 @@ def _standard_kind(d: ManifoldDescriptor) -> str | None:
     if (kind := _STANDARD_FPS.get(fp)) is not None:
         return kind
     # the polynomial is torsion-free, so its one free vector is the whole key;
-    # a blown-up polynomial has at least two monomials
-    if fp == (True, 3, 19, "even") and d.sw.is_known and d.sw.blowups == 0 \
+    # a blown-up polynomial or a power of positive exponent has at least two monomials
+    if fp == (True, 3, 19, "even") and d.sw.is_known and d.sw.blowups == d.sw.power[1] == 0 \
             and d.sw.core.monomial_count() == 1 \
             and not any(next(d.sw.core.free_exponents())) \
             and abs(d.sw.core.evaluate_at_one()) == 1:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from swcalc.equivariant import gmonopole_polynomial
 from swcalc.errors import ExprSyntaxError, GuardViolation, UnsupportedOperation
-from swcalc.groupring import GroupRingElement, TermRenderer
+from swcalc.groupring import GroupRingElement, TermRenderer, laurent
 from swcalc.knot import alexander_family
 from swcalc.manifold import Fingerprint, HomeoType, builtin, homeo_type
 from swcalc.surgery import (DissolutionVerdict, _knot_derived, _standard_kind, connected_sum,
@@ -30,6 +30,16 @@ def ring_power(p: GroupRingElement, n: int) -> GroupRingElement:
         p = p * p if n > 1 else p
         n >>= 1
     return result
+
+
+def signed_binomial(m: int, step: int) -> GroupRingElement:
+    """(T^step - T^-step)^m, written as its row: (-1)^j C(m, j) T^(step(m-2j)).
+    The reference for the expansion of a power factor."""
+    row, c = {}, 1
+    for j in range(m + 1):
+        row[step * (m - 2 * j)] = -c if j & 1 else c
+        c = c * (m - j) // (j + 1)
+    return laurent(row)
 
 
 def substitute_power(p: GroupRingElement, s: int) -> GroupRingElement:

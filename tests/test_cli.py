@@ -517,6 +517,35 @@ def test_large_multiples_answer_within_budget(argv):
                                        "parity": "even"}
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["bf", "2*E(200000) # hat(2)", "--k", "2"], 0),
+    (["eval", "E(20000)"], 1),
+], ids=["bf_E200000", "eval_E20000"])
+def test_power_factors_answer_within_budget(argv, code):
+    """E(n) keeps (T - T^-1)^(n-2) as a power: bf reads its mod-2 count in
+    closed form, and eval refuses a coefficient that str could not print."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "swcalc.cli", *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert elapsed < 1.0, f"{argv[:2]} took {elapsed:.2f}s"
+    data = json.loads(proc.stdout)
+    if code:
+        assert data["error"]["type"] == "guard"
+        assert data["error"]["requirement"] == "within budget"
+    else:
+        assert (data["normal_form"], data["verdict"]) == ("BF(E(200000))", "nontrivial")
+
+
+def test_e4000_prints_every_coefficient(capsys):
+    """C(3998, 1999) has 1,202 digits, inside the 4,300-digit limit."""
+    assert run_command(["eval", "E(4000)"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) == 3507522
+    assert json.loads(out)["mod2_basic_classes"] == 2 ** (3998).bit_count()
+
+
 # Library fixed_subtorus on cycle type (2,3,5,7,11,13): n = 41, least period 30,030.
 LONG_PERIOD = """\
 import math

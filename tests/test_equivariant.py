@@ -20,9 +20,9 @@ from swcalc.groupring import FgAbelianGroup, GroupRingElement
 from swcalc.knot import AlexanderPoly, alexander_family, torus_knot
 from swcalc.manifold import (IntersectionData, ManifoldDescriptor, SWInfo, builtin,
                              mod2_basic_class_count, reverse_orientation)
-from swcalc.surgery import blowup, connected_sum, knot_surgery
+from swcalc.surgery import blowup, connected_sum, knot_surgery, log_transform
 
-from oracles import class_square, knot_family_members, substitute_power
+from oracles import class_square, knot_family_members, signed_binomial, substitute_power
 
 
 # ----- space forms and hat entries -----
@@ -159,10 +159,11 @@ def test_gmonopole_count_factorization():
             mod2_basic_class_count(m) * math.prod(entry.descriptor.torsion_h1)
 
 
-def convolution_transfer(m, entry):
-    """The transfer as the generic product of the embedded mod-2 polynomial
-    with the sum of all torsion classes, reduced mod 2 again."""
-    base = m.sw.factored().expand().mod2()
+def convolution_transfer(poly, entry):
+    """The transfer of a polynomial written out: the generic product of its
+    embedded mod-2 reduction with the sum of all torsion classes, reduced
+    mod 2 again."""
+    base = poly.mod2()
     target = FgAbelianGroup(base.ambient.free_rank, entry.descriptor.torsion_h1)
     zeros = (0,) * target.free_rank
     total = GroupRingElement(target, {
@@ -207,7 +208,8 @@ def knot_surgered_members(draw):
 def test_gmonopole_matches_convolution_transfer(m, orders):
     entry = TRANSFER_ENTRIES[orders]
     assert entry.descriptor.torsion_h1 == orders
-    assert gmonopole_polynomial(m, entry).expand() == convolution_transfer(m, entry)
+    assert gmonopole_polynomial(m, entry).expand() == \
+        convolution_transfer(m.sw.factored().expand(), entry)
 
 
 # ----- the factored form against its expansion -----
@@ -226,8 +228,8 @@ FACTORED_ENTRIES = {
 def factored_members(draw):
     """A member built from E(2), E(3) or E(4) by knot surgeries and at most 8
     blowups in any order, with its polynomial rebuilt by ring products."""
-    member = builtin("E", draw(st.sampled_from([2, 3, 4])))
-    oracle = member.sw.factored().expand()
+    n = draw(st.sampled_from([2, 3, 4]))
+    member, oracle = builtin("E", n), signed_binomial(n - 2, 1)
     for _ in range(draw(st.integers(0, 3))):
         blowups = 8 - (len(member.intersection.tracked_basis) - 1)
         if blowups and draw(st.booleans()):
@@ -264,7 +266,7 @@ def test_factored_form_matches_expansion(case, orders, data):
 
     entry = FACTORED_ENTRIES[orders]
     transfer = gmonopole_polynomial(member, entry)
-    oracle = convolution_transfer(member, entry)
+    oracle = convolution_transfer(expansion, entry)
     assert transfer.expand() == oracle
     assert transfer.monomial_count() == oracle.monomial_count()
     assert transfer.monomial_count() == \
@@ -420,6 +422,49 @@ def test_s2xs2_family_lower_bounds():
     assert report["counts"] == [2, 4, 6]
     assert all(mb["count_basis"] == "lower_bound" for mb in report["members"])
     assert dissolved_counts(report) == ("even", 9, 0, 1)
+
+
+def comb(r):
+    """T^(r-1) + T^(r-3) + ... + T^(1-r)."""
+    return GroupRingElement(FgAbelianGroup(1), {(e,): 1 for e in range(r - 1, -r, -2)})
+
+
+def test_elliptic_power_matches_the_binomial_row():
+    """count(E(n) mod 2) = 2^popcount(n - 2), and the transfer's Lucas
+    product is the binomial row mod 2."""
+    hat = hat_s1_l([3], 3, k=2)
+    for n in range(2, 300):
+        row, e = signed_binomial(n - 2, 1), builtin("E", n)
+        assert mod2_basic_class_count(e) == row.mod2().monomial_count() == 2 ** (n - 2).bit_count()
+        transfer = gmonopole_polynomial(e, hat)
+        assert transfer.expand() == convolution_transfer(row, hat)
+        assert transfer.monomial_count() == 3 * 2 ** (n - 2).bit_count()
+
+
+def test_log_transform_power_matches_the_binomial_row():
+    """count(logtx(2n, r) mod 2) = r * 2^popcount(2n - 2), by the row times the comb."""
+    hat = hat_s1_l([2], 2, k=2)
+    for n, r in itertools.product(range(1, 12), range(1, 30)):
+        poly, m = signed_binomial(2 * n - 2, r) * comb(r), log_transform(2 * n, r)
+        closed = r * 2 ** (2 * n - 2).bit_count()
+        assert mod2_basic_class_count(m) == poly.mod2().monomial_count() == closed
+        transfer = gmonopole_polynomial(m, hat)
+        assert transfer.expand() == convolution_transfer(poly, hat)
+        assert transfer.monomial_count() == 2 * closed
+
+
+@pytest.mark.parametrize("l", (2, 3, 4, 5))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_s2xs2_family_counts_match_each_member_transfer(n, l):
+    """Member r's count, r times E(2n)'s transfer count, is the count of
+    logtx(2n, r)'s own transfer written out."""
+    size, hat = 12, hat_s1_l([l], l, k=3)
+    report = exotic_family("s2xs2_hkw", k=3, l=l, size=size, n=n)
+    assert report["counts"] == [
+        gmonopole_polynomial(log_transform(2 * n, r), hat).expand().monomial_count()
+        for r in range(1, size + 1)]
+    assert [mb["label"] for mb in report["members"]] == [
+        f"fiber-sum carrying logtx({2 * n},{r})" for r in range(1, size + 1)]
 
 
 def test_family_rejects_small_l():

@@ -1,12 +1,15 @@
+import math
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swcalc.errors import AmbientMismatchError, UnsupportedOperation
+from swcalc.errors import AmbientMismatchError, GuardViolation, UnsupportedOperation
 from swcalc.groupring import (FactoredElement, FgAbelianGroup, GroupRingElement,
                               TermRenderer, _add_shifted_mod2, laurent)
 
-from oracles import laurent_coeffs, ring_power, substitute_power
+from oracles import laurent_coeffs, ring_power, signed_binomial, substitute_power
 
 Z = FgAbelianGroup(1)
 Z_MOD2 = FgAbelianGroup(0, (2,))
@@ -484,3 +487,28 @@ def test_renderer_refuses_other_ambient_or_tails():
             renderer.render(factored)
     with pytest.raises(AmbientMismatchError):
         TermRenderer(MIXED, 1, ((),)).render(laurent({1: 1}))
+
+
+def test_power_refused_exactly_past_the_digit_limit():
+    """Over Z the power is written out only while C(m, m//2), its largest
+    coefficient, prints within the integer string conversion limit."""
+    limit = 640
+    first = next(m for m in range(3 * limit, 4 * limit) if math.comb(m, m // 2) >= 10 ** limit)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for m in (first - 1, first):
+            power = FactoredElement(laurent({0: 1}), Z, ((),), (1, m, 0))
+            if m < first:
+                assert power.render().startswith(("T^", "-T^"))
+            else:
+                with pytest.raises(GuardViolation) as err:
+                    power.render()
+                assert err.value.requirement == "within budget"
+            # over F2 every coefficient is 1, so nothing is refused
+            assert FactoredElement(laurent({0: 1}), Z, ((),), (1, m, 0), True).expand() == \
+                signed_binomial(m, 1).mod2()
+        with pytest.raises(GuardViolation):
+            FactoredElement(laurent({0: 1}), Z, ((),), (1, 4 * limit + 1, 0)).render()
+    finally:
+        sys.set_int_max_str_digits(old)

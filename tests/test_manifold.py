@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,11 +8,11 @@ from swcalc.errors import GuardViolation
 from swcalc.expressions import eval_expr, parse
 from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent
 from swcalc.manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
-                             SWInfo, _signed_binomial, _square, _square_entries, builtin,
+                             SWInfo, _square, _square_entries, builtin,
                              homeo_type, mod2_basic_class_count, reverse_orientation)
 from swcalc.surgery import connected_sum, connected_sum_all
 
-from oracles import ring_power
+from oracles import ring_power, signed_binomial
 
 
 def test_e2_characteristic_numbers():
@@ -173,6 +175,17 @@ def test_simple_type_square_enforced():
             simple_type=True)
 
 
+def test_power_needs_a_core_narrower_than_its_spacing():
+    """The counts multiply only when the shifted copies of the core cannot meet."""
+    e3 = builtin("E", 3)
+    wide = replace(e3, sw=SWInfo.known(laurent({1: 1, -1: 1}), power=(2, 3, 0)))
+    assert mod2_basic_class_count(wide) == 2 * 4
+    for core, power in ((laurent({2: 1, -2: 1}), (2, 3, 0)), (laurent({0: 1}), (0, 3, 0)),
+                        (laurent({0: 1}), (1, -1, 0))):
+        with pytest.raises(ValueError):
+            replace(e3, sw=SWInfo.known(core, power=power))
+
+
 @pytest.mark.parametrize("blowups", [0, 1])
 def test_simple_type_on_a_form_with_no_core_entry(blowups):
     """The core lives on a square-zero class, so every core monomial has
@@ -213,7 +226,7 @@ def test_json_shape():
 def test_signed_binomial_is_the_power(step):
     base = laurent({step: 1, -step: -1})
     for m in range(41):
-        assert _signed_binomial(m, step) == ring_power(base, m)
+        assert signed_binomial(m, step) == ring_power(base, m)
 
 
 def test_equality_of_long_sums_ignores_lineage():
