@@ -12,7 +12,6 @@ structures and hence group actions on a common stabilized sum.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -167,9 +166,8 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> Facto
     """Mod-2 equivariant polynomial of k copies of M glued to N.
 
     This is the mod-2 polynomial of M, in the group ring of H_2(M) plus the
-    torsion classes of N, times the sum of all torsion classes: M's core mod
-    2 times each sign vector of its exceptional classes followed by each
-    residue, with M's power kept as a factor over F2.  ``expand()`` writes it out.
+    torsion classes of N, times the sum of all torsion classes: M's factored
+    polynomial over F2 with N's torsion orders.  ``expand()`` writes it out.
     """
     if m.b2_plus <= 1:
         raise GuardViolation(
@@ -179,14 +177,9 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> Facto
         raise GuardViolation(
             f"the polynomial of {m.label} is unknown; nothing to transfer",
             requirement="SW polynomial known or known zero")
-    torsion = n_entry.descriptor.torsion_h1
-    sw = m.sw if m.sw.is_known else SWInfo.known(
+    poly = m.sw.poly if m.sw.is_known else FactoredElement(
         GroupRingElement.zero(FgAbelianGroup(len(m.intersection.tracked_basis))))
-    base = sw.factored()
-    residues = list(itertools.product(*map(range, torsion)))
-    return FactoredElement(base.core.mod2(), FgAbelianGroup(base.ambient.free_rank, torsion),
-                           tuple(sign + residue for sign in base.tails for residue in residues),
-                           base.power, True)
+    return replace(poly.over_f2(), torsion=n_entry.descriptor.torsion_h1)
 
 
 # ----- stable class -----
@@ -296,13 +289,13 @@ def exotic_family(construction: str, k: int, l: int, size: int,
             base, spacing = blowup(builtin("E", n_prime), m_prime), n_prime
         # member 0 is M itself (Delta_0 = 1): it supplies the ambient, tails and names
         poly = gmonopole_polynomial(base, hat)
-        renderer = TermRenderer(poly.ambient, poly.core.ambient.free_rank, poly.tails,
-                                base.intersection.tracked_basis or None)
         slot, step = base.intersection.tracked_basis.index(base.torus_class), 2 * spacing
         core = poly.powered_core()  # M's mod-2 polynomial, its power expanded
         support = core.terms
         # the running support, wrapped once: the core reads each update in place
         poly = replace(poly, core=GroupRingElement._wrap(core.ambient, support), power=(1, 0, 0))
+        renderer = TermRenderer(poly.ambient, core.ambient.free_rank, poly.tails,
+                                base.intersection.tracked_basis or None)
         for d in range(1, size + 1):
             knot = alexander_family(d, spacing)
             # Delta_d - Delta_{d-1} = t^{+-2dn} - t^{+-(2d-1)n}: over F2, member d is

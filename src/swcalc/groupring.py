@@ -10,9 +10,10 @@ so equality of elements is structural.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
-from math import comb
+from math import comb, prod
 from operator import add, mod
 from typing import Iterator, Mapping
 
@@ -63,6 +64,12 @@ def _add_shifted_mod2(support: dict, core: "GroupRingElement", slot: int, shifts
                 support[shifted] = 1
 
 
+def _unprintable(c: int, shift: int = 0) -> bool:
+    """Whether c * 2^shift >= 10^limit: too long for ``str``.  Below 3*limit bits, never."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and c.bit_length() + shift > 3 * limit and c >= -(-10 ** limit >> shift)
+
+
 def _factors_text(names: tuple[str, ...], exponents: tuple[int, ...]) -> str:
     return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e and n])
 
@@ -98,12 +105,14 @@ class TermRenderer:
 
     def render(self, element: "GroupRingElement | FactoredElement") -> str:
         """Text of an element with this renderer's ambient and tails."""
-        core, tails = (element.powered_core(), element.tails) \
-            if isinstance(element, FactoredElement) else (element, ((),))
+        factored = isinstance(element, FactoredElement)
+        core, tails = (element.powered_core(), element.tails) if factored else (element, ((),))
         if element.ambient != self.ambient or tails != self.tails:
             raise AmbientMismatchError("the element's ambient or tails are not the renderer's")
         if not core._terms:
             return "0"
+        if not (factored and element.mod2) and _unprintable(max(map(abs, core._terms.values()))):
+            raise GuardViolation("a coefficient is too long to print", requirement="within budget")
         texts = self._texts
         out = [texts.get(term) or texts.setdefault(term, self._text(*term))
                for term in sorted(core._terms.items())]
@@ -334,39 +343,54 @@ class GroupRingElement:
 @dataclass(frozen=True)
 class FactoredElement:
     """``core`` times (T^step - T^-step)^exponent at the core's free generator
-    ``slot``, ``power = (step, exponent, slot)``, times the sum of the monomials
-    ``tails`` in fresh coordinates; over F2 when ``mod2``.
+    ``slot``, ``power = (step, exponent, slot)``, times prod (E_i + E_i^-1) over
+    ``blowups`` fresh free generators, times the sum of the elements of the
+    cyclic groups of orders ``torsion``; over F2 when ``mod2``.
 
-    The core lives over the leading free coordinates of ``ambient``; a tail
-    holds the other exponents.  The core spans less than 2*step at the slot and
-    the tails are sorted and distinct, so each (core, power, tail) term gives
-    its own monomial of the expansion."""
+    The core is torsion-free and spans less than 2*step at the slot.  A tail, a
+    sign vector of the E_i and then a residue, holds the exponents past the
+    core's, so each (core, power, tail) term gives its own monomial."""
 
     core: GroupRingElement
-    ambient: FgAbelianGroup
-    tails: tuple[tuple[int, ...], ...]
     power: tuple[int, int, int] = (1, 0, 0)
+    blowups: int = 0
+    torsion: tuple[int, ...] = ()
     mod2: bool = False
 
     def __post_init__(self):
-        if self.core.ambient.torsion_orders or list(self.tails) != sorted(set(self.tails)):
-            raise ValueError("a factored element needs a torsion-free core, sorted tails")
+        step, e, slot = self.power  # so that the power's copies of the core never meet
+        at = [key[slot] for key in self.core.free_exponents()] if e else ()
+        if self.core.ambient.torsion_orders or e and (
+                step < 1 or e < 0 or at and max(at) - min(at) >= 2 * step):
+            raise ValueError("a factored element needs a torsion-free core; a power, "
+                             "step >= 1 and a core spanning less than 2*step")
+
+    @cached_property
+    def ambient(self) -> FgAbelianGroup:
+        return FgAbelianGroup(self.core.ambient.free_rank + self.blowups, self.torsion)
+
+    @cached_property
+    def tails(self) -> tuple[tuple[int, ...], ...]:  # sorted and distinct
+        residues = list(product(*map(range, self.torsion)))
+        return tuple(s + r for s in product((-1, 1), repeat=self.blowups) for r in residues)
 
     def monomial_count(self) -> int:
         m = self.power[1]  # the power has 2^popcount(m) terms over F2, m + 1 over Z
-        return self.core.monomial_count() * len(self.tails) * (
-            1 << m.bit_count() if self.mod2 else m + 1)
+        return self.core.monomial_count() * prod(self.torsion) * (
+            1 << m.bit_count() if self.mod2 else m + 1) << self.blowups
+
+    def over_f2(self) -> "FactoredElement":
+        """The reduction mod 2: the core's odd terms times the power over F2."""
+        return replace(self, core=self.core.mod2(), mod2=True)
 
     def powered_core(self) -> GroupRingElement:
         """The core times the power; refused over Z when the power's largest
-        coefficient C(m, m//2), between 2^m/(m+1) and 2^m, has more digits than
-        ``str`` may print."""
+        coefficient C(m, m//2), between 2^m/(m+1) and 2^m, is too long to print."""
         step, m, slot = self.power
-        limit = sys.get_int_max_str_digits()
-        if not self.mod2 and limit and m > 3 * limit \
-                and (m > 4 * limit or comb(m, m // 2) >= 10 ** limit):
-            raise GuardViolation(f"(T^{step} - T^-{step})^{m} has a coefficient of more than "
-                                 f"{limit} digits", requirement="within budget")
+        if not self.mod2 and _unprintable(1, m) and (
+                _unprintable(1, m - (m + 1).bit_length()) or _unprintable(comb(m, m // 2))):
+            raise GuardViolation(f"(T^{step} - T^-{step})^{m} has a coefficient too long "
+                                 "to print", requirement="within budget")
         return self.core.mul_power(step, m, slot, self.mod2)
 
     def expand(self) -> GroupRingElement:

@@ -10,12 +10,11 @@ standard manifolds and transformed by the surgery module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import GuardViolation
-from .groupring import (FactoredElement, FgAbelianGroup, GroupRingElement,
-                        laurent)
+from .groupring import FactoredElement, GroupRingElement, laurent
 
 SW_KNOWN = "known"
 SW_ZERO = "zero"
@@ -31,19 +30,16 @@ class SWInfo:
 
     Unknown propagates through every operation rather than being guessed;
     the product formulas cover specific constructions only.  A known one is
-    ``core`` times the power (T^step - T^-step)^exponent at the core's free
-    generator ``slot``, ``power = (step, exponent, slot)``, times
-    prod (E_i + E_i^-1) over the last ``blowups`` tracked classes.
+    the factored ``poly``: a core times its power times prod (E_i + E_i^-1)
+    over the last ``blowups`` tracked classes, with no torsion, over Z.
     """
 
     status: str
-    core: GroupRingElement | None = None
-    blowups: int = 0
-    power: tuple[int, int, int] = (1, 0, 0)
+    poly: FactoredElement | None = None
 
     @classmethod
     def known(cls, core: GroupRingElement, blowups: int = 0, power=(1, 0, 0)) -> "SWInfo":
-        return cls(SW_KNOWN, core, blowups, power)
+        return cls(SW_KNOWN, FactoredElement(core, power, blowups))
 
     @classmethod
     def zero(cls) -> "SWInfo":
@@ -60,12 +56,6 @@ class SWInfo:
     @property
     def is_zero(self) -> bool:
         return self.status == SW_ZERO
-
-    def factored(self) -> FactoredElement:
-        """The core and its power times the sum over the exceptional sign vectors."""
-        rank = self.core.ambient.free_rank + self.blowups
-        return FactoredElement(self.core, FgAbelianGroup(rank),
-                               tuple(product((-1, 1), repeat=self.blowups)), self.power)
 
 
 Block = tuple[tuple[int, ...], ...]
@@ -256,23 +246,19 @@ class ManifoldDescriptor:
                 self.torus_class not in self.intersection.tracked_basis:
             raise ValueError("torus class must be a tracked generator")
         if self.sw.is_known:
-            g, m, blocks = self.sw.core.ambient, self.sw.blowups, self.intersection.blocks
-            step, e, slot = self.sw.power  # so that the power's copies of the core never meet
-            at = [key[slot] for key in self.sw.core.free_exponents()] if e else ()
-            if e and (step < 1 or e < 0 or at and max(at) - min(at) >= 2 * step):
-                raise ValueError("a power needs step >= 1 and a core spanning less than 2*step")
-            if g.free_rank + m != len(self.intersection.tracked_basis) or g.torsion_orders \
-                    or blocks[len(blocks) - m:] != (((-1,),),) * m:
+            poly, m, blocks = self.sw.poly, self.sw.poly.blowups, self.intersection.blocks
+            if poly.core.ambient.free_rank + m != len(self.intersection.tracked_basis) \
+                    or poly.torsion or blocks[len(blocks) - m:] != (((-1,),),) * m:
                 raise ValueError("SW polynomial must live over the tracked basis, "
                                  "its exceptional classes last")
             if self.simple_type:
                 # each E_i is orthogonal to the rest with square -1, so only the
                 # blocks of the core coordinates reach a core monomial
-                target, r = 2 * self.chi + 3 * self.sigma, g.free_rank
+                target = 2 * self.chi + 3 * self.sigma
                 entries = _square_entries(blocks[:len(blocks) - m])
                 # with no such entry every square is 0: one zero vector stands for all
-                vecs = self.sw.core.mul_power(*self.sw.power).free_exponents() if entries else \
-                    [(0,) * r][:self.sw.core.monomial_count()]
+                vecs = poly.core.mul_power(*poly.power).free_exponents() if entries else \
+                    [(0,) * poly.core.ambient.free_rank][:poly.core.monomial_count()]
                 if any(_square(entries, vec) != target + m for vec in vecs):
                     raise ValueError(
                         "simple type requires every monomial square to equal "
@@ -313,7 +299,7 @@ class ManifoldDescriptor:
     def sw_render(self) -> str | None:
         if not self.sw.is_known:
             return None
-        return self.sw.factored().render(self.intersection.tracked_basis or None)
+        return self.sw.poly.render(self.intersection.tracked_basis or None)
 
     def to_json_dict(self) -> dict:
         n = len(self.intersection.tracked_basis)
@@ -453,8 +439,7 @@ def mod2_basic_class_count(m: ManifoldDescriptor) -> int | None:
     if m.sw.is_zero:
         return 0
     if m.sw.is_known:
-        # the power's mod-2 terms, one per sign vector of its Lucas product, never overlap
-        return m.sw.core.mod2().monomial_count() << m.sw.blowups + m.sw.power[1].bit_count()
+        return m.sw.poly.over_f2().monomial_count()
     return None
 
 

@@ -175,7 +175,7 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
     )
 
     if a.sw.is_known and a.simple_type:
-        sw = replace(a.sw, blowups=a.sw.blowups + m)
+        sw = SWInfo.known(a.sw.poly.core, a.sw.poly.blowups + m, a.sw.poly.power)
         simple_type = True
     elif a.sw.is_zero:
         sw = SWInfo.zero()
@@ -215,12 +215,12 @@ def knot_surgery(a: ManifoldDescriptor, k: AlexanderPoly) -> ManifoldDescriptor:
             f"knot surgery on {a.label} needs a known polynomial",
             requirement="SW polynomial known")
     # Delta_K spreads the core along the torus, so the power is multiplied in first
-    core = a.sw.core.mul_power(*a.sw.power)
+    core = a.sw.poly.core.mul_power(*a.sw.poly.power)
     torus_index = a.intersection.tracked_basis.index(a.torus_class)
     return replace(
         a,
         label=f"knot_surgery({a.label}, {k.label()})",
-        sw=SWInfo.known(core.mul_laurent(k.poly, torus_index, 2), a.sw.blowups),
+        sw=SWInfo.known(core.mul_laurent(k.poly, torus_index, 2), a.sw.poly.blowups),
         derived_from=("knot_surgery", (a,), k.label()),
         provenance=a.provenance +
         (f"knot_surgery: polynomial multiplied by Delta({k.label()}) at T^2",),
@@ -282,12 +282,10 @@ def _standard_kind(d: ManifoldDescriptor) -> str | None:
     fp = d.fingerprint
     if (kind := _STANDARD_FPS.get(fp)) is not None:
         return kind
-    # the polynomial is torsion-free, so its one free vector is the whole key;
-    # a blown-up polynomial or a power of positive exponent has at least two monomials
-    if fp == (True, 3, 19, "even") and d.sw.is_known and d.sw.blowups == d.sw.power[1] == 0 \
-            and d.sw.core.monomial_count() == 1 \
-            and not any(next(d.sw.core.free_exponents())) \
-            and abs(d.sw.core.evaluate_at_one()) == 1:
+    # the polynomial is torsion-free, so its one free vector is the whole key
+    if fp == (True, 3, 19, "even") and d.sw.is_known and d.sw.poly.monomial_count() == 1 \
+            and not any(next(d.sw.poly.core.free_exponents())) \
+            and abs(d.sw.poly.core.evaluate_at_one()) == 1:
         return "K3"
     return None
 

@@ -520,10 +520,12 @@ def test_large_multiples_answer_within_budget(argv):
 @pytest.mark.parametrize("argv, code", [
     (["bf", "2*E(200000) # hat(2)", "--k", "2"], 0),
     (["eval", "E(20000)"], 1),
-], ids=["bf_E200000", "eval_E20000"])
+    (["eval", "knot_surgery(E(20000), family(1,1))"], 1),
+], ids=["bf_E200000", "eval_E20000", "eval_knot_surgery_E20000"])
 def test_power_factors_answer_within_budget(argv, code):
     """E(n) keeps (T - T^-1)^(n-2) as a power: bf reads its mod-2 count in
-    closed form, and eval refuses a coefficient that str could not print."""
+    closed form, and eval refuses a coefficient that str could not print, in
+    the power or in a core that knot surgery expanded."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "swcalc.cli", *argv], env=_src_env(),
                           capture_output=True, text=True, timeout=60)

@@ -16,7 +16,7 @@ from swcalc.equivariant import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL,
                                 exotic_family, gmonopole_polynomial, hat_s1_l,
                                 match_space_form, n_catalog, quaternionic_space_form)
 from swcalc.errors import GuardViolation
-from swcalc.groupring import FgAbelianGroup, GroupRingElement
+from swcalc.groupring import FactoredElement, FgAbelianGroup, GroupRingElement
 from swcalc.knot import AlexanderPoly, alexander_family, torus_knot
 from swcalc.manifold import (IntersectionData, ManifoldDescriptor, SWInfo, builtin,
                              mod2_basic_class_count, reverse_orientation)
@@ -209,7 +209,7 @@ def test_gmonopole_matches_convolution_transfer(m, orders):
     entry = TRANSFER_ENTRIES[orders]
     assert entry.descriptor.torsion_h1 == orders
     assert gmonopole_polynomial(m, entry).expand() == \
-        convolution_transfer(m.sw.factored().expand(), entry)
+        convolution_transfer(m.sw.poly.expand(), entry)
 
 
 # ----- the factored form against its expansion -----
@@ -251,13 +251,46 @@ def factored_members(draw):
     return member, oracle
 
 
+@st.composite
+def factored_elements(draw):
+    """A factored element with 0-3 blowups, torsion (), (2,), (3,) or (2, 2), a
+    power of exponent 0-6, over Z or F2, with its expansion by ring products."""
+    rank, step, e = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    slot, blowups = draw(st.integers(0, rank - 1)), draw(st.integers(0, 3))
+    torsion, mod2 = draw(st.sampled_from([(), (2,), (3,), (2, 2)])), draw(st.booleans())
+    low = draw(st.integers(-3, 3))  # the core spans less than 2*step at the slot
+    keys = st.tuples(*[st.integers(low, low + 2 * step - 1) if i == slot else
+                       st.integers(-2, 2) for i in range(rank)])
+    core = GroupRingElement(FgAbelianGroup(rank),
+                            draw(st.dictionaries(keys, st.integers(-3, 3), max_size=4)))
+    g, n = FgAbelianGroup(rank + blowups, torsion), rank + blowups + len(torsion)
+    oracle = core.embed(g) * signed_binomial(e, step).embed(g, (slot,))
+    for j in range(rank, rank + blowups):
+        unit = tuple(int(i == j) for i in range(n))
+        oracle = oracle * GroupRingElement(g, {unit: 1, tuple(-x for x in unit): 1})
+    oracle = oracle * GroupRingElement(g, {(0,) * (n - len(torsion)) + residue: 1
+                                           for residue in itertools.product(*map(range, torsion))})
+    # over F2 the core is given reduced, like the transfer's
+    return (FactoredElement(core.mod2() if mod2 else core, (step, e, slot), blowups, torsion,
+                            mod2), oracle.mod2() if mod2 else oracle)
+
+
 @settings(max_examples=40, deadline=None)
-@given(factored_members(), st.sampled_from(sorted(FACTORED_ENTRIES)), st.data())
-def test_factored_form_matches_expansion(case, orders, data):
+@given(factored_members(), st.sampled_from(sorted(FACTORED_ENTRIES)), factored_elements(),
+       st.data())
+def test_factored_form_matches_expansion(case, orders, element, data):
+    poly, oracle = element
+    for factored, expansion in ((poly, oracle), (poly.over_f2(), oracle.mod2())):
+        assert factored.expand() == expansion
+        assert factored.monomial_count() == expansion.monomial_count()
+        assert factored.render() == expansion.render()
+        assert factored.render(("x", "y"), ("g",)) == expansion.render(("x", "y"), ("g",))
+
     member, expansion = case
-    sw = member.sw.factored()
+    sw = member.sw.poly
     assert sw.expand() == expansion
     assert sw.monomial_count() == expansion.monomial_count()
+    assert sw.over_f2().expand() == expansion.mod2()
     assert mod2_basic_class_count(member) == expansion.mod2().monomial_count()
     names = member.intersection.tracked_basis
     short = names[:data.draw(st.integers(0, len(names) - 1))]

@@ -476,8 +476,17 @@ def test_render_matches_per_monomial_renderer(case):
         assert shared.render(p) == expected
 
 
+def test_factored_element_refuses_a_core_that_overlaps_its_power():
+    """T^-1 + T spans 2 at the slot, so (T^-1 + T)(T - T^-1) would merge the
+    copies of the core: 4 factored terms against an expansion of 2."""
+    with pytest.raises(ValueError):
+        FactoredElement(laurent({-1: 1, 1: 1}), (1, 1, 0))
+    assert FactoredElement(laurent({-1: 1, 1: 1}), (2, 1, 0)).monomial_count() == 4
+
+
 def test_renderer_refuses_other_ambient_or_tails():
-    factored = FactoredElement(laurent({1: 2}), FgAbelianGroup(2), ((-1,), (1,)))
+    factored = FactoredElement(laurent({1: 2}), blowups=1)
+    assert (factored.ambient, factored.tails) == (FgAbelianGroup(2), ((-1,), (1,)))
     assert TermRenderer(FgAbelianGroup(2), 1, ((-1,), (1,))).render(factored) == \
         factored.render() == "2*T1*T2^-1 + 2*T1*T2"
     for renderer in (TermRenderer(FgAbelianGroup(2), 1, ((1,),)),
@@ -498,7 +507,7 @@ def test_power_refused_exactly_past_the_digit_limit():
     sys.set_int_max_str_digits(limit)
     try:
         for m in (first - 1, first):
-            power = FactoredElement(laurent({0: 1}), Z, ((),), (1, m, 0))
+            power = FactoredElement(laurent({0: 1}), (1, m, 0))
             if m < first:
                 assert power.render().startswith(("T^", "-T^"))
             else:
@@ -506,9 +515,15 @@ def test_power_refused_exactly_past_the_digit_limit():
                     power.render()
                 assert err.value.requirement == "within budget"
             # over F2 every coefficient is 1, so nothing is refused
-            assert FactoredElement(laurent({0: 1}), Z, ((),), (1, m, 0), True).expand() == \
+            assert FactoredElement(laurent({0: 1}), (1, m, 0), mod2=True).expand() == \
                 signed_binomial(m, 1).mod2()
         with pytest.raises(GuardViolation):
-            FactoredElement(laurent({0: 1}), Z, ((),), (1, 4 * limit + 1, 0)).render()
+            FactoredElement(laurent({0: 1}), (1, 4 * limit + 1, 0)).render()
+        # a core past the limit is refused before any term is formatted
+        assert laurent({0: 10 ** limit - 1, 1: 1}).render().endswith(" + T")
+        for core in (laurent({0: 1, 1: -10 ** limit}), laurent({1: 10 ** limit})):
+            with pytest.raises(GuardViolation) as err:
+                FactoredElement(core, blowups=1).render()
+            assert err.value.requirement == "within budget"
     finally:
         sys.set_int_max_str_digits(old)

@@ -199,7 +199,7 @@ def test_simple_type_on_a_form_with_no_core_entry(blowups):
             IntersectionData(basis, blocks, h_count=10, minus_count=2 - blowups),
             simple_type=True)
 
-    assert descriptor(GroupRingElement.zero(g)).sw.core.terms == {}
+    assert descriptor(GroupRingElement.zero(g)).sw.poly.core.terms == {}
     nonzero = GroupRingElement.monomial(g, (3,)) + GroupRingElement.monomial(g, (-1,))
     if blowups:
         assert descriptor(nonzero).simple_type

@@ -119,6 +119,25 @@ def test_entry_is_the_only_source_of_k():
     assert restated == []
 
 
+def test_digit_limit_and_sign_vectors_are_stated_once():
+    """One function of the package reads the digit limit of ``str``, and only
+    ``groupring`` builds the sign vectors of the exceptional classes."""
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if _reference(node) == "get_int_max_str_digits":
+                # the innermost enclosing function, None at module level
+                readers.append(min(((fn.end_lineno - fn.lineno, f"{path.stem}.{fn.name}")
+                                    for fn in functions
+                                    if fn.lineno <= node.lineno <= fn.end_lineno),
+                                   default=(0, None))[1])
+    assert len(set(readers)) == 1 and None not in readers, readers
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "product((-1, 1)" in path.read_text()] == ["groupring.py"]
+
+
 def _fresh(script: str) -> str:
     """Stdout of ``script`` run in a new interpreter on this checkout."""
     env = dict(os.environ)
