@@ -18,7 +18,6 @@ from typing import Sequence
 from .errors import GuardViolation
 from .groupring import (FactoredElement, FgAbelianGroup, GroupRingElement, TermRenderer,
                         _add_shifted_mod2)
-from .knot import alexander_family
 from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
                        SWInfo, builtin, mod2_basic_class_count)
 from .surgery import _sum_fingerprint, blowup, connected_sum_all, dissolve
@@ -297,12 +296,11 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         renderer = TermRenderer(poly.ambient, core.ambient.free_rank, poly.tails,
                                 base.intersection.tracked_basis or None)
         for d in range(1, size + 1):
-            knot = alexander_family(d, spacing)
             # Delta_d - Delta_{d-1} = t^{+-2dn} - t^{+-(2d-1)n}: over F2, member d is
             # member d-1 plus M's core shifted by each of those four exponents of T^2
             near, far = (2 * d - 1) * step, 2 * d * step
             _add_shifted_mod2(support, core, slot, (near, -near, far, -far))
-            members.append({"label": f"knot_surgery({base.label}, {knot.label()})",
+            members.append({"label": f"knot_surgery({base.label}, family({d},{spacing}))",
                             "monomials": poly.monomial_count(), "count_basis": "exact",
                             "fingerprint": list(base.fingerprint),
                             "gmonopole_mod2": renderer.render(poly)})

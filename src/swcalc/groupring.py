@@ -357,7 +357,8 @@ class FactoredElement:
     torsion: tuple[int, ...] = ()
     mod2: bool = False
 
-    def __post_init__(self):
+    def __post_init__(self):  # the ambient's normal form: sorted, every order >= 2
+        object.__setattr__(self, "torsion", self.ambient.torsion_orders)
         step, e, slot = self.power  # so that the power's copies of the core never meet
         at = [key[slot] for key in self.core.free_exponents()] if e else ()
         if self.core.ambient.torsion_orders or e and (

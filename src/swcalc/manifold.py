@@ -419,19 +419,13 @@ def homeo_type(m: ManifoldDescriptor | Fingerprint) -> HomeoType:
         raise GuardViolation(
             f"spin form with signature {sigma} is not representable in dissolved form",
             requirement="sigma divisible by 16 for spin forms")
-    if sigma <= 0:
-        k3 = -sigma // 16
-        s2 = fp.b2_plus - 3 * k3
-        orientation = 1
-    else:
-        k3 = sigma // 16
-        s2 = fp.b2_minus - 3 * k3
-        orientation = -1
+    k3 = abs(sigma) // 16
+    s2 = min(fp.b2_plus, fp.b2_minus) - 3 * k3
     if s2 < 0:
         raise GuardViolation(
             f"{getattr(m, 'label', fp)} is not representable in dissolved form",
             requirement="nonnegative S2xS2 count")
-    return HomeoType("even", s2, k3, orientation)
+    return HomeoType("even", s2, k3, 1 if sigma <= 0 else -1)
 
 
 def mod2_basic_class_count(m: ManifoldDescriptor) -> int | None:

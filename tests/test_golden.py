@@ -9,7 +9,9 @@ while the sum fold and the keyword parsing each had a second copy; the
 help of ``family``, ``fixedpoints`` and ``lattice`` was re-captured when
 their unread ``--catalog`` option was removed, and ``catalog.json`` when
 the ``S1xLensSum`` and ``Extended`` kinds, which no command built, left
-``catalog_kinds``.  Regenerate them only for an intended change of output.
+``catalog_kinds``; ``eval_knot_E2_family21.json`` was captured while the
+knot-family members still built their Alexander polynomials.  Regenerate
+them only for an intended change of output.
 """
 from pathlib import Path
 
@@ -46,6 +48,7 @@ REPORTS = [
     ("eval_logtx_syntax_error.json", ["eval", "logtx(4,)"], 2),
     ("eval_blowup_syntax_error.json", ["eval", "blowup(E(2) 3)"], 2),
     ("eval_knot_surgery_syntax_error.json", ["eval", "knot_surgery(E(2), )"], 2),
+    ("eval_knot_E2_family21.json", ["eval", "knot_surgery(E(2), family(2,1))"], 0),
 ]
 
 

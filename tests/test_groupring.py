@@ -484,6 +484,22 @@ def test_factored_element_refuses_a_core_that_overlaps_its_power():
     assert FactoredElement(laurent({-1: 1, 1: 1}), (2, 1, 0)).monomial_count() == 4
 
 
+@pytest.mark.parametrize("torsion", ((1,), (0,), (2, 1)))
+def test_factored_element_refuses_a_trivial_torsion_order(torsion):
+    with pytest.raises(ValueError):
+        FactoredElement(laurent({0: 1}), torsion=torsion)
+
+
+def test_factored_element_keeps_its_ambients_torsion_order():
+    """(3, 2) is read as its ambient's (2, 3): a1 has order 2 in either."""
+    swapped, canonical = (FactoredElement(laurent({0: 1, 1: 1}), blowups=1, torsion=t)
+                          for t in ((3, 2), (2, 3)))
+    assert swapped == canonical and swapped.torsion == (2, 3)
+    assert swapped.expand() == canonical.expand()
+    assert swapped.render() == canonical.render()
+    assert swapped.monomial_count() == swapped.expand().monomial_count() == 24
+
+
 def test_renderer_refuses_other_ambient_or_tails():
     factored = FactoredElement(laurent({1: 2}), blowups=1)
     assert (factored.ambient, factored.tails) == (FgAbelianGroup(2), ((-1,), (1,)))

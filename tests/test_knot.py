@@ -78,6 +78,23 @@ def test_family_shape(d, n):
     assert fam.poly.evaluate_at_one() == 1
 
 
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_family_closed_form_update(n):
+    """Delta_d - Delta_{d-1} = t^{+-2dn} - t^{+-(2d-1)n} with Delta_0 = 1, the
+    update the knot-family members are built from, and every Delta_d has 4d+1
+    terms, is symmetric and has Delta(1) = 1."""
+    prev = {0: 1}
+    for d in range(1, 301):
+        fam = alexander_family(d, n)
+        coeffs = laurent_coeffs(fam.poly)
+        assert len(coeffs) == 4 * d + 1 and fam.poly.evaluate_at_one() == 1
+        assert all(coeffs.get(-e) == c for e, c in coeffs.items())
+        diff = {e: coeffs.get(e, 0) - prev.get(e, 0) for e in coeffs.keys() | prev.keys()}
+        near, far = (2 * d - 1) * n, 2 * d * n
+        assert {e: c for e, c in diff.items() if c} == {far: 1, -far: 1, near: -1, -near: -1}
+        prev = coeffs
+
+
 @pytest.mark.parametrize("ambient", (FgAbelianGroup(2), FgAbelianGroup(1, (2,))))
 def test_alexander_poly_needs_a_single_variable_laurent_polynomial(ambient):
     with pytest.raises(UnsupportedOperation):
