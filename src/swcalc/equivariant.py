@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import GuardViolation
+from .errors import GuardViolation, UnsupportedOperation
 from .groupring import (FactoredElement, FgAbelianGroup, GroupRingElement, TermRenderer,
-                        _add_shifted_mod2)
+                        invariant_factors)
 from .manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
                        SWInfo, builtin, mod2_basic_class_count)
 from .surgery import _sum_fingerprint, blowup, connected_sum_all, dissolve
@@ -34,9 +34,9 @@ def _copies(k: int, label: str) -> str:
 class SpaceForm:
     """A finite group acting freely on the 3-sphere, known by family.
 
-    Only the order and the abelianization (``h1_orders``, sorted) enter
-    any computation here; realizability of the action is geometric input,
-    so the families are whitelisted and any other group is refused.
+    Only the order and the abelianization (``h1_orders``, invariant factors)
+    enter any computation here; realizability of the action is geometric
+    input, so the families are whitelisted and any other group is refused.
     """
 
     label: str
@@ -70,23 +70,16 @@ _EXCEPTIONAL_FORMS = (BINARY_TETRAHEDRAL, BINARY_OCTAHEDRAL, BINARY_ICOSAHEDRAL)
 
 
 def space_form_candidates(order: int) -> list[SpaceForm]:
-    out = []
-    if order >= 2:
-        out.append(cyclic_space_form(order))
+    out = [cyclic_space_form(order)] if order >= 2 else []
     if order % 4 == 0 and order >= 8:
         out.append(quaternionic_space_form(order // 4))
-    for sf in _EXCEPTIONAL_FORMS:
-        if sf.order == order:
-            out.append(sf)
-    return out
+    return out + [sf for sf in _EXCEPTIONAL_FORMS if sf.order == order]
 
 
 def match_space_form(order: int, h1_orders: Sequence[int]) -> SpaceForm | None:
-    wanted = tuple(sorted(int(x) for x in h1_orders))
-    for sf in space_form_candidates(order):
-        if sf.h1_orders == wanted:
-            return sf
-    return None
+    """The whitelisted group of this order with H1 = sum of the Z/o over ``h1_orders``."""
+    wanted = invariant_factors(h1_orders)
+    return next((sf for sf in space_form_candidates(order) if sf.h1_orders == wanted), None)
 
 
 # ----- catalog entries -----
@@ -288,22 +281,26 @@ def exotic_family(construction: str, k: int, l: int, size: int,
             base, spacing = blowup(builtin("E", n_prime), m_prime), n_prime
         # member 0 is M itself (Delta_0 = 1): it supplies the ambient, tails and names
         poly = gmonopole_polynomial(base, hat)
-        slot, step = base.intersection.tracked_basis.index(base.torus_class), 2 * spacing
-        core = poly.powered_core()  # M's mod-2 polynomial, its power expanded
-        support = core.terms
-        # the running support, wrapped once: the core reads each update in place
-        poly = replace(poly, core=GroupRingElement._wrap(core.ambient, support), power=(1, 0, 0))
-        renderer = TermRenderer(poly.ambient, core.ambient.free_rank, poly.tails,
+        step, count = 2 * spacing, poly.monomial_count()
+        keys = sorted(poly.powered_core().terms)  # M's mod-2 core, its power expanded
+        if base.torus_class != base.intersection.tracked_basis[0] or not keys or \
+                keys[-1][0] - keys[0][0] >= step:
+            raise UnsupportedOperation("a knot family needs T at slot 0 and a nonzero mod-2 "
+                                       "core of M spanning less than the step at T")
+        renderer = TermRenderer(poly.ambient, poly.core.ambient.free_rank, poly.tails,
                                 base.intersection.tracked_basis or None)
+        text = renderer.shifted_text(keys, (0,))[3:]  # each run starts with its " + "
         for d in range(1, size + 1):
-            # Delta_d - Delta_{d-1} = t^{+-2dn} - t^{+-(2d-1)n}: over F2, member d is
-            # member d-1 plus M's core shifted by each of those four exponents of T^2
+            # Delta_d - Delta_{d-1} = t^{+-2dn} - t^{+-(2d-1)n}: over F2, member d is member
+            # d-1 plus M's core shifted at T by +-(2d-1) and +-2d steps.  T leads the sort and
+            # the core spans less than a step, so two copies sort below member d-1, two above.
             near, far = (2 * d - 1) * step, 2 * d * step
-            _add_shifted_mod2(support, core, slot, (near, -near, far, -far))
+            text = "".join([renderer.shifted_text(keys, (-far, -near))[3:], " + ", text,
+                            renderer.shifted_text(keys, (near, far))])
             members.append({"label": f"knot_surgery({base.label}, family({d},{spacing}))",
-                            "monomials": poly.monomial_count(), "count_basis": "exact",
+                            "monomials": (4 * d + 1) * count, "count_basis": "exact",
                             "fingerprint": list(base.fingerprint),
-                            "gmonopole_mod2": renderer.render(poly)})
+                            "gmonopole_mod2": text})
     elif construction == "s2xs2_hkw":
         if m < 1:
             raise GuardViolation("the base needs at least one S2xS2 summand",

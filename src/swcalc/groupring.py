@@ -12,8 +12,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
-from math import comb, prod
+from itertools import combinations, product
+from math import comb, gcd, lcm, prod
 from operator import add, mod
 from typing import Iterator, Mapping
 
@@ -44,6 +44,15 @@ class FgAbelianGroup:
         return len(self.torsion_orders)
 
 
+def invariant_factors(orders) -> tuple[int, ...]:
+    """The invariant factors d1 | d2 | ... of the sum of the Z/o over ``orders``: a pair's
+    gcd and lcm give the same group, 1s drop out and an o = 0, a copy of Z, comes last."""
+    fs = [abs(int(o)) for o in orders]
+    for i, j in combinations(range(len(fs)), 2):
+        fs[i], fs[j] = gcd(fs[i], fs[j]), lcm(fs[i], fs[j])
+    return tuple(f for f in fs if f != 1)
+
+
 def _accumulate(out: dict, items) -> dict:
     """Add (key, coeff) pairs into ``out``, dropping keys that reach zero."""
     for key, coeff in items:
@@ -53,15 +62,6 @@ def _accumulate(out: dict, items) -> dict:
         else:
             out.pop(key, None)
     return out
-
-
-def _add_shifted_mod2(support: dict, core: "GroupRingElement", slot: int, shifts) -> None:
-    """Add core * sum_s T^s, T the free generator ``slot``, to a mod-2 ``support`` in place."""
-    for key in [key for key, c in core._terms.items() if c & 1]:
-        for s in shifts:
-            shifted = key[:slot] + (key[slot] + s,) + key[slot + 1:]
-            if not support.pop(shifted, 0):
-                support[shifted] = 1
 
 
 def _unprintable(c: int, shift: int = 0) -> bool:
@@ -78,8 +78,8 @@ class TermRenderer:
     """Text of a core times the sum of ``tails`` in ``ambient``.
 
     Core keys have one length, so the sorted expansion is each sorted core term
-    times each tail.  The text of each (core key, coefficient) is kept, so the
-    elements rendered through one renderer format each shared term once."""
+    times each tail, and a term's text, led by its separator, is a piece of the
+    whole: ``shifted_text`` writes such pieces for a mod-2 core moved at slot 0."""
 
     def __init__(self, ambient: FgAbelianGroup, core_rank: int, tails,
                  free_names: tuple[str, ...] | None = None,
@@ -93,7 +93,6 @@ class TermRenderer:
         self._names = tuple(free_names[:n]) + ("",) * (n - len(free_names)) + tuple(torsion_names)
         self.ambient, self.tails = ambient, tuple(tails)
         self._tail_texts = [_factors_text(self._names[core_rank:], tail) for tail in self.tails]
-        self._texts: dict = {}  # (core key, coeff) -> the term's text, led by " + " or " - "
 
     def _text(self, key: tuple[int, ...], coeff: int) -> str:
         text, c = _factors_text(self._names, key), abs(coeff)
@@ -102,6 +101,11 @@ class TermRenderer:
         alone = head + text if text else str(c)
         sep = " - " if coeff < 0 else " + "
         return sep + sep.join([lead + tail if tail else alone for tail in self._tail_texts])
+
+    def shifted_text(self, keys, shifts) -> str:
+        """The terms of coefficient 1 at the sorted core ``keys`` moved at slot 0 by
+        each of ``shifts`` in turn, each led by " + ": a run of a mod-2 render's text."""
+        return "".join([self._text((key[0] + s,) + key[1:], 1) for s in shifts for key in keys])
 
     def render(self, element: "GroupRingElement | FactoredElement") -> str:
         """Text of an element with this renderer's ambient and tails."""
@@ -113,9 +117,7 @@ class TermRenderer:
             return "0"
         if not (factored and element.mod2) and _unprintable(max(map(abs, core._terms.values()))):
             raise GuardViolation("a coefficient is too long to print", requirement="within budget")
-        texts = self._texts
-        out = [texts.get(term) or texts.setdefault(term, self._text(*term))
-               for term in sorted(core._terms.items())]
+        out = [self._text(*term) for term in sorted(core._terms.items())]
         out[0] = out[0][3:] if out[0][1] == "+" else "-" + out[0][3:]
         return "".join(out)
 

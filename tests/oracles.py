@@ -119,8 +119,8 @@ def period_walk(d) -> tuple[list[list[int]], int]:
 
 def knot_family_members(base, spacing: int, hat, size: int) -> list[dict]:
     """The member dicts of ``exotic_family``'s knot constructions, each member
-    by its own knot surgery, transfer and render: the reference for the
-    running mod-2 update."""
+    by its own knot surgery, transfer and render: the reference for the texts
+    built by extension and the counts in closed form."""
     members, renderer = [], None
     for d in range(1, size + 1):
         member = knot_surgery(base, alexander_family(d, spacing))

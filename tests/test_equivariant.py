@@ -16,7 +16,7 @@ from swcalc.equivariant import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL,
                                 exotic_family, gmonopole_polynomial, hat_s1_l,
                                 match_space_form, n_catalog, quaternionic_space_form)
 from swcalc.errors import GuardViolation
-from swcalc.groupring import FactoredElement, FgAbelianGroup, GroupRingElement
+from swcalc.groupring import FactoredElement, FgAbelianGroup, GroupRingElement, TermRenderer
 from swcalc.knot import AlexanderPoly, alexander_family, torus_knot
 from swcalc.manifold import (IntersectionData, ManifoldDescriptor, SWInfo, builtin,
                              mod2_basic_class_count, reverse_orientation)
@@ -56,13 +56,21 @@ def test_hat_whitelist_mismatch():
 
 
 def test_hat_refuses_groups_off_the_whitelist():
-    # H1 of the group's order makes the group abelian: Z4 + Z2 and Z2 + Z6
-    # have three elements of order 2, so neither acts freely on S^3
-    # (Milnor 1957), and no group of order 4 has H1 = Z3
-    for h1_orders, order in (([3], 4), ([4, 2], 8), ([2, 6], 12)):
+    # H1 of the group's order makes the group abelian: Z2 + Z2, Z4 + Z2 and
+    # Z2 + Z6 have three elements of order 2, so none acts freely on S^3
+    # (Milnor 1957; Z2 + Z2 is H1 of Q8, of order 8), and no group of order 4
+    # has H1 = Z3
+    for h1_orders, order in (([3], 4), ([2, 2], 4), ([4, 2], 8), ([2, 6], 12)):
         with pytest.raises(GuardViolation) as err:
             hat_s1_l(h1_orders, order)
         assert err.value.requirement == "whitelisted spherical space form"
+
+
+@pytest.mark.parametrize("h1_orders", ([2, 3], [3, 2], [1, 6]))
+def test_hat_reads_h1_in_any_spelling(h1_orders):
+    """Z2 + Z3 is Z6: the whitelist compares invariant factors."""
+    assert hat_s1_l(h1_orders, 6) == hat_s1_l([6], 6)
+    assert match_space_form(6, h1_orders) == cyclic_space_form(6)
 
 
 def test_space_form_families():
@@ -409,8 +417,8 @@ def test_covering_rejects_degenerate():
 # ----- families -----
 
 def assert_members_render_alone(report, base, spacing, k):
-    """A family renders its members through one shared renderer; each text
-    equals the member's transfer rendered on its own."""
+    """Each member's text, built by extension from the one before, equals the
+    member's transfer rendered on its own."""
     hat = hat_s1_l([report["l"]], report["l"], k=k)
     for d, mb in enumerate(report["members"], 1):
         member = knot_surgery(base, alexander_family(d, spacing))
@@ -515,31 +523,59 @@ KNOT_BASES = [("k3_knot", {"n": n}) for n in (1, 2, 3)] + [
     ("cp2_knot", {"n_prime": a, "m_prime": b}) for a in range(2, 6) for b in (1, 2, 3)]
 
 
+def knot_base(construction, params):
+    """(M, spacing) of a knot construction."""
+    if construction == "k3_knot":
+        return builtin("E", 2 * params["n"]), 2 * params["n"]
+    return blowup(builtin("E", params["n_prime"]), params["m_prime"]), params["n_prime"]
+
+
 @pytest.mark.parametrize("k", (2, 3))
 @pytest.mark.parametrize("l", (2, 3, 4, 5))
 @pytest.mark.parametrize("construction, params", KNOT_BASES,
                          ids=[f"{c}-{'-'.join(map(str, p.values()))}" for c, p in KNOT_BASES])
 def test_knot_family_members_match_one_surgery_per_member(construction, params, l, k):
-    """The running mod-2 update gives every member of a 60-member family, and
-    so of every shorter one, as its own knot surgery and transfer do."""
-    if construction == "k3_knot":
-        base, spacing = builtin("E", 2 * params["n"]), 2 * params["n"]
-    else:
-        base, spacing = blowup(builtin("E", params["n_prime"]), params["m_prime"]), \
-            params["n_prime"]
+    """The texts built by extension and the closed-form counts give every member
+    of a 60-member family, and so of every shorter one, as its own knot surgery
+    and transfer do."""
     report = exotic_family(construction, k, l, 60, **params)
-    assert report["members"] == knot_family_members(base, spacing, hat_s1_l((l,), l, k), 60)
+    assert report["members"] == knot_family_members(
+        *knot_base(construction, params), hat_s1_l((l,), l, k), 60)
+
+
+@pytest.mark.parametrize("m", (2, 3))
+@pytest.mark.parametrize("construction, params", [
+    ("k3_knot", {"n": 1}), ("cp2_knot", {"n_prime": 3, "m_prime": 2})])
+def test_knot_family_members_match_the_oracle_over_quaternion_groups(construction, params, m):
+    """H = Q8 has H1 = Z2 + Z2, so every term carries two torsion tails a1 and
+    a2; H = Q12 has H1 = Z4, one tail of order 4."""
+    sf = quaternionic_space_form(m)
+    report = exotic_family(construction, 2, sf.order, 24, space_form=sf, **params)
+    assert report["members"] == knot_family_members(
+        *knot_base(construction, params), hat_s1_l(sf.h1_orders, sf.order, 2), 24)
+    assert ("a2" in report["members"][0]["gmonopole_mod2"]) == (m == 2)
 
 
 def test_knot_family_members_build_no_alexander_polynomial(monkeypatch):
     """A member's label is written from (d, spacing): the closed form the
-    running update reads is pinned once, in ``test_knot``."""
+    members are built from is pinned once, in ``test_knot``."""
     built, check = [], AlexanderPoly.__post_init__
     monkeypatch.setattr(AlexanderPoly, "__post_init__",
                         lambda self: built.append(self.name) or check(self))
     exotic_family("cp2_knot", k=2, l=3, size=5, n_prime=3)
     exotic_family("k3_knot", k=3, l=2, size=5, n=2)
     assert built == []
+
+
+def test_knot_family_members_render_no_member(monkeypatch):
+    """Member d's text wraps member d-1's, so no member's whole support is
+    sorted and rendered again."""
+    rendered, render = [], TermRenderer.render
+    monkeypatch.setattr(TermRenderer, "render",
+                        lambda self, element: rendered.append(element) or render(self, element))
+    exotic_family("cp2_knot", k=2, l=3, size=5, n_prime=3)
+    exotic_family("k3_knot", k=3, l=2, size=5, n=2)
+    assert rendered == []
 
 
 def test_family_with_quaternion_group():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from swcalc.errors import AmbientMismatchError, GuardViolation, UnsupportedOperation
 from swcalc.groupring import (FactoredElement, FgAbelianGroup, GroupRingElement,
-                              TermRenderer, _add_shifted_mod2, laurent)
+                              TermRenderer, invariant_factors, laurent)
 
 from oracles import laurent_coeffs, ring_power, signed_binomial, substitute_power
 
@@ -380,30 +380,26 @@ def test_mul_laurent_cancels_and_refuses():
             p.mul_laurent(laurent({1: 1}), slot, 2)
 
 
-# ----- the running mod-2 update by shifted copies -----
+# ----- invariant factors -----
 
-@settings(max_examples=200)
-@given(st.data(), st.lists(st.integers(-3, 3), unique=True, max_size=4))
-def test_shifted_mod2_update_matches_the_ring_sum(data, shifts):
-    """Small exponents and shifts make the copies overlap each other and the
-    support, so keys leave as well as enter."""
-    g = data.draw(st.sampled_from([FgAbelianGroup(1), FgAbelianGroup(2),
-                                   FgAbelianGroup(2, (2, 4))]))
-    core, start = data.draw(ring_elements(group=g)), data.draw(ring_elements(group=g)).mod2()
-    slot = data.draw(st.integers(0, g.free_rank - 1))
-    support = start.terms
-    _add_shifted_mod2(support, core, slot, shifts)
-    expected = (start + core.mul_laurent(laurent(dict.fromkeys(shifts, 1)), slot, 1)).mod2()
-    assert GroupRingElement(g, support) == expected
+@pytest.mark.parametrize("orders, factors", [
+    ([], ()), ([1], ()), ([6], (6,)), ([2, 3], (6,)), ([3, 2], (6,)), ([1, 6], (6,)),
+    ([2, 2], (2, 2)), ([4, 2], (2, 4)), ([6, 4], (2, 12)), ([2, 3, 4], (2, 12)),
+    ([-3], (3,)), ([0, 5], (5, 0))])
+def test_invariant_factors(orders, factors):
+    """Z/-3 is Z/3, and Z/0 is Z, which every factor divides."""
+    assert invariant_factors(orders) == factors
 
 
-def test_shifted_mod2_update_drops_overlapping_keys():
-    g = FgAbelianGroup(2)
-    core = GroupRingElement(g, {(0, 0): 1, (1, 0): 3, (0, 1): 2})
-    support = {(2, 0): 1, (5, 5): 1}
-    # the copies shifted by 0 and 1 meet at (1, 0), and the second reaches (2, 0)
-    _add_shifted_mod2(support, core, 0, (0, 1))
-    assert support == {(0, 0): 1, (5, 5): 1}
+@given(st.lists(st.integers(1, 12), max_size=4))
+def test_invariant_factors_keep_the_group(orders):
+    """A finite abelian group is fixed by how many x have q*x = 0 for each prime
+    power q, and that count for the sum of the Z/o is the product of gcd(q, o)."""
+    factors = invariant_factors(orders)
+    assert 1 not in factors and all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    for q in (2, 4, 8, 3, 9, 5, 7, 11):
+        assert math.prod(math.gcd(q, o) for o in factors) == \
+            math.prod(math.gcd(q, o) for o in orders)
 
 
 # ----- rendering against the per-monomial renderer -----
