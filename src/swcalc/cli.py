@@ -72,22 +72,17 @@ def _emit(payload: dict, fmt: str):
 
 
 def _text_lines(obj, indent: int):
+    """A dict's items as ``key: value`` lines and a list's as ``- value`` lines; a
+    container value goes on the lines below its key or its own ``-``, indented."""
     pad = "  " * indent
-    if isinstance(obj, dict):
-        for key, val in obj.items():
-            if isinstance(val, (dict, list)):
-                yield f"{pad}{key}:"
-                yield from _text_lines(val, indent + 1)
-            else:
-                yield f"{pad}{key}: {val}"
-    elif isinstance(obj, list):
-        for val in obj:
-            if isinstance(val, (dict, list)):
-                yield from _text_lines(val, indent)
-            else:
-                yield f"{pad}- {val}"
-    else:
-        yield f"{pad}{obj}"
+    marked = ((f"{key}:", val) for key, val in obj.items()) if isinstance(obj, dict) \
+        else (("-", val) for val in obj)
+    for mark, val in marked:
+        if isinstance(val, (dict, list)):
+            yield pad + mark
+            yield from _text_lines(val, indent + 1)
+        else:
+            yield f"{pad}{mark} {val}"
 
 
 def _load_catalog(path: str | None):

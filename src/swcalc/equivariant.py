@@ -287,8 +287,7 @@ def exotic_family(construction: str, k: int, l: int, size: int,
                 keys[-1][0] - keys[0][0] >= step:
             raise UnsupportedOperation("a knot family needs T at slot 0 and a nonzero mod-2 "
                                        "core of M spanning less than the step at T")
-        renderer = TermRenderer(poly.ambient, poly.core.ambient.free_rank, poly.tails,
-                                base.intersection.tracked_basis or None)
+        renderer = TermRenderer(poly, base.intersection.tracked_basis or None)
         text = renderer.shifted_text(keys, (0,))[3:]  # each run starts with its " + "
         for d in range(1, size + 1):
             # Delta_d - Delta_{d-1} = t^{+-2dn} - t^{+-(2d-1)n}: over F2, member d is member

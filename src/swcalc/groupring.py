@@ -75,24 +75,27 @@ def _factors_text(names: tuple[str, ...], exponents: tuple[int, ...]) -> str:
 
 
 class TermRenderer:
-    """Text of a core times the sum of ``tails`` in ``ambient``.
+    """Text of an element: a ``GroupRingElement``, or a ``FactoredElement``'s core
+    times the sum of its tails.
 
     Core keys have one length, so the sorted expansion is each sorted core term
     times each tail, and a term's text, led by its separator, is a piece of the
     whole: ``shifted_text`` writes such pieces for a mod-2 core moved at slot 0."""
 
-    def __init__(self, ambient: FgAbelianGroup, core_rank: int, tails,
+    def __init__(self, element: "GroupRingElement | FactoredElement",
                  free_names: tuple[str, ...] | None = None,
                  torsion_names: tuple[str, ...] | None = None):
-        n, t = ambient.free_rank, ambient.torsion_rank
+        n, t = element.ambient.free_rank, element.ambient.torsion_rank
         if free_names is None:
             free_names = ("T",) if n == 1 else tuple(f"T{i + 1}" for i in range(n))
         if torsion_names is None:
             torsion_names = ("a",) if t == 1 else tuple(f"a{i + 1}" for i in range(t))
         # an exponent past a short names tuple is left unrendered
         self._names = tuple(free_names[:n]) + ("",) * (n - len(free_names)) + tuple(torsion_names)
-        self.ambient, self.tails = ambient, tuple(tails)
-        self._tail_texts = [_factors_text(self._names[core_rank:], tail) for tail in self.tails]
+        self.element = element
+        core_rank, tails = (element.core.ambient.free_rank, element.tails) \
+            if isinstance(element, FactoredElement) else (n, ((),))
+        self._tail_texts = [_factors_text(self._names[core_rank:], tail) for tail in tails]
 
     def _text(self, key: tuple[int, ...], coeff: int) -> str:
         text, c = _factors_text(self._names, key), abs(coeff)
@@ -107,15 +110,23 @@ class TermRenderer:
         each of ``shifts`` in turn, each led by " + ": a run of a mod-2 render's text."""
         return "".join([self._text((key[0] + s,) + key[1:], 1) for s in shifts for key in keys])
 
-    def render(self, element: "GroupRingElement | FactoredElement") -> str:
-        """Text of an element with this renderer's ambient and tails."""
+    def render(self) -> str:
+        """The element's text.  Over Z it is refused when a coefficient is too long
+        to print: first the power's largest, C(m, m//2) between 2^m/(m+1) and 2^m,
+        before the power is expanded, then the expanded core's."""
+        element = self.element
         factored = isinstance(element, FactoredElement)
-        core, tails = (element.powered_core(), element.tails) if factored else (element, ((),))
-        if element.ambient != self.ambient or tails != self.tails:
-            raise AmbientMismatchError("the element's ambient or tails are not the renderer's")
+        signed = not (factored and element.mod2)
+        if factored and signed:
+            step, m, _ = element.power
+            if _unprintable(1, m) and (
+                    _unprintable(1, m - (m + 1).bit_length()) or _unprintable(comb(m, m // 2))):
+                raise GuardViolation(f"(T^{step} - T^-{step})^{m} has a coefficient too long "
+                                     "to print", requirement="within budget")
+        core = element.powered_core() if factored else element
         if not core._terms:
             return "0"
-        if not (factored and element.mod2) and _unprintable(max(map(abs, core._terms.values()))):
+        if signed and _unprintable(max(map(abs, core._terms.values()))):
             raise GuardViolation("a coefficient is too long to print", requirement="within budget")
         out = [self._text(*term) for term in sorted(core._terms.items())]
         out[0] = out[0][3:] if out[0][1] == "+" else "-" + out[0][3:]
@@ -229,19 +240,13 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check_ambient(other)
-        r, orders = self.ambient.free_rank, self.ambient.torsion_orders
-        out: dict[tuple[int, ...], int] = {}
+        products: dict[tuple[int, ...], int] = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 key = tuple(map(add, ka, kb))
-                if orders:
-                    key = key[:r] + tuple(map(mod, key[r:], orders))
-                new = out.get(key, 0) + ca * cb
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return self._wrap(self.ambient, out)
+                products[key] = products.get(key, 0) + ca * cb
+        # the constructor reduces the torsion residues, merges keys and drops zeros
+        return GroupRingElement(self.ambient, products)
 
     __rmul__ = __mul__
 
@@ -332,8 +337,7 @@ class GroupRingElement:
     def render(self, free_names: tuple[str, ...] | None = None,
                torsion_names: tuple[str, ...] | None = None) -> str:
         """Canonical text form, monomials sorted by exponent vector."""
-        return TermRenderer(self.ambient, self.ambient.free_rank, ((),), free_names,
-                            torsion_names).render(self)
+        return TermRenderer(self, free_names, torsion_names).render()
 
     def __str__(self):
         return self.render()
@@ -387,14 +391,8 @@ class FactoredElement:
         return replace(self, core=self.core.mod2(), mod2=True)
 
     def powered_core(self) -> GroupRingElement:
-        """The core times the power; refused over Z when the power's largest
-        coefficient C(m, m//2), between 2^m/(m+1) and 2^m, is too long to print."""
-        step, m, slot = self.power
-        if not self.mod2 and _unprintable(1, m) and (
-                _unprintable(1, m - (m + 1).bit_length()) or _unprintable(comb(m, m // 2))):
-            raise GuardViolation(f"(T^{step} - T^-{step})^{m} has a coefficient too long "
-                                 "to print", requirement="within budget")
-        return self.core.mul_power(step, m, slot, self.mod2)
+        """The core times the power: the one expansion of the power."""
+        return self.core.mul_power(*self.power, self.mod2)
 
     def expand(self) -> GroupRingElement:
         return GroupRingElement._wrap(self.ambient, {
@@ -403,8 +401,7 @@ class FactoredElement:
     def render(self, free_names: tuple[str, ...] | None = None,
                torsion_names: tuple[str, ...] | None = None) -> str:
         """The expansion's ``GroupRingElement.render``, built without expanding the tails."""
-        return TermRenderer(self.ambient, self.core.ambient.free_rank, self.tails, free_names,
-                            torsion_names).render(self)
+        return TermRenderer(self, free_names, torsion_names).render()
 
 
 RANK1 = FgAbelianGroup(1)

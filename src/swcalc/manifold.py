@@ -257,7 +257,7 @@ class ManifoldDescriptor:
                 target = 2 * self.chi + 3 * self.sigma
                 entries = _square_entries(blocks[:len(blocks) - m])
                 # with no such entry every square is 0: one zero vector stands for all
-                vecs = poly.core.mul_power(*poly.power).free_exponents() if entries else \
+                vecs = poly.powered_core().free_exponents() if entries else \
                     [(0,) * poly.core.ambient.free_rank][:poly.core.monomial_count()]
                 if any(_square(entries, vec) != target + m for vec in vecs):
                     raise ValueError(

@@ -215,7 +215,7 @@ def knot_surgery(a: ManifoldDescriptor, k: AlexanderPoly) -> ManifoldDescriptor:
             f"knot surgery on {a.label} needs a known polynomial",
             requirement="SW polynomial known")
     # Delta_K spreads the core along the torus, so the power is multiplied in first
-    core = a.sw.poly.core.mul_power(*a.sw.poly.power)
+    core = a.sw.poly.powered_core()
     torus_index = a.intersection.tracked_basis.index(a.torus_class)
     return replace(
         a,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from swcalc.equivariant import gmonopole_polynomial
 from swcalc.errors import ExprSyntaxError, GuardViolation, UnsupportedOperation
-from swcalc.groupring import GroupRingElement, TermRenderer, laurent
+from swcalc.groupring import GroupRingElement, laurent
 from swcalc.knot import alexander_family
 from swcalc.manifold import Fingerprint, HomeoType, builtin, homeo_type
 from swcalc.surgery import (DissolutionVerdict, _knot_derived, _standard_kind, connected_sum,
@@ -121,16 +121,13 @@ def knot_family_members(base, spacing: int, hat, size: int) -> list[dict]:
     """The member dicts of ``exotic_family``'s knot constructions, each member
     by its own knot surgery, transfer and render: the reference for the texts
     built by extension and the counts in closed form."""
-    members, renderer = [], None
+    members = []
     for d in range(1, size + 1):
         member = knot_surgery(base, alexander_family(d, spacing))
         poly = gmonopole_polynomial(member, hat)
-        renderer = renderer or TermRenderer(
-            poly.ambient, poly.core.ambient.free_rank, poly.tails,
-            member.intersection.tracked_basis or None)
         members.append({"label": member.label, "monomials": poly.monomial_count(),
                         "count_basis": "exact", "fingerprint": list(member.fingerprint),
-                        "gmonopole_mod2": renderer.render(poly)})
+                        "gmonopole_mod2": poly.render(member.intersection.tracked_basis or None)})
     return members
 
 

@@ -343,6 +343,20 @@ def test_text_format(capsys):
     assert "chi: 2" in out
 
 
+def test_text_format_marks_each_nested_item(capsys):
+    """A container inside a list starts with its own ``-``: the Gram rows, the
+    characteristic vectors and the family members stay apart."""
+    assert run_command(["lattice", "--gram", "[[-1,0],[0,-1]]", "--bound", "1",
+                        "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert "\ngram:\n  -\n    - -1\n    - 0\n  -\n    - 0\n    - -1\n" in out
+    assert "  vectors:\n    -\n      - 1\n      - 1\n    -\n      - 1\n      - -1\n" in out
+    assert run_command(["family", "--construction", "k3", "--k", "2", "--l", "3",
+                        "--size", "2", "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n  -\n    label: knot_surgery(E(2), family(") == 2
+
+
 def test_parser_reused_across_commands_matches_fresh_processes(capsys):
     """One process runs an invalid argv, then lattice, fixedpoints and eval
     on the one parser it builds; each answer equals a fresh process's."""

@@ -572,7 +572,7 @@ def test_knot_family_members_render_no_member(monkeypatch):
     sorted and rendered again."""
     rendered, render = [], TermRenderer.render
     monkeypatch.setattr(TermRenderer, "render",
-                        lambda self, element: rendered.append(element) or render(self, element))
+                        lambda self: rendered.append(self.element) or render(self))
     exotic_family("cp2_knot", k=2, l=3, size=5, n_prime=3)
     exotic_family("k3_knot", k=3, l=2, size=5, n=2)
     assert rendered == []

@@ -138,6 +138,44 @@ def test_digit_limit_and_sign_vectors_are_stated_once():
             if "product((-1, 1)" in path.read_text()] == ["groupring.py"]
 
 
+def _scoped(tree: ast.Module):
+    """(dotted name of the innermost enclosing class or function, node) for every node."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}" \
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+            yield inner, child
+            yield from visit(child, inner)
+    return visit(tree, "")
+
+
+def test_group_ring_alone_expands_and_prints_a_power():
+    """Only ``groupring`` calls ``mul_power``; elsewhere a ``TermRenderer`` is built
+    from an element and names, never from the element's ambient, core rank or
+    tails; and every ``within budget`` print refusal is raised in
+    ``TermRenderer.render``."""
+    restated, refusers = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            where = path.stem + scope
+            if isinstance(node, ast.Raise) and any(
+                    isinstance(sub, ast.Constant) and sub.value == "within budget"
+                    for sub in ast.walk(node)):
+                refusers.add(where)
+            if path.name == "groupring.py" or not isinstance(node, ast.Call):
+                continue
+            name = _reference(node.func)
+            args = node.args + [kw.value for kw in node.keywords]
+            if name == "mul_power" or name == "TermRenderer" and (
+                    len(args) > 3
+                    or {kw.arg for kw in node.keywords} - {"free_names", "torsion_names"}
+                    or any(_reference(sub) in ("ambient", "free_rank", "tails")
+                           for arg in args for sub in ast.walk(arg))):
+                restated.append(f"{where} calls {name}")
+    assert restated == []
+    assert refusers == {"groupring.TermRenderer.render"}
+
+
 def _fresh(script: str) -> str:
     """Stdout of ``script`` run in a new interpreter on this checkout."""
     env = dict(os.environ)

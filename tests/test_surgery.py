@@ -2,7 +2,9 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -201,6 +203,29 @@ def test_knot_surgery_on_blowup():
     base = blowup(builtin("E", 2), 1)
     m = knot_surgery(base, alexander_family(1, 2))
     assert mod2_basic_class_count(m) == 5 * 2
+
+
+def test_knot_surgery_past_the_digit_limit_refuses_only_the_print():
+    """The print check sits in the renderer: past a lowered digit limit, knot
+    surgery on E(n) still multiplies the power out and counts its mod-2
+    classes, and only the texts are refused."""
+    limit, n = 640, 2200  # C(2198, 1099) has 660 digits
+    assert math.comb(n - 2, (n - 2) // 2) >= 10 ** limit
+    expected = knot_surgery(builtin("E", n), alexander_family(1, 1))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        base = builtin("E", n)
+        member = knot_surgery(base, alexander_family(1, 1))
+        assert member == expected
+        assert mod2_basic_class_count(member) == mod2_basic_class_count(expected) > 0
+        for descriptor in (base, member):
+            with pytest.raises(GuardViolation) as err:
+                descriptor.sw.poly.render()
+            assert err.value.requirement == "within budget"
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert expected.sw_render().startswith("T^")
 
 
 # ----- logarithmic transform -----
