@@ -10,7 +10,7 @@ can be smoothly equivalent.
 import argparse
 import json
 
-from swcalc.equivariant import exotic_family
+from swcalc.equivariant import exotic_family, hat_s1_l
 
 
 def show(report, as_json):
@@ -38,12 +38,10 @@ def main():
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
 
-    show(exotic_family("k3_knot", k=args.k, l=args.l, size=args.size, n=1),
-         args.json)
-    show(exotic_family("cp2_knot", k=args.k, l=args.l, size=args.size,
-                       n_prime=2, m_prime=1), args.json)
-    show(exotic_family("s2xs2_hkw", k=args.k, l=args.l, size=args.size,
-                       m=2, n=1), args.json)
+    hat = hat_s1_l([args.l], args.l, k=args.k)
+    show(exotic_family("k3_knot", hat, args.size, n=1), args.json)
+    show(exotic_family("cp2_knot", hat, args.size, n_prime=2, m_prime=1), args.json)
+    show(exotic_family("s2xs2_hkw", hat, args.size, m=2, n=1), args.json)
 
 
 if __name__ == "__main__":

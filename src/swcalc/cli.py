@@ -100,10 +100,7 @@ def _cmd_eval(args) -> dict:
     payload = descriptor.to_json_dict()
     payload["expression"] = render(tree)
     if descriptor.simply_connected:
-        try:
-            payload["homeo_type"] = homeo_type(descriptor).to_json_dict()
-        except SwcalcError as err:
-            payload["homeo_type"] = {"error": str(err)}
+        payload["homeo_type"] = homeo_type(descriptor).to_json_dict()
         if isinstance(tree, ConnSum):
             # dissolve reads the sum as the leaf runs its lineage records
             payload["dissolution"] = dissolve([descriptor]).to_json_dict()
@@ -113,9 +110,9 @@ def _cmd_eval(args) -> dict:
 def _cmd_family(args) -> dict:
     from . import equivariant
     name = {"k3": "k3_knot", "cp2": "cp2_knot", "s2xs2": "s2xs2_hkw"}[args.construction]
-    return equivariant.exotic_family(
-        name, k=args.k, l=args.l, size=args.size, n=args.n,
-        n_prime=args.n_prime, m_prime=args.m_prime, m=args.m)
+    hat = equivariant.hat_s1_l([args.l], args.l, k=args.k)
+    return equivariant.exotic_family(name, hat, args.size, n=args.n,
+                                     n_prime=args.n_prime, m_prime=args.m_prime, m=args.m)
 
 
 def _cmd_fixedpoints(args) -> dict:

@@ -96,7 +96,12 @@ class NCatalogEntry:
 
     descriptor: ManifoldDescriptor
     k: int
-    h_order: int = 1   # |pi_1(L)| of a hat summand, 1 for S4 and CP2bar
+    space_form: SpaceForm | None = None   # H = pi_1(L) of a hat summand
+
+    @property
+    def h_order(self) -> int:
+        """|H| of a hat summand, 1 for S4 and CP2bar."""
+        return self.space_form.order if self.space_form else 1
 
     def __post_init__(self):
         if self.k < 2:
@@ -140,7 +145,7 @@ def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2) -> NCatalogEn
         intersection=IntersectionData(),
         admits_psc=True,
     )
-    return NCatalogEntry(descriptor, k, sf.order)
+    return NCatalogEntry(descriptor, k, sf)
 
 
 def n_catalog(kind: str, k: int = 2) -> NCatalogEntry:
@@ -234,15 +239,14 @@ def covering_consistency(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> bool:
 
 # ----- family generator -----
 
-def exotic_family(construction: str, k: int, l: int, size: int,
-                  n: int = 1, n_prime: int = 2, m_prime: int = 1,
-                  m: int = 1, space_form: SpaceForm | None = None) -> dict:
+def exotic_family(construction: str, hat: NCatalogEntry, size: int,
+                  n: int = 1, n_prime: int = 2, m_prime: int = 1, m: int = 1) -> dict:
     """The ``family`` report: group actions separated by monomial counts.
 
     Members are exotic smooth structures on a common base M; the actions
-    of Z_k x H live on k*l copies of M summed with l-1 copies of S2xS2,
-    and are distinguished by the monomial counts of the transferred mod-2
-    polynomials.  Constructions:
+    of Z_k x H, the hat entry's k and space form H of order l, live on k*l
+    copies of M summed with l-1 copies of S2xS2, and are distinguished by
+    the monomial counts of the transferred mod-2 polynomials.  Constructions:
 
     - ``k3_knot``: M = E(2n), members by knot surgery with the alternating
       family of spacing 2n.
@@ -252,33 +256,36 @@ def exotic_family(construction: str, k: int, l: int, size: int,
       logarithmic transforms of E(2n); the counts are lower bounds by
       construction.
     """
-    if l < 2:
-        raise GuardViolation("the covering group H must be nontrivial",
-                             requirement="order l >= 2")
     if size < 1:
         raise GuardViolation("a family needs at least one member",
                              requirement="size >= 1")
-    sf = space_form or cyclic_space_form(l)
-    if sf.order != l:
-        raise GuardViolation(f"space form {sf.label} has order {sf.order}, not {l}",
-                             requirement="matching order")
-    hat = hat_s1_l(sf.h1_orders, sf.order, k=k)
+    if construction == "k3_knot":
+        if n < 1:
+            raise GuardViolation("the elliptic index parameter must be at least 1",
+                                 requirement="n >= 1")
+        base, spacing = builtin("E", 2 * n), 2 * n
+    elif construction == "cp2_knot":
+        if n_prime < 2:
+            raise GuardViolation("the elliptic index must be at least 2",
+                                 requirement="n' >= 2")
+        if m_prime < 1:
+            raise GuardViolation("at least one blowup is required",
+                                 requirement="m' >= 1")
+        base, spacing = blowup(builtin("E", n_prime), m_prime), n_prime
+    elif construction == "s2xs2_hkw":
+        if m < 1:
+            raise GuardViolation("the base needs at least one S2xS2 summand",
+                                 requirement="m >= 1")
+        if n < 1:
+            raise GuardViolation("the elliptic index parameter must be at least 1",
+                                 requirement="n >= 1")
+        base, spacing = connected_sum_all([builtin("S2xS2")], [m]), None
+    else:
+        raise GuardViolation(f"unknown construction {construction!r}")
+    covering = covering_consistency(base, hat)  # refuses an entry that is not a hat summand
+    k, l = hat.k, hat.h_order
 
-    members: list[dict] = []
-    if construction in ("k3_knot", "cp2_knot"):
-        if construction == "k3_knot":
-            if n < 1:
-                raise GuardViolation("the elliptic index parameter must be at least 1",
-                                     requirement="n >= 1")
-            base, spacing = builtin("E", 2 * n), 2 * n
-        else:
-            if n_prime < 2:
-                raise GuardViolation("the elliptic index must be at least 2",
-                                     requirement="n' >= 2")
-            if m_prime < 1:
-                raise GuardViolation("at least one blowup is required",
-                                     requirement="m' >= 1")
-            base, spacing = blowup(builtin("E", n_prime), m_prime), n_prime
+    if spacing:
         # member 0 is M itself (Delta_0 = 1): it supplies the ambient, tails and names
         poly = gmonopole_polynomial(base, hat)
         step, count = 2 * spacing, poly.monomial_count()
@@ -289,6 +296,7 @@ def exotic_family(construction: str, k: int, l: int, size: int,
                                        "core of M spanning less than the step at T")
         renderer = TermRenderer(poly, base.intersection.tracked_basis or None)
         text = renderer.shifted_text(keys, (0,))[3:]  # each run starts with its " + "
+        members = []
         for d in range(1, size + 1):
             # Delta_d - Delta_{d-1} = t^{+-2dn} - t^{+-(2d-1)n}: over F2, member d is member
             # d-1 plus M's core shifted at T by +-(2d-1) and +-2d steps.  T leads the sort and
@@ -300,22 +308,13 @@ def exotic_family(construction: str, k: int, l: int, size: int,
                             "monomials": (4 * d + 1) * count, "count_basis": "exact",
                             "fingerprint": list(base.fingerprint),
                             "gmonopole_mod2": text})
-    elif construction == "s2xs2_hkw":
-        if m < 1:
-            raise GuardViolation("the base needs at least one S2xS2 summand",
-                                 requirement="m >= 1")
-        if n < 1:
-            raise GuardViolation("the elliptic index parameter must be at least 1",
-                                 requirement="n >= 1")
-        base = connected_sum_all([builtin("S2xS2")], [m])
+    else:
         # logtx(2n, r) is r terms spanning 2r - 2 times E(2n)'s power at step r, whose
         # mod-2 exponents lie at least 2r apart: its transfer is r copies of E(2n)'s
         count = gmonopole_polynomial(builtin("E", 2 * n), hat).monomial_count()
         members = [{"label": f"fiber-sum carrying logtx({2 * n},{r})", "monomials": r * count,
                     "count_basis": "lower_bound", "fingerprint": list(base.fingerprint),
                     "gmonopole_mod2": None} for r in range(1, size + 1)]
-    else:
-        raise GuardViolation(f"unknown construction {construction!r}")
 
     target = [(base, k * l), (builtin("S2xS2"), l - 1)]
     dissolved = dissolve(*zip(*target)).to_json_dict()
@@ -326,7 +325,7 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         "construction": construction,
         "k": k,
         "l": l,
-        "space_form": sf.label,
+        "space_form": hat.space_form.label,
         "target": {
             "expression": f"{_copies(k * l, base.label)} # {l - 1}*S2xS2",
             "fingerprint": list(_sum_fingerprint(target)),
@@ -335,5 +334,5 @@ def exotic_family(construction: str, k: int, l: int, size: int,
         "members": members,
         "counts": counts,
         "verdict": "smoothly_distinct" if distinct else "inconclusive",
-        "covering_consistent": covering_consistency(base, hat),
+        "covering_consistent": covering,
     }

@@ -10,10 +10,11 @@ so equality of elements is structural.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations, product
-from math import comb, gcd, lcm, prod
+from itertools import chain, product, repeat
+from math import comb, gcd, prod
 from operator import add, mod
 from typing import Iterator, Mapping
 
@@ -44,13 +45,40 @@ class FgAbelianGroup:
         return len(self.torsion_orders)
 
 
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime b > 1 of which every number > 1 is a product, found by gcds alone:
+    a b sharing g > 1 with x gives way to g, b/g and x/g, which lowers the product."""
+    base, pending = [], [x for x in numbers if x > 1]
+    while pending:
+        x = pending.pop()
+        b = next((b for b in base if gcd(b, x) > 1), None)
+        if b is None:
+            base.append(x)
+        else:
+            base.remove(b)
+            g = gcd(b, x)
+            pending += [y for y in (g, b // g, x // g) if y > 1]
+    return base
+
+
+def _valuation(x: int, b: int) -> int:
+    e = 0
+    while x % b == 0:
+        x, e = x // b, e + 1
+    return e
+
+
 def invariant_factors(orders) -> tuple[int, ...]:
-    """The invariant factors d1 | d2 | ... of the sum of the Z/o over ``orders``: a pair's
-    gcd and lcm give the same group, 1s drop out and an o = 0, a copy of Z, comes last."""
-    fs = [abs(int(o)) for o in orders]
-    for i, j in combinations(range(len(fs)), 2):
-        fs[i], fs[j] = gcd(fs[i], fs[j]), lcm(fs[i], fs[j])
-    return tuple(f for f in fs if f != 1)
+    """The invariant factors d1 | d2 | ... of the sum of the Z/o over ``orders``; 1s drop
+    out and an o = 0, a copy of Z, comes last.  Over a coprime base of the orders, the
+    i-th largest factor is the product of each base's i-th largest power in an order,
+    so the work is near-linear in the orders and never factors one."""
+    counts = Counter(map(abs, map(int, orders)))
+    zeros = counts.pop(0, 0)
+    powers = [sorted(chain.from_iterable(repeat(b ** _valuation(o, b), c)
+                                         for o, c in counts.items()), reverse=True)
+              for b in _coprime_base(counts)]
+    return tuple(f for f in map(prod, zip(*powers)) if f > 1)[::-1] + (0,) * zeros
 
 
 def _accumulate(out: dict, items) -> dict:
@@ -71,7 +99,7 @@ def _unprintable(c: int, shift: int = 0) -> bool:
 
 
 def _factors_text(names: tuple[str, ...], exponents: tuple[int, ...]) -> str:
-    return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e and n])
+    return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e])
 
 
 class TermRenderer:
@@ -90,8 +118,10 @@ class TermRenderer:
             free_names = ("T",) if n == 1 else tuple(f"T{i + 1}" for i in range(n))
         if torsion_names is None:
             torsion_names = ("a",) if t == 1 else tuple(f"a{i + 1}" for i in range(t))
-        # an exponent past a short names tuple is left unrendered
-        self._names = tuple(free_names[:n]) + ("",) * (n - len(free_names)) + tuple(torsion_names)
+        if len(free_names) < n or len(torsion_names) < t:
+            raise ValueError(f"{len(free_names)} free and {len(torsion_names)} torsion names "
+                             f"cannot name a group of rank ({n},{t})")
+        self._names = tuple(free_names[:n]) + tuple(torsion_names)
         self.element = element
         core_rank, tails = (element.core.ambient.free_rank, element.tails) \
             if isinstance(element, FactoredElement) else (n, ((),))

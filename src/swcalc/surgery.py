@@ -11,7 +11,7 @@ from itertools import chain, count, filterfalse, islice, repeat
 from typing import Sequence
 
 from .errors import GuardViolation
-from .groupring import laurent
+from .groupring import invariant_factors, laurent
 from .knot import AlexanderPoly
 from .manifold import (Fingerprint, HomeoType, IntersectionData,
                        ManifoldDescriptor, SWInfo, builtin, homeo_type)
@@ -137,7 +137,7 @@ def _unabsorbed_sum(a: ManifoldDescriptor, b: ManifoldDescriptor, n: int, label:
         b1=a.b1 + n * b.b1,
         b2_plus=a.b2_plus + n * b.b2_plus,
         b2_minus=a.b2_minus + n * b.b2_minus,
-        torsion_h1=tuple(sorted(a.torsion_h1 + b.torsion_h1 * n)),
+        torsion_h1=invariant_factors(a.torsion_h1 + b.torsion_h1 * n),
         spin=a.spin and b.spin,
         sw=sw,
         intersection=inter,
@@ -276,6 +276,7 @@ class DissolutionVerdict:
 
 
 _STANDARD_FPS = {builtin(kind).fingerprint: kind for kind in ("S4", "CP2", "CP2bar", "S2xS2")}
+_K3 = builtin("K3").fingerprint
 
 
 def _standard_kind(d: ManifoldDescriptor) -> str | None:
@@ -283,7 +284,7 @@ def _standard_kind(d: ManifoldDescriptor) -> str | None:
     if (kind := _STANDARD_FPS.get(fp)) is not None:
         return kind
     # the polynomial is torsion-free, so its one free vector is the whole key
-    if fp == (True, 3, 19, "even") and d.sw.is_known and d.sw.poly.monomial_count() == 1 \
+    if fp == _K3 and d.sw.is_known and d.sw.poly.monomial_count() == 1 \
             and not any(next(d.sw.poly.core.free_exponents())) \
             and abs(d.sw.poly.core.evaluate_at_one()) == 1:
         return "K3"

@@ -56,7 +56,7 @@ def test_criterion_2_knot_surgery_counts():
 def test_criterion_3_transfer_family():
     with timed(3, 5.0, "transfer doubles the counts, verdict smoothly distinct, "
                        "target dissolves to 1*(S2xS2) # 4*K3"):
-        report = exotic_family("k3_knot", k=2, l=2, size=5, n=1)
+        report = exotic_family("k3_knot", hat_s1_l([2], 2, k=2), 5, n=1)
         for d, member in enumerate(report["members"], start=1):
             assert member["monomials"] == (4 * d + 1) * 2
         assert report["verdict"] == "smoothly_distinct"
@@ -74,7 +74,7 @@ def test_criterion_3_transfer_family():
 def test_criterion_4_cp2_family_target():
     with timed(4, 5.0, "blown-up family dissolves to 13*CP2 # 81*CP2bar with "
                        "equal member fingerprints"):
-        report = exotic_family("cp2_knot", k=2, l=2, size=2,
+        report = exotic_family("cp2_knot", hat_s1_l([2], 2, k=2), 2,
                                n_prime=2, m_prime=1)
         dissolved = report["target"]["dissolved"]
         assert dissolved["status"] == "dissolved"
@@ -221,9 +221,16 @@ def test_criterion_9_property_suites():
 def test_family_scale_200_members():
     with timed("family-scale", 2.0, "k3_knot family of 200 members has "
                                     "(4d+1)*2 transferred classes, d = 1..200"):
-        report = exotic_family("k3_knot", k=2, l=2, size=200)
+        report = exotic_family("k3_knot", hat_s1_l([2], 2, k=2), 200)
         assert [mb["monomials"] for mb in report["members"]] == \
             [(4 * d + 1) * 2 for d in range(1, 201)]
+
+
+def test_hat_sum_scale_100000_fold():
+    with timed("h1-scale", 1.0, "100000*hat(2) # hat(3) writes H1 as 99999 factors 2 "
+                                "and one 6 in linear time"):
+        m = eval_expr(parse("100000*hat(2) # hat(3)"))
+        assert m.torsion_h1 == (2,) * 99_999 + (6,)
 
 
 def test_sum_scale_400_fold():

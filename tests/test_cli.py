@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from swcalc.cli import _to_json, run_command
 from swcalc.expressions import eval_expr, parse
+from swcalc.manifold import homeo_type
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,6 +57,32 @@ def test_eval_sum_includes_dissolution(capsys):
     assert code == 0
     assert data["homeo_type"]["display"] == "1*(S2xS2) # 4*K3"
     assert data["dissolution"]["display"] == "1*(S2xS2) # 4*K3"
+
+
+@pytest.mark.parametrize("text, h1", [
+    ("hat(2) # hat(3)", [6]), ("hat(3) # hat(2)", [6]), ("hat(6)", [6]),
+    ("hat(2) # 2*hat(4) # hat(3)", [2, 4, 12]), ("E(2) # hat(2) # hat(2)", [2, 2])])
+def test_eval_writes_a_sums_h1_as_invariant_factors(capsys, text, h1):
+    """Z2 + Z3 is Z6, so the sum prints the H1 that hat(6) prints."""
+    code, data = run_json(capsys, ["eval", text])
+    assert code == 0 and data["torsion_h1"] == h1
+
+
+SIMPLY_CONNECTED_PIECES = ("E(2)", "E(3)", "E(4)", "E(6)", "K3", "S2xS2", "CP2", "CP2bar",
+                           "logtx(2,3)", "logtx(4,2)", "knot_surgery(E(2),trefoil)",
+                           "knot_surgery(E(4),family(2,1))", "blowup(E(3),2)")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.booleans(),
+                          st.sampled_from(SIMPLY_CONNECTED_PIECES)), min_size=1, max_size=4))
+def test_eval_dissolves_every_simply_connected_sum(runs):
+    """Spin pieces have signature 16j and b2+, b2- of at least 3|j|, and a sum keeps
+    both, so every simply connected sum has a dissolved homeomorphism type."""
+    text = " # ".join(f"{c}*{'~' * rev}{piece}" for c, rev, piece in runs)
+    m = eval_expr(parse(text))
+    assert m.simply_connected
+    assert homeo_type(m).display
 
 
 def test_eval_guard_violation_exit_code(capsys):

@@ -34,7 +34,7 @@ def test_hat_rp3():
     assert d.torsion_h1 == (2,)
     assert math.prod(entry.descriptor.torsion_h1) == 2
     assert entry.descriptor.b2_plus == 0
-    assert entry.h_order == 2
+    assert entry.h_order == 2 and entry.space_form == cyclic_space_form(2)
 
 
 def test_hat_lens5():
@@ -185,7 +185,7 @@ def torsion_entry(orders):
     space form has them, and the transfer reads only the torsion."""
     descriptor = ManifoldDescriptor(f"N{list(orders)}", False, 0, 0, 0, orders, True,
                                     SWInfo.unknown(), IntersectionData())
-    return NCatalogEntry(descriptor, 2, math.prod(orders))
+    return NCatalogEntry(descriptor, 2)
 
 
 TRANSFER_ENTRIES = {
@@ -292,7 +292,9 @@ def test_factored_form_matches_expansion(case, orders, element, data):
         assert factored.expand() == expansion
         assert factored.monomial_count() == expansion.monomial_count()
         assert factored.render() == expansion.render()
-        assert factored.render(("x", "y"), ("g",)) == expansion.render(("x", "y"), ("g",))
+        names = ([f"x{i}" for i in range(factored.ambient.free_rank)],
+                 [f"g{i}" for i in range(factored.ambient.torsion_rank)])
+        assert factored.render(*names) == expansion.render(*names)
 
     member, expansion = case
     sw = member.sw.poly
@@ -301,9 +303,12 @@ def test_factored_form_matches_expansion(case, orders, element, data):
     assert sw.over_f2().expand() == expansion.mod2()
     assert mod2_basic_class_count(member) == expansion.mod2().monomial_count()
     names = member.intersection.tracked_basis
-    short = names[:data.draw(st.integers(0, len(names) - 1))]
-    for free_names in (None, names, short):
+    for free_names in (None, names):
         assert sw.render(free_names) == expansion.render(free_names)
+    short = names[:data.draw(st.integers(0, len(names) - 1))]
+    for whole in (sw, expansion):  # a short tuple would drop the exponents it leaves unnamed
+        with pytest.raises(ValueError):
+            whole.render(short)
 
     entry = FACTORED_ENTRIES[orders]
     transfer = gmonopole_polynomial(member, entry)
@@ -312,8 +317,8 @@ def test_factored_form_matches_expansion(case, orders, element, data):
     assert transfer.monomial_count() == oracle.monomial_count()
     assert transfer.monomial_count() == \
         mod2_basic_class_count(member) * math.prod(entry.descriptor.torsion_h1)
-    for free_names, torsion_names in ((None, None), (names, None), (short, None),
-                                      (names, ("g",))):
+    torsion_names = [f"g{i}" for i in range(len(entry.descriptor.torsion_h1))]
+    for free_names, torsion_names in ((None, None), (names, None), (names, torsion_names)):
         assert transfer.render(free_names, torsion_names) == \
             oracle.render(free_names, torsion_names)
 
@@ -409,6 +414,7 @@ def test_covering_consistency_lens3_numbers():
 
 def test_covering_rejects_degenerate():
     for kind in ("S4", "CP2bar"):
+        assert n_catalog(kind, k=2).space_form is None and n_catalog(kind, k=2).h_order == 1
         with pytest.raises(GuardViolation) as err:
             covering_consistency(builtin("E", 2), n_catalog(kind, k=2))
         assert err.value.requirement == "hat summand"
@@ -433,7 +439,7 @@ def dissolved_counts(report):
 
 
 def test_k3_family_small():
-    report = exotic_family("k3_knot", k=2, l=2, size=3, n=1)
+    report = exotic_family("k3_knot", hat_s1_l([2], 2, k=2), 3, n=1)
     assert report["counts"] == [10, 18, 26]
     assert_members_render_alone(report, builtin("E", 2), 2, 2)
     assert report["verdict"] == "smoothly_distinct"
@@ -444,14 +450,14 @@ def test_k3_family_small():
 
 def test_k3_family_counts_increase_with_d():
     for n in (1, 2, 3):
-        report = exotic_family("k3_knot", k=2, l=2, size=4, n=n)
+        report = exotic_family("k3_knot", hat_s1_l([2], 2, k=2), 4, n=n)
         counts = report["counts"]
         assert counts == sorted(counts)
         assert len(set(counts)) == len(counts)
 
 
 def test_cp2_family_target_and_counts():
-    report = exotic_family("cp2_knot", k=2, l=2, size=2, n_prime=2, m_prime=1)
+    report = exotic_family("cp2_knot", hat_s1_l([2], 2, k=2), 2, n_prime=2, m_prime=1)
     assert report["counts"] == [20, 36]
     assert_members_render_alone(report, blowup(builtin("E", 2), 1), 2, 2)
     assert dissolved_counts(report) == ("odd", 13, 81, 1)
@@ -459,7 +465,7 @@ def test_cp2_family_target_and_counts():
 
 
 def test_s2xs2_family_lower_bounds():
-    report = exotic_family("s2xs2_hkw", k=2, l=2, size=3, m=2, n=1)
+    report = exotic_family("s2xs2_hkw", hat_s1_l([2], 2, k=2), 3, m=2, n=1)
     assert report["counts"] == [2, 4, 6]
     assert all(mb["count_basis"] == "lower_bound" for mb in report["members"])
     assert dissolved_counts(report) == ("even", 9, 0, 1)
@@ -500,7 +506,7 @@ def test_s2xs2_family_counts_match_each_member_transfer(n, l):
     """Member r's count, r times E(2n)'s transfer count, is the count of
     logtx(2n, r)'s own transfer written out."""
     size, hat = 12, hat_s1_l([l], l, k=3)
-    report = exotic_family("s2xs2_hkw", k=3, l=l, size=size, n=n)
+    report = exotic_family("s2xs2_hkw", hat_s1_l([l], l, k=3), size, n=n)
     assert report["counts"] == [
         gmonopole_polynomial(log_transform(2 * n, r), hat).expand().monomial_count()
         for r in range(1, size + 1)]
@@ -508,15 +514,32 @@ def test_s2xs2_family_counts_match_each_member_transfer(n, l):
         f"fiber-sum carrying logtx({2 * n},{r})" for r in range(1, size + 1)]
 
 
+def family_refusal(*argv):
+    """(exit code, error) of ``swcalc family`` with these flags."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_command(["family", "--construction", "k3", *argv, "--size", "1"])
+    return code, json.loads(out.getvalue())["error"]
+
+
 def test_family_rejects_small_l():
-    with pytest.raises(GuardViolation) as err:
-        exotic_family("k3_knot", k=2, l=1, size=1)
-    assert err.value.requirement == "order l >= 2"
+    """The entry's builder refuses l = 1, as it does for ``bf`` and ``hat(1)``."""
+    code, error = family_refusal("--k", "2", "--l", "1")
+    assert code == 1 and error["requirement"] == "order l >= 2"
+    assert error["message"] == "the fundamental group must be nontrivial (order l >= 2)"
 
 
 def test_family_rejects_small_k():
-    with pytest.raises(GuardViolation):
-        exotic_family("k3_knot", k=1, l=2, size=1)
+    code, error = family_refusal("--k", "1", "--l", "2")
+    assert code == 1 and error["requirement"] == "k >= 2"
+
+
+@pytest.mark.parametrize("kind", ("S4", "CP2bar"))
+def test_family_refuses_an_entry_that_is_not_a_hat_summand(kind):
+    """The covering check runs first and refuses it: no member is built."""
+    with pytest.raises(GuardViolation) as err:
+        exotic_family("k3_knot", n_catalog(kind, k=2), 1)
+    assert err.value.requirement == "hat summand"
 
 
 KNOT_BASES = [("k3_knot", {"n": n}) for n in (1, 2, 3)] + [
@@ -538,7 +561,7 @@ def test_knot_family_members_match_one_surgery_per_member(construction, params, 
     """The texts built by extension and the closed-form counts give every member
     of a 60-member family, and so of every shorter one, as its own knot surgery
     and transfer do."""
-    report = exotic_family(construction, k, l, 60, **params)
+    report = exotic_family(construction, hat_s1_l((l,), l, k), 60, **params)
     assert report["members"] == knot_family_members(
         *knot_base(construction, params), hat_s1_l((l,), l, k), 60)
 
@@ -550,7 +573,7 @@ def test_knot_family_members_match_the_oracle_over_quaternion_groups(constructio
     """H = Q8 has H1 = Z2 + Z2, so every term carries two torsion tails a1 and
     a2; H = Q12 has H1 = Z4, one tail of order 4."""
     sf = quaternionic_space_form(m)
-    report = exotic_family(construction, 2, sf.order, 24, space_form=sf, **params)
+    report = exotic_family(construction, hat_s1_l(sf.h1_orders, sf.order, 2), 24, **params)
     assert report["members"] == knot_family_members(
         *knot_base(construction, params), hat_s1_l(sf.h1_orders, sf.order, 2), 24)
     assert ("a2" in report["members"][0]["gmonopole_mod2"]) == (m == 2)
@@ -562,8 +585,8 @@ def test_knot_family_members_build_no_alexander_polynomial(monkeypatch):
     built, check = [], AlexanderPoly.__post_init__
     monkeypatch.setattr(AlexanderPoly, "__post_init__",
                         lambda self: built.append(self.name) or check(self))
-    exotic_family("cp2_knot", k=2, l=3, size=5, n_prime=3)
-    exotic_family("k3_knot", k=3, l=2, size=5, n=2)
+    exotic_family("cp2_knot", hat_s1_l([3], 3, k=2), 5, n_prime=3)
+    exotic_family("k3_knot", hat_s1_l([2], 2, k=3), 5, n=2)
     assert built == []
 
 
@@ -573,14 +596,17 @@ def test_knot_family_members_render_no_member(monkeypatch):
     rendered, render = [], TermRenderer.render
     monkeypatch.setattr(TermRenderer, "render",
                         lambda self: rendered.append(self.element) or render(self))
-    exotic_family("cp2_knot", k=2, l=3, size=5, n_prime=3)
-    exotic_family("k3_knot", k=3, l=2, size=5, n=2)
+    exotic_family("cp2_knot", hat_s1_l([3], 3, k=2), 5, n_prime=3)
+    exotic_family("k3_knot", hat_s1_l([2], 2, k=3), 5, n=2)
     assert rendered == []
 
 
 def test_family_with_quaternion_group():
     sf = quaternionic_space_form(2)
-    report = exotic_family("k3_knot", k=2, l=8, size=2, n=1, space_form=sf)
+    hat = hat_s1_l(sf.h1_orders, sf.order, k=2)
+    assert hat.space_form == sf
+    report = exotic_family("k3_knot", hat, 2, n=1)
+    assert (report["k"], report["l"], report["space_form"]) == (2, 8, "Q8")
     assert report["counts"] == [5 * 4, 9 * 4]
     assert report["verdict"] == "smoothly_distinct"
 
@@ -597,7 +623,8 @@ def test_family_command_prints_the_library_report(argv, kwargs):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run_command(["family", *argv]) == 0
-    report = exotic_family(**kwargs)
+    k, l = kwargs.pop("k"), kwargs.pop("l")
+    report = exotic_family(hat=hat_s1_l([l], l, k=k), **kwargs)
     printed = json.loads(out.getvalue())
     assert printed == {"schema": "swcalc/1", **report}
     assert list(printed) == ["schema", *report]

@@ -454,12 +454,9 @@ def render_cases(draw):
             tors = tuple(draw(st.integers(0, o - 1)) for o in g.torsion_orders)
             terms[free + tors] = draw(st.integers(-5, 5).filter(bool))
         elements.append(GroupRingElement(g, terms))
-    # None is the default; a short tuple leaves trailing generators unnamed
-    free_names = draw(st.sampled_from(
-        [None, tuple(f"x{i}" for i in range(g.free_rank)),
-         tuple(f"x{i}" for i in range(max(g.free_rank - 1, 0)))]))
-    torsion_names = draw(st.sampled_from(
-        [None, tuple(f"g{i}" for i in range(g.torsion_rank)), ("g",)[:g.torsion_rank - 1]]))
+    # None is the default
+    free_names = draw(st.sampled_from([None, tuple(f"x{i}" for i in range(g.free_rank))]))
+    torsion_names = draw(st.sampled_from([None, tuple(f"g{i}" for i in range(g.torsion_rank))]))
     return elements, free_names, torsion_names
 
 
@@ -471,6 +468,20 @@ def test_render_matches_per_monomial_renderer(case):
     for p in elements:
         assert p.render(free_names, torsion_names) == \
             reference_render(p, free_names, torsion_names)
+
+
+def test_renderer_refuses_too_few_names():
+    """A short tuple would leave exponents unnamed: t and t*u would both print as t."""
+    p = GroupRingElement(FgAbelianGroup(2), {(1, 0): 1, (1, 1): 1})
+    assert p.render(("t", "u")) == p.render(("t", "u", "v")) == "t + t*u"
+    short = [(p, ("t",), None),
+             (GroupRingElement(FgAbelianGroup(0, (2, 3)), {(1, 2): 1}), None, ("g",)),
+             (FactoredElement(laurent({0: 1}), blowups=1, torsion=(2,)), ("T",), None)]
+    for element, free_names, torsion_names in short:
+        with pytest.raises(ValueError):
+            element.render(free_names, torsion_names)
+        with pytest.raises(ValueError):
+            TermRenderer(element, free_names, torsion_names)
 
 
 def test_factored_element_refuses_a_core_that_overlaps_its_power():

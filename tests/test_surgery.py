@@ -113,6 +113,19 @@ def test_blowup_propagates_unknown():
     assert m.b2_minus == 2
 
 
+@pytest.mark.parametrize("base, simple_type", [
+    (builtin("S4"), True),
+    (connected_sum(builtin("E", 2), builtin("E", 2)), None)])
+def test_blowup_keeps_a_known_zero_and_its_simple_type(base, simple_type):
+    m = blowup(base, 1)
+    assert m.sw.status == "zero" and m.simple_type is simple_type
+    assert mod2_basic_class_count(m) == 0
+
+
+def test_empty_sum_is_s4():
+    assert connected_sum_all([]) == builtin("S4")
+
+
 def test_iterated_blowup_names_fresh():
     m = blowup(blowup(builtin("E", 2), 1), 1)
     assert m.intersection.tracked_basis == ("T", "E1", "E2")
@@ -488,7 +501,7 @@ def test_dissolve_classifies_each_run_once(monkeypatch):
 
 
 def test_family_target_of_a_large_k_is_read_from_runs():
-    report = exotic_family("k3_knot", k=100_000, l=2, size=1)
+    report = exotic_family("k3_knot", hat_s1_l([2], 2, k=100_000), 1)
     assert report["target"]["fingerprint"] == [True, 600001, 3800001, "even"]
     assert report["target"]["dissolved"]["display"] == "1*(S2xS2) # 200000*K3"
     assert report["covering_consistent"] is True
