@@ -18,7 +18,7 @@ import sys
 # Each handler imports what it uses, so a cold start compiles only that;
 # perfbench/harness.py reads sys.modules["swcalc.fixedpoint"] after importing cli.
 from . import fixedpoint
-from .errors import ExprSyntaxError, SwcalcError
+from .errors import ExprSyntaxError, GuardViolation, SwcalcError
 
 SCHEMA = "swcalc/1"
 
@@ -215,7 +215,12 @@ def _cmd_bf(args) -> dict:
     if entry is None:
         raise ExprSyntaxError(
             "expression must contain one catalog summand: hat(l), S4 or CP2bar")
-    return equivariant.bf_simplify(entry, summand, count)
+    if summand is not None and count != entry.k:  # the expression's k and --k
+        raise GuardViolation(
+            f"the equivariant class needs exactly k = {entry.k} copies of the "
+            f"summand, got {count}",
+            requirement="k summands of M")
+    return equivariant.bf_simplify(entry, summand)
 
 
 def _cmd_catalog(args) -> dict:

@@ -181,9 +181,8 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> Facto
 
 # ----- stable class -----
 
-def bf_simplify(n_entry: NCatalogEntry, m: ManifoldDescriptor | None = None,
-                count: int = 0) -> dict:
-    """The ``bf`` report of BFG(N), or of BFG(k*M # N) when M is given.
+def bf_simplify(n_entry: NCatalogEntry, m: ManifoldDescriptor | None = None) -> dict:
+    """The ``bf`` report of BFG(N), or of BFG(k*M # N) when M is given, k the entry's.
 
     The class of a k-fold sum splits off the plain class of the repeated
     summand, BFG(k*M # N) = BF(M) ^ BFG(N), and the equivariant class of a
@@ -197,11 +196,6 @@ def bf_simplify(n_entry: NCatalogEntry, m: ManifoldDescriptor | None = None,
     if m is None:
         source, normal, verdict = n_class, "Id", "nontrivial"
     else:
-        if count != k:
-            raise GuardViolation(
-                f"the equivariant class needs exactly k = {k} copies of the "
-                f"summand, got {count}",
-                requirement="k summands of M")
         source = f"BFG({_copies(k, m.label)} # {n_label}, k={k})"
         trace.append(f"sum_splitting: {source} -> BF({m.label}) ^ {n_class}")
         if m.fingerprint == builtin("S4").fingerprint:  # X # S4 is X
@@ -317,7 +311,6 @@ def exotic_family(construction: str, hat: NCatalogEntry, size: int,
                     "gmonopole_mod2": None} for r in range(1, size + 1)]
 
     target = [(base, k * l), (builtin("S2xS2"), l - 1)]
-    dissolved = dissolve(*zip(*target)).to_json_dict()
     counts = [mb["monomials"] for mb in members]
     distinct = (len(set(counts)) == len(counts)
                 and len({tuple(mb["fingerprint"]) for mb in members}) == 1)
@@ -327,9 +320,9 @@ def exotic_family(construction: str, hat: NCatalogEntry, size: int,
         "l": l,
         "space_form": hat.space_form.label,
         "target": {
-            "expression": f"{_copies(k * l, base.label)} # {l - 1}*S2xS2",
+            "expression": " # ".join(_copies(c, f.label) for f, c in target),
             "fingerprint": list(_sum_fingerprint(target)),
-            "dissolved": dissolved,
+            "dissolved": dissolve(*zip(*target)).to_json_dict(),
         },
         "members": members,
         "counts": counts,

@@ -408,6 +408,9 @@ class FactoredElement:
 
     @cached_property
     def tails(self) -> tuple[tuple[int, ...], ...]:  # sorted and distinct
+        if (n := prod(self.torsion) << self.blowups) > sys.maxsize:
+            raise GuardViolation(f"{n} tails are more than Python can index",
+                                 requirement="count <= sys.maxsize")
         residues = list(product(*map(range, self.torsion)))
         return tuple(s + r for s in product((-1, 1), repeat=self.blowups) for r in residues)
 

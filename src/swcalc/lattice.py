@@ -171,10 +171,10 @@ def max_characteristic_square(q: QuadraticForm, bound: int) -> MaxSquareResult:
     exceeds the best complete sum; ties are explored.
     """
     axes = _parity_axes(q, bound)
-    _, terms = q._squares
+    scale, terms = q._squares
     best = [math.inf, ()]
     _closest_step(terms, axes, [0] * q.rank, q.rank - 1, 0, best)
-    value = q.evaluate(best[1])
+    value = -best[0] // scale  # best[0] = -c.c * W
     return MaxSquareResult(value, best[1], value != -q.rank)
 
 

@@ -6,6 +6,7 @@ connected sums of elliptic pieces into standard summands.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from itertools import chain, count, filterfalse, islice, repeat
 from typing import Sequence
@@ -22,6 +23,14 @@ from .manifold import (Fingerprint, HomeoType, IntersectionData,
 _S4 = builtin("S4").fingerprint  # the fingerprint of a trivial summand
 _ABSORBED = "connected_sum: summand with trivial fingerprint absorbed"
 _BLOWN_UP = "blowup: {} exceptional classes appended"
+
+
+def _per_copy(seq, c: int):
+    """``seq * c``, refused when it would hold more items than Python can index."""
+    if len(seq) * c > sys.maxsize:
+        raise GuardViolation(f"a per-copy sequence of {len(seq) * c} items is longer than "
+                             "Python can index", requirement="count <= sys.maxsize")
+    return seq * c
 
 
 def _pure_antiblowup_count(d: ManifoldDescriptor) -> int:
@@ -51,7 +60,7 @@ def _lineage(runs) -> tuple[str, tuple[tuple[ManifoldDescriptor, int], ...], str
     leaves = []
     for f, c in runs:
         own = f.derived_from[1] if (f.derived_from or "_")[0] == "connected_sum" else ((f, 1),)
-        leaves += ((own[0][0], own[0][1] * c),) if len(own) == 1 else own * c
+        leaves += ((own[0][0], own[0][1] * c),) if len(own) == 1 else _per_copy(own, c)
     return ("connected_sum", tuple(_merged(leaves)), "")
 
 
@@ -76,7 +85,7 @@ def connected_sum_all(factors: Sequence[ManifoldDescriptor],
     runs = _merged(zip(factors, counts or repeat(1)))
     if not runs:
         return builtin("S4")
-    label = " # ".join(chain.from_iterable([f.label] * c for f, c in runs))
+    label = " # ".join(chain.from_iterable(_per_copy([f.label], c) for f, c in runs))
     lineage = _lineage(runs)
     out = runs[0][0]
     for i, (f, c) in enumerate(runs):  # the first copy starts the sum
@@ -344,7 +353,7 @@ def dissolve(factors: Sequence[ManifoldDescriptor],
     for f, c in runs:
         kind = _standard_kind(f)
         if kind == "S4":
-            trace += [f"trivial_summand: dropped {f.label}"] * c
+            trace += _per_copy([f"trivial_summand: dropped {f.label}"], c)
         elif kind is not None:
             std[kind] += c
         else:
@@ -385,16 +394,16 @@ def dissolve(factors: Sequence[ManifoldDescriptor],
         std[pieces[0]] += t * form.n
         std[pieces[1]] += t * form.m
         rule = "elliptic_stabilization" if s2 else "cp2_dissolution"
-        trace += [f"{rule}: {f.label} # {summand} rewritten to standard pieces"] * t
+        trace += _per_copy([f"{rule}: {f.label} # {summand} rewritten to standard pieces"], t)
 
     # only standard pieces remain; normalize mixed parities
     if (std["CP2"] or std["CP2bar"]) and (std["S2xS2"] or std["K3"]):
         t = std["S2xS2"]
         std.update(S2xS2=0, CP2=std["CP2"] + t, CP2bar=std["CP2bar"] + t)
-        trace += ["parity_swap: S2xS2 rewritten to CP2 # CP2bar"] * t
+        trace += _per_copy(["parity_swap: S2xS2 rewritten to CP2 # CP2bar"], t)
         t = std["K3"] if std["CP2"] else 0  # each rewrite leaves more CP2
         std.update(K3=std["K3"] - t, CP2=std["CP2"] + 3 * t, CP2bar=std["CP2bar"] + 19 * t)
-        trace += ["cp2_dissolution: K3 # CP2 rewritten to 4*CP2 # 19*CP2bar"] * t
+        trace += _per_copy(["cp2_dissolution: K3 # CP2 rewritten to 4*CP2 # 19*CP2bar"], t)
         if std["K3"]:
             trace.append("stuck: K3 summand with no CP2 available")
             return DissolutionVerdict(None, tuple(trace))

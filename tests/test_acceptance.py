@@ -118,7 +118,7 @@ def test_criterion_7_stable_class_normalization():
                        "BF(E(2)), nontrivial, confluently"):
         for k in range(2, 6):
             hat = hat_s1_l([2], 2, k=k)
-            result = bf_simplify(hat, builtin("E", 2), k)
+            result = bf_simplify(hat, builtin("E", 2))
             assert result["normal_form"] == "BF(E(2))"
             assert result["verdict"] == "nontrivial"
             reports = set()

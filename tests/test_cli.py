@@ -528,12 +528,15 @@ def test_deep_nesting_is_refused_fast(tmp_path, argv, code, position):
 # ----- hostile-input contract: large inputs answer fast, each run a fresh process -----
 
 K = 10**6
+BIG = 99999999999999999999  # above sys.maxsize
 
 
 @pytest.mark.parametrize("argv", [
     ["family", "--construction", "k3", "--k", str(K), "--l", "2", "--size", "1"],
     ["eval", "100000*S4"],
-], ids=["family_k_1e6", "eval_100000_S4"])
+    ["family", "--construction", "k3", "--k", str(BIG), "--l", "2", "--size", "1"],
+    ["bf", f"{BIG}*E(2) # hat(2)", "--k", str(BIG)],
+], ids=["family_k_1e6", "eval_100000_S4", "family_k_1e20", "bf_k_1e20"])
 def test_large_multiples_answer_within_budget(argv):
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "swcalc.cli", *argv], env=_src_env(),
@@ -543,19 +546,42 @@ def test_large_multiples_answer_within_budget(argv):
     assert elapsed < 5.0, f"{argv[:2]} took {elapsed:.2f}s"
     data = json.loads(proc.stdout)
     if argv[0] == "family":
-        # 2*K copies of E(2) (b2+ 3, b2- 19) and one S2xS2
+        k = int(argv[4])  # 2*k copies of E(2) (b2+ 3, b2- 19) and one S2xS2
         assert data["target"] == {
-            "expression": f"{2 * K}*E(2) # 1*S2xS2",
-            "fingerprint": [True, 3 * 2 * K + 1, 19 * 2 * K + 1, "even"],
-            "dissolved": {"status": "dissolved", "display": f"1*(S2xS2) # {2 * K}*K3",
-                          "parity": "even", "n": 1, "m": 2 * K, "orientation": 1,
+            "expression": f"{2 * k}*E(2) # 1*S2xS2",
+            "fingerprint": [True, 3 * 2 * k + 1, 19 * 2 * k + 1, "even"],
+            "dissolved": {"status": "dissolved", "display": f"1*(S2xS2) # {2 * k}*K3",
+                          "parity": "even", "n": 1, "m": 2 * k, "orientation": 1,
                           "rule_trace": []}}
         assert data["covering_consistent"] is True
+    elif argv[0] == "bf":
+        assert data["input"] == f"BFG({BIG}*E(2) # hat(S1xRP3), k={BIG})"
+        assert (data["normal_form"], data["verdict"]) == ("BF(E(2))", "nontrivial")
     else:
         assert data["label"] == " # ".join(["S4"] * 100000)
         assert data["dissolution"]["rule_trace"] == ["trivial_summand: dropped S4"] * 100000
         assert data["fingerprint"] == {"simply_connected": True, "b2_plus": 0, "b2_minus": 0,
                                        "parity": "even"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", f"{BIG}*S4"],
+    ["eval", f"E(2) # {BIG}*CP2bar"],
+    ["family", "--construction", "cp2", "--k", str(BIG), "--l", "2", "--size", "1"],
+    ["family", "--construction", "k3", "--k", "2", "--l", "1000000000000000000000000000057",
+     "--size", "1"],
+], ids=["eval_big_S4", "eval_big_CP2bar", "family_cp2_big_k", "family_k3_big_l"])
+def test_counts_past_sys_maxsize_are_refused(argv):
+    """A sum's label, a dissolution trace or the torsion tails that would be
+    longer than Python can index is refused by a guard, not by a traceback."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "swcalc.cli", *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (1, "")
+    error = json.loads(proc.stdout)["error"]
+    assert (error["type"], error["requirement"]) == ("guard", "count <= sys.maxsize")
+    assert elapsed < 1.0, f"{argv[:2]} took {elapsed:.2f}s"
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -346,21 +346,21 @@ def test_simple_type_verdict_on_the_core_matches_expansion(case, torus_square):
 def test_bf_chain_to_single_atom():
     for k in range(2, 6):
         hat = hat_s1_l([2], 2, k=k)
-        result = bf_simplify(hat, builtin("E", 2), k)
+        result = bf_simplify(hat, builtin("E", 2))
         assert list(result) == ["input", "normal_form", "verdict", "trace"]
         assert result["normal_form"] == "BF(E(2))"
         assert result["verdict"] == "nontrivial"
 
 
 def test_bf_s4_is_identity():
-    result = bf_simplify(n_catalog("CP2bar"), builtin("S4"), 2)
+    result = bf_simplify(n_catalog("CP2bar"), builtin("S4"))
     assert result["normal_form"] == "Id"
     assert result["verdict"] == "nontrivial"
     assert "identity_class: BF(S4) -> Id" in result["trace"]
 
 
 def test_bf_unknown_flag_gives_unknown_verdict():
-    result = bf_simplify(n_catalog("S4"), builtin("S2xS2"), 2)
+    result = bf_simplify(n_catalog("S4"), builtin("S2xS2"))
     assert result["normal_form"] == "BF(S2xS2)"
     assert result["verdict"] == "unknown"
 
@@ -379,13 +379,6 @@ def test_bf_report_ignores_summand_order():
         reports = {_bf_report(expression, k) for expression in orders}
         assert len(reports) == 1
         assert reports.pop()[0] == 0
-
-
-def test_bfg_requires_k_copies():
-    hat = hat_s1_l([2], 2, k=2)
-    with pytest.raises(GuardViolation) as err:
-        bf_simplify(hat, builtin("E", 2), 3)
-    assert err.value.requirement == "k summands of M"
 
 
 # ----- covering consistency -----

@@ -10,8 +10,9 @@ help of ``family``, ``fixedpoints`` and ``lattice`` was re-captured when
 their unread ``--catalog`` option was removed, and ``catalog.json`` when
 the ``S1xLensSum`` and ``Extended`` kinds, which no command built, left
 ``catalog_kinds``; ``eval_knot_E2_family21.json`` was captured while the
-knot-family members still built their Alexander polynomials.  Regenerate
-them only for an intended change of output.
+knot-family members still built their Alexander polynomials, and the two
+``bf`` reports over hat(2) and hat(8) while ``bf_simplify`` still checked the
+copy count itself.  Regenerate them only for an intended change of output.
 """
 from pathlib import Path
 
@@ -49,6 +50,8 @@ REPORTS = [
     ("eval_blowup_syntax_error.json", ["eval", "blowup(E(2) 3)"], 2),
     ("eval_knot_surgery_syntax_error.json", ["eval", "knot_surgery(E(2), )"], 2),
     ("eval_knot_E2_family21.json", ["eval", "knot_surgery(E(2), family(2,1))"], 0),
+    ("bf_3E2_hat2_k2.json", ["bf", "3*E(2) # hat(2)", "--k", "2"], 1),
+    ("bf_2E2_hat8_k2.json", ["bf", "2*E(2) # hat(8)", "--k", "2"], 0),
 ]
 
 

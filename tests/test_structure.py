@@ -106,7 +106,8 @@ def test_every_option_has_a_reader():
 
 def test_entry_is_the_only_source_of_k():
     """A catalog entry carries the cyclic order k and |pi_1| = l, so no public
-    callable of ``equivariant`` takes ``k`` or ``l`` but the entry's builders."""
+    callable of ``equivariant`` takes ``k``, ``l`` or a copy ``count`` but the
+    entry's builders."""
     from swcalc import equivariant
     builders = {"NCatalogEntry", "hat_s1_l", "n_catalog"}
     restated = []
@@ -115,7 +116,7 @@ def test_entry_is_the_only_source_of_k():
                 or getattr(obj, "__module__", None) != equivariant.__name__:
             continue
         params = inspect.signature(obj).parameters
-        restated += [f"{name}({p})" for p in ("k", "l") if p in params]
+        restated += [f"{name}({p})" for p in ("k", "l", "count") if p in params]
     assert restated == []
 
 
@@ -241,8 +242,6 @@ UNREACHED = {
     "main": "the console entry point; the corpus runs run_command in process",
     "connected_sum": "the binary sum for library users and the tests' copy-by-copy "
                      "oracle; every fold goes through connected_sum_all's runs",
-    "quaternionic_space_form": "reached by hat(l) with 4 | l >= 8, which no "
-                               "corpus job uses",
     "GroupRingElement.embed": "the reference implementation for mul_laurent",
     "FactoredElement.expand": "the reference implementation for the factored form",
     "GroupRingElement.one": "how tests and library users build elements",
