@@ -175,7 +175,7 @@ def gmonopole_polynomial(m: ManifoldDescriptor, n_entry: NCatalogEntry) -> Facto
             f"the polynomial of {m.label} is unknown; nothing to transfer",
             requirement="SW polynomial known or known zero")
     poly = m.sw.poly if m.sw.is_known else FactoredElement(
-        GroupRingElement.zero(FgAbelianGroup(len(m.intersection.tracked_basis))))
+        GroupRingElement.zero(FgAbelianGroup(m.intersection.rank)))
     return replace(poly.over_f2(), torsion=n_entry.descriptor.torsion_h1)
 
 
@@ -284,7 +284,7 @@ def exotic_family(construction: str, hat: NCatalogEntry, size: int,
         poly = gmonopole_polynomial(base, hat)
         step, count = 2 * spacing, poly.monomial_count()
         keys = sorted(poly.powered_core().terms)  # M's mod-2 core, its power expanded
-        if base.torus_class != base.intersection.tracked_basis[0] or not keys or \
+        if base.torus_index != 0 or not keys or \
                 keys[-1][0] - keys[0][0] >= step:
             raise UnsupportedOperation("a knot family needs T at slot 0 and a nonzero mod-2 "
                                        "core of M spanning less than the step at T")

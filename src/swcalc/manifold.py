@@ -10,7 +10,7 @@ standard manifolds and transformed by the surgery module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
 from .errors import GuardViolation
@@ -72,105 +72,111 @@ def _square(entries: Sequence[tuple[int, int, int]], vec: Sequence[int]) -> int:
     return sum([g * vec[i] * vec[j] for i, j, g in entries]) if entries else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntersectionData:
     """Free part of the intersection form, split for bookkeeping.
 
-    ``tracked_basis`` names the generators that may appear as exponents
-    of Seiberg-Witten monomials.  Their Gram matrix is block diagonal:
-    ``blocks`` holds its square symmetric diagonal blocks in basis order,
-    and ``gram`` builds the dense matrix on demand.  The remaining
-    dimensions are counted as standard summands (hyperbolic planes and
-    diagonal (+1)/(-1) entries) that no monomial references.
+    The tracked generators may appear as exponents of Seiberg-Witten
+    monomials.  Their Gram matrix is block diagonal, kept as ``runs`` of
+    (base names, blocks, copies): a leaf is one run of one copy, and a
+    connected sum appends its summands' runs, so k copies of a summand
+    cost one run.  ``tracked_basis``, ``blocks`` and ``gram`` write the
+    copies out when they are read; a clash of a base name x takes the
+    first free name of x_2, x_3, ...  The remaining dimensions are
+    counted as standard summands (hyperbolic planes and diagonal
+    (+1)/(-1) entries) that no monomial references.  Two forms are equal
+    when their written-out forms are.
     """
 
-    tracked_basis: tuple[str, ...] = ()
-    blocks: tuple[Block, ...] = ()
+    runs: tuple[tuple[tuple[str, ...], tuple[Block, ...], int], ...] = ()
     h_count: int = 0
     plus_count: int = 0
     minus_count: int = 0
+    rank: int = field(init=False, repr=False)  # the tracked classes, counted when made
 
     def __post_init__(self):
-        if sum(map(len, self.blocks)) != len(self.tracked_basis):
-            raise ValueError("gram blocks must cover the tracked basis")
-        for block in self.blocks:
-            n = len(block)
-            if any(len(row) != n for row in block):
-                raise ValueError("gram block must be square")
-            if any(block[i][j] != block[j][i] for i in range(n) for j in range(i)):
-                raise ValueError("gram matrix must be symmetric")
         if min(self.h_count, self.plus_count, self.minus_count, 0) < 0:
             raise ValueError("summand counts must be nonnegative")
+        object.__setattr__(self, "rank", sum([len(names) * c for names, _, c in self.runs]))
+
+    @classmethod
+    def leaf(cls, tracked_basis: tuple[str, ...], blocks: tuple[Block, ...], h_count: int = 0,
+             plus_count: int = 0, minus_count: int = 0) -> "IntersectionData":
+        """One copy of the named classes with these Gram blocks, checked here
+        once: a sum of checked runs is checked."""
+        if sum(map(len, blocks)) != len(tracked_basis):
+            raise ValueError("gram blocks must cover the tracked basis")
+        for block in set(blocks):
+            n = len(block)
+            if any(len(row) != n for row in block) or \
+                    any(block[i][j] != block[j][i] for i in range(n) for j in range(i)):
+                raise ValueError("gram block must be square and symmetric")
+        return cls(((tracked_basis, blocks, 1),), h_count, plus_count, minus_count)
+
+    def __eq__(self, other):
+        # equal forms have equal ranks and counts, which is all the hash reads
+        if not isinstance(other, IntersectionData) or hash(self) != hash(other):
+            return False
+        return self.runs == other.runs or \
+            (self.tracked_basis, self.blocks) == (other.tracked_basis, other.blocks)
+
+    def __hash__(self):
+        return hash((self.rank, self.h_count, self.plus_count, self.minus_count))
 
     @property
     def dimension(self) -> int:
-        return (len(self.tracked_basis) + 2 * self.h_count
-                + self.plus_count + self.minus_count)
+        return self.rank + 2 * self.h_count + self.plus_count + self.minus_count
+
+    @property
+    def tracked_basis(self) -> tuple[str, ...]:
+        if len(self.runs) == 1 and self.runs[0][2] == 1:
+            return self.runs[0][0]  # a leaf hands out the names it was given
+        taken: dict[str, None] = {}  # the names so far, in basis order
+        next_suffix: dict[str, int] = {}  # name -> i with name_2..name_{i-1} taken
+        for name in self._base_names():
+            candidate, i = name, next_suffix.get(name, 2)
+            while candidate in taken:
+                candidate, i = f"{name}_{i}", i + 1
+            next_suffix[name] = i
+            taken[candidate] = None
+        return tuple(taken)
+
+    def _base_names(self) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(names * c for names, _, c in self.runs))
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        if len(self.runs) == 1 and self.runs[0][2] == 1:
+            return self.runs[0][1]
+        return tuple(chain.from_iterable(blocks * c for _, blocks, c in self.runs))
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """The dense tracked Gram matrix, built anew on each call."""
-        n = len(self.tracked_basis)
         rows = []
         for block in self.blocks:
             left = (0,) * len(rows)
-            right = (0,) * (n - len(rows) - len(block))
+            right = (0,) * (self.rank - len(rows) - len(block))
             rows.extend(left + tuple(row) + right for row in block)
         return tuple(rows)
 
     def direct_sum(self, other: "IntersectionData", count: int = 1) -> "IntersectionData":
-        """Orthogonal sum with ``count`` copies of ``other``, renaming clashes.
+        """Orthogonal sum with ``count`` copies of ``other``, as runs.
 
-        A clashing name x becomes the first free one of x_2, x_3, ...  Both
-        forms were checked when they were made, and a block sum of checked
-        blocks is checked, so the sum is assembled without a further
-        check.  Names are looked up in a table that a chain of sums shares,
-        so a sum costs the two concatenations plus O(1) amortized per class
-        of the copies.
+        The copies are one run: other's run, or its written-out base names
+        and blocks when it has several; a run with the names and blocks of
+        self's last run extends it.  A sum of checked forms is checked.
         """
-        table = self.__dict__.get("_names")
-        if table is None:
-            table = self.__dict__.setdefault("_names", _NameTable(self.tracked_basis))
-        if len(table.taken) != len(self.tracked_basis):
-            table = _NameTable(self.tracked_basis)
-        out = object.__new__(IntersectionData)
-        out.__dict__.update(
-            tracked_basis=self.tracked_basis + table.add(other.tracked_basis * count),
-            blocks=self.blocks + other.blocks * count,
-            h_count=self.h_count + count * other.h_count,
-            plus_count=self.plus_count + count * other.plus_count,
-            minus_count=self.minus_count + count * other.minus_count,
-            _names=table,
-        )
-        return out
-
-
-class _NameTable:
-    """The tracked names along one chain of direct sums.
-
-    Every form of the chain holds the table, but it lists exactly the names
-    of a form only while it holds as many names as that form has: a sum
-    from an earlier form of the chain starts a table of its own.
-    """
-
-    def __init__(self, names: tuple[str, ...]):
-        self.taken = set(names)
-        self.next_suffix: dict[str, int] = {}  # name -> i with name_2..name_{i-1} taken
-
-    def add(self, names: tuple[str, ...]) -> tuple[str, ...]:
-        out = []
-        for name in names:
-            candidate = name
-            if candidate in self.taken:
-                i = self.next_suffix.get(name, 2)
-                candidate = f"{name}_{i}"
-                while candidate in self.taken:
-                    i += 1
-                    candidate = f"{name}_{i}"
-                self.next_suffix[name] = i + 1
-            self.taken.add(candidate)
-            out.append(candidate)
-        return tuple(out)
+        head, runs = self.runs, other.runs
+        if count > 1 and runs:
+            names, blocks, c = runs[0] if len(runs) == 1 else \
+                (other._base_names(), other.blocks, 1)
+            runs = ((names, blocks, c * count),)
+        if head and runs and head[-1][:2] == runs[0][:2]:
+            head, runs = head[:-1], ((*runs[0][:2], head[-1][2] + runs[0][2]),) + runs[1:]
+        return IntersectionData(head + runs, self.h_count + count * other.h_count,
+                                self.plus_count + count * other.plus_count,
+                                self.minus_count + count * other.minus_count)
 
 
 class Fingerprint(NamedTuple):
@@ -228,7 +234,7 @@ class ManifoldDescriptor:
     intersection: IntersectionData
     simple_type: bool | None = None
     admits_psc: bool = False
-    torus_class: str | None = None
+    torus_index: int | None = None  # position of the square-zero torus in the tracked basis
     elliptic_class: bool = False
     # (step, parents, argument); a connected sum's parents are (leaf, multiplicity) runs
     derived_from: tuple[str, tuple, str] | None = \
@@ -242,12 +248,11 @@ class ManifoldDescriptor:
             raise ValueError(
                 f"intersection data accounts for {self.intersection.dimension} "
                 f"dimensions but b2 = {self.b2}")
-        if self.torus_class is not None and \
-                self.torus_class not in self.intersection.tracked_basis:
+        if self.torus_index is not None and not 0 <= self.torus_index < self.intersection.rank:
             raise ValueError("torus class must be a tracked generator")
         if self.sw.is_known:
             poly, m, blocks = self.sw.poly, self.sw.poly.blowups, self.intersection.blocks
-            if poly.core.ambient.free_rank + m != len(self.intersection.tracked_basis) \
+            if poly.core.ambient.free_rank + m != self.intersection.rank \
                     or poly.torsion or blocks[len(blocks) - m:] != (((-1,),),) * m:
                 raise ValueError("SW polynomial must live over the tracked basis, "
                                  "its exceptional classes last")
@@ -292,7 +297,7 @@ class ManifoldDescriptor:
         caps = set()
         if self.admits_psc:
             caps.add("admits_psc")
-        if self.torus_class is not None:
+        if self.torus_index is not None:
             caps.add("has_swappable_torus")
         return frozenset(caps)
 
@@ -302,7 +307,7 @@ class ManifoldDescriptor:
         return self.sw.poly.render(self.intersection.tracked_basis or None)
 
     def to_json_dict(self) -> dict:
-        n = len(self.intersection.tracked_basis)
+        n = self.intersection.rank
         if n > JSON_MAX_TRACKED:
             raise GuardViolation(
                 f"the report would print a dense {n}x{n} intersection form; "
@@ -347,11 +352,11 @@ def _elliptic_surface(n: int, label: str | None = None) -> ManifoldDescriptor:
         torsion_h1=(),
         spin=(n % 2 == 0),
         sw=SWInfo.known(laurent({0: 1}), power=(1, n - 2, 0)),
-        intersection=IntersectionData(("T",), (((0,),),),
-                                      h_count=6 * n - 2, minus_count=1),
+        intersection=IntersectionData.leaf(("T",), (((0,),),),
+                                           h_count=6 * n - 2, minus_count=1),
         simple_type=True,
         admits_psc=False,
-        torus_class="T",
+        torus_index=0,
         elliptic_class=True,
     )
 
@@ -440,11 +445,10 @@ def mod2_basic_class_count(m: ManifoldDescriptor) -> int | None:
 def reverse_orientation(m: ManifoldDescriptor) -> ManifoldDescriptor:
     """Label-level orientation reversal; the reversed polynomial is not inferred."""
     inter = m.intersection
-    reversed_inter = IntersectionData(
-        inter.tracked_basis,
-        tuple(tuple(tuple(-x for x in row) for row in block)
-              for block in inter.blocks),
-        h_count=inter.h_count,
+    reversed_inter = replace(
+        inter,
+        runs=tuple((names, tuple(tuple(tuple(-x for x in row) for row in block)
+                                 for block in blocks), c) for names, blocks, c in inter.runs),
         plus_count=inter.minus_count,
         minus_count=inter.plus_count,
     )

@@ -135,10 +135,9 @@ def _unabsorbed_sum(a: ManifoldDescriptor, b: ManifoldDescriptor, n: int, label:
         sw = SWInfo.unknown()
         note = "connected_sum: polynomial not determined by the product rules"
 
-    torus = a.torus_class
-    if torus is None and b.torus_class is not None:
-        torus = inter.tracked_basis[len(a.intersection.tracked_basis)
-                                    + b.intersection.tracked_basis.index(b.torus_class)]
+    torus = a.torus_index
+    if torus is None and b.torus_index is not None:
+        torus = a.intersection.rank + b.torus_index
 
     return ManifoldDescriptor(
         label=label,
@@ -152,7 +151,7 @@ def _unabsorbed_sum(a: ManifoldDescriptor, b: ManifoldDescriptor, n: int, label:
         intersection=inter,
         simple_type=None,
         admits_psc=a.admits_psc and b.admits_psc,
-        torus_class=torus,
+        torus_index=torus,
         elliptic_class=False,
         derived_from=lineage,
         provenance=(note,),
@@ -171,17 +170,10 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
     """
     if m < 1:
         raise GuardViolation("blowup count must be at least 1", requirement="m >= 1")
-    tracked = a.intersection.tracked_basis
     # the first m of E1, E2, ... that the form does not use yet
-    new_names = tuple(islice(filterfalse(set(tracked).__contains__,
+    new_names = tuple(islice(filterfalse(set(a.intersection.tracked_basis).__contains__,
                                          map("E{}".format, count(1))), m))
-
-    inter = IntersectionData(
-        tracked + new_names, a.intersection.blocks + (((-1,),),) * m,
-        h_count=a.intersection.h_count,
-        plus_count=a.intersection.plus_count,
-        minus_count=a.intersection.minus_count,
-    )
+    inter = a.intersection.direct_sum(IntersectionData.leaf(new_names, (((-1,),),) * m))
 
     if a.sw.is_known and a.simple_type:
         sw = SWInfo.known(a.sw.poly.core, a.sw.poly.blowups + m, a.sw.poly.power)
@@ -214,7 +206,7 @@ def knot_surgery(a: ManifoldDescriptor, k: AlexanderPoly) -> ManifoldDescriptor:
     The homeomorphism fingerprint is unchanged and the polynomial is
     multiplied by Delta_K evaluated at the square of the torus class.
     """
-    if a.torus_class is None:
+    if a.torus_index is None:
         raise GuardViolation(
             f"{a.label} carries no distinguished torus with square 0 and simply "
             "connected complement; knot surgery is refused",
@@ -225,11 +217,10 @@ def knot_surgery(a: ManifoldDescriptor, k: AlexanderPoly) -> ManifoldDescriptor:
             requirement="SW polynomial known")
     # Delta_K spreads the core along the torus, so the power is multiplied in first
     core = a.sw.poly.powered_core()
-    torus_index = a.intersection.tracked_basis.index(a.torus_class)
     return replace(
         a,
         label=f"knot_surgery({a.label}, {k.label()})",
-        sw=SWInfo.known(core.mul_laurent(k.poly, torus_index, 2), a.sw.poly.blowups),
+        sw=SWInfo.known(core.mul_laurent(k.poly, a.torus_index, 2), a.sw.poly.blowups),
         derived_from=("knot_surgery", (a,), k.label()),
         provenance=a.provenance +
         (f"knot_surgery: polynomial multiplied by Delta({k.label()}) at T^2",),

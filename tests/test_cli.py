@@ -636,20 +636,35 @@ def test_long_period_fixed_subtorus_answers_within_budget():
     assert elapsed < 1.0, f"the n = 41 fixed subtorus took {elapsed:.2f}s"
 
 
-def test_doubling_catalog_chain_is_refused_within_budget(tmp_path):
-    """Y_i = Y_{i+1} # Y_{i+1} over 18 levels names 2^18 copies of K3: each
-    entry is evaluated once per level, so the report guard refuses it fast."""
-    entries = {f"Y{i}": f"Y{i + 1} # Y{i + 1}" for i in range(18)}
+@pytest.mark.parametrize("depth, budget", [(18, 5.0), (22, 1.0)], ids=["depth_18", "depth_22"])
+def test_doubling_catalog_chain_is_refused_within_budget(tmp_path, depth, budget):
+    """Y_i = Y_{i+1} # Y_{i+1} over ``depth`` levels holds 2^depth copies of K3:
+    each entry is evaluated once per level and its form is one run, so the
+    report guard refuses it fast."""
+    entries = {f"Y{i}": f"Y{i + 1} # Y{i + 1}" for i in range(depth)}
     path = tmp_path / "doubling.json"
-    path.write_text(json.dumps({"manifolds": {**entries, "Y18": "K3"}}))
+    path.write_text(json.dumps({"manifolds": {**entries, f"Y{depth}": "K3"}}))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "swcalc.cli", "eval", "Y0", "--catalog",
                            str(path)], env=_src_env(), capture_output=True, text=True,
-                          timeout=5)
+                          timeout=60)
     elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stderr) == (1, "")
-    assert elapsed < 5.0, f"the doubling chain took {elapsed:.2f}s"
+    assert elapsed < budget, f"the doubling chain took {elapsed:.2f}s"
     error = json.loads(proc.stdout)["error"]
     assert error["type"] == "guard"
     assert error["requirement"] == "at most 1000 tracked classes"
-    assert f"{2**18}x{2**18} intersection form" in error["message"]
+    assert f"{2**depth}x{2**depth} intersection form" in error["message"]
+
+
+def test_four_million_copies_are_refused_within_budget():
+    """4,000,000 copies of E(2) are one run: the report guard refuses the
+    dense form before a name is written."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "swcalc.cli", "eval", "4000000*E(2)"],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert elapsed < 1.0, f"4000000*E(2) took {elapsed:.2f}s"
+    error = json.loads(proc.stdout)["error"]
+    assert (error["type"], error["requirement"]) == ("guard", "at most 1000 tracked classes")

@@ -330,7 +330,8 @@ def test_simple_type_verdict_on_the_core_matches_expansion(case, torus_square):
     exactly when every expanded monomial has square 2*chi + 3*sigma."""
     member, expansion = case
     inter = member.intersection
-    form = replace(inter, blocks=(((torus_square,),),) + inter.blocks[1:])
+    form = IntersectionData.leaf(inter.tracked_basis, (((torus_square,),),) + inter.blocks[1:],
+                                 inter.h_count, inter.plus_count, inter.minus_count)
     target = 2 * member.chi + 3 * member.sigma
     expanded = all(class_square(form, v) == target for v in expansion.free_exponents())
     try:

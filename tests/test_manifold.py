@@ -10,7 +10,7 @@ from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent
 from swcalc.manifold import (Fingerprint, IntersectionData, ManifoldDescriptor,
                              SWInfo, _square, _square_entries, builtin,
                              homeo_type, mod2_basic_class_count, reverse_orientation)
-from swcalc.surgery import connected_sum, connected_sum_all
+from swcalc.surgery import blowup, connected_sum, connected_sum_all
 
 from oracles import ring_power, signed_binomial
 
@@ -66,8 +66,8 @@ def test_s1xs3():
 
 
 def test_shared_builtins_keep_their_own_names():
-    """A fixed builtin is one shared value; the name table that a sum caches
-    on its form never leaks into a later sum or into the builtin itself."""
+    """A fixed builtin is one shared value; a sum's names never leak into a
+    later sum or into the builtin itself."""
     assert builtin("K3") is builtin("K3")
     for _ in range(2):
         m = eval_expr(parse("K3 # K3 # E(2)"))
@@ -171,7 +171,7 @@ def test_simple_type_square_enforced():
     with pytest.raises(ValueError):
         ManifoldDescriptor(
             "X", True, 0, 3, 19, (), True, SWInfo.known(bad_poly),
-            IntersectionData(("T",), (((1,),),), h_count=10, minus_count=1),
+            IntersectionData.leaf(("T",), (((1,),),), h_count=10, minus_count=1),
             simple_type=True)
 
 
@@ -196,7 +196,7 @@ def test_simple_type_on_a_form_with_no_core_entry(blowups):
     def descriptor(core):
         return ManifoldDescriptor(
             "X", True, 0, 3, 20, (), False, SWInfo.known(core, blowups),
-            IntersectionData(basis, blocks, h_count=10, minus_count=2 - blowups),
+            IntersectionData.leaf(basis, blocks, h_count=10, minus_count=2 - blowups),
             simple_type=True)
 
     assert descriptor(GroupRingElement.zero(g)).sw.poly.core.terms == {}
@@ -259,15 +259,21 @@ def _greedy_names(pieces):
 
 
 @settings(max_examples=100)
-@given(st.lists(symmetric_blocks(), max_size=6), st.data())
-def test_block_sum_matches_dense_form(blocks, data):
-    pieces = [tuple(data.draw(st.sampled_from(["T", "T_2", "E1"]))
-                    + ("" if j == 0 else f"_{j + 1}") for j in range(len(b)))
-              for b in blocks]
-    forms = [IntersectionData(names, (b,)) for names, b in zip(pieces, blocks)]
-    total = IntersectionData()
-    for form in forms:
-        total = total.direct_sum(form)
+@given(st.lists(st.lists(symmetric_blocks(), min_size=1, max_size=2), max_size=5), st.data())
+def test_block_sum_matches_dense_form(pieces, data):
+    """``direct_sum(f, c)`` of each piece f, c drawn, is c sums of f one copy
+    at a time: in names, Gram matrix, equality and hash."""
+    counts = [data.draw(st.integers(1, 3)) for _ in pieces]
+    bases = [data.draw(st.sampled_from(["T", "T_2", "E1"])) for _ in pieces]
+    names = [tuple(base + f"_{j + 1}" * bool(j) for j in range(sum(map(len, blocks))))
+             for base, blocks in zip(bases, pieces)]
+    forms = [IntersectionData.leaf(n, tuple(b)) for n, b in zip(names, pieces)]
+    total, one_by_one = IntersectionData(), IntersectionData()
+    for form, c in zip(forms, counts):
+        total = total.direct_sum(form, c)
+        for _ in range(c):
+            one_by_one = one_by_one.direct_sum(form)
+    blocks = [b for bs, c in zip(pieces, counts) for _ in range(c) for b in bs]
     n = sum(len(b) for b in blocks)
     dense = [[0] * n for _ in range(n)]
     start = 0
@@ -275,28 +281,39 @@ def test_block_sum_matches_dense_form(blocks, data):
         for i, row in enumerate(b):
             dense[start + i][start:start + len(b)] = row
         start += len(b)
-    assert total.gram == tuple(map(tuple, dense))
-    assert total.tracked_basis == _greedy_names(pieces)
+    for form in (total, one_by_one):
+        assert form.gram == tuple(map(tuple, dense))
+        assert form.tracked_basis == _greedy_names(
+            [ns for ns, c in zip(names, counts) for _ in range(c)])
+    assert total == one_by_one and hash(total) == hash(one_by_one)
     vec = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
     expected = sum(vec[i] * dense[i][j] * vec[j] for i in range(n) for j in range(n))
     assert _square(_square_entries(total.blocks), vec) == expected
 
 
+def test_blowups_one_at_a_time_give_the_form_of_one_blowup():
+    once, twice = blowup(builtin("E", 2), 2), blowup(blowup(builtin("E", 2), 1), 1)
+    assert once.intersection.tracked_basis == ("T", "E1", "E2")
+    assert once.intersection.runs != twice.intersection.runs
+    assert once.intersection == twice.intersection
+    assert hash(once.intersection) == hash(twice.intersection)
+
+
 def test_block_must_be_symmetric():
     with pytest.raises(ValueError):
-        IntersectionData(("a", "b"), (((0, 1), (2, 0)),))
+        IntersectionData.leaf(("a", "b"), (((0, 1), (2, 0)),))
 
 
 def test_blocks_must_cover_the_basis():
     with pytest.raises(ValueError):
-        IntersectionData(("a", "b"), (((0,),),))
+        IntersectionData.leaf(("a", "b"), (((0,),),))
 
 
 def test_reused_summand_gets_its_own_names():
-    form = IntersectionData(("T",), (((0,),),))
+    form = IntersectionData.leaf(("T",), (((0,),),))
     first = form.direct_sum(form).direct_sum(form)
     again = form.direct_sum(form)
     assert first.tracked_basis == ("T", "T_2", "T_3")
     assert again.tracked_basis == ("T", "T_2")
-    assert again.direct_sum(IntersectionData(("T_3",), (((1,),),))).tracked_basis \
+    assert again.direct_sum(IntersectionData.leaf(("T_3",), (((1,),),))).tracked_basis \
         == ("T", "T_2", "T_3")

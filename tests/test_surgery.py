@@ -16,7 +16,7 @@ from swcalc import surgery
 from swcalc.cli import run_command
 from swcalc.equivariant import exotic_family, hat_s1_l
 from swcalc.errors import GuardViolation
-from swcalc.expressions import eval_expr, parse, render
+from swcalc.expressions import Catalog, eval_expr, parse, render
 from swcalc.groupring import FgAbelianGroup, GroupRingElement, laurent
 from swcalc.knot import AlexanderPoly, alexander_family, torus_knot, unknot
 from swcalc.manifold import (HomeoType, IntersectionData, ManifoldDescriptor, SWInfo, builtin,
@@ -258,7 +258,7 @@ def test_log_transform_counts_match_multiplicity():
 def test_log_transform_fingerprint():
     m = log_transform(2, 7)
     assert m.fingerprint == builtin("E", 2).fingerprint
-    assert m.torus_class == "T"
+    assert m.torus_index == 0
 
 
 def test_log_transform_matches_summed_comb():
@@ -448,10 +448,10 @@ def _verdict(factors, dissolver):
         return "refused"
 
 
-def _eval_bytes(text: str) -> str:
+def _eval_bytes(text: str, *options: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert run_command(["eval", text]) == 0
+        assert run_command(["eval", text, *options]) == 0
     return out.getvalue()
 
 
@@ -485,6 +485,20 @@ def test_runs_match_the_copy_by_copy_fold(multiplicities, rng):
         printed = [f'"expression": {json.dumps(render(parse(text)))}'
                    for text in (compact, spelled)]
         assert _eval_bytes(compact).replace(*printed) == _eval_bytes(spelled)
+
+
+def test_a_catalog_sum_prints_as_its_spelled_out_sum(tmp_path):
+    """A summand that is itself a sum names its copies from its leaves' base
+    names, so a catalog sum prints what the spelled-out sum prints."""
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"manifolds": {"X": "E(2) # E(2)"}}))
+    for compact, spelled in (("K3 # X", "K3 # E(2) # E(2)"), ("X # X", "4*E(2)")):
+        printed = [f'"expression": {json.dumps(render(parse(text, Catalog.load(path))))}'
+                   for text in (compact, spelled)]
+        assert _eval_bytes(compact, "--catalog", str(path)).replace(*printed) \
+            == _eval_bytes(spelled)
+    twice = json.loads(_eval_bytes("blowup(E(2) # E(2),1) # blowup(E(2) # E(2),1)"))
+    assert twice["intersection"]["tracked_basis"] == ["T", "T_2", "E1", "T_3", "T_4", "E1_2"]
 
 
 def test_dissolve_classifies_each_run_once(monkeypatch):
@@ -532,7 +546,7 @@ def test_runs_of_a_known_summand_of_b2plus_zero():
     even = ManifoldDescriptor("A", True, 0, 0, 8, (), True, SWInfo.unknown(),
                               IntersectionData(minus_count=8))
     odd = ManifoldDescriptor("X", True, 0, 0, 4, (), False, SWInfo.known(laurent({0: 1})),
-                             IntersectionData(("U",), (((-1,),),), minus_count=3),
+                             IntersectionData.leaf(("U",), (((-1,),),), minus_count=3),
                              simple_type=True)
     factors = [even, odd, odd, odd]
     runs, oracle = connected_sum_all(factors), fold_sum(factors)
