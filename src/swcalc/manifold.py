@@ -102,10 +102,10 @@ class IntersectionData:
     @classmethod
     def leaf(cls, tracked_basis: tuple[str, ...], blocks: tuple[Block, ...], h_count: int = 0,
              plus_count: int = 0, minus_count: int = 0) -> "IntersectionData":
-        """One copy of the named classes with these Gram blocks, checked here
-        once: a sum of checked runs is checked."""
-        if sum(map(len, blocks)) != len(tracked_basis):
-            raise ValueError("gram blocks must cover the tracked basis")
+        """One copy of the distinct named classes with these Gram blocks,
+        checked here once: a sum of checked runs is checked."""
+        if not sum(map(len, blocks)) == len(tracked_basis) == len(set(tracked_basis)):
+            raise ValueError("gram blocks must cover the tracked basis, its names distinct")
         for block in set(blocks):
             n = len(block)
             if any(len(row) != n for row in block) or \
@@ -114,14 +114,15 @@ class IntersectionData:
         return cls(((tracked_basis, blocks, 1),), h_count, plus_count, minus_count)
 
     def __eq__(self, other):
-        # equal forms have equal ranks and counts, which is all the hash reads
-        if not isinstance(other, IntersectionData) or hash(self) != hash(other):
-            return False
-        return self.runs == other.runs or \
-            (self.tracked_basis, self.blocks) == (other.tracked_basis, other.blocks)
+        return isinstance(other, IntersectionData) and self._counts() == other._counts() and (
+            self.runs == other.runs
+            or (self.tracked_basis, self.blocks) == (other.tracked_basis, other.blocks))
 
     def __hash__(self):
-        return hash((self.rank, self.h_count, self.plus_count, self.minus_count))
+        return hash(self._counts())
+
+    def _counts(self) -> tuple[int, int, int, int]:
+        return self.rank, self.h_count, self.plus_count, self.minus_count
 
     @property
     def dimension(self) -> int:

@@ -170,9 +170,9 @@ def blowup(a: ManifoldDescriptor, m: int) -> ManifoldDescriptor:
     """
     if m < 1:
         raise GuardViolation("blowup count must be at least 1", requirement="m >= 1")
-    # the first m of E1, E2, ... that the form does not use yet
-    new_names = tuple(islice(filterfalse(set(a.intersection.tracked_basis).__contains__,
-                                         map("E{}".format, count(1))), m))
+    # the first m of E1, E2, ... not among the base names (a renamed class holds "_")
+    used = set(chain.from_iterable(names for names, _, _ in a.intersection.runs))
+    new_names = tuple(islice(filterfalse(used.__contains__, map("E{}".format, count(1))), m))
     inter = a.intersection.direct_sum(IntersectionData.leaf(new_names, (((-1,),),) * m))
 
     if a.sw.is_known and a.simple_type:

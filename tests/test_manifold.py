@@ -262,11 +262,14 @@ def _greedy_names(pieces):
 @given(st.lists(st.lists(symmetric_blocks(), min_size=1, max_size=2), max_size=5), st.data())
 def test_block_sum_matches_dense_form(pieces, data):
     """``direct_sum(f, c)`` of each piece f, c drawn, is c sums of f one copy
-    at a time: in names, Gram matrix, equality and hash."""
+    at a time: in names, Gram matrix, equality and hash.  A leaf's own names
+    are distinct (``leaf`` refuses others); they clash across pieces."""
     counts = [data.draw(st.integers(1, 3)) for _ in pieces]
-    bases = [data.draw(st.sampled_from(["T", "T_2", "E1"])) for _ in pieces]
-    names = [tuple(base + f"_{j + 1}" * bool(j) for j in range(sum(map(len, blocks))))
-             for base, blocks in zip(bases, pieces)]
+    pool = ["T", "T_2", "T_3", "E1", "E1_2", "E2"]
+    names = [tuple(data.draw(st.lists(st.sampled_from(pool), unique=True,
+                                      min_size=sum(map(len, blocks)),
+                                      max_size=sum(map(len, blocks)))))
+             for blocks in pieces]
     forms = [IntersectionData.leaf(n, tuple(b)) for n, b in zip(names, pieces)]
     total, one_by_one = IntersectionData(), IntersectionData()
     for form, c in zip(forms, counts):
@@ -307,6 +310,19 @@ def test_block_must_be_symmetric():
 def test_blocks_must_cover_the_basis():
     with pytest.raises(ValueError):
         IntersectionData.leaf(("a", "b"), (((0,),),))
+
+
+def test_leaf_names_must_be_distinct():
+    with pytest.raises(ValueError, match="distinct"):
+        IntersectionData.leaf(("T", "T"), (((0,),), ((-1,),)))
+
+
+def test_forms_with_equal_hashes_and_different_counts_differ():
+    big = IntersectionData.leaf(("T",), (((0,),),)).direct_sum(
+        IntersectionData(h_count=1), 2**61 - 1)
+    small = IntersectionData.leaf(("T",), (((0,),),))
+    assert hash(big) == hash(small)  # int hashes are taken mod 2**61 - 1
+    assert big != small and big.h_count == 2**61 - 1
 
 
 def test_reused_summand_gets_its_own_names():

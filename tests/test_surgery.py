@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -129,6 +130,20 @@ def test_empty_sum_is_s4():
 def test_iterated_blowup_names_fresh():
     m = blowup(blowup(builtin("E", 2), 1), 1)
     assert m.intersection.tracked_basis == ("T", "E1", "E2")
+
+
+def test_blowup_of_a_sum_names_fresh_from_its_runs():
+    m = blowup(connected_sum_all([blowup(builtin("E", 2), 1)], [3]), 1)
+    assert m.intersection.tracked_basis == ("T", "E1", "T_2", "E1_2", "T_3", "E1_3", "E2")
+
+
+def test_blowup_of_a_large_sum_does_not_write_out_its_names():
+    s = connected_sum_all([builtin("E", 2)], [10**6])
+    start = time.perf_counter()
+    m = blowup(s, 1)
+    assert time.perf_counter() - start < 0.1
+    assert m.intersection.runs[-1] == (("E1",), (((-1,),),), 1)
+    assert m.intersection.rank == 10**6 + 1
 
 
 def embed_and_multiply_blowup(a, m):
