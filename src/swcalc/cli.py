@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 when a construction hypothesis is violated,
 2 on syntax or usage errors, 141 when the reader closes stdout early.
 Every report carries the schema tag ``swcalc/1`` and all numbers are
 exact (rationals serialized as strings).  JSON reports are the bytes of
-``json.dumps(payload, indent=2)``.
+``json.dumps(payload, indent=2)``, printed as pieces into one list that is
+joined once; a row object repeated next to itself is printed once.
 """
 from __future__ import annotations
 
@@ -24,42 +25,49 @@ SCHEMA = "swcalc/1"
 
 
 _escape = json.encoder.encode_basestring_ascii
+_INT, _STR = frozenset({int}), frozenset({str})
 
 
-def _to_json(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)`` with one join per container.
+def _to_json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, whose indent makes ``json`` skip its C
+    encoder.  A row of ints or of texts is one ``map``; a list item that ``is``
+    the one before it, as a manifold's zero Gram rows are, repeats its pieces."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
 
-    With an indent, ``json`` skips its C encoder and yields piece by piece;
-    the reports are mostly rows of ints or of angle texts, printed by one ``map``.
-    """
+
+def _write(obj, pad: str, out: list[str]) -> None:
     if isinstance(obj, str):
-        return _escape(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_escape(key) + ": " + _to_json(val, inner) for key, val in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
+        out.append(_escape(obj))
+    elif isinstance(obj, list):
+        inner = pad + "  "
         types = set(map(type, obj))
-        if types == {int}:
-            items = map(repr, obj)
-        elif types == {str}:
-            items = map(_escape, obj)
-        else:
-            items = [_to_json(val, inner) for val in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if not obj or types == _INT or types == _STR:
+            text = ("," + inner).join(map(repr if types == _INT else _escape, obj))
+            out.append("[" + inner + text + pad + "]" if obj else "[]")
+            return
+        for i, val in enumerate(obj):
+            out.append("," + inner if i else "[" + inner)
+            if not i or val is not obj[i - 1]:  # by identity: [1] == [True] prints apart
+                pieces = []
+                _write(val, inner, pieces)
+            out += pieces
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, val in obj.items():
+            out.append(sep + _escape(key) + ": ")
+            _write(val, inner, out)
+            sep = "," + inner
+        out.append(pad + "}" if obj else "{}")
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict, fmt: str):

@@ -153,12 +153,14 @@ class IntersectionData:
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        """The dense tracked Gram matrix, built anew on each call."""
-        rows = []
+        """The dense tracked Gram matrix, built anew on each call; its zero rows
+        are one tuple."""
+        rows: list[tuple[int, ...]] = []
+        zero = (0,) * self.rank
         for block in self.blocks:
-            left = (0,) * len(rows)
-            right = (0,) * (self.rank - len(rows) - len(block))
-            rows.extend(left + tuple(row) + right for row in block)
+            at = len(rows)
+            rows.extend(zero[:at] + tuple(row) + zero[at + len(block):] if any(row) else zero
+                        for row in block)
         return tuple(rows)
 
     def direct_sum(self, other: "IntersectionData", count: int = 1) -> "IntersectionData":
@@ -314,6 +316,9 @@ class ManifoldDescriptor:
                 f"the report would print a dense {n}x{n} intersection form; "
                 f"JSON reports allow at most {JSON_MAX_TRACKED} tracked classes",
                 requirement=f"at most {JSON_MAX_TRACKED} tracked classes")
+        gram = self.intersection.gram
+        # one list per row object: the zero rows, one tuple, become one list printed once
+        rows = {id(row): list(row) for row in {id(row): row for row in gram}.values()}
         return {
             "label": self.label,
             "simply_connected": self.simply_connected,
@@ -330,7 +335,7 @@ class ManifoldDescriptor:
             "mod2_basic_classes": mod2_basic_class_count(self),
             "intersection": {
                 "tracked_basis": list(self.intersection.tracked_basis),
-                "gram": [list(r) for r in self.intersection.gram],
+                "gram": [rows[id(row)] for row in gram],
                 "hyperbolic": self.intersection.h_count,
                 "plus_ones": self.intersection.plus_count,
                 "minus_ones": self.intersection.minus_count,

@@ -4,9 +4,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 import io
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
 from contextlib import contextmanager, redirect_stdout
+from pathlib import Path
 
 from swcalc.cli import run_command
 from swcalc.equivariant import (bf_simplify, covering_consistency, exotic_family,
@@ -239,6 +245,41 @@ def test_sum_scale_400_fold():
         m = eval_expr(parse("400*E(2) # S2xS2"))
         assert len(m.intersection.tracked_basis) == 400
         assert m.intersection.tracked_basis[-1] == "T_400"
+
+
+class _CharCounter(io.TextIOBase):
+    """A stdout that keeps nothing but the count of characters written."""
+
+    count = 0
+
+    def write(self, text):
+        self.count += len(text)
+        return len(text)
+
+
+def test_print_scale_1000_tracked_classes():
+    """The largest report that JSON_MAX_TRACKED admits.  A fresh process
+    prints json.dumps's bytes; in process, the job's traced peak is one copy
+    of the report plus its distinct rows."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = ["eval", "1000*E(2) # S2xS2"]
+    with timed("print-scale", 1.0, "swcalc eval '1000*E(2) # S2xS2' prints its "
+                                   "11,038,945-byte report with a dense 1000x1000 gram"):
+        proc = subprocess.run([sys.executable, "-m", "swcalc.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, len(proc.stdout)) == (0, "", 11_038_945)
+    assert proc.stdout == json.dumps(json.loads(proc.stdout), indent=2) + "\n"
+    out = _CharCounter()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(out):
+            assert run_command(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.count == 11_038_945 and peak < 1.5 * out.count, f"peak {peak} bytes"
 
 
 def test_sum_scale_10000_fold_dissolves():

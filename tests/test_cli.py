@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swcalc.cli import _to_json, run_command
@@ -418,8 +418,23 @@ def _json_trees(depth: int):
     return st.one_of(leaves, st.lists(sub, max_size=3), st.dictionaries(_TEXT, sub, max_size=3))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_json_trees(6))
+@st.composite
+def _aliased_trees(draw):
+    """A list whose items are drawn from a pool of objects, so that one object
+    repeats next to itself and apart, among neighbours that are equal to it but
+    of other types or other objects: [1] and [True], [0] and [False], [] and []."""
+    pool = draw(st.lists(_json_trees(2), max_size=3)) + [[1], [True], [0], [False], None, [], []]
+    items = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return draw(st.sampled_from([items, [items, items], {"rows": items, "again": [items, 0]}]))
+
+
+_ROW = [0, 0]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_json_trees(6), _aliased_trees()))
+@example([[1], [True], [0], [False], None, None, [], [], [[1]], [[True]], {}, {}])
+@example({"gram": [_ROW, _ROW, [0, False], _ROW, [[0]], [[0]], [_ROW], [_ROW]]})
 def test_emitter_matches_json_dumps(tree):
     assert _to_json(tree) == json.dumps(tree, indent=2)
 

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swcalc.errors import GuardViolation
@@ -250,11 +250,23 @@ def test_projector_is_the_period_walk_on_cycle_types(cycles):
     assert_projector_is_the_walk(cycle_matrix(cycles))
 
 
+def _conjugate_by_signed_permutation(draw, block):
+    """P B P^-1 for a drawn signed permutation P, P e_j = s_j e_perm[j]."""
+    n = len(block)
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            matrix[perm[i]][perm[j]] = signs[i] * signs[j] * block[i][j]
+    return matrix
+
+
 @st.composite
-def finite_order_matrices(draw):
-    """A block sum of BLOCKS conjugated by a signed permutation and then by
-    transvections, as in test_fixed_subtorus_matches_sympy."""
-    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=4))
+def finite_order_matrices(draw, first=st.sampled_from(BLOCKS)):
+    """A block sum of ``first`` and up to three BLOCKS conjugated by a signed
+    permutation and then by transvections, as in test_fixed_subtorus_matches_sympy."""
+    blocks = [draw(first)] + draw(st.lists(st.sampled_from(BLOCKS), max_size=3))
     n = sum(len(b) for b, _ in blocks)
     block = [[0] * n for _ in range(n)]
     offset = 0
@@ -262,12 +274,7 @@ def finite_order_matrices(draw):
         for i, row in enumerate(b):
             block[offset + i][offset:offset + len(b)] = row
         offset += len(b)
-    perm = draw(st.permutations(range(n)))
-    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            matrix[perm[i]][perm[j]] = signs[i] * signs[j] * block[i][j]
+    matrix = _conjugate_by_signed_permutation(draw, block)
     moves = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                                     st.sampled_from((-2, -1, 1, 2))), max_size=n))
     for a, b, c in moves:
@@ -284,16 +291,32 @@ def test_projector_is_the_period_walk_on_conjugates(d):
     assert_projector_is_the_walk(d)
 
 
+@st.composite
+def fixed_vector_not_orthogonal(draw):
+    """P D P^-1 for D = [[1, x], [0, C]], C of finite order and not I (its
+    first block is not the 1x1 identity), x = t * row r of C - I with t != 0,
+    and P a signed permutation.  With S the sum of C^i for i < m = order(C),
+    x S = t e_r^T (C^m - I) = 0, so D^m = I; e_0 is fixed, and
+    e_0^T (D - I) = (0, x) != 0.  P is orthogonal, so K^T (D - I) != 0 holds
+    for the conjugate too, while its fixed vector moves off index 0."""
+    c = draw(finite_order_matrices(st.sampled_from(BLOCKS[1:])))
+    a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(c)]
+    r = draw(st.sampled_from([i for i, row in enumerate(a) if any(row)]))
+    t = draw(st.sampled_from((-2, -1, 1, 2)))
+    d = [[1, *(t * x for x in a[r])]] + [[0, *row] for row in c]
+    return tuple(map(tuple, _conjugate_by_signed_permutation(draw, d)))
+
+
 @settings(max_examples=50, deadline=None)
-@given(finite_order_matrices())
+@given(fixed_vector_not_orthogonal())
 def test_orthogonal_projector_is_refused(d):
     """With L = K^T, P' = c K (K^T K)^-1 K^T is the orthogonal projector onto
     ker(D - I): idempotent and fixed by D, but P'D = P' fails as soon as
-    K^T (D - I) is not 0."""
+    K^T (D - I) is not 0, as it is not for these D."""
     a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(d)]
     kernel = _kernel(a)
-    assume(any(sum(v[i] * a[i][j] for i in range(len(d))) for v in kernel
-               for j in range(len(d))))
+    assert any(sum(v[i] * a[i][j] for i in range(len(d))) for v in kernel
+               for j in range(len(d)))
     with pytest.raises(AssertionError, match=r"vanish on im\(D - I\)"):
         _averaging(d, kernel, kernel)
 
