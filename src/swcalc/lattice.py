@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .errors import GuardViolation
 
-# Refuse a characteristic enumeration when count * rank^2, the number of
-# multiplications in evaluating every square, exceeds this.
+# Refuse a characteristic enumeration when count * rank^2 exceeds this: it sizes
+# the box of characteristic vectors that the pruned search and the listing may visit.
 MAX_ENUMERATION_WORK = 6_000_000
 
 # Largest rank that ``diagonalize`` searches: the square -1 search visits up

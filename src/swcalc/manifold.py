@@ -130,8 +130,6 @@ class IntersectionData:
 
     @property
     def tracked_basis(self) -> tuple[str, ...]:
-        if len(self.runs) == 1 and self.runs[0][2] == 1:
-            return self.runs[0][0]  # a leaf hands out the names it was given
         taken: dict[str, None] = {}  # the names so far, in basis order
         next_suffix: dict[str, int] = {}  # name -> i with name_2..name_{i-1} taken
         for name in self._base_names():
@@ -147,8 +145,6 @@ class IntersectionData:
 
     @property
     def blocks(self) -> tuple[Block, ...]:
-        if len(self.runs) == 1 and self.runs[0][2] == 1:
-            return self.runs[0][1]
         return tuple(chain.from_iterable(blocks * c for _, blocks, c in self.runs))
 
     @property
@@ -437,6 +433,16 @@ def homeo_type(m: ManifoldDescriptor | Fingerprint) -> HomeoType:
             f"{getattr(m, 'label', fp)} is not representable in dissolved form",
             requirement="nonnegative S2xS2 count")
     return HomeoType("even", s2, k3, 1 if sigma <= 0 else -1)
+
+
+def sum_fingerprint(runs: Sequence[tuple[ManifoldDescriptor, int]]) -> Fingerprint:
+    """The fingerprint of the sum of the (summand, copies) runs."""
+    return Fingerprint(
+        all(f.simply_connected for f, _ in runs),
+        sum(c * f.b2_plus for f, c in runs),
+        sum(c * f.b2_minus for f, c in runs),
+        "even" if all(f.spin for f, _ in runs) else "odd",
+    )
 
 
 def mod2_basic_class_count(m: ManifoldDescriptor) -> int | None:

@@ -14,8 +14,8 @@ from typing import Sequence
 from .errors import GuardViolation
 from .groupring import invariant_factors, laurent
 from .knot import AlexanderPoly
-from .manifold import (Fingerprint, HomeoType, IntersectionData,
-                       ManifoldDescriptor, SWInfo, builtin, homeo_type)
+from .manifold import (HomeoType, IntersectionData, ManifoldDescriptor, SWInfo, builtin,
+                       homeo_type, sum_fingerprint)
 
 
 # ----- connected sum -----
@@ -47,7 +47,7 @@ def _merged(runs) -> list[tuple[ManifoldDescriptor, int]]:
             raise GuardViolation(f"{c} copies of {f.label} requested", requirement="count >= 1")
         g = out[-1][0] if out else None
         # labels differ between most summands, so they are compared first
-        if g is f or g is not None and g.label == f.label and g == f \
+        if g is not None and g.label == f.label and g == f \
                 and (g.provenance, g.derived_from) == (f.provenance, f.derived_from):
             out[-1] = (g, out[-1][1] + c)
         else:
@@ -304,15 +304,6 @@ def _knot_derived(d: ManifoldDescriptor) -> bool:
     return False
 
 
-def _sum_fingerprint(runs: Sequence[tuple[ManifoldDescriptor, int]]) -> Fingerprint:
-    return Fingerprint(
-        all(f.simply_connected for f, _ in runs),
-        sum(c * f.b2_plus for f, c in runs),
-        sum(c * f.b2_minus for f, c in runs),
-        "even" if all(f.spin for f, _ in runs) else "odd",
-    )
-
-
 def dissolve(factors: Sequence[ManifoldDescriptor],
              counts: Sequence[int] | None = None) -> DissolutionVerdict:
     """Normalize a connected sum of descriptors into standard pieces.
@@ -372,7 +363,7 @@ def dissolve(factors: Sequence[ManifoldDescriptor],
             std["S2xS2"] += 1
             trace.append("parity_swap: CP2 # CP2bar rewritten to S2xS2")
             continue
-        form = homeo_type(_sum_fingerprint(((f, 1), (builtin(summand), 1))))
+        form = homeo_type(sum_fingerprint(((f, 1), (builtin(summand), 1))))
         pieces = ("CP2", "CP2bar") if form.parity == "odd" else ("S2xS2", "K3")
         # the copies this rule takes before the choice can change: S2xS2 must
         # stay available, and CP2 may enable the swap for an earlier factor
@@ -403,7 +394,7 @@ def dissolve(factors: Sequence[ManifoldDescriptor],
         form = HomeoType("odd", std["CP2"], std["CP2bar"])
     else:
         form = HomeoType("even", std["S2xS2"], std["K3"])
-    expected = homeo_type(_sum_fingerprint(runs))
+    expected = homeo_type(sum_fingerprint(runs))
     if form != expected:
         raise AssertionError(
             f"dissolution changed the homeomorphism type: {expected} -> {form}")

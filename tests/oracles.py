@@ -1,16 +1,28 @@
 """Reference computations shared by the tests, written with nothing of
 swcalc beyond ring constructors and products, the stored Gram matrix, the
 binary connected sum, the classification of one summand, one knot surgery,
-transfer and render per knot-family member, and the syntax error type."""
+transfer and render per knot-family member, the builtins and the one-step
+constructions (hat, log transform, blowup, knot surgery, reversal) of an
+expression's nodes, and the syntax error type."""
 from fractions import Fraction
 
-from swcalc.equivariant import gmonopole_polynomial
+from swcalc.equivariant import gmonopole_polynomial, hat_s1_l
 from swcalc.errors import ExprSyntaxError, GuardViolation, UnsupportedOperation
+from swcalc.expressions import Blowup, Builtin, ConnSum, KnotSurgery, LogTransform, Reverse
 from swcalc.groupring import GroupRingElement, laurent
-from swcalc.knot import alexander_family
-from swcalc.manifold import Fingerprint, HomeoType, builtin, homeo_type
-from swcalc.surgery import (DissolutionVerdict, _knot_derived, _standard_kind, connected_sum,
-                            knot_surgery)
+from swcalc.knot import alexander_family, torus_knot, unknot
+from swcalc.manifold import Fingerprint, HomeoType, builtin, homeo_type, reverse_orientation
+from swcalc.surgery import (DissolutionVerdict, _knot_derived, _standard_kind, blowup,
+                            connected_sum, knot_surgery, log_transform)
+
+
+def outcome(step, *args):
+    """``step(*args)``, or the message and requirement of its refusal, so that
+    a computation and its reference can be compared refusals included."""
+    try:
+        return step(*args)
+    except GuardViolation as err:
+        return str(err), err.requirement
 
 
 def laurent_coeffs(p: GroupRingElement) -> dict[int, int]:
@@ -163,6 +175,25 @@ def _fingerprint(factors) -> Fingerprint:
                        "even" if all(f.spin for f in factors) else "odd")
 
 
+def covering_by_identities(m, n_entry) -> bool:
+    """The three numbers of the l-fold cover of k*M # N, compared one by one:
+    chi(k*l*M # (l-1)*S2xS2) = l*chi(k*M # N), chi((l-1)*S2xS2) = l*chi(N),
+    and (l-1)*S2xS2 has the fingerprint of l-1 hyperbolic planes.  The
+    reference for ``covering_consistency``, which reads chi(N) alone."""
+    if n_entry.h_order < 2:
+        raise GuardViolation("the covering check applies to hat-type entries",
+                             requirement="hat summand")
+    k, l, n = n_entry.k, n_entry.h_order, n_entry.descriptor
+
+    def chi(factors):  # each sum removes two 4-balls
+        return sum(f.chi for f in factors) - 2 * (len(factors) - 1)
+
+    hat_cover = [builtin("S2xS2")] * (l - 1)
+    return (chi([m] * (k * l) + hat_cover) == l * chi([m] * k + [n])
+            and chi(hat_cover) == l * n.chi
+            and _fingerprint(hat_cover) == Fingerprint(True, l - 1, l - 1, "even"))
+
+
 def dissolve_flat(factors) -> DissolutionVerdict:
     """The dissolution rewrite system applied one copy at a time to the flat
     list of summands: the reference for ``dissolve``'s runs."""
@@ -228,6 +259,31 @@ def dissolve_flat(factors) -> DissolutionVerdict:
         form = HomeoType("even", std["S2xS2"], std["K3"])
     assert form == homeo_type(_fingerprint(factors))
     return DissolutionVerdict(form, tuple(trace))
+
+
+# ----- expressions, one copy at a time -----
+
+_KNOTS = {"unknot": unknot, "torus": torus_knot, "family": alexander_family}
+
+
+def eval_by_copies(e):
+    """An expression tree without catalog names, each ``n*X`` evaluated as n
+    separate copies of X folded by ``fold_sum``, every other node by its one
+    step on the inner value: the reference for ``eval_expr``'s runs."""
+    if isinstance(e, Builtin):
+        return hat_s1_l([e.arg], e.arg).descriptor if e.name == "hat" else \
+            builtin(e.name, e.arg)
+    if isinstance(e, ConnSum):
+        return fold_sum([eval_by_copies(atom) for count, atom in e.runs for _ in range(count)])
+    if isinstance(e, KnotSurgery):
+        return knot_surgery(eval_by_copies(e.expr), _KNOTS[e.knot.name](*e.knot.args))
+    if isinstance(e, LogTransform):
+        return log_transform(e.two_n, e.r)
+    if isinstance(e, Blowup):
+        return blowup(eval_by_copies(e.expr), e.m)
+    if isinstance(e, Reverse):
+        return reverse_orientation(eval_by_copies(e.expr))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ----- expression tokens, one character at a time -----

@@ -143,7 +143,7 @@ def test_criterion_8_covering_consistency():
         orders = {2: [2], 3: [3], 4: [4]}
         for k, l in itertools.product((2, 3, 4), repeat=2):
             hat = hat_s1_l(orders[l], l, k=k)
-            assert covering_consistency(builtin("E", 2), hat)
+            assert covering_consistency(hat)
 
 
 def _exhaustive_small_elements():

@@ -22,7 +22,8 @@ from swcalc.manifold import (IntersectionData, ManifoldDescriptor, SWInfo, built
                              mod2_basic_class_count, reverse_orientation)
 from swcalc.surgery import blowup, connected_sum, knot_surgery, log_transform
 
-from oracles import class_square, knot_family_members, signed_binomial, substitute_power
+from oracles import (class_square, covering_by_identities, knot_family_members, outcome,
+                     signed_binomial, substitute_power)
 
 
 # ----- space forms and hat entries -----
@@ -388,9 +389,7 @@ def test_covering_consistency_grid():
     orders = {2: [2], 3: [3], 4: [4]}
     for k in (2, 3, 4):
         for l in (2, 3, 4):
-            hat = hat_s1_l(orders[l], l, k=k)
-            for m in (builtin("E", 2), builtin("E", 3)):
-                assert covering_consistency(m, hat)
+            assert covering_consistency(hat_s1_l(orders[l], l, k=k))
 
 
 def test_covering_consistency_whitelist_families():
@@ -398,20 +397,51 @@ def test_covering_consistency_whitelist_families():
              ([2], 48), ([], 120)]
     for h1, order in cases:
         hat = hat_s1_l(h1, order, k=2)
-        assert covering_consistency(builtin("E", 2), hat)
+        assert covering_consistency(hat)
 
 
 def test_covering_consistency_lens3_numbers():
     hat = hat_s1_l([3], 3, k=2)
-    assert covering_consistency(builtin("E", 2), hat)
+    assert covering_consistency(hat)
 
 
 def test_covering_rejects_degenerate():
     for kind in ("S4", "CP2bar"):
         assert n_catalog(kind, k=2).space_form is None and n_catalog(kind, k=2).h_order == 1
         with pytest.raises(GuardViolation) as err:
-            covering_consistency(builtin("E", 2), n_catalog(kind, k=2))
+            covering_consistency(n_catalog(kind, k=2))
         assert err.value.requirement == "hat summand"
+
+
+_COVERING_ENTRIES = (
+    [hat_s1_l([l], l, k=k) for l in range(2, 9) for k in (2, 3, 4)]
+    + [hat_s1_l([2, 2], 8, k=k) for k in (2, 3, 4)]
+    # chi = 2, 0 and 3 over a hat entry's space form, and the refused kinds
+    + [NCatalogEntry(builtin(name), k, cyclic_space_form(l))
+       for name in ("S4", "S1xS3", "CP2bar") for k, l in ((2, 2), (3, 5))]
+    + [n_catalog(kind, k=2) for kind in ("S4", "CP2bar")])
+
+
+@st.composite
+def covering_bases(draw):
+    """E(n), perhaps knot-surgered, then blown up, then summed with a builtin."""
+    m = builtin("E", draw(st.integers(2, 4)))
+    if draw(st.booleans()):
+        m = knot_surgery(m, alexander_family(draw(st.integers(1, 2)), 2))
+    if draw(st.booleans()):
+        m = blowup(m, draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        m = connected_sum(m, builtin(draw(st.sampled_from(["K3", "S2xS2", "CP2bar", "S1xS3"]))))
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(covering_bases())
+def test_covering_consistency_reads_chi_of_n(m):
+    """chi(N) = 2 alone decides what the three numbers of the cover decide, for
+    every M: the two sides agree, refusals included, on every entry."""
+    assert [outcome(covering_consistency, entry) for entry in _COVERING_ENTRIES] == \
+        [outcome(covering_by_identities, m, entry) for entry in _COVERING_ENTRIES]
 
 
 # ----- families -----

@@ -11,8 +11,9 @@ from swcalc.expressions import (Blowup, Builtin, Catalog, ConnSum, KnotRef,
                                 KnotSurgery, LogTransform, Reverse,
                                 MAX_NESTING, eval_expr, parse, render)
 from swcalc.manifold import homeo_type, mod2_basic_class_count
+from swcalc.surgery import dissolve
 
-from oracles import laurent_coeffs, scan
+from oracles import dissolve_flat, eval_by_copies, laurent_coeffs, outcome, scan
 
 
 def test_parse_sum_with_multiplicity():
@@ -202,6 +203,22 @@ def test_render_parse_round_trip(tree):
     text = render(tree)
     once = parse(text)
     assert parse(render(once)) == once
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr_trees())
+def test_eval_matches_the_copy_by_copy_fold(tree):
+    """``eval_expr`` against every ``n*X`` written out as n copies folded one
+    binary sum at a time: the same report, homeomorphism type and dissolution,
+    or the same refusal."""
+    d, ref = outcome(eval_expr, tree), outcome(eval_by_copies, tree)
+    if isinstance(d, tuple) or isinstance(ref, tuple):
+        assert d == ref
+        return
+    assert d.to_json_dict() == ref.to_json_dict()
+    if d.simply_connected:
+        assert outcome(homeo_type, d) == outcome(homeo_type, ref)
+        assert dissolve([d]) == dissolve_flat([ref])
 
 
 # ----- catalog files -----

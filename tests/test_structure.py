@@ -80,6 +80,18 @@ def test_private_names_have_readers():
     assert unread == []
 
 
+def test_no_private_name_is_imported_across_modules():
+    """A name that one module of the package imports from another is public;
+    attribute reads of a private name are not imports."""
+    imported = [f"{path.name}: {node.module}.{alias.name}"
+                for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "swcalc")
+                for alias in node.names if alias.name.startswith("_")]
+    assert imported == []
+
+
 def _args_read(fn: ast.FunctionDef) -> set[str]:
     """Every ``args.<name>`` that a function reads."""
     return {node.attr for node in ast.walk(fn)
