@@ -152,7 +152,7 @@ def _cmd_lattice(args) -> dict:
     from . import lattice
     if (args.gram is None) == (args.fixture is None):
         raise ExprSyntaxError("provide exactly one of --gram or --fixture")
-    if args.fixture:
+    if args.fixture is not None:
         form = _parse_fixture(args.fixture)
     else:
         try:

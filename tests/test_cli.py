@@ -505,6 +505,84 @@ def test_bad_catalog_file_refused(tmp_path, capsys, content, code):
     assert data["error"]["type"] == ("syntax" if code == 2 else "guard")
 
 
+# ----- refusals pinned by exit code, error type, requirement and message -----
+
+FAMILY = ["family", "--construction"]
+E8 = ["lattice", "--fixture", "e8"]
+
+# (argv, catalog file content or None, exit code, type, requirement, message)
+REFUSALS = {
+    "lattice_fixture_foo": (["lattice", "--fixture", "foo"], None, 2, "syntax", None,
+                            "unknown fixture 'foo'; use e8 or diag:N"),
+    "lattice_no_input": (["lattice"], None, 2, "syntax", None,
+                         "provide exactly one of --gram or --fixture"),
+    "lattice_gram_and_fixture": (["lattice", "--gram", "[[-1]]", "--fixture", "e8"], None, 2,
+                                 "syntax", None, "provide exactly one of --gram or --fixture"),
+    "lattice_gram_unclosed": (["lattice", "--gram", "[["], None, 2, "syntax", None,
+                              "--gram is not valid JSON: Expecting value: line 1 column 3 "
+                              "(char 2)"),
+    "lattice_bound_0": (E8 + ["--bound", "0"], None, 1, "guard", "bound >= 1",
+                        "search bound must be at least 1"),
+    "lattice_depth_0": (E8 + ["--depth", "0"], None, 1, "guard", "depth >= 1",
+                        "search depth must be at least 1"),
+    "family_size_0": (FAMILY + ["k3", "--k", "2", "--l", "2", "--size", "0"], None, 1, "guard",
+                      "size >= 1", "a family needs at least one member"),
+    "family_k3_n_0": (FAMILY + ["k3", "--k", "2", "--l", "2", "--size", "1", "--n", "0"], None,
+                      1, "guard", "n >= 1", "the elliptic index parameter must be at least 1"),
+    "family_s2xs2_n_0": (FAMILY + ["s2xs2", "--k", "2", "--l", "2", "--size", "1", "--n", "0"],
+                         None, 1, "guard", "n >= 1",
+                         "the elliptic index parameter must be at least 1"),
+    "family_cp2_n_prime_1": (FAMILY + ["cp2", "--k", "2", "--l", "2", "--size", "1",
+                                       "--n-prime", "1"], None, 1, "guard", "n' >= 2",
+                             "the elliptic index must be at least 2"),
+    "family_cp2_m_prime_0": (FAMILY + ["cp2", "--k", "2", "--l", "2", "--size", "1",
+                                       "--m-prime", "0"], None, 1, "guard", "m' >= 1",
+                             "at least one blowup is required"),
+    "family_s2xs2_m_0": (FAMILY + ["s2xs2", "--k", "2", "--l", "2", "--size", "1", "--m", "0"],
+                         None, 1, "guard", "m >= 1", "the base needs at least one S2xS2 summand"),
+    "family_l_1": (FAMILY + ["k3", "--k", "2", "--l", "1", "--size", "1"], None, 1, "guard",
+                   "order l >= 2", "the fundamental group must be nontrivial (order l >= 2)"),
+    "fixedpoints_k_0": (["fixedpoints", "--k", "0"], None, 1, "guard", "k >= 1",
+                        "the cyclic order must be at least 1"),
+    "eval_hat_1": (["eval", "hat(1)"], None, 1, "guard", "order l >= 2",
+                   "the fundamental group must be nontrivial (order l >= 2)"),
+    "eval_blowup_0": (["eval", "blowup(E(2),0)"], None, 1, "guard", "m >= 1",
+                      "blowup count must be at least 1"),
+    "eval_S4_called": (["eval", "S4(1)"], None, 2, "syntax", None, "S4 takes no arguments"),
+    "eval_E_bare": (["eval", "E"], None, 2, "syntax", None, "E takes 1 argument(s)"),
+    "eval_torus_one_argument": (["eval", "knot_surgery(E(2), torus(2))"], None, 2, "syntax",
+                                None, "torus takes 2 argument(s)"),
+    "eval_named_knot_called": (["eval", "knot_surgery(E(2), trefoil(1))"], None, 1, "guard",
+                               None, "named knot 'trefoil' takes no arguments"),
+    "catalog_entry_not_a_string": (["eval", "S4"], '{"manifolds": {"X": 1}}', 1, "guard", None,
+                                   "manifold entry 'X' must be an expression string"),
+    "catalog_entry_called": (["eval", "X(1)"], '{"manifolds": {"X": "K3"}}', 2, "syntax", None,
+                             "catalog entry X takes no arguments"),
+}
+
+
+@pytest.mark.parametrize("argv, catalog, code, kind, requirement, message",
+                         REFUSALS.values(), ids=REFUSALS)
+def test_refusal_table(tmp_path, capsys, argv, catalog, code, kind, requirement, message):
+    if catalog is not None:
+        path = tmp_path / "cat.json"
+        path.write_text(catalog)
+        argv = argv + ["--catalog", str(path)]
+    exit_code, data = run_json(capsys, argv)
+    error = data["error"]
+    assert (exit_code, error["type"], error.get("requirement"), error["message"]) == \
+        (code, kind, requirement, message)
+
+
+def test_empty_fixture_is_refused_as_unknown():
+    """--fixture "" is a fixture name, not a missing one: a syntax error on stdout."""
+    proc = subprocess.run([sys.executable, "-m", "swcalc.cli", "lattice", "--fixture", ""],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    error = json.loads(proc.stdout)["error"]
+    assert (error["type"], error["message"]) == ("syntax", "unknown fixture ''; use e8 or diag:N")
+
+
 # ----- deep nesting, each run a fresh process -----
 
 def _chain_argv(tmp_path, length: int, tildes: int) -> list[str]:
