@@ -1,5 +1,6 @@
 import json
 import string
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +220,48 @@ def test_eval_matches_the_copy_by_copy_fold(tree):
     if d.simply_connected:
         assert outcome(homeo_type, d) == outcome(homeo_type, ref)
         assert dissolve([d]) == dissolve_flat([ref])
+
+
+@st.composite
+def polynomial_trees(draw, depth=0):
+    """E(n) or a log transform under knot surgeries and blowups, maybe summed with
+    CP2bar or S4: trees with a known polynomial, which ``expr_trees`` rarely draws."""
+    if depth == 2 or draw(st.booleans()):
+        tree = draw(st.one_of(st.builds(Builtin, st.just("E"), st.integers(2, 5)),
+                              st.builds(LogTransform, st.sampled_from([2, 4]),
+                                        st.integers(1, 4))))
+    elif draw(st.booleans()):
+        tree = Blowup(draw(polynomial_trees(depth + 1)), draw(st.integers(1, 3)))
+    else:
+        tree = KnotSurgery(draw(polynomial_trees(depth + 1)), draw(knotrefs))
+    if depth or draw(st.booleans()):
+        return tree
+    return ConnSum(((1, tree), (draw(st.integers(1, 2)),
+                                Builtin(draw(st.sampled_from(["CP2bar", "S4"]))))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(polynomial_trees(), expr_trees()))
+def test_known_polynomials_obey_the_theorems(tree):
+    """Each known expansion against the integers of the printed Gram matrix G:
+    SW(-c) = (-1)^((chi + sigma)/4) SW(c); for simple type every c.c = 2 chi + 3 sigma;
+    c.T = 0 for the torus T; and the mod-2 count is the number of odd coefficients."""
+    d = outcome(eval_expr, tree)
+    if isinstance(d, tuple) or not d.sw.is_known:
+        return
+    report = d.to_json_dict()
+    gram, chi, sigma = report["intersection"]["gram"], report["chi"], report["sigma"]
+    terms = d.sw.poly.expand().terms
+    assert (chi + sigma) % 4 == 0
+    sign = (-1) ** ((chi + sigma) // 4)
+    for c, coeff in terms.items():
+        assert terms.get(tuple(-x for x in c)) == sign * coeff
+        gc = [sum(map(mul, row, c)) for row in gram]
+        if d.simple_type:
+            assert sum(map(mul, c, gc)) == 2 * chi + 3 * sigma
+        if d.torus_index is not None:
+            assert gc[d.torus_index] == 0
+    assert mod2_basic_class_count(d) == sum(coeff & 1 for coeff in terms.values())
 
 
 # ----- catalog files -----
