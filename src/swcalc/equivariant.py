@@ -47,7 +47,7 @@ class SpaceForm:
 
 def cyclic_space_form(order: int) -> SpaceForm:
     if order < 2:
-        raise GuardViolation("a nontrivial group acting freely on S^3 has order >= 2",
+        raise GuardViolation("the fundamental group must be nontrivial (order l >= 2)",
                              requirement="order l >= 2")
     quotient = "RP3" if order == 2 else f"L({order},1)"
     return SpaceForm(f"Z{order}", order, (order,), quotient)
@@ -70,7 +70,7 @@ _EXCEPTIONAL_FORMS = (BINARY_TETRAHEDRAL, BINARY_OCTAHEDRAL, BINARY_ICOSAHEDRAL)
 
 
 def space_form_candidates(order: int) -> list[SpaceForm]:
-    out = [cyclic_space_form(order)] if order >= 2 else []
+    out = [cyclic_space_form(order)]
     if order % 4 == 0 and order >= 8:
         out.append(quaternionic_space_form(order // 4))
     return out + [sf for sf in _EXCEPTIONAL_FORMS if sf.order == order]
@@ -121,10 +121,6 @@ def hat_s1_l(h1_orders: Sequence[int], pi1_order: int, k: int = 2) -> NCatalogEn
     torsion, so the maximal-square condition is automatic.  The universal
     cover is |pi_1(L)| - 1 copies of S2xS2.
     """
-    if pi1_order < 2:
-        raise GuardViolation(
-            "the fundamental group must be nontrivial (order l >= 2)",
-            requirement="order l >= 2")
     sf = match_space_form(pi1_order, h1_orders)
     if sf is None:
         candidates = [f"{c.label} with H1 {list(c.h1_orders)}"

@@ -23,14 +23,12 @@ def solve_fixed_points(k: int) -> list[tuple[int, tuple[int, ...]]]:
     The congruences 0 = t1 + theta, t1 = t2 + theta, ..., t_{k-1} = theta
     force theta to be a k-th division point and determine the tuple
     ((k-1)theta, (k-2)theta, ..., theta, 0) modulo 1, whose numerators over k
-    are the residues ((k-1-i)j mod k)_i.
+    are the residues ((k-1-i)j mod k)_i.  Row 0 is the invariant locus.
     """
-    if k < 1:
-        raise GuardViolation("the cyclic order must be at least 1", requirement="k >= 1")
+    rows = invariant_locus(k)
     # read backwards from (k-1)j in steps of j, k residue cycles give row j
     cycle = tuple(range(k)) * k
-    rows = [(0,) * k] + [cycle[(k - 1) * j::-j] for j in range(1, k)]
-    return list(enumerate(rows))
+    return rows + [(j, cycle[(k - 1) * j::-j]) for j in range(1, k)]
 
 
 def invariant_locus(k: int) -> list[tuple[int, tuple[int, ...]]]:

@@ -33,9 +33,11 @@ class FgAbelianGroup:
     torsion_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if any(type(x) is not int for x in (self.free_rank, *self.torsion_orders)):
+            raise ValueError("free_rank and torsion orders must be integers")
         if self.free_rank < 0:
             raise ValueError("free_rank must be nonnegative")
-        orders = tuple(sorted(int(o) for o in self.torsion_orders))
+        orders = tuple(sorted(self.torsion_orders))
         if any(o < 2 for o in orders):
             raise ValueError("every torsion order must be at least 2")
         object.__setattr__(self, "torsion_orders", orders)
@@ -169,7 +171,7 @@ class GroupRingElement:
     Terms map flat exponent tuples (free exponents, then torsion residues)
     to nonzero ints; the free rank is fixed per ambient group, so sorted keys
     order the free exponents first, then the torsion.  Only the public
-    constructors check input.
+    constructors check input, and they refuse an exponent or coefficient not an int.
     """
 
     __slots__ = ("ambient", "_terms")
@@ -180,12 +182,13 @@ class GroupRingElement:
         r, orders = ambient.free_rank, ambient.torsion_orders
         canonical: dict[tuple[int, ...], int] = {}
         for key, coeff in terms.items():
-            key = tuple(map(int, key))
+            if type(coeff) is not int or any(type(e) is not int for e in key):
+                raise ValueError("exponents and coefficients must be integers")
             if len(key) != r + len(orders):
                 raise AmbientMismatchError(
                     f"exponent vector of length {len(key)} does not match a group of "
                     f"rank ({r},{len(orders)})")
-            _accumulate(canonical, ((key[:r] + tuple(map(mod, key[r:], orders)), int(coeff)),))
+            _accumulate(canonical, ((key[:r] + tuple(map(mod, key[r:], orders)), coeff),))
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "_terms", canonical)
 
@@ -442,6 +445,5 @@ RANK1 = FgAbelianGroup(1)
 
 def laurent(coeffs: Mapping[int, int]) -> GroupRingElement:
     """Single-variable Laurent polynomial from an exponent -> coefficient map."""
-    return GroupRingElement._wrap(RANK1, _accumulate(
-        {}, (((int(e),), int(c)) for e, c in coeffs.items())))
+    return GroupRingElement(RANK1, {(e,): c for e, c in coeffs.items()})
 

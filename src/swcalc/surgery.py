@@ -46,8 +46,7 @@ def _merged(runs) -> list[tuple[ManifoldDescriptor, int]]:
         if c < 1:
             raise GuardViolation(f"{c} copies of {f.label} requested", requirement="count >= 1")
         g = out[-1][0] if out else None
-        # labels differ between most summands, so they are compared first
-        if g is not None and g.label == f.label and g == f \
+        if g is not None and g == f \
                 and (g.provenance, g.derived_from) == (f.provenance, f.derived_from):
             out[-1] = (g, out[-1][1] + c)
         else:

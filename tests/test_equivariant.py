@@ -14,7 +14,8 @@ from swcalc.equivariant import (BINARY_ICOSAHEDRAL, BINARY_OCTAHEDRAL,
                                 BINARY_TETRAHEDRAL, NCatalogEntry, bf_simplify,
                                 covering_consistency, cyclic_space_form,
                                 exotic_family, gmonopole_polynomial, hat_s1_l,
-                                match_space_form, n_catalog, quaternionic_space_form)
+                                match_space_form, n_catalog, quaternionic_space_form,
+                                space_form_candidates)
 from swcalc.errors import GuardViolation
 from swcalc.groupring import FactoredElement, FgAbelianGroup, GroupRingElement, TermRenderer
 from swcalc.knot import AlexanderPoly, alexander_family, torus_knot
@@ -72,6 +73,18 @@ def test_hat_reads_h1_in_any_spelling(h1_orders):
     """Z2 + Z3 is Z6: the whitelist compares invariant factors."""
     assert hat_s1_l(h1_orders, 6) == hat_s1_l([6], 6)
     assert match_space_form(6, h1_orders) == cyclic_space_form(6)
+
+
+@pytest.mark.parametrize("build", [lambda: hat_s1_l([1], 1), lambda: hat_s1_l([], 0),
+                                   lambda: space_form_candidates(1),
+                                   lambda: match_space_form(1, []), lambda: cyclic_space_form(-3)],
+                         ids=["hat_1", "hat_0", "candidates_1", "match_1", "cyclic_-3"])
+def test_space_form_order_is_refused_below_2(build):
+    """H must be nontrivial: one guard, in ``cyclic_space_form``, refuses each route."""
+    with pytest.raises(GuardViolation) as err:
+        build()
+    assert (str(err.value), err.value.requirement) == \
+        ("the fundamental group must be nontrivial (order l >= 2)", "order l >= 2")
 
 
 def test_space_form_families():

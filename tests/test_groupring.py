@@ -62,6 +62,23 @@ def test_torsion_orders_sorted_and_validated():
         FgAbelianGroup(-1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: laurent({1.5: 2.7}),
+    lambda: laurent({"3": 1}),
+    lambda: laurent({1: True}),
+    lambda: GroupRingElement(FgAbelianGroup(1), {(True,): 1}),
+    lambda: GroupRingElement(Z_MOD2, {(1,): 1.0}),
+    lambda: FgAbelianGroup(0, (2.0,)),
+    lambda: FgAbelianGroup(True),
+], ids=["float_laurent", "str_exponent", "bool_coefficient", "bool_exponent",
+        "float_coefficient", "float_order", "bool_rank"])
+def test_non_integer_input_is_refused(build):
+    """As the lattice layer does, the group ring refuses what is not an int, bools
+    included, and converts nothing."""
+    with pytest.raises(ValueError, match="integers"):
+        build()
+
+
 def test_residues_canonicalized():
     assert GroupRingElement.monomial(Z_MOD2, (7,)).terms == {(1,): 1}
     p = GroupRingElement.monomial(Z_MOD2, (3,))
