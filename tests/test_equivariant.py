@@ -75,10 +75,9 @@ def test_hat_reads_h1_in_any_spelling(h1_orders):
     assert match_space_form(6, h1_orders) == cyclic_space_form(6)
 
 
-@pytest.mark.parametrize("build", [lambda: hat_s1_l([1], 1), lambda: hat_s1_l([], 0),
-                                   lambda: space_form_candidates(1),
+@pytest.mark.parametrize("build", [lambda: hat_s1_l([], 0), lambda: space_form_candidates(1),
                                    lambda: match_space_form(1, []), lambda: cyclic_space_form(-3)],
-                         ids=["hat_1", "hat_0", "candidates_1", "match_1", "cyclic_-3"])
+                         ids=["hat_0", "candidates_1", "match_1", "cyclic_-3"])
 def test_space_form_order_is_refused_below_2(build):
     """H must be nontrivial: one guard, in ``cyclic_space_form``, refuses each route."""
     with pytest.raises(GuardViolation) as err:
