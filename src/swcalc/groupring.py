@@ -33,7 +33,7 @@ class FgAbelianGroup:
     torsion_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if any(type(x) is not int for x in (self.free_rank, *self.torsion_orders)):
+        if not {int}.issuperset(map(type, (self.free_rank, *self.torsion_orders))):
             raise ValueError("free_rank and torsion orders must be integers")
         if self.free_rank < 0:
             raise ValueError("free_rank must be nonnegative")
@@ -180,15 +180,15 @@ class GroupRingElement:
         """Canonicalize ``terms``: reduce torsion exponents to residues, add the
         coefficients of keys that reduce alike and drop zeros."""
         r, orders = ambient.free_rank, ambient.torsion_orders
-        canonical: dict[tuple[int, ...], int] = {}
-        for key, coeff in terms.items():
-            if type(coeff) is not int or any(type(e) is not int for e in key):
-                raise ValueError("exponents and coefficients must be integers")
-            if len(key) != r + len(orders):
-                raise AmbientMismatchError(
-                    f"exponent vector of length {len(key)} does not match a group of "
-                    f"rank ({r},{len(orders)})")
-            _accumulate(canonical, ((key[:r] + tuple(map(mod, key[r:], orders)), coeff),))
+        if not {int}.issuperset(map(type, chain(terms.values(), chain.from_iterable(terms)))):
+            raise ValueError("exponents and coefficients must be integers")
+        if lengths := set(map(len, terms)) - {r + len(orders)}:
+            raise AmbientMismatchError(f"exponent vectors of length {sorted(lengths)} do not "
+                                       f"match a group of rank ({r},{len(orders)})")
+        # without torsion no two keys reduce alike, so only the zeros drop out
+        canonical = _accumulate({}, ((key[:r] + tuple(map(mod, key[r:], orders)), coeff)
+                                     for key, coeff in terms.items())) if orders else \
+            {key: coeff for key, coeff in terms.items() if coeff}
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "_terms", canonical)
 
