@@ -142,6 +142,15 @@ _KNOT_CONSTRUCTORS = {
     "family": (2, lambda d, n: alexander_family(d, n)),
     "unknot": (0, lambda: unknot()),
 }
+# builtin name -> number of arguments, for atoms and for knot references; a
+# catalog's own names take none, and a keyword is parsed before any check
+_ARITIES = {
+    "manifold": {**dict.fromkeys(BUILTIN_NAMES, 0),
+                 **{name: len(params) for name, params in PARAM_BUILTINS.items()}},
+    "knot": {name: arity for name, (arity, _) in _KNOT_CONSTRUCTORS.items()},
+}
+# the knots every catalog starts with, built once: each catalog copies the table
+_NAMED_KNOTS = {"unknot": unknot(), "trefoil": torus_knot(2, 3)}
 
 
 class Catalog:
@@ -155,10 +164,7 @@ class Catalog:
     """
 
     def __init__(self):
-        self.knots: dict[str, AlexanderPoly] = {
-            "unknot": unknot(),
-            "trefoil": torus_knot(2, 3),
-        }
+        self.knots: dict[str, AlexanderPoly] = dict(_NAMED_KNOTS)
         self.manifold_sources: dict[str, str] = {}
 
     @classmethod
@@ -173,8 +179,8 @@ class Catalog:
         if not (isinstance(knots, dict) and isinstance(manifolds, dict)):
             raise GuardViolation("a catalog must be a JSON object whose knots and "
                                  "manifolds are objects")
-        reserved = sorted(knots.keys() & _KNOT_CONSTRUCTORS.keys()
-                          | manifolds.keys() & {*BUILTIN_NAMES, *PARAM_BUILTINS, *_KEYWORDS})
+        reserved = sorted(knots.keys() & _ARITIES["knot"].keys()
+                          | manifolds.keys() & {*_ARITIES["manifold"], *_KEYWORDS})
         if reserved:
             raise GuardViolation(f"catalog entries may not take the builtin names {reserved}")
         for name, entry in knots.items():
@@ -201,15 +207,9 @@ class Catalog:
 def _resolve_knot_constructor(ref: KnotRef, catalog: Catalog) -> AlexanderPoly:
     if ref.name in _KNOT_CONSTRUCTORS:
         return _KNOT_CONSTRUCTORS[ref.name][1](*ref.args)
-    if ref.name in catalog.knots:
-        if ref.args:
-            raise GuardViolation(f"named knot {ref.name!r} takes no arguments")
-        return catalog.knots[ref.name]
-    known = list(_KNOT_CONSTRUCTORS) + sorted(catalog.knots)
-    hints = difflib.get_close_matches(ref.name, known, n=3)
-    raise ExprSyntaxError(
-        f"unknown knot {ref.name!r}" + (f"; did you mean {hints}?" if hints else ""),
-        suggestions=tuple(hints))
+    if ref.name not in catalog.knots:
+        raise GuardViolation(f"unknown knot {ref.name!r}")
+    return catalog.knots[ref.name]
 
 
 # ----- parser -----
@@ -299,42 +299,31 @@ class _Parser:
             b = second(self)
             self._expect(")")
             return node(a, b)
-        args = self._args()
-        self._check_manifold_name(name, args, name_tok.pos)
+        args = self._checked_args(name_tok, "manifold")
         return Builtin(name, args[0] if args else None)
 
-    def _check_manifold_name(self, name: str, args: tuple[int, ...], pos: int):
-        if name in PARAM_BUILTINS:
-            arity = len(PARAM_BUILTINS[name])
-            if len(args) != arity:
-                raise ExprSyntaxError(f"{name} takes {arity} argument(s)", position=pos)
-            return
-        if name in BUILTIN_NAMES:
-            if args:
-                raise ExprSyntaxError(f"{name} takes no arguments", position=pos)
-            return
-        if name in self.catalog.manifold_sources:
-            if args:
-                raise ExprSyntaxError(f"catalog entry {name} takes no arguments",
-                                      position=pos)
-            return
-        universe = (list(BUILTIN_NAMES) + list(PARAM_BUILTINS) + list(_KEYWORDS)
-                    + sorted(self.catalog.manifold_sources))
-        hints = difflib.get_close_matches(name, universe, n=3)
-        raise ExprSyntaxError(
-            f"unknown manifold {name!r}" +
-            (f"; did you mean {hints}?" if hints else ""),
-            position=pos, suggestions=tuple(hints))
+    def _checked_args(self, tok: _Token, kind: str) -> tuple[int, ...]:
+        """The arguments after the NAME ``tok`` of a ``kind`` ("manifold" or "knot"):
+        as many as the builtin of that name takes, or none for a catalog's own name."""
+        args, name, builtins = self._args(), tok.text, _ARITIES[kind]
+        own = self.catalog.knots if kind == "knot" else self.catalog.manifold_sources
+        arity = builtins.get(name, 0 if name in own else None)
+        if arity == len(args):
+            return args
+        hints = []
+        if arity is None:
+            extra = _KEYWORDS.keys() if kind == "manifold" else set()
+            hints = difflib.get_close_matches(name, builtins.keys() | own.keys() | extra, n=3)
+            message = f"unknown {kind} {name!r}" + (f"; did you mean {hints}?" if hints else "")
+        else:
+            label = (name if name in builtins else f"named knot {name!r}" if kind == "knot"
+                     else f"catalog entry {name}")
+            message = f"{label} takes " + (f"{arity} argument(s)" if arity else "no arguments")
+        raise ExprSyntaxError(message, position=tok.pos, suggestions=tuple(hints))
 
     def _knotref(self) -> KnotRef:
         tok = self._expect("NAME")
-        args = self._args()
-        if tok.text in _KNOT_CONSTRUCTORS:
-            arity = _KNOT_CONSTRUCTORS[tok.text][0]
-            if len(args) != arity:
-                raise ExprSyntaxError(f"{tok.text} takes {arity} argument(s)",
-                                      position=tok.pos)
-        return KnotRef(tok.text, args)
+        return KnotRef(tok.text, self._checked_args(tok, "knot"))
 
 
 # keyword -> (node, parser of its first argument, parser of its second)

@@ -75,7 +75,10 @@ def invariant_factors(orders) -> tuple[int, ...]:
     out and an o = 0, a copy of Z, comes last.  Over a coprime base of the orders, the
     i-th largest factor is the product of each base's i-th largest power in an order,
     so the work is near-linear in the orders and never factors one."""
-    counts = Counter(map(abs, map(int, orders)))
+    orders = tuple(orders)
+    if not {int}.issuperset(map(type, orders)):
+        raise ValueError("orders must be integers")
+    counts = Counter(map(abs, orders))
     zeros = counts.pop(0, 0)
     powers = [sorted(chain.from_iterable(repeat(b ** _valuation(o, b), c)
                                          for o, c in counts.items()), reverse=True)

@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import os
@@ -510,68 +511,93 @@ def test_bad_catalog_file_refused(tmp_path, capsys, content, code):
 FAMILY = ["family", "--construction"]
 E8 = ["lattice", "--fixture", "e8"]
 
-# (argv, catalog file content or None, exit code, type, requirement, message)
+# (argv, catalog file content or None, exit code, type, requirement, message, position)
 REFUSALS = {
     "lattice_fixture_foo": (["lattice", "--fixture", "foo"], None, 2, "syntax", None,
-                            "unknown fixture 'foo'; use e8 or diag:N"),
+                            "unknown fixture 'foo'; use e8 or diag:N", None),
     "lattice_no_input": (["lattice"], None, 2, "syntax", None,
-                         "provide exactly one of --gram or --fixture"),
+                         "provide exactly one of --gram or --fixture", None),
     "lattice_gram_and_fixture": (["lattice", "--gram", "[[-1]]", "--fixture", "e8"], None, 2,
-                                 "syntax", None, "provide exactly one of --gram or --fixture"),
+                                 "syntax", None, "provide exactly one of --gram or --fixture",
+                                 None),
     "lattice_gram_unclosed": (["lattice", "--gram", "[["], None, 2, "syntax", None,
                               "--gram is not valid JSON: Expecting value: line 1 column 3 "
-                              "(char 2)"),
+                              "(char 2)", None),
     "lattice_bound_0": (E8 + ["--bound", "0"], None, 1, "guard", "bound >= 1",
-                        "search bound must be at least 1"),
+                        "search bound must be at least 1", None),
     "lattice_depth_0": (E8 + ["--depth", "0"], None, 1, "guard", "depth >= 1",
-                        "search depth must be at least 1"),
+                        "search depth must be at least 1", None),
     "family_size_0": (FAMILY + ["k3", "--k", "2", "--l", "2", "--size", "0"], None, 1, "guard",
-                      "size >= 1", "a family needs at least one member"),
+                      "size >= 1", "a family needs at least one member", None),
     "family_k3_n_0": (FAMILY + ["k3", "--k", "2", "--l", "2", "--size", "1", "--n", "0"], None,
-                      1, "guard", "n >= 1", "the elliptic index parameter must be at least 1"),
+                      1, "guard", "n >= 1", "the elliptic index parameter must be at least 1",
+                      None),
     "family_s2xs2_n_0": (FAMILY + ["s2xs2", "--k", "2", "--l", "2", "--size", "1", "--n", "0"],
                          None, 1, "guard", "n >= 1",
-                         "the elliptic index parameter must be at least 1"),
+                         "the elliptic index parameter must be at least 1", None),
     "family_cp2_n_prime_1": (FAMILY + ["cp2", "--k", "2", "--l", "2", "--size", "1",
                                        "--n-prime", "1"], None, 1, "guard", "n' >= 2",
-                             "the elliptic index must be at least 2"),
+                             "the elliptic index must be at least 2", None),
     "family_cp2_m_prime_0": (FAMILY + ["cp2", "--k", "2", "--l", "2", "--size", "1",
                                        "--m-prime", "0"], None, 1, "guard", "m' >= 1",
-                             "at least one blowup is required"),
+                             "at least one blowup is required", None),
     "family_s2xs2_m_0": (FAMILY + ["s2xs2", "--k", "2", "--l", "2", "--size", "1", "--m", "0"],
-                         None, 1, "guard", "m >= 1", "the base needs at least one S2xS2 summand"),
+                         None, 1, "guard", "m >= 1", "the base needs at least one S2xS2 summand",
+                         None),
     "family_l_1": (FAMILY + ["k3", "--k", "2", "--l", "1", "--size", "1"], None, 1, "guard",
-                   "order l >= 2", "the fundamental group must be nontrivial (order l >= 2)"),
+                   "order l >= 2", "the fundamental group must be nontrivial (order l >= 2)",
+                   None),
     "fixedpoints_k_0": (["fixedpoints", "--k", "0"], None, 1, "guard", "k >= 1",
-                        "the cyclic order must be at least 1"),
+                        "the cyclic order must be at least 1", None),
     "eval_hat_1": (["eval", "hat(1)"], None, 1, "guard", "order l >= 2",
-                   "the fundamental group must be nontrivial (order l >= 2)"),
+                   "the fundamental group must be nontrivial (order l >= 2)", None),
     "eval_blowup_0": (["eval", "blowup(E(2),0)"], None, 1, "guard", "m >= 1",
-                      "blowup count must be at least 1"),
-    "eval_S4_called": (["eval", "S4(1)"], None, 2, "syntax", None, "S4 takes no arguments"),
-    "eval_E_bare": (["eval", "E"], None, 2, "syntax", None, "E takes 1 argument(s)"),
+                      "blowup count must be at least 1", None),
+    "eval_S4_called": (["eval", "S4(1)"], None, 2, "syntax", None, "S4 takes no arguments", 0),
+    "eval_E_bare": (["eval", "E"], None, 2, "syntax", None, "E takes 1 argument(s)", 0),
     "eval_torus_one_argument": (["eval", "knot_surgery(E(2), torus(2))"], None, 2, "syntax",
-                                None, "torus takes 2 argument(s)"),
-    "eval_named_knot_called": (["eval", "knot_surgery(E(2), trefoil(1))"], None, 1, "guard",
-                               None, "named knot 'trefoil' takes no arguments"),
+                                None, "torus takes 2 argument(s)", 19),
+    "eval_named_knot_called": (["eval", "knot_surgery(E(2), trefoil(1))"], None, 2, "syntax",
+                               None, "named knot 'trefoil' takes no arguments", 19),
+    "eval_unknot_called": (["eval", "knot_surgery(E(2), unknot(1))"], None, 2, "syntax", None,
+                           "unknot takes no arguments", 19),
+    "eval_unknown_knot": (["eval", "knot_surgery(E(2), unknt)"], None, 2, "syntax", None,
+                          "unknown knot 'unknt'; did you mean ['unknot']?", 19),
+    # refused where the knot is named, before the 20000 copies are summed
+    "eval_unknown_knot_after_a_large_base": (
+        ["eval", "knot_surgery(knot_surgery(E(20000), family(1,1)), trefol)"], None, 2,
+        "syntax", None, "unknown knot 'trefol'; did you mean ['trefoil']?", 50),
     "catalog_entry_not_a_string": (["eval", "S4"], '{"manifolds": {"X": 1}}', 1, "guard", None,
-                                   "manifold entry 'X' must be an expression string"),
+                                   "manifold entry 'X' must be an expression string", None),
     "catalog_entry_called": (["eval", "X(1)"], '{"manifolds": {"X": "K3"}}', 2, "syntax", None,
-                             "catalog entry X takes no arguments"),
+                             "catalog entry X takes no arguments", 0),
+    "catalog_knot_called": (["eval", "S4"], '{"knots": {"K": "trefoil(1)"}}', 2, "syntax",
+                            None, "named knot 'trefoil' takes no arguments", 0),
+    "catalog_knot_unknown": (["eval", "S4"], '{"knots": {"K": "trefol"}}', 2, "syntax", None,
+                             "unknown knot 'trefol'; did you mean ['trefoil']?", 0),
 }
 
 
-@pytest.mark.parametrize("argv, catalog, code, kind, requirement, message",
+@pytest.mark.parametrize("argv, catalog, code, kind, requirement, message, position",
                          REFUSALS.values(), ids=REFUSALS)
-def test_refusal_table(tmp_path, capsys, argv, catalog, code, kind, requirement, message):
+def test_refusal_table(tmp_path, capsys, argv, catalog, code, kind, requirement, message,
+                       position):
+    """A syntax error (exit 2) names its position and is refused before anything is
+    evaluated; its suggestions are the names its message lists."""
     if catalog is not None:
         path = tmp_path / "cat.json"
         path.write_text(catalog)
         argv = argv + ["--catalog", str(path)]
+    start = time.perf_counter()
     exit_code, data = run_json(capsys, argv)
+    elapsed = time.perf_counter() - start
     error = data["error"]
-    assert (exit_code, error["type"], error.get("requirement"), error["message"]) == \
-        (code, kind, requirement, message)
+    assert (exit_code, error["type"], error.get("requirement"), error["message"],
+            error.get("position")) == (code, kind, requirement, message, position)
+    if code == 2:
+        hints = message.partition("did you mean ")[2].rstrip("?")
+        assert error["suggestions"] == ast.literal_eval(hints or "[]")
+        assert elapsed < 0.1, f"{argv[:2]} took {elapsed:.2f}s"
 
 
 def test_empty_fixture_is_refused_as_unknown():

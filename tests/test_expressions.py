@@ -67,8 +67,18 @@ def test_parse_unknown_name_suggests():
 
 def test_parse_unknown_knot_suggests():
     with pytest.raises(ExprSyntaxError) as err:
-        eval_expr(parse("knot_surgery(E(2), torsu(2,3))"))
+        parse("knot_surgery(E(2), torsu(2,3))")
     assert "torus" in err.value.suggestions
+    assert err.value.position == 19
+
+
+def test_eval_unknown_knot_in_a_built_tree_is_a_guard():
+    """A tree built by hand skips the parser's name check; the evaluator refuses
+    an unknown knot as it refuses an unknown manifold."""
+    with pytest.raises(GuardViolation, match="unknown knot 'trefol'"):
+        eval_expr(KnotSurgery(Builtin("E", 2), KnotRef("trefol")))
+    with pytest.raises(GuardViolation, match="unknown manifold 'X'"):
+        eval_expr(Builtin("X"))
 
 
 def test_parse_zero_multiplicity_rejected():
@@ -327,6 +337,22 @@ def test_default_catalog_has_trefoil():
     catalog = Catalog()
     assert "trefoil" in catalog.knots
     assert laurent_coeffs(catalog.knots["unknot"].poly) == {0: 1}
+
+
+def test_catalog_builds_no_knot(monkeypatch):
+    """The named knots are built once, not for every catalog."""
+    built = []
+    for name in ("unknot", "torus_knot", "alexander_family"):
+        monkeypatch.setattr(expressions, name, lambda *args, name=name: built.append(name))
+    Catalog()
+    assert built == []
+
+
+def test_catalog_redefining_trefoil_leaves_fresh_catalogs_unchanged(tmp_path):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"knots": {"trefoil": "torus(2,5)"}}))
+    Catalog.load(path)
+    assert laurent_coeffs(Catalog().knots["trefoil"].poly) == {1: 1, 0: -1, -1: 1}
 
 
 # ----- nesting bound -----

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swcalc.equivariant import hat_s1_l, match_space_form
 from swcalc.errors import AmbientMismatchError, GuardViolation, UnsupportedOperation
 from swcalc.groupring import (FactoredElement, FgAbelianGroup, GroupRingElement,
                               TermRenderer, invariant_factors, laurent)
@@ -410,6 +411,17 @@ def test_mul_laurent_cancels_and_refuses():
 def test_invariant_factors(orders, factors):
     """Z/-3 is Z/3, and Z/0 is Z, which every factor divides."""
     assert invariant_factors(orders) == factors
+
+
+@pytest.mark.parametrize("call", [
+    lambda: invariant_factors([True]),
+    lambda: match_space_form(6, ["6"]),
+    lambda: hat_s1_l([2.7], 2),
+], ids=["bool_order", "str_order", "float_order"])
+def test_invariant_factors_refuse_non_integer_orders(call):
+    """An order is an int, as in FgAbelianGroup: nothing is truncated."""
+    with pytest.raises(ValueError, match="integers"):
+        call()
 
 
 @given(st.lists(st.integers(1, 12), max_size=4))

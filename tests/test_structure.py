@@ -321,7 +321,9 @@ def test_every_public_name_is_reached(monkeypatch, tmp_path):
     from workloads import WORKLOADS, make_jobs
 
     catalog = tmp_path / "catalog.json"
-    catalog.write_text(json.dumps({"knots": {"fig8": {"coeffs": {"-1": -1, "0": 3, "1": -1}}},
+    # the knot entry "unknot" calls its constructor, which no catalog calls on its own
+    catalog.write_text(json.dumps({"knots": {"fig8": {"coeffs": {"-1": -1, "0": 3, "1": -1}},
+                                             "u": "unknot"},
                                    "manifolds": {"X": "knot_surgery(K3, fig8)"}}))
     # the misspelt entry reaches the suggestion list of catalog names
     argvs = [argv for _, argv, _ in REPORTS] + [
