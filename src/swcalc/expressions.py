@@ -18,6 +18,7 @@ knots or inline constructors torus(p,q) and family(d,n).
 """
 from __future__ import annotations
 
+import contextlib
 import difflib
 import json
 import re
@@ -30,8 +31,8 @@ from .knot import AlexanderPoly, alexander_family, torus_knot, unknot, validate
 from .manifold import BUILTIN_NAMES, ManifoldDescriptor, builtin, reverse_orientation
 from .surgery import blowup, connected_sum_all, knot_surgery, log_transform
 
-# the most open '~', knot_surgery( and blowup( levels, counted together with the
-# catalog entries on one path of an evaluation
+# the most levels open at once: each '~', each knot_surgery( or blowup( whose
+# argument is open, and each catalog entry, which opens one more than its text
 MAX_NESTING = 100
 
 # ----- AST -----
@@ -160,12 +161,14 @@ class Catalog:
     maps.  Knot entries are either constructor strings like
     ``"torus(2,3)"`` or objects ``{"coeffs": {"-1": 1, "0": -1, "1": 1}}``
     with explicit exponent/coefficient pairs.  Manifold entries are
-    expression strings evaluated on demand.
+    expression strings, each parsed once by ``load`` and evaluated once.
     """
 
     def __init__(self):
         self.knots: dict[str, AlexanderPoly] = dict(_NAMED_KNOTS)
         self.manifold_sources: dict[str, str] = {}
+        self.trees: dict[str, tuple[Expr, int]] = {}  # entry -> (tree, levels it opens)
+        self.values: dict[str, ManifoldDescriptor] = {}
 
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":
@@ -179,13 +182,18 @@ class Catalog:
         if not (isinstance(knots, dict) and isinstance(manifolds, dict)):
             raise GuardViolation("a catalog must be a JSON object whose knots and "
                                  "manifolds are objects")
+        for name in (*knots, *manifolds):  # each one NAME token, or no expression can name it
+            with contextlib.suppress(ExprSyntaxError):
+                if _tokenize(name)[0] == _Token("NAME", name, 0):
+                    continue
+            raise GuardViolation(f"catalog entry name {name!r} is not a name of the grammar")
         reserved = sorted(knots.keys() & _ARITIES["knot"].keys()
                           | manifolds.keys() & {*_ARITIES["manifold"], *_KEYWORDS})
         if reserved:
             raise GuardViolation(f"catalog entries may not take the builtin names {reserved}")
         for name, entry in knots.items():
             if isinstance(entry, str):
-                ref = _parse_all(entry, cat, _Parser._knotref)
+                ref = _Parser(entry, cat).whole(_Parser._knotref)
                 cat.knots[name] = _resolve_knot_constructor(ref, cat)
             elif isinstance(entry, dict) and isinstance(entry.get("coeffs"), dict) and all(
                     e.removeprefix("-").isdecimal() and type(c) is int
@@ -198,9 +206,10 @@ class Catalog:
                     "coeffs object of integers")
         for name, source in manifolds.items():
             if not isinstance(source, str):
-                raise GuardViolation(f"manifold entry {name!r} must be an "
-                                     "expression string")
-            cat.manifold_sources[name] = source
+                raise GuardViolation(f"manifold entry {name!r} must be an expression string")
+        cat.manifold_sources.update(manifolds)  # every name first: an entry may name a later one
+        for name in manifolds:
+            parse(name, cat)  # parses the entry, and each entry it names, once
         return cat
 
 
@@ -215,11 +224,17 @@ def _resolve_knot_constructor(ref: KnotRef, catalog: Catalog) -> AlexanderPoly:
 # ----- parser -----
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], catalog: Catalog):
-        self.tokens = tokens
+    def __init__(self, text: str, catalog: Catalog, depth: int = 0, path: tuple = ()):
+        self.tokens = _tokenize(text)
         self.i = 0
         self.catalog = catalog
-        self.depth = 0  # nesting levels open at the current token
+        self.depth = self.peak = depth  # nesting levels open at the current token; the most yet
+        self.path = path  # the catalog entries whose text this is, outermost first
+
+    def whole(self, rule):
+        tree = rule(self)
+        self._expect("EOF")
+        return tree
 
     def _peek(self) -> _Token:
         return self.tokens[self.i]
@@ -270,11 +285,15 @@ class _Parser:
         self._expect("*")
         return count, self.atom()
 
+    def _open(self, tok: _Token, levels: int) -> None:
+        """Record ``levels`` levels opened at ``tok``, refusing any past the bound."""
+        if self.depth + levels > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", position=tok.pos)
+        self.peak = max(self.peak, self.depth + levels)
+
     def _nested(self, tok: _Token, rule):
         """Parse one nesting level, opened by ``tok``, with ``rule``."""
-        if self.depth == MAX_NESTING:
-            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
-                                  position=tok.pos)
+        self._open(tok, 1)
         self.depth += 1
         tree = rule(self)
         self.depth -= 1
@@ -300,7 +319,28 @@ class _Parser:
             self._expect(")")
             return node(a, b)
         args = self._checked_args(name_tok, "manifold")
+        if name in self.catalog.manifold_sources:
+            self._open(name_tok, self._entry_levels(name_tok))
         return Builtin(name, args[0] if args else None)
+
+    def _entry_levels(self, tok: _Token) -> int:
+        """The levels the catalog entry ``tok`` opens, itself included.  Its text is
+        parsed from the depth it is first named at, so the bound fires before Python's."""
+        name, cat = tok.text, self.catalog
+        if name in self.path:
+            cycle = " -> ".join(self.path[self.path.index(name):] + (name,))
+            raise GuardViolation(f"catalog entries form a cycle: {cycle}")
+        if name not in cat.trees:
+            self._open(tok, 1)
+            try:
+                sub = _Parser(cat.manifold_sources[name], cat, self.depth + 1, self.path + (name,))
+                cat.trees[name] = sub.whole(_Parser.expr), sub.peak - self.depth
+            except ExprSyntaxError as err:
+                if err.__cause__:  # named already, by the entry whose text holds it
+                    raise
+                raise ExprSyntaxError(f"in catalog entry {name}: {err}", err.position,
+                                      err.suggestions) from err
+        return cat.trees[name][1]
 
     def _checked_args(self, tok: _Token, kind: str) -> tuple[int, ...]:
         """The arguments after the NAME ``tok`` of a ``kind`` ("manifold" or "knot"):
@@ -336,59 +376,34 @@ _KEYWORDS = {
 
 def parse(text: str, catalog: Catalog | None = None) -> Expr:
     """Parse an expression, validating names against the catalog."""
-    return _parse_all(text, Catalog() if catalog is None else catalog, _Parser.expr)
-
-
-def _parse_all(text: str, catalog: Catalog, rule) -> Expr | KnotRef:
-    """Parse the whole text with one grammar rule."""
-    parser = _Parser(_tokenize(text), catalog)
-    tree = rule(parser)
-    parser._expect("EOF")
-    return tree
+    return _Parser(text, Catalog() if catalog is None else catalog).whole(_Parser.expr)
 
 
 # ----- evaluation -----
 
-def eval_expr(e: Expr, catalog: Catalog | None = None, _stack: tuple[str, ...] = (),
-              _level: int = 0, _done: dict | None = None) -> ManifoldDescriptor:
-    """Evaluate an expression tree to a manifold descriptor.
-
-    ``_stack`` names the catalog entries above ``e``; ``_level`` counts them
-    and the ``~``, ``knot_surgery`` and ``blowup`` nodes above ``e``.
-    ``_done`` keeps each catalog entry's value by (entry, level) for one
-    top-level call: the level decides whether the bound refuses it."""
-    if _level > MAX_NESTING:
-        raise GuardViolation(f"expressions and catalog entries nest deeper than "
-                             f"{MAX_NESTING} levels")
+def eval_expr(e: Expr, catalog: Catalog | None = None) -> ManifoldDescriptor:
+    """Evaluate an expression tree to a manifold descriptor, each catalog entry once."""
     catalog = Catalog() if catalog is None else catalog
-    _done = {} if _done is None else _done
     if isinstance(e, Builtin):
         if e.name == "hat":
             from .equivariant import hat_s1_l  # only hat(l) needs the transfer stack
             return hat_s1_l([e.arg], e.arg).descriptor
         if e.name in BUILTIN_NAMES or e.name == "E":
             return builtin(e.name, e.arg)
-        if e.name in catalog.manifold_sources:
-            if e.name in _stack:
-                raise GuardViolation(
-                    f"catalog entry {e.name!r} refers to itself")
-            key = (e.name, _level)
-            if key not in _done:
-                sub = parse(catalog.manifold_sources[e.name], catalog)
-                _done[key] = eval_expr(sub, catalog, _stack + (e.name,), _level + 1, _done)
-            return _done[key]
+        if e.name in catalog.trees:
+            if e.name not in catalog.values:
+                catalog.values[e.name] = eval_expr(catalog.trees[e.name][0], catalog)
+            return catalog.values[e.name]
         raise GuardViolation(f"unknown manifold {e.name!r}")
     if isinstance(e, ConnSum):
         counts, atoms = zip(*e.runs)
-        return connected_sum_all([eval_expr(f, catalog, _stack, _level, _done)
-                                  for f in atoms], counts)
+        return connected_sum_all([eval_expr(f, catalog) for f in atoms], counts)
     if isinstance(e, KnotSurgery):
-        base = eval_expr(e.expr, catalog, _stack, _level + 1, _done)
-        return knot_surgery(base, _resolve_knot_constructor(e.knot, catalog))
+        return knot_surgery(eval_expr(e.expr, catalog), _resolve_knot_constructor(e.knot, catalog))
     if isinstance(e, LogTransform):
         return log_transform(e.two_n, e.r)
     if isinstance(e, Blowup):
-        return blowup(eval_expr(e.expr, catalog, _stack, _level + 1, _done), e.m)
+        return blowup(eval_expr(e.expr, catalog), e.m)
     if isinstance(e, Reverse):
-        return reverse_orientation(eval_expr(e.expr, catalog, _stack, _level + 1, _done))
+        return reverse_orientation(eval_expr(e.expr, catalog))
     raise TypeError(f"not an expression node: {e!r}")

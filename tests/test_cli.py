@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swcalc import expressions
 from swcalc.cli import _to_json, run_command
 from swcalc.expressions import eval_expr, parse
 from swcalc.manifold import homeo_type
@@ -575,19 +576,42 @@ REFUSALS = {
                             None, "named knot 'trefoil' takes no arguments", 0),
     "catalog_knot_unknown": (["eval", "S4"], '{"knots": {"K": "trefol"}}', 2, "syntax", None,
                              "unknown knot 'trefol'; did you mean ['trefoil']?", 0),
+    # the whole catalog is checked when it loads, before the 20000 copies are summed
+    "catalog_entry_error_before_a_large_base": (
+        ["eval", "knot_surgery(knot_surgery(E(20000), family(1,1)), unknot) # X"],
+        '{"manifolds": {"X": "S4 # Kk3"}}', 2, "syntax", None,
+        "in catalog entry X: unknown manifold 'Kk3'; did you mean ['K3']?", 5),
+    "catalog_cycle": (["eval", "S4"], '{"manifolds": {"X": "Y", "Y": "X"}}', 1, "guard", None,
+                      "catalog entries form a cycle: X -> Y -> X", None),
+    "catalog_unused_entry_broken": (["eval", "S4"], '{"manifolds": {"X": "K3", "B": "S4 #"}}',
+                                    2, "syntax", None, "in catalog entry B: expected a manifold "
+                                    "name but found 'end of input'", 4),
+    "catalog_entry_too_deep": (["eval", "S4"], json.dumps({"manifolds": {"X": "~" * 100 + "K3"}}),
+                               2, "syntax", None,
+                               "in catalog entry X: nesting deeper than 100 levels", 99),
+    "catalog_manifold_name_unspelled": (["eval", "S4"], '{"manifolds": {"a b": "K3"}}', 1,
+                                        "guard", None,
+                                        "catalog entry name 'a b' is not a name of the grammar",
+                                        None),
+    "catalog_knot_name_unspelled": (["eval", "S4"], '{"knots": {"2x": "unknot"}}', 1, "guard",
+                                    None, "catalog entry name '2x' is not a name of the grammar",
+                                    None),
 }
 
 
 @pytest.mark.parametrize("argv, catalog, code, kind, requirement, message, position",
                          REFUSALS.values(), ids=REFUSALS)
-def test_refusal_table(tmp_path, capsys, argv, catalog, code, kind, requirement, message,
-                       position):
+def test_refusal_table(tmp_path, capsys, monkeypatch, argv, catalog, code, kind, requirement,
+                       message, position):
     """A syntax error (exit 2) names its position and is refused before anything is
-    evaluated; its suggestions are the names its message lists."""
+    evaluated, knot surgery included; its suggestions are the names its message lists."""
     if catalog is not None:
         path = tmp_path / "cat.json"
         path.write_text(catalog)
         argv = argv + ["--catalog", str(path)]
+    surgery, surgeries = expressions.knot_surgery, []
+    monkeypatch.setattr(expressions, "knot_surgery",
+                        lambda *args: surgeries.append(args) or surgery(*args))
     start = time.perf_counter()
     exit_code, data = run_json(capsys, argv)
     elapsed = time.perf_counter() - start
@@ -598,6 +622,7 @@ def test_refusal_table(tmp_path, capsys, argv, catalog, code, kind, requirement,
         hints = message.partition("did you mean ")[2].rstrip("?")
         assert error["suggestions"] == ast.literal_eval(hints or "[]")
         assert elapsed < 0.1, f"{argv[:2]} took {elapsed:.2f}s"
+        assert surgeries == []
 
 
 def test_empty_fixture_is_refused_as_unknown():
@@ -626,8 +651,8 @@ def _chain_argv(tmp_path, length: int, tildes: int) -> list[str]:
     (["eval", "~" * 1202 + "K3"], 2, 100),
     (["eval", "blowup(" * 400 + "K3" + ",1)" * 400], 2, 700),
     (["eval", "~" * 900 + "K3"], 2, 100),
-    ((1500, 0), 1, None),
-    ((20, 100), 1, None),
+    ((1500, 0), 2, 0),
+    ((20, 100), 2, 99),
 ], ids=["reverse_1202", "blowup_400", "reverse_900", "catalog_chain_1500",
         "catalog_chain_20x100"])
 def test_deep_nesting_is_refused_fast(tmp_path, argv, code, position):

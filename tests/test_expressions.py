@@ -1,5 +1,6 @@
 import json
 import string
+from dataclasses import replace
 from operator import mul
 
 import pytest
@@ -12,7 +13,7 @@ from swcalc.expressions import (Blowup, Builtin, Catalog, ConnSum, KnotRef,
                                 KnotSurgery, LogTransform, Reverse,
                                 MAX_NESTING, eval_expr, parse, render)
 from swcalc.manifold import homeo_type, mod2_basic_class_count
-from swcalc.surgery import dissolve
+from swcalc.surgery import connected_sum_all, dissolve
 
 from oracles import dissolve_flat, eval_by_copies, laurent_coeffs, outcome, scan
 
@@ -233,6 +234,43 @@ def test_eval_matches_the_copy_by_copy_fold(tree):
 
 
 @st.composite
+def catalog_trees(draw):
+    """A drawn tree, and the same tree with drawn subtrees, nested ones included,
+    moved into catalog entries N0, N1, ...: (tree, tree naming them, entries)."""
+    entries = {}
+
+    def move(e):
+        if isinstance(e, ConnSum):
+            e = ConnSum(tuple((count, move(f)) for count, f in e.runs))
+        elif isinstance(e, (KnotSurgery, Blowup, Reverse)):
+            e = replace(e, expr=move(e.expr))
+        if not draw(st.booleans()):
+            return e
+        entries[f"N{len(entries)}"] = render(e)
+        return Builtin(f"N{len(entries) - 1}")
+
+    tree = draw(expr_trees())
+    return tree, move(tree), entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(catalog_trees())
+def test_catalog_entries_evaluate_as_their_text_inline(tmp_path_factory, drawn):
+    """Evaluating through a loaded catalog gives the inline tree's report, or its
+    refusal."""
+    tree, named, entries = drawn
+    path = tmp_path_factory.getbasetemp() / "generated_catalog.json"
+    path.write_text(json.dumps({"manifolds": entries}))
+    catalog = Catalog.load(path)
+    d = outcome(eval_expr, parse(render(named), catalog), catalog)
+    ref = outcome(eval_expr, tree)
+    if isinstance(d, tuple) or isinstance(ref, tuple):
+        assert d == ref
+    else:
+        assert d.to_json_dict() == ref.to_json_dict()
+
+
+@st.composite
 def polynomial_trees(draw, depth=0):
     """E(n) or a log transform under knot surgeries and blowups, maybe summed with
     CP2bar or S4: trees with a known polynomial, which ``expr_trees`` rarely draws."""
@@ -293,37 +331,47 @@ def test_catalog_file_round_trip(tmp_path):
 
 
 def test_catalog_self_reference_rejected(tmp_path):
+    """A catalog that refers to itself is refused when it loads."""
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps({"manifolds": {"X": "X # S4"}}))
-    catalog = Catalog.load(path)
-    with pytest.raises(GuardViolation):
-        eval_expr(parse("X", catalog), catalog)
+    with pytest.raises(GuardViolation, match="^catalog entries form a cycle: X -> X$"):
+        Catalog.load(path)
 
 
-def test_catalog_entries_evaluate_once_per_level(tmp_path, monkeypatch):
-    """A doubling chain Y_i = Y_{i+1} # Y_{i+1} parses each entry once, not
-    once per reference (2^13 - 1 parses)."""
+def test_catalog_entries_evaluate_once_per_catalog(tmp_path, monkeypatch):
+    """A doubling chain Y_i = Y_{i+1} # Y_{i+1} parses each entry's text once,
+    when it loads, and sums each entry once however often it is named or
+    evaluated, not once per reference (2^12 - 1 sums)."""
     entries = {f"Y{i}": f"Y{i + 1} # Y{i + 1}" for i in range(12)}
     path = tmp_path / "doubling.json"
     path.write_text(json.dumps({"manifolds": {**entries, "Y12": "K3"}}))
+    sources = [*entries.values(), "K3"]
+    tokenize, texts, sums = expressions._tokenize, [], []
+    monkeypatch.setattr(expressions, "_tokenize",
+                        lambda text: texts.append(text) or tokenize(text))
     catalog = Catalog.load(path)
+    assert sorted(text for text in texts if text in sources) == sorted(sources)
     tree = parse("Y0", catalog)
-    parsed = []
-    monkeypatch.setattr(expressions, "parse",
-                        lambda text, cat: parsed.append(text) or parse(text, cat))
-    assert eval_expr(tree, catalog).b2_plus == 3 * 2**12
-    assert len(parsed) == 13
+    texts.clear()
+    monkeypatch.setattr(expressions, "connected_sum_all",
+                        lambda parts, counts: sums.append(1) or connected_sum_all(parts, counts))
+    assert eval_expr(tree, catalog).b2_plus == eval_expr(tree, catalog).b2_plus == 3 * 2**12
+    assert (texts, len(sums)) == ([], 12)
 
 
-@pytest.mark.parametrize("text", ["Y # " + "~" * 97 + "Y", "~" * 97 + "Y # Y"],
+@pytest.mark.parametrize("text, position", [("Y # " + "~" * 97 + "Y", 101),
+                                            ("~" * 97 + "Y # Y", 97)],
                          ids=["level_0_first", "level_97_first"])
-def test_entry_refusal_does_not_depend_on_order(tmp_path, text):
-    """Y is answered at level 0 and refused at level 97 in either order."""
+def test_entry_refusal_does_not_depend_on_order(tmp_path, text, position):
+    """Y opens four levels, itself and its three '~': it parses at depth 96 and is
+    refused where it is named at depth 97, in either order."""
     path = tmp_path / "cat.json"
     path.write_text(json.dumps({"manifolds": {"Y": "~~~K3"}}))
     catalog = Catalog.load(path)
-    with pytest.raises(GuardViolation, match="nest deeper than 100 levels"):
-        eval_expr(parse(text, catalog), catalog)
+    assert eval_expr(parse("~" * 96 + "Y # Y", catalog), catalog).chi == 46
+    with pytest.raises(ExprSyntaxError, match="^nesting deeper than 100 levels$") as err:
+        parse(text, catalog)
+    assert err.value.position == position
 
 
 def test_catalog_may_override_trefoil(tmp_path):
@@ -391,11 +439,14 @@ def _catalog_chain(tmp_path, tildes) -> Catalog:
 
 
 def test_catalog_chain_bound_is_exact(tmp_path):
+    """A chain of 100 entries loads and evaluates; one of 101 is refused when it
+    loads, where the 100th entry names the 101st."""
     catalog = _catalog_chain(tmp_path, [0] * MAX_NESTING)
     assert eval_expr(parse("X0", catalog), catalog).chi == 24
-    catalog = _catalog_chain(tmp_path, [0] * (MAX_NESTING + 1))
-    with pytest.raises(GuardViolation, match="nest deeper than"):
-        eval_expr(parse("X0", catalog), catalog)
+    with pytest.raises(ExprSyntaxError) as err:
+        _catalog_chain(tmp_path, [0] * (MAX_NESTING + 1))
+    assert (str(err.value), err.value.position) == (
+        "in catalog entry X99: nesting deeper than 100 levels", 0)
 
 
 @pytest.mark.parametrize("tildes, levels", [((49, 49), 100), ((49, 50), 101),
@@ -403,12 +454,15 @@ def test_catalog_chain_bound_is_exact(tmp_path):
                          ids=["49+49", "49+50", "99", "100"])
 def test_levels_add_up_across_catalog_entries(tmp_path, tildes, levels):
     """Each entry on the path is one level and each of its '~' one more, so
-    entries that each parse within the bound can still pass it together."""
+    entries that each parse within the bound can still pass it together: the
+    catalog is refused when it loads, at the last entry's last '~'."""
     assert len(tildes) + sum(tildes) == levels
-    catalog = _catalog_chain(tmp_path, tildes)
-    tree = parse("X0", catalog)
     if levels <= MAX_NESTING:
-        assert eval_expr(tree, catalog).chi == 24
+        catalog = _catalog_chain(tmp_path, tildes)
+        assert eval_expr(parse("X0", catalog), catalog).chi == 24
     else:
-        with pytest.raises(GuardViolation, match="nest deeper than"):
-            eval_expr(tree, catalog)
+        with pytest.raises(ExprSyntaxError) as err:
+            _catalog_chain(tmp_path, tildes)
+        assert (str(err.value), err.value.position) == (
+            f"in catalog entry X{len(tildes) - 1}: nesting deeper than 100 levels",
+            tildes[-1] - 1)

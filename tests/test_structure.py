@@ -361,3 +361,14 @@ def test_every_public_name_is_reached(monkeypatch, tmp_path):
     # a listed name that left the package or that a command now enters leaves the list
     assert sorted(name for name in UNREACHED
                   if name not in public or public[name] & entered) == []
+
+
+def test_no_public_callable_takes_a_private_parameter():
+    """No public function, constructor or method of the package takes a
+    parameter whose name starts with ``_``, so no recursion state sits in a
+    public signature."""
+    definitions = _public_definitions()
+    params = {name: list(inspect.signature(obj).parameters) for name, obj in definitions.items()}
+    for name, (code,) in _public_members(definitions).items():
+        params[name] = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+    assert [f"{name}({p})" for name, names in params.items() for p in names if p[0] == "_"] == []
